@@ -67,13 +67,6 @@ class RunConfig:
     experiment: ExperimentConfig
     output_dir: str
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, RunConfig)
-            and self.experiment == other.experiment
-            and self.output_dir == other.output_dir
-        )
-
 
 _EXPERIMENT_KEYS = {
     "schema",
@@ -88,10 +81,6 @@ _EXPERIMENT_KEYS = {
 _REQUIRED_EXPERIMENT = {"schema", "master_seed", "n_values", "n_reps", "criteria", "output_dir"}
 
 
-def _cfg_fail(msg: str) -> ConfigError:
-    return ConfigError(msg)
-
-
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a config file's text; raises ConfigError naming the
     offending section/key on any problem."""
@@ -99,7 +88,7 @@ def parse_config(text: str) -> RunConfig:
     try:
         cp.read_string(text)
     except configparser.Error as exc:
-        raise _cfg_fail(f"config not parseable: {exc}") from exc
+        raise ConfigError(f"config not parseable: {exc}") from exc
     expected = {"experiment", "dgp", "family"}
     got = set(cp.sections())
     if got != expected:
@@ -109,62 +98,62 @@ def parse_config(text: str) -> RunConfig:
             parts.append(f"missing sections: {sorted(missing)}")
         if extra:
             parts.append(f"unknown sections: {sorted(extra)}")
-        raise _cfg_fail("; ".join(parts))
+        raise ConfigError("; ".join(parts))
 
     exp = dict(cp.items("experiment"))
     unknown = set(exp) - _EXPERIMENT_KEYS
     if unknown:
-        raise _cfg_fail(f"[experiment] unknown keys: {sorted(unknown)}")
+        raise ConfigError(f"[experiment] unknown keys: {sorted(unknown)}")
     missing = _REQUIRED_EXPERIMENT - set(exp)
     if missing:
-        raise _cfg_fail(f"[experiment] missing keys: {sorted(missing)}")
+        raise ConfigError(f"[experiment] missing keys: {sorted(missing)}")
 
     def intval(section, key, raw):
         try:
             return int(raw)
         except ValueError:
-            raise _cfg_fail(f"[{section}] {key} must be an integer, got {raw!r}") from None
+            raise ConfigError(f"[{section}] {key} must be an integer, got {raw!r}") from None
 
     schema = intval("experiment", "schema", exp["schema"])
     if schema != CONFIG_SCHEMA:
-        raise _cfg_fail(f"[experiment] schema {schema} unsupported (expected {CONFIG_SCHEMA})")
+        raise ConfigError(f"[experiment] schema {schema} unsupported (expected {CONFIG_SCHEMA})")
     master_seed = intval("experiment", "master_seed", exp["master_seed"])
     n_reps = intval("experiment", "n_reps", exp["n_reps"])
     try:
         n_values = tuple(int(t) for t in exp["n_values"].replace(",", " ").split())
     except ValueError:
-        raise _cfg_fail(f"[experiment] n_values must be integers, got {exp['n_values']!r}") from None
+        raise ConfigError(f"[experiment] n_values must be integers, got {exp['n_values']!r}") from None
     criteria = tuple(t.strip().lower() for t in exp["criteria"].split(",") if t.strip())
     for c in criteria:
         try:
             CriterionKind.named(c)
         except ValueError as exc:
-            raise _cfg_fail(f"[experiment] criteria: {exc}") from exc
+            raise ConfigError(f"[experiment] criteria: {exc}") from exc
     oracle_n = intval("experiment", "oracle_n", exp.get("oracle_n", str(DEFAULT_ORACLE_N)))
     burn_in = intval("experiment", "burn_in", exp.get("burn_in", "1000"))
     output_dir = exp["output_dir"].strip()
     if not output_dir:
-        raise _cfg_fail("[experiment] output_dir must not be empty")
+        raise ConfigError("[experiment] output_dir must not be empty")
 
     dgp_items = dict(cp.items("dgp"))
     if set(dgp_items) != {"model", "theta"}:
-        raise _cfg_fail(f"[dgp] needs exactly the keys model, theta; got {sorted(dgp_items)}")
+        raise ConfigError(f"[dgp] needs exactly the keys model, theta; got {sorted(dgp_items)}")
     try:
         dgp = parse_spec(dgp_items["model"])
     except ValueError as exc:
-        raise _cfg_fail(f"[dgp] model: {exc}") from exc
+        raise ConfigError(f"[dgp] model: {exc}") from exc
     try:
         theta = tuple(float(t) for t in dgp_items["theta"].replace(",", " ").split())
     except ValueError:
-        raise _cfg_fail(f"[dgp] theta must be numbers, got {dgp_items['theta']!r}") from None
+        raise ConfigError(f"[dgp] theta must be numbers, got {dgp_items['theta']!r}") from None
 
     fam_items = dict(cp.items("family"))
     if set(fam_items) != {"models"}:
-        raise _cfg_fail(f"[family] needs exactly the key models; got {sorted(fam_items)}")
+        raise ConfigError(f"[family] needs exactly the key models; got {sorted(fam_items)}")
     try:
         family = tuple(expand_family(fam_items["models"]))
     except ValueError as exc:
-        raise _cfg_fail(f"[family] models: {exc}") from exc
+        raise ConfigError(f"[family] models: {exc}") from exc
 
     try:
         experiment = ExperimentConfig(
@@ -179,7 +168,7 @@ def parse_config(text: str) -> RunConfig:
             burn_in=burn_in,
         )
     except (ConfigError, ValueError) as exc:
-        raise _cfg_fail(str(exc)) from exc
+        raise ConfigError(str(exc)) from exc
     return RunConfig(experiment=experiment, output_dir=output_dir)
 
 
@@ -188,7 +177,7 @@ def parse_config_file(path: str) -> RunConfig:
         with open(path) as fh:
             return parse_config(fh.read())
     except OSError as exc:
-        raise _cfg_fail(f"cannot read config {path}: {exc}") from exc
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
 def serialize_config(cfg: RunConfig) -> str:

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AllModelsFailed, MissingInfo, UnsupportedFamily
+from .errors import AllModelsFailed, MissingInfo, QmselectError, UnsupportedFamily
 from .fitting import FitOptions, FitResult, fit_family
 from .information import InfoMatrices, closed_form_trace, info_matrices
 from .likelihood import mu4_hat, residuals
@@ -226,7 +226,8 @@ def select_from_fits(
 
     ``info_cache`` maps fit index -> InfoMatrices or Exception; it is filled
     lazily so several criteria evaluated on the same fits estimate the info
-    matrices only once per model.
+    matrices only once per model.  Only the package's own errors and numerical
+    failures exclude a model; any other exception propagates.
     """
     x = x.values if isinstance(x, Trajectory) else np.asarray(x, dtype=float)
     if kind.custom_pen is not None:
@@ -243,7 +244,7 @@ def select_from_fits(
             if i not in info_cache:
                 try:
                     info_cache[i] = info_matrices(f, x)
-                except Exception as exc:  # noqa: BLE001 - recorded, model excluded
+                except (QmselectError, np.linalg.LinAlgError, FloatingPointError) as exc:
                     info_cache[i] = exc
             info = info_cache[i]
             if isinstance(info, Exception):

@@ -7,8 +7,12 @@ deterministic for identical inputs.  Each start goes through a constrained
 quasi-Newton pass (SLSQP over the box + coefficient-budget constraints)
 followed by a short projected-Newton polish that pushes the projected
 gradient below ``grad_tol`` whenever the optimum is a genuine stationary
-point.  The zero-init start itself stays in the candidate pool, which makes
-the descent property gamma_bar(theta_hat) <= gamma_bar(start) structural.
+point; its Hessian is the central-difference one of :mod:`.likelihood`, the
+same stencil :func:`~.likelihood.derivatives` uses.  The zero-init start
+itself stays in the candidate pool, which makes the descent property
+gamma_bar(theta_hat) <= gamma_bar(start) structural.  Every fit, the
+closed-form wn one included, is certified in one place (``_certified``):
+contrast, projected gradient norm and the ``converged`` flag.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .errors import OptimizerDiverged, TooShortSeries
-from .likelihood import contrast, gamma_bar, gradient, _fd_steps
+from .errors import OptimizerDiverged, QmselectError, TooShortSeries
+from .likelihood import contrast, gamma_bar, gradient, _fd_hessian
 from .models import (
     ConstraintSet,
     Family,
@@ -111,18 +115,6 @@ def projected_grad_norm(cset: ConstraintSet, v: np.ndarray, g: np.ndarray) -> fl
     return float(np.max(np.abs(gp))) if gp.size else 0.0
 
 
-def _fd_hessian_of_gradient(spec, v, x):
-    h = _fd_steps(v)
-    d = v.size
-    hess = np.empty((d, d))
-    for k in range(d):
-        vp, vm = v.copy(), v.copy()
-        vp[k] += h[k]
-        vm[k] -= h[k]
-        hess[k, :] = (gradient(spec, vp, x) - gradient(spec, vm, x)) / (2.0 * h[k])
-    return 0.5 * (hess + hess.T)
-
-
 def _polish(spec, cset, v, x, opts, max_steps: int = 6):
     """Projected-Newton refinement; returns (theta, n_steps)."""
     steps = 0
@@ -131,7 +123,7 @@ def _polish(spec, cset, v, x, opts, max_steps: int = 6):
         g = gradient(spec, v, x)
         if projected_grad_norm(cset, v, g) <= opts.grad_tol:
             break
-        hess = _fd_hessian_of_gradient(spec, v, x)
+        hess = _fd_hessian(spec, v, x)
         try:
             w, q = np.linalg.eigh(hess)
             w = np.maximum(w, max(1e-8, 1e-8 * float(np.max(np.abs(w)))))
@@ -154,14 +146,10 @@ def _polish(spec, cset, v, x, opts, max_steps: int = 6):
     return v, steps
 
 
-def _fit_wn(spec, cset, x, opts) -> FitResult:
-    # closed form: the contrast in sigma alone is minimized at the root
-    # of the uncentered second moment, clipped into the box
-    sigma = float(np.clip(np.sqrt(np.mean(x**2)), cset.lower[0], cset.upper[0]))
-    v = np.array([sigma])
+def _certified(spec, cset, v, x, opts, iterations: int) -> FitResult:
+    """The fit at ``v``: contrast, projected gradient and convergence flag."""
     ev = contrast(spec, v, x)
-    g = gradient(spec, v, x)
-    gn = projected_grad_norm(cset, v, g)
+    gn = projected_grad_norm(cset, v, gradient(spec, v, x))
     return FitResult(
         spec=spec,
         theta=ParamVector(spec, v),
@@ -170,8 +158,15 @@ def _fit_wn(spec, cset, x, opts) -> FitResult:
         converged=gn <= opts.grad_tol,
         n_used=x.size,
         grad_norm=gn,
-        iterations=0,
+        iterations=iterations,
     )
+
+
+def _fit_wn(spec, cset, x, opts) -> FitResult:
+    # closed form: the contrast in sigma alone is minimized at the root
+    # of the uncentered second moment, clipped into the box
+    sigma = float(np.clip(np.sqrt(np.mean(x**2)), cset.lower[0], cset.upper[0]))
+    return _certified(spec, cset, np.array([sigma]), x, opts, iterations=0)
 
 
 def fit(spec: ModelSpec, x, opts: FitOptions | None = None) -> FitResult:
@@ -232,32 +227,21 @@ def fit(spec: ModelSpec, x, opts: FitOptions | None = None) -> FitResult:
     fbest = min(c[0] for c in finite)
     # ties (within 1e-10) go to the start nearest the zero-init start
     tied = sorted((c for c in finite if c[0] <= fbest + 1e-10), key=lambda c: c[1])
-    fv, _, v, iters = tied[0]
-
-    ev = contrast(spec, v, x)
-    g = gradient(spec, v, x)
-    gn = projected_grad_norm(cset, v, g)
-    return FitResult(
-        spec=spec,
-        theta=ParamVector(spec, v),
-        gamma_bar_min=ev.gamma_bar,
-        loglik=ev.loglik,
-        converged=gn <= opts.grad_tol,
-        n_used=n,
-        grad_norm=gn,
-        iterations=iters,
-    )
+    _, _, v, iters = tied[0]
+    return _certified(spec, cset, v, x, opts, iters)
 
 
 def fit_family(family, x, opts: FitOptions | None = None) -> list[FitResult]:
     """Fit every spec in ``family`` (order preserved); per-model failures are
-    returned as non-converged placeholder results instead of raising."""
+    returned as non-converged placeholder results instead of raising.  Only
+    the package's own errors and numerical failures count as failed fits; any
+    other exception is a programming error and propagates."""
     x = _series(x)
     out = []
     for spec in family:
         try:
             out.append(fit(spec, x, opts))
-        except Exception as exc:  # noqa: BLE001 - failures become flags
+        except (QmselectError, np.linalg.LinAlgError, FloatingPointError) as exc:
             out.append(
                 FitResult(
                     spec=spec,

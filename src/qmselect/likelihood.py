@@ -28,7 +28,9 @@ from .errors import BoundaryTooClose
 from .models import (
     Family,
     ModelSpec,
+    _arma_residuals,
     _as_values,
+    _garch_variance,
     _lag,
     cond_moments,
     constraint_set,
@@ -37,8 +39,6 @@ from .models import (
 
 #: relative step for finite differences, h_k = FD_STEP * max(1, |theta_k|)
 FD_STEP = 1e-5
-
-ANALYTIC_FAMILIES = (Family.WN, Family.ARMA, Family.GARCH)
 
 
 @dataclass(frozen=True)
@@ -119,9 +119,7 @@ def grad_per_t(spec: ModelSpec, theta, x) -> np.ndarray:
 def _grad_arma(spec, v, x):
     p, q = spec.p, spec.q
     sigma = v[p + q]
-    ar = np.r_[1.0, -v[:p]]
-    ma = np.r_[1.0, v[p : p + q]]
-    eps = lfilter(ar, ma, x)
+    eps, ma = _arma_residuals(spec, v, x)
     cols = np.empty((x.size, spec.dim))
     scale = 2.0 / sigma**2
     for i in range(p):
@@ -136,13 +134,8 @@ def _grad_arma(spec, v, x):
 
 def _grad_garch(spec, v, x):
     p, q = spec.p, spec.q
-    omega, a, b = v[0], v[1 : 1 + p], v[1 + p :]
     n = x.size
-    u = np.full(n, omega)
-    for i in range(p):
-        u += a[i] * _lag(x, i + 1) ** 2
-    braw = np.r_[1.0, -b]
-    h_lin = lfilter([1.0], braw, u)
+    h_lin, braw = _garch_variance(spec, v, x)
     clamped = h_lin < H_FLOOR
     h = np.maximum(h_lin, H_FLOOR)
     # d gamma_t / d theta_k = (h_t - x_t^2) / h_t^2 * d h_t / d theta_k
@@ -191,20 +184,22 @@ def derivatives(spec: ModelSpec, theta, x, *, check_boundary: bool = True) -> De
     """
     v = _as_values(spec, theta)
     x = np.asarray(x, dtype=float)
-    h = _fd_steps(v)
-    if check_boundary and not constraint_set(spec).stencil_inside(v, 2.0 * h):
+    if check_boundary and not constraint_set(spec).stencil_inside(v, 2.0 * _fd_steps(v)):
         raise BoundaryTooClose(
             f"{spec.name}: parameters within 2 finite-difference steps of the boundary"
         )
-    grad = gradient(spec, v, x)
+    return DerivEval(gradient(spec, v, x), _fd_hessian(spec, v, x))
+
+
+def _fd_hessian(spec: ModelSpec, v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Symmetrized central differences of the gradient with steps
+    :func:`_fd_steps`; the one Hessian stencil of the package."""
+    h = _fd_steps(v)
     d = v.size
     hess = np.empty((d, d))
     for k in range(d):
         vp, vm = v.copy(), v.copy()
         vp[k] += h[k]
         vm[k] -= h[k]
-        gp = gradient(spec, vp, x)
-        gm = gradient(spec, vm, x)
-        hess[k, :] = (gp - gm) / (2.0 * h[k])
-    hess = 0.5 * (hess + hess.T)
-    return DerivEval(grad, hess)
+        hess[k, :] = (gradient(spec, vp, x) - gradient(spec, vm, x)) / (2.0 * h[k])
+    return 0.5 * (hess + hess.T)

@@ -69,8 +69,8 @@ class ModelSpec:
     def __post_init__(self):
         if self.p < 0 or self.q < 0:
             raise ValueError("model orders must be non-negative")
-        if self.family is Family.APARCH and not self.delta > 0:
-            raise ValueError("aparch power must be positive")
+        if self.family is Family.APARCH and not 0 < self.delta < math.inf:
+            raise ValueError("aparch power must be positive and finite")
         if self.family is Family.ARARCH and self.q != 0:
             raise ValueError("ararch takes a single order p")
         if self.family in (Family.ARMA, Family.GARCH, Family.APARCH) and self.p == 0 and self.q == 0:
@@ -97,7 +97,7 @@ class ModelSpec:
         if self.family is Family.WN:
             return "wn"
         if self.family is Family.APARCH:
-            return f"aparch({self.delta:g};{self.p},{self.q})"
+            return f"aparch({_power_text(self.delta)};{self.p},{self.q})"
         if self.family is Family.ARARCH:
             return f"ararch({self.p})"
         return f"{self.family.value}({self.p},{self.q})"
@@ -124,6 +124,15 @@ class ModelSpec:
 
     def __str__(self) -> str:
         return self.name
+
+
+def _power_text(delta: float) -> str:
+    """Shortest plain decimal that parses back to ``delta`` exactly; the short
+    ``:g`` form whenever that form already does."""
+    text = f"{delta:g}"
+    if "e" in text or float(text) != delta:
+        text = np.format_float_positional(delta, trim="-")
+    return text
 
 
 def wn() -> ModelSpec:
@@ -615,6 +624,23 @@ class CondMoments:
     h_hat: np.ndarray
 
 
+def _arma_residuals(spec: ModelSpec, v: np.ndarray, x: np.ndarray):
+    """Truncated ARMA residuals eps and the MA polynomial they are filtered by."""
+    ma = np.r_[1.0, v[spec.p : spec.p + spec.q]]
+    return lfilter(np.r_[1.0, -v[: spec.p]], ma, x), ma
+
+
+def _garch_variance(spec: ModelSpec, v: np.ndarray, x: np.ndarray):
+    """Unclamped truncated GARCH variance h_lin and the AR polynomial in the
+    b coefficients that filters it."""
+    p = spec.p
+    u = np.full(x.size, v[0])
+    for i in range(p):
+        u += v[1 + i] * _lag(x, i + 1) ** 2
+    b_poly = np.r_[1.0, -v[1 + p :]]
+    return lfilter([1.0], b_poly, u), b_poly
+
+
 def cond_moments(spec: ModelSpec, theta, x) -> CondMoments:
     """Conditional mean ``f_hat`` and variance ``h_hat`` given the sample.
 
@@ -632,16 +658,12 @@ def cond_moments(spec: ModelSpec, theta, x) -> CondMoments:
         h = np.full(n, max(v[0] ** 2, H_FLOOR))
         return CondMoments(np.zeros(n), h)
     if fam is Family.ARMA:
-        eps = lfilter(np.r_[1.0, -v[:p]], np.r_[1.0, v[p : p + q]], x)
+        eps, _ = _arma_residuals(spec, v, x)
         h = np.full(n, max(v[p + q] ** 2, H_FLOOR))
         return CondMoments(x - eps, h)
     if fam is Family.GARCH:
-        omega, a, b = v[0], v[1 : 1 + p], v[1 + p :]
-        u = np.full(n, omega)
-        for i in range(p):
-            u += a[i] * _lag(x, i + 1) ** 2
-        h = lfilter([1.0], np.r_[1.0, -b], u)
-        return CondMoments(np.zeros(n), np.maximum(h, H_FLOOR))
+        h_lin, _ = _garch_variance(spec, v, x)
+        return CondMoments(np.zeros(n), np.maximum(h_lin, H_FLOOR))
     if fam is Family.APARCH:
         omega = v[0]
         a = v[1 : 1 + p]

@@ -9,6 +9,13 @@ Two experiment drivers share the same replication protocol:
   held-out trajectory per sample size ("oracle") and reports the mean excess
   risk of the selected model over the refitted true model, scaled by n.
 
+A replication is described by the payload ``(config, n, r, want_theta)``:
+the frozen :class:`ExperimentConfig` itself, with its ModelSpec objects, so
+a worker simulates and fits exactly the configured specs.  Both drivers
+build these payloads and map them through one helper.  All held-out scoring
+goes through :func:`oracle_risk`, called once per n on every distinct
+(spec, theta) point the replications produced.
+
 Seeding: replication r at sample size n draws its trajectory from a PCG64
 generator keyed by SeedSequence([master_seed, n, r]); the oracle trajectory
 uses a reserved tag in place of r.  Fit restarts are keyed by the trajectory
@@ -31,7 +38,7 @@ from .criteria import CriterionKind, classify, select_from_fits
 from .errors import AllModelsFailed, ConfigError
 from .fitting import fit_family
 from .likelihood import gamma_bar
-from .models import ModelSpec, parse_spec, simulate
+from .models import ModelSpec, simulate
 from .version import __version__
 
 #: replication-index stand-in for oracle trajectory seeds
@@ -121,38 +128,37 @@ def write_metadata(path, config: ExperimentConfig, **extra) -> None:
 
 
 def _run_replication(payload):
-    (dgp_name, dgp_theta, family_names, n, seed, criteria_names, burn_in, want_theta) = payload
-    dgp = parse_spec(dgp_name)
-    family = [parse_spec(s) for s in family_names]
-    traj = simulate(dgp, np.asarray(dgp_theta), n, seed=seed, burn_in=burn_in)
-    fits = fit_family(family, traj.values)
+    config, n, r, want_theta = payload
+    dgp = config.dgp
+    seed = derive_seed(config.master_seed, n, r)
+    traj = simulate(dgp, np.asarray(config.dgp_theta), n, seed=seed, burn_in=config.burn_in)
+    fits = fit_family(config.family, traj.values)
     info_cache: dict = {}
     out: dict = {"criteria": {}}
     if want_theta:
         true_fit = next((f for f in fits if f.spec == dgp), None)
         if true_fit is not None and true_fit.converged:
-            out["true_fit"] = (true_fit.spec.name, tuple(map(float, true_fit.theta.values)))
+            out["true_fit"] = (dgp, tuple(map(float, true_fit.theta.values)))
         else:
             out["true_fit"] = None
-    for name in criteria_names:
+    for name in config.criteria:
         kind = CriterionKind.named(name)
         try:
             sel = select_from_fits(fits, traj.values, kind, info_cache)
         except AllModelsFailed:
             out["criteria"][name] = None
             continue
-        chosen_fit = next(f for f in fits if f.spec == sel.chosen)
-        entry = {
-            "chosen": sel.chosen.name,
-            "class": classify(dgp, sel.chosen),
-        }
+        entry = {"chosen": sel.chosen, "class": classify(dgp, sel.chosen)}
         if want_theta:
+            chosen_fit = next(f for f in fits if f.spec == sel.chosen)
             entry["theta"] = tuple(map(float, chosen_fit.theta.values))
         out["criteria"][name] = entry
     return out
 
 
-def _map_ordered(payloads, threads: int):
+def _replicate(config: ExperimentConfig, n: int, want_theta: bool, threads: int) -> list:
+    """Every replication at sample size n, results in replication order."""
+    payloads = [(config, n, r, want_theta) for r in range(config.n_reps)]
     if threads <= 1:
         return [_run_replication(p) for p in payloads]
     with ProcessPoolExecutor(max_workers=threads) as ex:
@@ -212,22 +218,8 @@ def run_consistency(config: ExperimentConfig, threads: int = 1) -> ConsistencyTa
         n_values=tuple(config.n_values),
         criteria=tuple(config.criteria),
     )
-    family_names = [m.name for m in config.family]
     for n in config.n_values:
-        payloads = [
-            (
-                config.dgp.name,
-                tuple(config.dgp_theta),
-                family_names,
-                n,
-                derive_seed(config.master_seed, n, r),
-                tuple(config.criteria),
-                config.burn_in,
-                False,
-            )
-            for r in range(config.n_reps)
-        ]
-        results = _map_ordered(payloads, threads)
+        results = _replicate(config, n, want_theta=False, threads=threads)
         for crit in config.criteria:
             cell = {cls: 0 for cls in CLASSES}
             for res in results:
@@ -319,62 +311,38 @@ def run_efficiency(config: ExperimentConfig, threads: int = 1) -> EfficiencyTabl
         n_values=tuple(config.n_values),
         criteria=tuple(config.criteria),
     )
-    family_names = [m.name for m in config.family]
-    theta_star = np.asarray(config.dgp_theta)
+    star = (config.dgp, tuple(config.dgp_theta))
     for n in config.n_values:
-        oracle = simulate(
+        results = _replicate(config, n, want_theta=True, threads=threads)
+        # a replication without a converged true fit has no reference loss,
+        # so none of its picks is scored; it counts as failed for every criterion
+        scored = [res for res in results if res["true_fit"] is not None]
+        points = {star: None}  # distinct held-out points, first appearance first
+        for res in scored:
+            points[res["true_fit"]] = None
+            for entry in res["criteria"].values():
+                if entry is not None:
+                    points[(entry["chosen"], entry["theta"])] = None
+        values = oracle_risk(
             config.dgp,
-            theta_star,
-            config.oracle_n,
-            seed=derive_seed(config.master_seed, n, ORACLE_TAG),
+            star[1],
+            list(points),
+            oracle_n=config.oracle_n,
             burn_in=config.burn_in,
+            master_seed=config.master_seed,
+            n_tag=n,
         )
-        risk_star = gamma_bar(config.dgp, theta_star, oracle.values)
-        payloads = [
-            (
-                config.dgp.name,
-                tuple(config.dgp_theta),
-                family_names,
-                n,
-                derive_seed(config.master_seed, n, r),
-                tuple(config.criteria),
-                config.burn_in,
-                True,
-            )
-            for r in range(config.n_reps)
-        ]
-        results = _map_ordered(payloads, threads)
-        loss_true: list[float] = []
-        loss_sel: dict[str, list[float]] = {c: [] for c in config.criteria}
-        fail: dict[str, int] = {c: 0 for c in config.criteria}
-        risk_cache: dict = {}
-
-        def held_out_risk(spec_name, theta):
-            key = (spec_name, theta)
-            if key not in risk_cache:
-                risk_cache[key] = gamma_bar(parse_spec(spec_name), np.asarray(theta), oracle.values)
-            return risk_cache[key]
-
-        for res in results:
-            if res["true_fit"] is None:
-                for c in config.criteria:
-                    fail[c] += 1
-                continue
-            lt = held_out_risk(*res["true_fit"]) - risk_star
-            loss_true.append(lt)
-            for c in config.criteria:
-                entry = res["criteria"][c]
-                if entry is None:
-                    fail[c] += 1
-                    continue
-                loss_sel[c].append(held_out_risk(entry["chosen"], entry["theta"]) - risk_star)
+        risk = dict(zip(points, values))
+        loss_true = [risk[res["true_fit"]] - risk[star] for res in scored]
         mean_true = float(np.mean(loss_true)) if loss_true else float("nan")
         for c in config.criteria:
-            mean_sel = float(np.mean(loss_sel[c])) if loss_sel[c] else float("nan")
+            picks = (res["criteria"][c] for res in scored)
+            loss_sel = [risk[(e["chosen"], e["theta"])] - risk[star] for e in picks if e is not None]
+            mean_sel = float(np.mean(loss_sel)) if loss_sel else float("nan")
             table.rows[(n, c)] = {
                 "me": n * (mean_sel - mean_true),
                 "mean_loss_selected": mean_sel,
                 "mean_loss_true": mean_true,
             }
-            table.failed[(n, c)] = fail[c]
+            table.failed[(n, c)] = config.n_reps - len(loss_sel)
     return table

@@ -35,6 +35,13 @@ theta = 0.5, 0.6, 1.0
 models = wn + arma(0..1,0..1)
 """
 
+# an aparch power that differs from its 6-significant-digit text
+APARCH_CONFIG = (
+    GOOD_CONFIG.replace("model = arma(1,1)", "model = aparch(1.2345678;1,1)")
+    .replace("theta = 0.5, 0.6, 1.0", "theta = 0.5, 0.1, 0.3, 0.6")
+    .replace("wn + arma(0..1,0..1)", "wn + aparch(1.2345678;1,0..1)")
+)
+
 
 def run_cli(args, capsys):
     code = main(args)
@@ -151,9 +158,14 @@ def test_config_round_trip():
     assert cfg.experiment.criteria == ("aic", "bic")
     assert cfg.experiment.dgp == q.arma(1, 1)
     assert len(cfg.experiment.family) == 4  # wn + arma(0..1,0..1) deduplicates arma(0,0)
-    again = parse_config(serialize_config(cfg))
-    assert again == cfg
-    assert serialize_config(again) == serialize_config(cfg)
+    for text in (GOOD_CONFIG, APARCH_CONFIG):
+        cfg = parse_config(text)
+        again = parse_config(serialize_config(cfg))
+        assert again == cfg
+        assert serialize_config(again) == serialize_config(cfg)
+    assert cfg.experiment.dgp == q.aparch(1.2345678, 1, 1)
+    nearby = parse_config(APARCH_CONFIG.replace("1.2345678", "1.2345679"))
+    assert nearby.experiment.config_hash() != cfg.experiment.config_hash()
 
 
 @pytest.mark.parametrize(

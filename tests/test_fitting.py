@@ -113,6 +113,26 @@ def test_fit_family_keeps_order_and_flags_failures(dgp2_series_2000):
     assert np.isnan(fits[1].gamma_bar_min)
 
 
+def test_fit_family_propagates_programming_errors(monkeypatch, dgp2_series_2000):
+    def broken(spec, x, opts=None):
+        raise TypeError("bug in fit")
+
+    monkeypatch.setattr("qmselect.fitting.fit", broken)
+    with pytest.raises(TypeError, match="bug in fit"):
+        q.fit_family([q.wn()], dgp2_series_2000.values)
+
+
+def test_select_propagates_programming_errors(monkeypatch, dgp2_series_2000):
+    fits = q.fit_family([q.wn(), q.arma(1, 1)], dgp2_series_2000.values)
+
+    def broken(fit_result, x):
+        raise TypeError("bug in info_matrices")
+
+    monkeypatch.setattr("qmselect.criteria.info_matrices", broken)
+    with pytest.raises(TypeError, match="bug in info_matrices"):
+        q.select_from_fits(fits, dgp2_series_2000.values, q.KC)
+
+
 def test_restart_count_zero_still_works(dgp2_series_2000):
     res = q.fit(q.arma(1, 1), dgp2_series_2000.values, q.FitOptions(n_restarts=0))
     assert res.converged

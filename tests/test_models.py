@@ -17,9 +17,19 @@ def test_canonical_names_round_trip():
         q.arma(2, 0),
         q.garch(1, 1),
         q.aparch(1.5, 1, 1),
+        q.aparch(1.2345678, 1, 1),
+        q.aparch(0.1 + 0.2, 1, 1),
+        q.aparch(1e-5, 1, 1),
+        q.aparch(1234567.0, 1, 1),
         q.ararch(2),
     ]:
         assert q.parse_spec(spec.name) == spec
+
+
+def test_aparch_names_keep_the_short_power_form():
+    # fit restart seeds hash the name, so these texts must not move
+    for delta in (2.0, 1.5, 0.5, 1.25):
+        assert q.aparch(delta, 1, 1).name == f"aparch({delta:g};1,1)"
 
 
 def test_aliases_normalize():
@@ -35,7 +45,17 @@ def test_empty_models_collapse_to_wn():
     assert q.aparch(1.5, 0, 0) == q.wn()
 
 
-@pytest.mark.parametrize("bad", ["arma(1)", "garch(1,)", "frob(1,2)", "wn(1)", "arma(-1,0)"])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "arma(1)",
+        "garch(1,)",
+        "frob(1,2)",
+        "wn(1)",
+        "arma(-1,0)",
+        pytest.param(f"aparch({'9' * 400};1,1)", id="aparch-infinite-power"),
+    ],
+)
 def test_parse_rejects_garbage(bad):
     with pytest.raises(ValueError):
         q.parse_spec(bad)

@@ -103,6 +103,23 @@ def test_consistency_threads_do_not_change_results(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_drivers_fit_exactly_the_configured_specs(monkeypatch):
+    import qmselect.montecarlo as mc
+
+    recorded = []
+    real_fit_family = mc.fit_family
+
+    def recorder(family, x, opts=None):
+        recorded.append(tuple(family))
+        return real_fit_family(family, x, opts)
+
+    monkeypatch.setattr(mc, "fit_family", recorder)
+    spec = q.aparch(1.2345678, 1, 1)
+    cfg = small_config(dgp=spec, dgp_theta=(0.5, 0.1, 0.3, 0.6), family=(q.wn(), spec), n_reps=1)
+    q.run_consistency(cfg)
+    assert recorded == [cfg.family]
+
+
 def test_consistency_csv_schema(tmp_path):
     table = q.run_consistency(small_config(criteria=("aic", "bic")))
     out = tmp_path / "cons.csv"
