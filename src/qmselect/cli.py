@@ -297,7 +297,10 @@ def _cmd_mc_efficiency(args) -> int:
     csv_path = os.path.join(cfg.output_dir, "efficiency.csv")
     meta_path = os.path.join(cfg.output_dir, "efficiency.meta.json")
     table.to_csv(csv_path)
-    write_metadata(meta_path, cfg.experiment, config_file_sha256=_config_file_hash(args.config))
+    failed = {str(n): {c: table.failed[(n, c)] for c in table.criteria} for n in table.n_values}
+    write_metadata(
+        meta_path, cfg.experiment, config_file_sha256=_config_file_hash(args.config), failed=failed
+    )
     print(table.to_text())
     print(f"wrote {csv_path} and {meta_path}")
     return 0

@@ -9,12 +9,13 @@ and ``gamma_bar`` is its sample mean; the quasi-log-likelihood is exactly
 ``-(n/2) * gamma_bar``.  Minimizing gamma_bar is the estimation principle
 used everywhere in this package.
 
-Analytic first derivatives are implemented for the wn, arma and garch
-families by differentiating the truncated recursions (they are linear, so
-their derivatives follow the same kind of recursion and go through
-``lfilter`` as well).  aparch and ararch fall back to central finite
-differences.  Second derivatives are always central differences of the
-gradient, symmetrized.
+First derivatives are analytic for every family.  They differentiate the
+truncated recursions of :mod:`.models`: the arma, garch and aparch
+recursions are linear filters, so their derivatives go through ``lfilter``
+with the same polynomial, and the ararch variance is closed form.  Where the
+``H_FLOOR`` clamp is active the variance no longer depends on the parameters,
+so its share of the score is zero there.  Central differences remain only in
+``_fd_hessian``, the symmetrized Hessian of the gradient, and in the tests.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from .errors import BoundaryTooClose
 from .models import (
     Family,
     ModelSpec,
+    _aparch_power,
+    _ararch_residuals,
     _arma_residuals,
     _as_values,
     _garch_variance,
@@ -99,8 +102,8 @@ def mu4_hat(xi) -> float:
 def grad_per_t(spec: ModelSpec, theta, x) -> np.ndarray:
     """(n, dim) matrix of per-observation contrast gradients.
 
-    Analytic for wn/arma/garch, central finite differences otherwise.  Row
-    means equal the gradient of gamma_bar.
+    Analytic for every family (see the module docstring).  Row means equal
+    the gradient of gamma_bar.
     """
     v = _as_values(spec, theta)
     x = np.asarray(x, dtype=float)
@@ -113,7 +116,9 @@ def grad_per_t(spec: ModelSpec, theta, x) -> np.ndarray:
             return _grad_arma(spec, v, x)
         if fam is Family.GARCH:
             return _grad_garch(spec, v, x)
-        return _grad_fd(spec, v, x)
+        if fam is Family.APARCH:
+            return _grad_aparch(spec, v, x)
+        return _grad_ararch(spec, v, x)
 
 
 def _grad_arma(spec, v, x):
@@ -151,21 +156,55 @@ def _grad_garch(spec, v, x):
     return cols
 
 
+def _grad_aparch(spec, v, x):
+    p, q = spec.p, spec.q
+    n = x.size
+    d = spec.delta
+    s_lin, braw = _aparch_power(spec, v, x)
+    s = np.maximum(s_lin, H_FLOOR)
+    h = s ** (2.0 / d)
+    clamped = (s_lin < H_FLOOR) | (h < H_FLOOR)
+    # d gamma_t / d theta_k = (h_t - x_t^2) / h_t^2 * dh_t/ds_t * d s_t / d theta_k,
+    # with dh_t/ds_t = (2 / delta) * h_t / s_t
+    ratio = (2.0 / d) * (h - x**2) / (h * s)
+    if clamped.any():
+        ratio = np.where(clamped, 0.0, ratio)  # derivative dies on the floor
+    # d s / d theta_k is the b-filter of the derivative of the filter input
+    inputs = np.empty((spec.dim, n))
+    inputs[0] = 1.0
+    for i in range(p):
+        base = np.abs(x) - v[1 + p + i] * x
+        inputs[1 + i] = _lag(base**d, i + 1)
+        # at x_t = 0 the power term is 0 for every gamma: its slope is 0, not inf * 0
+        slope = np.power(base, d - 1.0, out=np.zeros(n), where=x != 0.0)
+        inputs[1 + p + i] = v[1 + i] * _lag(-d * x * slope, i + 1)
+    for j in range(q):
+        inputs[1 + 2 * p + j] = _lag(s_lin, j + 1)
+    return (ratio * lfilter([1.0], braw, inputs, axis=-1)).T
+
+
+def _grad_ararch(spec, v, x):
+    z, h_lin = _ararch_residuals(spec, v, x)
+    clamped = h_lin < H_FLOOR
+    h = np.maximum(h_lin, H_FLOOR)
+    ratio = (h - z**2) / h**2
+    if clamped.any():
+        ratio = np.where(clamped, 0.0, ratio)  # variance part dies on the floor
+    x1 = _lag(x, 1)
+    cols = np.empty((x.size, spec.dim))
+    # phi moves the mean directly and the variance through every lagged z^2
+    dh_phi = np.zeros(x.size)
+    for i in range(spec.p):
+        dh_phi -= 2.0 * v[2 + i] * _lag(z * x1, i + 1)
+    cols[:, 0] = -2.0 * z * x1 / h + ratio * dh_phi
+    cols[:, 1] = ratio
+    for i in range(spec.p):
+        cols[:, 2 + i] = ratio * _lag(z, i + 1) ** 2
+    return cols
+
+
 def _fd_steps(v: np.ndarray) -> np.ndarray:
     return FD_STEP * np.maximum(1.0, np.abs(v))
-
-
-def _grad_fd(spec, v, x):
-    h = _fd_steps(v)
-    cols = np.empty((x.size, v.size))
-    for k in range(v.size):
-        vp, vm = v.copy(), v.copy()
-        vp[k] += h[k]
-        vm[k] -= h[k]
-        cols[:, k] = (contrast(spec, vp, x).per_t - contrast(spec, vm, x).per_t) / (
-            2.0 * h[k]
-        )
-    return cols
 
 
 def gradient(spec: ModelSpec, theta, x) -> np.ndarray:

@@ -641,6 +641,27 @@ def _garch_variance(spec: ModelSpec, v: np.ndarray, x: np.ndarray):
     return lfilter([1.0], b_poly, u), b_poly
 
 
+def _aparch_power(spec: ModelSpec, v: np.ndarray, x: np.ndarray):
+    """Unclamped truncated APARCH power s_lin (sigma_t ** delta) and the AR
+    polynomial in the b coefficients that filters it."""
+    p = spec.p
+    u = np.full(x.size, v[0])
+    for i in range(p):
+        w = (np.abs(x) - v[1 + p + i] * x) ** spec.delta
+        u += v[1 + i] * _lag(w, i + 1)
+    b_poly = np.r_[1.0, -v[1 + 2 * p :]]
+    return lfilter([1.0], b_poly, u), b_poly
+
+
+def _ararch_residuals(spec: ModelSpec, v: np.ndarray, x: np.ndarray):
+    """Truncated AR(1) residuals z and the unclamped ARCH variance they drive."""
+    z = x - v[0] * _lag(x, 1)
+    h = np.full(x.size, v[1])
+    for i in range(spec.p):
+        h += v[2 + i] * _lag(z, i + 1) ** 2
+    return z, h
+
+
 def cond_moments(spec: ModelSpec, theta, x) -> CondMoments:
     """Conditional mean ``f_hat`` and variance ``h_hat`` given the sample.
 
@@ -665,25 +686,13 @@ def cond_moments(spec: ModelSpec, theta, x) -> CondMoments:
         h_lin, _ = _garch_variance(spec, v, x)
         return CondMoments(np.zeros(n), np.maximum(h_lin, H_FLOOR))
     if fam is Family.APARCH:
-        omega = v[0]
-        a = v[1 : 1 + p]
-        gam = v[1 + p : 1 + 2 * p]
-        b = v[1 + 2 * p :]
-        u = np.full(n, omega)
-        for i in range(p):
-            w = (np.abs(x) - gam[i] * x) ** spec.delta
-            u += a[i] * _lag(w, i + 1)
-        s = lfilter([1.0], np.r_[1.0, -b], u)
-        s = np.maximum(s, H_FLOOR)  # guards fractional powers off the feasible set
+        s_lin, _ = _aparch_power(spec, v, x)
+        s = np.maximum(s_lin, H_FLOOR)  # guards fractional powers off the feasible set
         h = s ** (2.0 / spec.delta)
         return CondMoments(np.zeros(n), np.maximum(h, H_FLOOR))
     if fam is Family.ARARCH:
-        phi, alpha0, alpha = v[0], v[1], v[2:]
-        z = x - phi * _lag(x, 1)
-        h = np.full(n, alpha0)
-        for i in range(p):
-            h += alpha[i] * _lag(z, i + 1) ** 2
-        return CondMoments(phi * _lag(x, 1), np.maximum(h, H_FLOOR))
+        _, h_lin = _ararch_residuals(spec, v, x)
+        return CondMoments(v[0] * _lag(x, 1), np.maximum(h_lin, H_FLOOR))
     raise UnsupportedFamily(str(fam))
 
 

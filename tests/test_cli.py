@@ -5,6 +5,7 @@ import os
 import pytest
 
 import qmselect as q
+from qmselect import cli
 from qmselect.cli import (
     EXIT_CONFIG,
     EXIT_CONSTRAINT,
@@ -241,7 +242,15 @@ def test_mc_consistency_end_to_end(tmp_path, capsys):
         assert len(list(csv.DictReader(fh))) == 2  # one n value x two criteria
 
 
-def test_mc_efficiency_end_to_end(tmp_path, capsys):
+def test_mc_efficiency_end_to_end(tmp_path, capsys, monkeypatch):
+    tables = []
+    real_run = cli.run_efficiency
+
+    def recording_run(*args, **kwargs):
+        tables.append(real_run(*args, **kwargs))
+        return tables[-1]
+
+    monkeypatch.setattr(cli, "run_efficiency", recording_run)
     cfg_path = tmp_path / "demo.cfg"
     cfg_path.write_text(
         GOOD_CONFIG.replace("n_values = 200, 500", "n_values = 200").replace("n_reps = 4", "n_reps = 3")
@@ -254,4 +263,7 @@ def test_mc_efficiency_end_to_end(tmp_path, capsys):
     assert code == 0
     assert "held-out selection risk" in text
     assert (out_dir / "efficiency.csv").is_file()
-    assert (out_dir / "efficiency.meta.json").is_file()
+    with open(out_dir / "efficiency.meta.json") as fh:
+        meta = json.load(fh)
+    (table,) = tables
+    assert meta["failed"] == {"200": {c: table.failed[(200, c)] for c in ("aic", "bic")}}

@@ -73,6 +73,17 @@ def test_ar1_phi_gradient_by_hand():
     assert g[0] == pytest.approx(-2.0)
 
 
+def _aparch_point(rng, p, q):
+    a = rng.uniform(0.03, 0.3 / p, size=p)
+    b = rng.uniform(0.05, 0.85 - a.sum(), size=q) / max(q, 1)
+    return np.r_[rng.uniform(0.1, 1.0), a, rng.uniform(-0.5, 0.5, size=p), b]
+
+
+def _ararch_point(rng, p):
+    alpha = rng.uniform(0.03, 0.6 / p, size=p)
+    return np.r_[rng.uniform(-0.7, 0.7), rng.uniform(0.2, 2.0), alpha]
+
+
 def _interior_points(spec, rng, count):
     if spec == q.arma(1, 1):
         for _ in range(count):
@@ -84,11 +95,29 @@ def _interior_points(spec, rng, count):
     elif spec == q.wn():
         for _ in range(count):
             yield np.array([rng.uniform(0.3, 3.0)])
+    elif spec.family is q.Family.APARCH:
+        for _ in range(count):
+            yield _aparch_point(rng, spec.p, spec.q)
+    elif spec.family is q.Family.ARARCH:
+        for _ in range(count):
+            yield _ararch_point(rng, spec.p)
     else:
         raise AssertionError(spec)
 
 
-@pytest.mark.parametrize("spec", [q.wn(), q.arma(1, 1), q.garch(1, 1)], ids=str)
+SCORED_SPECS = [
+    q.wn(),
+    q.arma(1, 1),
+    q.garch(1, 1),
+    q.aparch(1.5, 1, 1),
+    q.aparch(2.0, 1, 1),
+    q.aparch(1.5, 2, 1),
+    q.ararch(1),
+    q.ararch(2),
+]
+
+
+@pytest.mark.parametrize("spec", SCORED_SPECS, ids=str)
 def test_analytic_gradient_matches_finite_differences(spec):
     rng = np.random.default_rng(101)
     x = q.simulate(spec, next(_interior_points(spec, rng, 1)), 500, seed=55).values
@@ -97,6 +126,64 @@ def test_analytic_gradient_matches_finite_differences(spec):
         gf = fd_gradient(spec, theta, x)
         denom = max(1.0, float(np.max(np.abs(gf))))
         assert np.max(np.abs(ga - gf)) / denom <= 1e-5
+
+
+def fd_rows(spec, theta, x, h=1e-6):
+    """Central differences of the per-observation contrast, one column per
+    parameter."""
+    theta = np.asarray(theta, dtype=float)
+    cols = np.empty((x.size, theta.size))
+    for k in range(theta.size):
+        hp = h * max(1.0, abs(theta[k]))
+        tp, tm = theta.copy(), theta.copy()
+        tp[k] += hp
+        tm[k] -= hp
+        cols[:, k] = (q.contrast(spec, tp, x).per_t - q.contrast(spec, tm, x).per_t) / (2 * hp)
+    return cols
+
+
+@pytest.mark.parametrize("spec", SCORED_SPECS, ids=str)
+def test_grad_per_t_rows_match_finite_differences(spec):
+    # info_matrices builds G from the rows themselves, not only their mean
+    rng = np.random.default_rng(202)
+    x = q.simulate(spec, next(_interior_points(spec, rng, 1)), 300, seed=66).values
+    for theta in _interior_points(spec, rng, 3):
+        rows = q.grad_per_t(spec, theta, x)
+        ref = fd_rows(spec, theta, x)
+        assert rows.shape == ref.shape
+        scale = max(1.0, float(np.max(np.abs(ref))))
+        assert np.max(np.abs(rows - ref)) / scale <= 1e-5
+
+
+def test_aparch_gamma_score_finite_at_exact_zeros():
+    # for delta < 1 the slope (|x| - gamma x)^(delta - 1) is infinite at x = 0,
+    # where the power term itself is flat in gamma
+    spec, theta = q.aparch(0.5, 1, 1), np.array([0.3, 0.15, 0.3, 0.6])
+    x = q.simulate(spec, theta, 400, seed=12).values.copy()
+    x[::13] = 0.0
+    rows = q.grad_per_t(spec, theta, x)
+    assert np.all(np.isfinite(rows))
+    gf = fd_gradient(spec, theta, x)
+    assert np.max(np.abs(rows.mean(axis=0) - gf)) / max(1.0, float(np.max(np.abs(gf)))) <= 1e-5
+
+
+@pytest.mark.parametrize("p,q_", [(1, 0), (1, 1), (2, 1)])
+def test_aparch_power_two_score_reduces_to_garch(p, q_):
+    x = np.random.default_rng(11).standard_normal(300)
+    omega, a, b = 0.8, np.full(p, 0.2 / p), np.full(q_, 0.5 / max(q_, 1))
+    g = q.grad_per_t(q.garch(p, q_), np.r_[omega, a, b], x)
+    full = q.grad_per_t(q.aparch(2.0, p, q_), np.r_[omega, a, np.zeros(p), b], x)
+    keep = [0, *range(1, 1 + p), *range(1 + 2 * p, 1 + 2 * p + q_)]
+    assert_allclose(full[:, keep], g, rtol=1e-12)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_ararch_score_at_zero_phi_reduces_to_arch(p):
+    x = np.random.default_rng(12).standard_normal(300)
+    alpha = np.r_[0.7, np.full(p, 0.3 / p)]
+    g = q.grad_per_t(q.garch(p, 0), alpha, x)
+    full = q.grad_per_t(q.ararch(p), np.r_[0.0, alpha], x)
+    assert_allclose(full[:, 1:], g, rtol=1e-12)
 
 
 def test_grad_per_t_rows_average_to_gradient():
