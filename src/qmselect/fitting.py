@@ -13,6 +13,11 @@ itself stays in the candidate pool, which makes the descent property
 gamma_bar(theta_hat) <= gamma_bar(start) structural.  Every fit, the
 closed-form wn one included, is certified in one place (``_certified``):
 contrast, projected gradient norm and the ``converged`` flag.
+
+Only SLSQP minimizes the one-slot ``likelihood._Objective``: each gradient it
+asks for is read from the recursion that the value at the same point has just
+built.  The polish, whose last accepted contrast is the candidate's value, and
+the certificate call ``gamma_bar``, ``gradient`` and ``contrast`` directly.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import OptimizerDiverged, QmselectError, TooShortSeries
-from .likelihood import contrast, gamma_bar, gradient, _fd_hessian
+from .likelihood import _Objective, contrast, gamma_bar, gradient, _fd_hessian
 from .models import (
     ConstraintSet,
     Family,
@@ -116,7 +121,7 @@ def projected_grad_norm(cset: ConstraintSet, v: np.ndarray, g: np.ndarray) -> fl
 
 
 def _polish(spec, cset, v, x, opts, max_steps: int = 6):
-    """Projected-Newton refinement; returns (theta, n_steps)."""
+    """Projected-Newton refinement; returns (theta, gamma_bar at theta, n_steps)."""
     steps = 0
     fv = gamma_bar(spec, v, x)
     for _ in range(max_steps):
@@ -143,7 +148,7 @@ def _polish(spec, cset, v, x, opts, max_steps: int = 6):
         steps += 1
         if not accepted:
             break
-    return v, steps
+    return v, fv, steps
 
 
 def _certified(spec, cset, v, x, opts, iterations: int) -> FitResult:
@@ -197,6 +202,7 @@ def fit(spec: ModelSpec, x, opts: FitOptions | None = None) -> FitResult:
 
     bounds = cset.scipy_bounds()
     cons = cset.scipy_constraints()
+    objective = _Objective(spec, x)
     # candidates: (value, distance of start from base, theta, iterations)
     candidates = [(gamma_bar(spec, base, x), 0.0, base, 0)]
     for start in starts:
@@ -205,9 +211,9 @@ def fit(spec: ModelSpec, x, opts: FitOptions | None = None) -> FitResult:
             # is clamped there, so the probe values are finite and harmless
             warnings.filterwarnings("ignore", message=".*outside bounds.*")
             res = minimize(
-                lambda v: gamma_bar(spec, v, x),
+                objective.value,
                 start,
-                jac=lambda v: gradient(spec, v, x),
+                jac=objective.grad,
                 method="SLSQP",
                 bounds=bounds,
                 constraints=cons,
@@ -216,8 +222,7 @@ def fit(spec: ModelSpec, x, opts: FitOptions | None = None) -> FitResult:
         if not np.all(np.isfinite(res.x)) or not np.isfinite(res.fun):
             continue
         v = cset.project(res.x)
-        v, extra = _polish(spec, cset, v, x, opts)
-        fv = gamma_bar(spec, v, x)
+        v, fv, extra = _polish(spec, cset, v, x, opts)
         dist = float(np.max(np.abs(start - base)))
         candidates.append((fv, dist, v, int(res.nit) + extra))
 

@@ -16,6 +16,15 @@ with the same polynomial, and the ararch variance is closed form.  Where the
 ``H_FLOOR`` clamp is active the variance no longer depends on the parameters,
 so its share of the score is zero there.  Central differences remain only in
 ``_fd_hessian``, the symmetrized Hessian of the gradient, and in the tests.
+
+Each family's recursion is one pass over the sample (``models._recursion``);
+the conditional moments and the scores are both read from it, each by one
+formula (``models._moments_from``, :func:`_score_from`).  ``_Objective`` is
+the contrast and gradient that SLSQP, and only SLSQP, minimizes: it keeps
+the recursion of the last point it valued and reads the score from it when
+the gradient is asked at that point, so an SLSQP step builds one recursion
+where :func:`gamma_bar` then :func:`gradient` would build two.  Its values
+are exactly theirs.
 """
 
 from __future__ import annotations
@@ -29,12 +38,10 @@ from .errors import BoundaryTooClose
 from .models import (
     Family,
     ModelSpec,
-    _aparch_power,
-    _ararch_residuals,
-    _arma_residuals,
     _as_values,
-    _garch_variance,
     _lag,
+    _moments_from,
+    _recursion,
     cond_moments,
     constraint_set,
     H_FLOOR,
@@ -64,7 +71,12 @@ class DerivEval:
 def contrast(spec: ModelSpec, theta, x) -> ContrastEval:
     """Evaluate the contrast; ``loglik`` is -(n/2)*gamma_bar by construction."""
     x = np.asarray(x, dtype=float)
-    cm = cond_moments(spec, theta, x)
+    per_t, gamma_bar = _contrast_from(x, cond_moments(spec, theta, x))
+    return ContrastEval(gamma_bar, per_t, -0.5 * x.size * gamma_bar)
+
+
+def _contrast_from(x: np.ndarray, cm) -> tuple[np.ndarray, float]:
+    """Per-observation contrast and its mean from the conditional moments."""
     # optimizer probes at explosive parameters can overflow; an infinite
     # contrast is the correct "move away" signal there
     with np.errstate(over="ignore", invalid="ignore"):
@@ -72,7 +84,7 @@ def contrast(spec: ModelSpec, theta, x) -> ContrastEval:
         gamma_bar = float(np.mean(per_t))
     if not np.isfinite(gamma_bar):
         gamma_bar = float("inf")
-    return ContrastEval(gamma_bar, per_t, -0.5 * x.size * gamma_bar)
+    return per_t, gamma_bar
 
 
 def gamma_bar(spec: ModelSpec, theta, x) -> float:
@@ -107,60 +119,75 @@ def grad_per_t(spec: ModelSpec, theta, x) -> np.ndarray:
     """
     v = _as_values(spec, theta)
     x = np.asarray(x, dtype=float)
-    fam = spec.family
     with np.errstate(over="ignore", invalid="ignore"):
-        if fam is Family.WN:
-            sigma = v[0]
-            return (-2.0 * x**2 / sigma**3 + 2.0 / sigma)[:, None]
-        if fam is Family.ARMA:
-            return _grad_arma(spec, v, x)
-        if fam is Family.GARCH:
-            return _grad_garch(spec, v, x)
-        if fam is Family.APARCH:
-            return _grad_aparch(spec, v, x)
-        return _grad_ararch(spec, v, x)
+        return _score_from(spec, v, x, _recursion(spec, v, x))
 
 
-def _grad_arma(spec, v, x):
+def _score_from(spec: ModelSpec, v: np.ndarray, x: np.ndarray, rec) -> np.ndarray:
+    """Per-observation scores from the recursion ``models._recursion`` built at
+    ``v``; callers hold the floating-point error state."""
+    fam = spec.family
+    if fam is Family.WN:
+        sigma = v[0]
+        return (-2.0 * x**2 / sigma**3 + 2.0 / sigma)[:, None]
+    if fam is Family.ARMA:
+        return _grad_arma(spec, v, x, rec)
+    if fam is Family.GARCH:
+        return _grad_garch(spec, v, x, rec)
+    if fam is Family.APARCH:
+        return _grad_aparch(spec, v, x, rec)
+    return _grad_ararch(spec, v, x, rec)
+
+
+def _grad_arma(spec, v, x, rec):
     p, q = spec.p, spec.q
+    n = x.size
     sigma = v[p + q]
-    eps, ma = _arma_residuals(spec, v, x)
-    cols = np.empty((x.size, spec.dim))
-    scale = 2.0 / sigma**2
+    eps, ma = rec
+    # d eps / d theta_k is the MA-filter of minus the lagged x (AR part) or
+    # the lagged eps (MA part); all p + q columns go through one filter call
+    inputs = np.empty((p + q, n))
     for i in range(p):
-        deps = lfilter([1.0], ma, -_lag(x, i + 1))
-        cols[:, i] = scale * eps * deps
+        inputs[i] = -_lag(x, i + 1)
     for j in range(q):
-        deps = lfilter([1.0], ma, -_lag(eps, j + 1))
-        cols[:, p + j] = scale * eps * deps
+        inputs[p + j] = -_lag(eps, j + 1)
+    cols = np.empty((n, spec.dim))
+    # a C-ordered copy, not the transposed view: mean(axis=0) over the view
+    # differs in the last bits from the per-column result
+    cols[:, : p + q] = ((2.0 / sigma**2 * eps) * lfilter([1.0], ma, inputs, axis=-1)).T
     cols[:, p + q] = -2.0 * eps**2 / sigma**3 + 2.0 / sigma
     return cols
 
 
-def _grad_garch(spec, v, x):
+def _grad_garch(spec, v, x, rec):
     p, q = spec.p, spec.q
     n = x.size
-    h_lin, braw = _garch_variance(spec, v, x)
+    h_lin, braw = rec
     clamped = h_lin < H_FLOOR
     h = np.maximum(h_lin, H_FLOOR)
     # d gamma_t / d theta_k = (h_t - x_t^2) / h_t^2 * d h_t / d theta_k
     ratio = (h - x**2) / h**2
     if clamped.any():
         ratio = np.where(clamped, 0.0, ratio)  # derivative dies on the floor
-    cols = np.empty((n, spec.dim))
-    cols[:, 0] = ratio * lfilter([1.0], braw, np.ones(n))
+    # d h / d theta_k is the b-filter of the derivative of the filter input
+    inputs = np.empty((spec.dim, n))
+    inputs[0] = 1.0
     for i in range(p):
-        cols[:, 1 + i] = ratio * lfilter([1.0], braw, _lag(x, i + 1) ** 2)
+        inputs[1 + i] = _lag(x, i + 1) ** 2
     for j in range(q):
-        cols[:, 1 + p + j] = ratio * lfilter([1.0], braw, _lag(h_lin, j + 1))
+        inputs[1 + p + j] = _lag(h_lin, j + 1)
+    cols = np.empty((n, spec.dim))
+    # a C-ordered copy, not the transposed view: mean(axis=0) over the view
+    # differs in the last bits from the per-column result
+    cols[:] = (ratio * lfilter([1.0], braw, inputs, axis=-1)).T
     return cols
 
 
-def _grad_aparch(spec, v, x):
+def _grad_aparch(spec, v, x, rec):
     p, q = spec.p, spec.q
     n = x.size
     d = spec.delta
-    s_lin, braw = _aparch_power(spec, v, x)
+    s_lin, braw = rec
     s = np.maximum(s_lin, H_FLOOR)
     h = s ** (2.0 / d)
     clamped = (s_lin < H_FLOOR) | (h < H_FLOOR)
@@ -183,8 +210,8 @@ def _grad_aparch(spec, v, x):
     return (ratio * lfilter([1.0], braw, inputs, axis=-1)).T
 
 
-def _grad_ararch(spec, v, x):
-    z, h_lin = _ararch_residuals(spec, v, x)
+def _grad_ararch(spec, v, x, rec):
+    z, h_lin = rec
     clamped = h_lin < H_FLOOR
     h = np.maximum(h_lin, H_FLOOR)
     ratio = (h - z**2) / h**2
@@ -210,6 +237,35 @@ def _fd_steps(v: np.ndarray) -> np.ndarray:
 def gradient(spec: ModelSpec, theta, x) -> np.ndarray:
     """Gradient of gamma_bar (mean of the per-observation gradients)."""
     return grad_per_t(spec, theta, x).mean(axis=0)
+
+
+class _Objective:
+    """gamma_bar and its gradient for SLSQP, sharing one recursion per point.
+
+    SLSQP asks for the gradient at the point it has just valued.  ``value``
+    keeps the recursion it built together with a copy of the point, and
+    ``grad`` reads the score from it when asked at that same point; at any
+    other point it builds its own.  Both return exactly what
+    :func:`gamma_bar` and :func:`gradient` return.
+    """
+
+    def __init__(self, spec: ModelSpec, x: np.ndarray):
+        self.spec, self.x = spec, x
+        self._point = None
+        self._rec = None
+
+    def value(self, v: np.ndarray) -> float:
+        rec = _recursion(self.spec, v, self.x)
+        self._point, self._rec = v.copy(), rec
+        return _contrast_from(self.x, _moments_from(self.spec, v, self.x, rec))[1]
+
+    def grad(self, v: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self._point is not None and np.array_equal(v, self._point):
+                rec = self._rec
+            else:
+                rec = _recursion(self.spec, v, self.x)
+            return _score_from(self.spec, v, self.x, rec).mean(axis=0)
 
 
 def derivatives(spec: ModelSpec, theta, x, *, check_boundary: bool = True) -> DerivEval:

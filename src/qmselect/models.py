@@ -539,7 +539,8 @@ def _path_from_noise(spec: ModelSpec, v: np.ndarray, xi: np.ndarray) -> np.ndarr
     if fam is Family.ARMA:
         sigma = v[p + q]
         eps = sigma * xi
-        return lfilter(np.r_[1.0, v[p : p + q]], np.r_[1.0, -v[:p]], eps)
+        ma = np.concatenate(([1.0], v[p : p + q]))
+        return lfilter(ma, np.concatenate(([1.0], -v[:p])), eps)
     if fam is Family.GARCH:
         omega, a, b = v[0], v[1 : 1 + p], v[1 + p :]
         return _sim_garch(omega, a, b, xi)
@@ -558,9 +559,13 @@ def _path_from_noise(spec: ModelSpec, v: np.ndarray, xi: np.ndarray) -> np.ndarr
 def _sim_garch(omega, a, b, xi):
     p, q = len(a), len(b)
     n = xi.size
-    x = np.zeros(n)
-    h = np.zeros(n)
-    a, b = list(map(float, a)), list(map(float, b))
+    # the loop runs on Python floats: a memoryview of a float64 array reads
+    # and writes plain floats, so each step does the same IEEE operations in
+    # the same order as on numpy scalars, at a fraction of the cost (this is
+    # the 101k-step oracle path of the efficiency experiment)
+    out = np.zeros(n)
+    x, h, xi = memoryview(out), memoryview(np.zeros(n)), memoryview(xi)
+    omega, a, b = float(omega), list(map(float, a)), list(map(float, b))
     for t in range(n):
         ht = omega
         for i in range(min(p, t)):
@@ -568,10 +573,10 @@ def _sim_garch(omega, a, b, xi):
         for j in range(min(q, t)):
             ht += b[j] * h[t - 1 - j]
         h[t] = ht
-        x[t] = math.sqrt(ht) * xi[t]
-        if abs(x[t]) > OVERFLOW_LIMIT:
+        x[t] = xt = math.sqrt(ht) * xi[t]
+        if abs(xt) > OVERFLOW_LIMIT:
             raise NumericOverflow("garch simulation overflow")
-    return x
+    return out
 
 
 def _sim_aparch(omega, a, gam, b, delta, xi):
@@ -626,8 +631,8 @@ class CondMoments:
 
 def _arma_residuals(spec: ModelSpec, v: np.ndarray, x: np.ndarray):
     """Truncated ARMA residuals eps and the MA polynomial they are filtered by."""
-    ma = np.r_[1.0, v[spec.p : spec.p + spec.q]]
-    return lfilter(np.r_[1.0, -v[: spec.p]], ma, x), ma
+    ma = np.concatenate(([1.0], v[spec.p : spec.p + spec.q]))
+    return lfilter(np.concatenate(([1.0], -v[: spec.p])), ma, x), ma
 
 
 def _garch_variance(spec: ModelSpec, v: np.ndarray, x: np.ndarray):
@@ -637,7 +642,7 @@ def _garch_variance(spec: ModelSpec, v: np.ndarray, x: np.ndarray):
     u = np.full(x.size, v[0])
     for i in range(p):
         u += v[1 + i] * _lag(x, i + 1) ** 2
-    b_poly = np.r_[1.0, -v[1 + p :]]
+    b_poly = np.concatenate(([1.0], -v[1 + p :]))
     return lfilter([1.0], b_poly, u), b_poly
 
 
@@ -649,7 +654,7 @@ def _aparch_power(spec: ModelSpec, v: np.ndarray, x: np.ndarray):
     for i in range(p):
         w = (np.abs(x) - v[1 + p + i] * x) ** spec.delta
         u += v[1 + i] * _lag(w, i + 1)
-    b_poly = np.r_[1.0, -v[1 + 2 * p :]]
+    b_poly = np.concatenate(([1.0], -v[1 + 2 * p :]))
     return lfilter([1.0], b_poly, u), b_poly
 
 
@@ -662,6 +667,45 @@ def _ararch_residuals(spec: ModelSpec, v: np.ndarray, x: np.ndarray):
     return z, h
 
 
+def _recursion(spec: ModelSpec, v: np.ndarray, x: np.ndarray):
+    """The family's truncated recursion at ``v``: the one pass over the sample
+    that both the conditional moments and the scores are read from (``None``
+    for wn, which has none)."""
+    fam = spec.family
+    if fam is Family.WN:
+        return None
+    if fam is Family.ARMA:
+        return _arma_residuals(spec, v, x)
+    if fam is Family.GARCH:
+        return _garch_variance(spec, v, x)
+    if fam is Family.APARCH:
+        return _aparch_power(spec, v, x)
+    if fam is Family.ARARCH:
+        return _ararch_residuals(spec, v, x)
+    raise UnsupportedFamily(str(fam))
+
+
+def _moments_from(spec: ModelSpec, v: np.ndarray, x: np.ndarray, rec) -> CondMoments:
+    """Conditional moments from the recursion :func:`_recursion` built at ``v``."""
+    fam = spec.family
+    n = x.size
+    if fam is Family.WN:
+        return CondMoments(np.zeros(n), np.full(n, max(v[0] ** 2, H_FLOOR)))
+    if fam is Family.ARMA:
+        eps, _ = rec
+        return CondMoments(x - eps, np.full(n, max(v[spec.p + spec.q] ** 2, H_FLOOR)))
+    if fam is Family.GARCH:
+        h_lin, _ = rec
+        return CondMoments(np.zeros(n), np.maximum(h_lin, H_FLOOR))
+    if fam is Family.APARCH:
+        s_lin, _ = rec
+        s = np.maximum(s_lin, H_FLOOR)  # guards fractional powers off the feasible set
+        h = s ** (2.0 / spec.delta)
+        return CondMoments(np.zeros(n), np.maximum(h, H_FLOOR))
+    _, h_lin = rec
+    return CondMoments(v[0] * _lag(x, 1), np.maximum(h_lin, H_FLOOR))
+
+
 def cond_moments(spec: ModelSpec, theta, x) -> CondMoments:
     """Conditional mean ``f_hat`` and variance ``h_hat`` given the sample.
 
@@ -672,28 +716,7 @@ def cond_moments(spec: ModelSpec, theta, x) -> CondMoments:
     """
     v = _as_values(spec, theta)
     x = np.asarray(x, dtype=float)
-    fam = spec.family
-    p, q = spec.p, spec.q
-    n = x.size
-    if fam is Family.WN:
-        h = np.full(n, max(v[0] ** 2, H_FLOOR))
-        return CondMoments(np.zeros(n), h)
-    if fam is Family.ARMA:
-        eps, _ = _arma_residuals(spec, v, x)
-        h = np.full(n, max(v[p + q] ** 2, H_FLOOR))
-        return CondMoments(x - eps, h)
-    if fam is Family.GARCH:
-        h_lin, _ = _garch_variance(spec, v, x)
-        return CondMoments(np.zeros(n), np.maximum(h_lin, H_FLOOR))
-    if fam is Family.APARCH:
-        s_lin, _ = _aparch_power(spec, v, x)
-        s = np.maximum(s_lin, H_FLOOR)  # guards fractional powers off the feasible set
-        h = s ** (2.0 / spec.delta)
-        return CondMoments(np.zeros(n), np.maximum(h, H_FLOOR))
-    if fam is Family.ARARCH:
-        _, h_lin = _ararch_residuals(spec, v, x)
-        return CondMoments(v[0] * _lag(x, 1), np.maximum(h_lin, H_FLOOR))
-    raise UnsupportedFamily(str(fam))
+    return _moments_from(spec, v, x, _recursion(spec, v, x))
 
 
 # ---------------------------------------------------------------------------

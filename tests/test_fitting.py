@@ -3,6 +3,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import qmselect as q
+import qmselect.fitting
+import qmselect.likelihood
+import qmselect.models
 from qmselect.fitting import _start_point, projected_grad_norm
 from qmselect.models import constraint_set
 
@@ -98,6 +101,53 @@ def test_nested_models_do_not_fit_worse():
         values = [q.fit(s, x).gamma_bar_min for s in chain]
         for small, big in zip(values, values[1:]):
             assert big <= small + 1e-6
+
+
+BUILDERS = ("_arma_residuals", "_garch_variance", "_aparch_power", "_ararch_residuals")
+
+
+RECURSION_CASES = [
+    (q.arma(1, 1), (0.5, 0.6, 1.0)),
+    (q.garch(1, 1), (1.0, 0.35, 0.4)),
+    (q.aparch(1.5, 1, 1), (0.3, 0.1, 0.3, 0.6)),
+    (q.ararch(2), (0.5, 0.4, 0.2, 0.3)),
+]
+
+
+@pytest.mark.parametrize("spec,theta", RECURSION_CASES, ids=[str(s) for s, _ in RECURSION_CASES])
+def test_slsqp_builds_one_recursion_per_function_evaluation(monkeypatch, spec, theta):
+    # every gradient SLSQP asks for is at the point it has just valued, so
+    # the score must come from that evaluation's recursion, not a new one
+    x = q.simulate(spec, theta, 600, seed=31).values
+    calls = {"inside": False, "builds": 0}
+    for name in BUILDERS:
+        for module in (qmselect.models, qmselect.likelihood):
+            if hasattr(module, name):
+                builder = getattr(module, name)
+
+                def counted(*args, builder=builder):
+                    calls["builds"] += calls["inside"]
+                    return builder(*args)
+
+                monkeypatch.setattr(module, name, counted)
+    seen = []
+    real_minimize = qmselect.fitting.minimize
+
+    def minimize(*args, **kwargs):
+        calls["inside"], calls["builds"] = True, 0
+        try:
+            res = real_minimize(*args, **kwargs)
+        finally:
+            calls["inside"] = False
+        seen.append((calls["builds"], res.nfev, res.njev))
+        return res
+
+    monkeypatch.setattr(qmselect.fitting, "minimize", minimize)
+    q.fit(spec, x)
+    assert len(seen) == 4  # the base start and three restarts
+    for builds, nfev, njev in seen:
+        assert njev >= 1
+        assert builds == nfev, (builds, nfev, njev)
 
 
 def test_fit_family_keeps_order_and_flags_failures(dgp2_series_2000):

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import qmselect as q
-from qmselect.likelihood import _fd_steps
+from qmselect.likelihood import _Objective, _fd_steps
 
 
 def fd_gradient(spec, theta, x, h=1e-6):
@@ -126,6 +126,29 @@ def test_analytic_gradient_matches_finite_differences(spec):
         gf = fd_gradient(spec, theta, x)
         denom = max(1.0, float(np.max(np.abs(gf))))
         assert np.max(np.abs(ga - gf)) / denom <= 1e-5
+
+
+@pytest.mark.parametrize("spec", SCORED_SPECS, ids=str)
+def test_slsqp_objective_equals_gamma_bar_and_gradient(spec):
+    # the objective fitting hands to SLSQP must be the public contrast and
+    # gradient exactly, whether or not its grad reuses the kept recursion
+    rng = np.random.default_rng(303)
+    x = q.simulate(spec, next(_interior_points(spec, rng, 1)), 400, seed=77).values
+    points = list(_interior_points(spec, rng, 6))
+    for a, b in zip(points[::2], points[1::2]):
+        # value then grad at the same point
+        obj = _Objective(spec, x)
+        assert obj.value(a) == q.gamma_bar(spec, a, x)
+        assert np.array_equal(obj.grad(a.copy()), q.gradient(spec, a, x))
+        # grad at a point never valued
+        obj = _Objective(spec, x)
+        assert np.array_equal(obj.grad(b), q.gradient(spec, b, x))
+        # value(a), value(b), grad(a): the slot holds b
+        obj = _Objective(spec, x)
+        obj.value(a)
+        assert obj.value(b) == q.gamma_bar(spec, b, x)
+        assert np.array_equal(obj.grad(a), q.gradient(spec, a, x))
+        assert np.array_equal(obj.grad(b), q.gradient(spec, b, x))
 
 
 def fd_rows(spec, theta, x, h=1e-6):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -189,6 +191,108 @@ def test_degenerate_garch_is_scaled_noise():
 def test_overflow_guard():
     with pytest.raises(q.NumericOverflow):
         q.simulate_from_noise(q.wn(), [1e3], np.array([1e8]))
+
+
+# the simulation loops as first written, on numpy scalars: the package's loops
+# must reproduce them bit for bit
+
+
+def _reference_garch(omega, a, b, xi):
+    p, q_ = len(a), len(b)
+    n = xi.size
+    x = np.zeros(n)
+    h = np.zeros(n)
+    a, b = list(map(float, a)), list(map(float, b))
+    for t in range(n):
+        ht = omega
+        for i in range(min(p, t)):
+            ht += a[i] * x[t - 1 - i] ** 2
+        for j in range(min(q_, t)):
+            ht += b[j] * h[t - 1 - j]
+        h[t] = ht
+        x[t] = math.sqrt(ht) * xi[t]
+    return x
+
+
+def _reference_aparch(omega, a, gam, b, delta, xi):
+    p, q_ = len(a), len(b)
+    n = xi.size
+    x = np.zeros(n)
+    s = np.zeros(n)
+    pow_inv = 1.0 / delta
+    for t in range(n):
+        st = omega
+        for i in range(min(p, t)):
+            xi_lag = x[t - 1 - i]
+            st += a[i] * (abs(xi_lag) - gam[i] * xi_lag) ** delta
+        for j in range(min(q_, t)):
+            st += b[j] * s[t - 1 - j]
+        s[t] = st
+        x[t] = st**pow_inv * xi[t]
+    return x
+
+
+def _reference_ararch(phi, alpha0, alpha, xi):
+    p = len(alpha)
+    n = xi.size
+    x = np.zeros(n)
+    z = np.zeros(n)
+    prev = 0.0
+    for t in range(n):
+        ht = alpha0
+        for i in range(min(p, t)):
+            ht += alpha[i] * z[t - 1 - i] ** 2
+        z[t] = math.sqrt(ht) * xi[t]
+        x[t] = phi * prev + z[t]
+        prev = x[t]
+    return x
+
+
+def _reference_path(spec, v, xi):
+    p = spec.p
+    if spec.family is q.Family.GARCH:
+        return _reference_garch(v[0], v[1 : 1 + p], v[1 + p :], xi)
+    if spec.family is q.Family.APARCH:
+        a, gam, b = v[1 : 1 + p], v[1 + p : 1 + 2 * p], v[1 + 2 * p :]
+        return _reference_aparch(v[0], a, gam, b, spec.delta, xi)
+    return _reference_ararch(v[0], v[1], v[2:], xi)
+
+
+@pytest.mark.parametrize(
+    "spec,theta",
+    [
+        (q.garch(1, 1), [1.0, 0.35, 0.4]),
+        (q.garch(2, 1), [0.5, 0.2, 0.1, 0.4]),
+        (q.aparch(1.5, 1, 1), [0.3, 0.1, 0.3, 0.7]),
+        (q.aparch(0.7, 2, 1), [0.2, 0.05, 0.1, -0.4, 0.5, 0.6]),
+        (q.ararch(2), [0.5, 0.4, 0.2, 0.3]),
+    ],
+    ids=str,
+)
+def test_simulation_matches_reference_loop(spec, theta):
+    v = np.array(theta)
+    for seed in (0, 1, 2):
+        xi = np.random.default_rng(seed).standard_normal(3000)
+        got = q.simulate_from_noise(spec, v, xi).values
+        assert np.array_equal(got, _reference_path(spec, v, xi))
+
+
+@pytest.mark.parametrize(
+    "theta",
+    [
+        [0.3, 0.1, 1.5, 0.5],  # |gamma| > 1: negative base of a fractional power
+        [-0.3, 0.1, 0.3, 0.5],  # omega < 0: negative sigma ** delta
+        [1e70, 0.1, 0.0, 0.5],  # sigma ** delta overflows on the first step
+    ],
+)
+@pytest.mark.filterwarnings("ignore:.*scalar power:RuntimeWarning")
+def test_infeasible_aparch_noise_paths_overflow(theta):
+    # simulate_from_noise does not check feasibility; nan or inf paths (numpy
+    # warns on the way) must end in the package's overflow error
+    spec = q.aparch(0.2, 1, 1) if theta[0] > 1e60 else q.aparch(1.5, 1, 1)
+    xi = np.random.default_rng(4).standard_normal(50)
+    with pytest.raises(q.NumericOverflow):
+        q.simulate_from_noise(spec, theta, xi)
 
 
 def test_burn_in_dropped():
