@@ -36,7 +36,7 @@ from .errors import (
     TooShortSeries,
     UnsupportedFamily,
 )
-from .fitting import FitOptions, FitResult, fit, fit_family
+from .fitting import FitResult, fit, fit_family
 from .information import ClosedFormTrace, InfoMatrices, closed_form_trace, info_matrices
 from .likelihood import (
     ContrastEval,
@@ -91,7 +91,7 @@ __all__ = [
     "ContrastEval", "DerivEval", "contrast", "gamma_bar", "gradient", "grad_per_t",
     "derivatives", "residuals", "mu4_hat",
     # fitting
-    "FitOptions", "FitResult", "fit", "fit_family",
+    "FitResult", "fit", "fit_family",
     # information
     "InfoMatrices", "ClosedFormTrace", "info_matrices", "closed_form_trace",
     # criteria

@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import AllModelsFailed, MissingInfo, QmselectError, UnsupportedFamily
-from .fitting import FitOptions, FitResult, fit_family
+from .fitting import FitResult, fit_family
 from .information import InfoMatrices, closed_form_trace, info_matrices
 from .likelihood import mu4_hat, residuals
 from .models import ModelSpec, Trajectory, is_nested
@@ -268,17 +268,12 @@ def select_from_fits(
     return SelectionResult(kind.name, best.spec, rows)
 
 
-def select(
-    family: list[ModelSpec],
-    x,
-    kind: CriterionKind,
-    opts: FitOptions | None = None,
-) -> SelectionResult:
+def select(family: list[ModelSpec], x, kind: CriterionKind) -> SelectionResult:
     """Fit every model in ``family`` on ``x`` and pick the criterion minimizer.
 
     Ties (exactly equal values) break toward fewer parameters, then canonical
     name order.  Models whose info matrices cannot be estimated are recorded
     as excluded rather than failing the sweep.
     """
-    fits = fit_family(family, x, opts)
+    fits = fit_family(family, x)
     return select_from_fits(fits, x, kind)

@@ -1,23 +1,20 @@
 """Contrast minimization: single-model fits and family sweeps.
 
 The minimizer runs from the canonical start (dynamic coefficients zero, the
-scale parameter set from the sample second moment) plus a configurable number
-of jittered restarts whose seed is derived from the data, so fits are
+scale parameter set from the sample second moment) plus ``N_RESTARTS``
+jittered restarts whose seed is derived from the data, so fits are
 deterministic for identical inputs.  Each start goes through a constrained
 quasi-Newton pass (SLSQP over the box + coefficient-budget constraints)
 followed by a short projected-Newton polish that pushes the projected
-gradient below ``grad_tol`` whenever the optimum is a genuine stationary
+gradient below ``GRAD_TOL`` whenever the optimum is a genuine stationary
 point; its Hessian is the central-difference one of :mod:`.likelihood`, the
-same stencil :func:`~.likelihood.derivatives` uses.  The zero-init start
-itself stays in the candidate pool, which makes the descent property
+same stencil :func:`~.likelihood.derivatives` uses.  SLSQP and the polish
+minimize one ``likelihood._Objective`` per fit, so the polish starts from the
+value and score SLSQP has already computed at its final point.  The zero-init
+start itself stays in the candidate pool, which makes the descent property
 gamma_bar(theta_hat) <= gamma_bar(start) structural.  Every fit, the
 closed-form wn one included, is certified in one place (``_certified``):
 contrast, projected gradient norm and the ``converged`` flag.
-
-Only SLSQP minimizes the one-slot ``likelihood._Objective``: each gradient it
-asks for is read from the recursion that the value at the same point has just
-built.  The polish, whose last accepted contrast is the candidate's value, and
-the certificate call ``gamma_bar``, ``gradient`` and ``contrast`` directly.
 """
 
 from __future__ import annotations
@@ -42,15 +39,16 @@ from .models import (
 
 _ACTIVE_TOL = 1e-9
 
-
-@dataclass(frozen=True)
-class FitOptions:
-    """Knobs for :func:`fit`; defaults match the shipped experiments."""
-
-    max_iter: int = 500
-    grad_tol: float = 1e-6
-    n_restarts: int = 3
-    restart_jitter: float = 0.1
+#: SLSQP iteration cap per start
+MAX_ITER = 500
+#: a fit is converged when its projected gradient sup-norm is at most this
+GRAD_TOL = 1e-6
+#: jittered starts after the zero-init one, each coordinate moved by at most
+#: ``RESTART_JITTER`` before projection
+N_RESTARTS = 3
+RESTART_JITTER = 0.1
+#: projected-Newton steps of the polish after each SLSQP pass
+POLISH_STEPS = 6
 
 
 @dataclass
@@ -120,13 +118,14 @@ def projected_grad_norm(cset: ConstraintSet, v: np.ndarray, g: np.ndarray) -> fl
     return float(np.max(np.abs(gp))) if gp.size else 0.0
 
 
-def _polish(spec, cset, v, x, opts, max_steps: int = 6):
+def _polish(objective: _Objective, cset, v):
     """Projected-Newton refinement; returns (theta, gamma_bar at theta, n_steps)."""
+    spec, x = objective.spec, objective.x
     steps = 0
-    fv = gamma_bar(spec, v, x)
-    for _ in range(max_steps):
-        g = gradient(spec, v, x)
-        if projected_grad_norm(cset, v, g) <= opts.grad_tol:
+    fv = objective.value(v)
+    for _ in range(POLISH_STEPS):
+        g = objective.grad(v)
+        if projected_grad_norm(cset, v, g) <= GRAD_TOL:
             break
         hess = _fd_hessian(spec, v, x)
         try:
@@ -139,7 +138,7 @@ def _polish(spec, cset, v, x, opts, max_steps: int = 6):
         t = 1.0
         while t >= 1e-3:
             cand = cset.project(v + t * step)
-            fc = gamma_bar(spec, cand, x)
+            fc = objective.value(cand)
             if fc < fv - 1e-14:
                 v, fv = cand, fc
                 accepted = True
@@ -151,7 +150,7 @@ def _polish(spec, cset, v, x, opts, max_steps: int = 6):
     return v, fv, steps
 
 
-def _certified(spec, cset, v, x, opts, iterations: int) -> FitResult:
+def _certified(spec, cset, v, x, iterations: int) -> FitResult:
     """The fit at ``v``: contrast, projected gradient and convergence flag."""
     ev = contrast(spec, v, x)
     gn = projected_grad_norm(cset, v, gradient(spec, v, x))
@@ -160,21 +159,21 @@ def _certified(spec, cset, v, x, opts, iterations: int) -> FitResult:
         theta=ParamVector(spec, v),
         gamma_bar_min=ev.gamma_bar,
         loglik=ev.loglik,
-        converged=gn <= opts.grad_tol,
+        converged=gn <= GRAD_TOL,
         n_used=x.size,
         grad_norm=gn,
         iterations=iterations,
     )
 
 
-def _fit_wn(spec, cset, x, opts) -> FitResult:
+def _fit_wn(spec, cset, x) -> FitResult:
     # closed form: the contrast in sigma alone is minimized at the root
     # of the uncentered second moment, clipped into the box
     sigma = float(np.clip(np.sqrt(np.mean(x**2)), cset.lower[0], cset.upper[0]))
-    return _certified(spec, cset, np.array([sigma]), x, opts, iterations=0)
+    return _certified(spec, cset, np.array([sigma]), x, iterations=0)
 
 
-def fit(spec: ModelSpec, x, opts: FitOptions | None = None) -> FitResult:
+def fit(spec: ModelSpec, x) -> FitResult:
     """Minimize the contrast for one model spec over its constraint set.
 
     Raises
@@ -184,20 +183,19 @@ def fit(spec: ModelSpec, x, opts: FitOptions | None = None) -> FitResult:
     OptimizerDiverged
         if no start produces a finite contrast value.
     """
-    opts = opts or FitOptions()
     x = _series(x)
     n = x.size
     if n < 10 * spec.dim:
         raise TooShortSeries(f"{spec.name}: n = {n} < {10 * spec.dim}")
     cset = constraint_set(spec)
     if spec.family is Family.WN:
-        return _fit_wn(spec, cset, x, opts)
+        return _fit_wn(spec, cset, x)
 
     base = _start_point(spec, cset, x)
     rng = np.random.default_rng(_restart_seed(spec, x))
     starts = [base]
-    for _ in range(opts.n_restarts):
-        jitter = rng.uniform(-opts.restart_jitter, opts.restart_jitter, size=spec.dim)
+    for _ in range(N_RESTARTS):
+        jitter = rng.uniform(-RESTART_JITTER, RESTART_JITTER, size=spec.dim)
         starts.append(cset.project(base + jitter))
 
     bounds = cset.scipy_bounds()
@@ -217,12 +215,12 @@ def fit(spec: ModelSpec, x, opts: FitOptions | None = None) -> FitResult:
                 method="SLSQP",
                 bounds=bounds,
                 constraints=cons,
-                options={"maxiter": opts.max_iter, "ftol": 1e-12},
+                options={"maxiter": MAX_ITER, "ftol": 1e-12},
             )
         if not np.all(np.isfinite(res.x)) or not np.isfinite(res.fun):
             continue
         v = cset.project(res.x)
-        v, fv, extra = _polish(spec, cset, v, x, opts)
+        v, fv, extra = _polish(objective, cset, v)
         dist = float(np.max(np.abs(start - base)))
         candidates.append((fv, dist, v, int(res.nit) + extra))
 
@@ -233,10 +231,10 @@ def fit(spec: ModelSpec, x, opts: FitOptions | None = None) -> FitResult:
     # ties (within 1e-10) go to the start nearest the zero-init start
     tied = sorted((c for c in finite if c[0] <= fbest + 1e-10), key=lambda c: c[1])
     _, _, v, iters = tied[0]
-    return _certified(spec, cset, v, x, opts, iters)
+    return _certified(spec, cset, v, x, iters)
 
 
-def fit_family(family, x, opts: FitOptions | None = None) -> list[FitResult]:
+def fit_family(family, x) -> list[FitResult]:
     """Fit every spec in ``family`` (order preserved); per-model failures are
     returned as non-converged placeholder results instead of raising.  Only
     the package's own errors and numerical failures count as failed fits; any
@@ -245,7 +243,7 @@ def fit_family(family, x, opts: FitOptions | None = None) -> list[FitResult]:
     out = []
     for spec in family:
         try:
-            out.append(fit(spec, x, opts))
+            out.append(fit(spec, x))
         except (QmselectError, np.linalg.LinAlgError, FloatingPointError) as exc:
             out.append(
                 FitResult(

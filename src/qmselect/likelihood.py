@@ -20,11 +20,11 @@ so its share of the score is zero there.  Central differences remain only in
 Each family's recursion is one pass over the sample (``models._recursion``);
 the conditional moments and the scores are both read from it, each by one
 formula (``models._moments_from``, :func:`_score_from`).  ``_Objective`` is
-the contrast and gradient that SLSQP, and only SLSQP, minimizes: it keeps
-the recursion of the last point it valued and reads the score from it when
-the gradient is asked at that point, so an SLSQP step builds one recursion
-where :func:`gamma_bar` then :func:`gradient` would build two.  Its values
-are exactly theirs.
+the contrast and gradient the fitting minimizers share: it keeps the
+recursion and value of the last point it valued and reuses them when that
+point is asked for again, so a step builds one recursion where
+:func:`gamma_bar` then :func:`gradient` would build two.  Its values are
+exactly theirs.
 """
 
 from __future__ import annotations
@@ -62,9 +62,8 @@ class ContrastEval:
 
 @dataclass(frozen=True)
 class DerivEval:
-    """First and second derivatives of gamma_bar at one parameter point."""
+    """Second derivatives of gamma_bar at one parameter point."""
 
-    gradient: np.ndarray
     hessian: np.ndarray
 
 
@@ -240,36 +239,40 @@ def gradient(spec: ModelSpec, theta, x) -> np.ndarray:
 
 
 class _Objective:
-    """gamma_bar and its gradient for SLSQP, sharing one recursion per point.
+    """gamma_bar and its gradient for the minimizers, one recursion per point.
 
-    SLSQP asks for the gradient at the point it has just valued.  ``value``
-    keeps the recursion it built together with a copy of the point, and
-    ``grad`` reads the score from it when asked at that same point; at any
-    other point it builds its own.  Both return exactly what
-    :func:`gamma_bar` and :func:`gradient` return.
+    SLSQP asks for the gradient at the point it has just valued, and the
+    polish starts where SLSQP stopped.  ``value`` keeps the recursion it
+    built and the value, together with a copy of the point; asked again at
+    that point, ``value`` returns the kept value and ``grad`` reads the score
+    from the kept recursion.  At any other point ``grad`` builds its own.
+    Both return exactly what :func:`gamma_bar` and :func:`gradient` return.
     """
 
     def __init__(self, spec: ModelSpec, x: np.ndarray):
         self.spec, self.x = spec, x
         self._point = None
         self._rec = None
+        self._value = None
+
+    def _holds(self, v: np.ndarray) -> bool:
+        return self._point is not None and np.array_equal(v, self._point)
 
     def value(self, v: np.ndarray) -> float:
-        rec = _recursion(self.spec, v, self.x)
-        self._point, self._rec = v.copy(), rec
-        return _contrast_from(self.x, _moments_from(self.spec, v, self.x, rec))[1]
+        if not self._holds(v):
+            rec = _recursion(self.spec, v, self.x)
+            self._point, self._rec = v.copy(), rec
+            self._value = _contrast_from(self.x, _moments_from(self.spec, v, self.x, rec))[1]
+        return self._value
 
     def grad(self, v: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
-            if self._point is not None and np.array_equal(v, self._point):
-                rec = self._rec
-            else:
-                rec = _recursion(self.spec, v, self.x)
+            rec = self._rec if self._holds(v) else _recursion(self.spec, v, self.x)
             return _score_from(self.spec, v, self.x, rec).mean(axis=0)
 
 
 def derivatives(spec: ModelSpec, theta, x, *, check_boundary: bool = True) -> DerivEval:
-    """Gradient and (symmetrized) Hessian of gamma_bar at ``theta``.
+    """Symmetrized Hessian of gamma_bar at ``theta``.
 
     Raises
     ------
@@ -283,7 +286,7 @@ def derivatives(spec: ModelSpec, theta, x, *, check_boundary: bool = True) -> De
         raise BoundaryTooClose(
             f"{spec.name}: parameters within 2 finite-difference steps of the boundary"
         )
-    return DerivEval(gradient(spec, v, x), _fd_hessian(spec, v, x))
+    return DerivEval(_fd_hessian(spec, v, x))
 
 
 def _fd_hessian(spec: ModelSpec, v: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -551,8 +551,9 @@ def _path_from_noise(spec: ModelSpec, v: np.ndarray, xi: np.ndarray) -> np.ndarr
         b = v[1 + 2 * p :]
         return _sim_aparch(omega, a, gam, b, spec.delta, xi)
     if fam is Family.ARARCH:
-        phi, alpha0, alpha = v[0], v[1], v[2:]
-        return _sim_ararch(phi, alpha0, alpha, xi)
+        # the AR(1) residual z is an ARCH(p) path, i.e. a garch(p, 0) one
+        z = _sim_garch(v[1], v[2:], (), xi)
+        return lfilter([1.0], [1.0, -v[0]], z)
     raise UnsupportedFamily(str(fam))
 
 
@@ -575,7 +576,7 @@ def _sim_garch(omega, a, b, xi):
         h[t] = ht
         x[t] = xt = math.sqrt(ht) * xi[t]
         if abs(xt) > OVERFLOW_LIMIT:
-            raise NumericOverflow("garch simulation overflow")
+            raise NumericOverflow("(G)ARCH simulation overflow")
     return out
 
 
@@ -596,24 +597,6 @@ def _sim_aparch(omega, a, gam, b, delta, xi):
         x[t] = st**pow_inv * xi[t]
         if abs(x[t]) > OVERFLOW_LIMIT:
             raise NumericOverflow("aparch simulation overflow")
-    return x
-
-
-def _sim_ararch(phi, alpha0, alpha, xi):
-    p = len(alpha)
-    n = xi.size
-    x = np.zeros(n)
-    z = np.zeros(n)
-    prev = 0.0
-    for t in range(n):
-        ht = alpha0
-        for i in range(min(p, t)):
-            ht += alpha[i] * z[t - 1 - i] ** 2
-        z[t] = math.sqrt(ht) * xi[t]
-        x[t] = phi * prev + z[t]
-        prev = x[t]
-        if abs(prev) > OVERFLOW_LIMIT:
-            raise NumericOverflow("ararch simulation overflow")
     return x
 
 

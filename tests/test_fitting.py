@@ -164,7 +164,7 @@ def test_fit_family_keeps_order_and_flags_failures(dgp2_series_2000):
 
 
 def test_fit_family_propagates_programming_errors(monkeypatch, dgp2_series_2000):
-    def broken(spec, x, opts=None):
+    def broken(spec, x):
         raise TypeError("bug in fit")
 
     monkeypatch.setattr("qmselect.fitting.fit", broken)
@@ -181,11 +181,6 @@ def test_select_propagates_programming_errors(monkeypatch, dgp2_series_2000):
     monkeypatch.setattr("qmselect.criteria.info_matrices", broken)
     with pytest.raises(TypeError, match="bug in info_matrices"):
         q.select_from_fits(fits, dgp2_series_2000.values, q.KC)
-
-
-def test_restart_count_zero_still_works(dgp2_series_2000):
-    res = q.fit(q.arma(1, 1), dgp2_series_2000.values, q.FitOptions(n_restarts=0))
-    assert res.converged
 
 
 def test_start_point_matches_second_moment():

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import qmselect as q
+import qmselect.likelihood
 from qmselect.likelihood import _Objective, _fd_steps
 
 
@@ -149,6 +150,26 @@ def test_slsqp_objective_equals_gamma_bar_and_gradient(spec):
         assert obj.value(b) == q.gamma_bar(spec, b, x)
         assert np.array_equal(obj.grad(a), q.gradient(spec, a, x))
         assert np.array_equal(obj.grad(b), q.gradient(spec, b, x))
+
+
+@pytest.mark.parametrize("spec", SCORED_SPECS, ids=str)
+def test_objective_value_at_the_kept_point_builds_nothing(monkeypatch, spec):
+    # the polish values SLSQP's final point again; that must not rebuild
+    rng = np.random.default_rng(404)
+    x = q.simulate(spec, next(_interior_points(spec, rng, 1)), 300, seed=78).values
+    a = next(_interior_points(spec, rng, 1))
+    builds = []
+    build = qmselect.likelihood._recursion
+
+    def counted(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(qmselect.likelihood, "_recursion", counted)
+    obj = _Objective(spec, x)
+    first = obj.value(a)
+    assert obj.value(a.copy()) == first == q.gamma_bar(spec, a, x)
+    assert len(builds) == 1
 
 
 def fd_rows(spec, theta, x, h=1e-6):

@@ -265,7 +265,9 @@ def _reference_path(spec, v, xi):
         (q.garch(2, 1), [0.5, 0.2, 0.1, 0.4]),
         (q.aparch(1.5, 1, 1), [0.3, 0.1, 0.3, 0.7]),
         (q.aparch(0.7, 2, 1), [0.2, 0.05, 0.1, -0.4, 0.5, 0.6]),
+        (q.ararch(1), [-0.6, 0.8, 0.5]),
         (q.ararch(2), [0.5, 0.4, 0.2, 0.3]),
+        (q.ararch(3), [0.9, 0.3, 0.3, 0.2, 0.25]),
     ],
     ids=str,
 )
@@ -293,6 +295,21 @@ def test_infeasible_aparch_noise_paths_overflow(theta):
     xi = np.random.default_rng(4).standard_normal(50)
     with pytest.raises(q.NumericOverflow):
         q.simulate_from_noise(spec, theta, xi)
+
+
+@pytest.mark.parametrize(
+    "theta",
+    [
+        [0.5, 1.0, 5.0],  # explosive ARCH residual
+        [0.5, 1e30, 0.2],  # the residual overflows on the first step
+        [1.5, 1.0, 0.2],  # explosive AR mean, overflowing to inf
+        [-1.5, 1.0, 0.2],
+    ],
+)
+def test_infeasible_ararch_noise_paths_overflow(theta):
+    xi = np.random.default_rng(4).standard_normal(2000)
+    with pytest.raises(q.NumericOverflow):
+        q.simulate_from_noise(q.ararch(1), theta, xi)
 
 
 def test_burn_in_dropped():

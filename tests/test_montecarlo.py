@@ -109,9 +109,9 @@ def test_drivers_fit_exactly_the_configured_specs(monkeypatch):
     recorded = []
     real_fit_family = mc.fit_family
 
-    def recorder(family, x, opts=None):
+    def recorder(family, x):
         recorded.append(tuple(family))
-        return real_fit_family(family, x, opts)
+        return real_fit_family(family, x)
 
     monkeypatch.setattr(mc, "fit_family", recorder)
     spec = q.aparch(1.2345678, 1, 1)
