@@ -1,25 +1,25 @@
 """Contrast minimization: single-model fits and family sweeps.
 
-The minimizer runs from the canonical start (dynamic coefficients zero, the
-scale parameter set from the sample second moment) plus ``N_RESTARTS``
-jittered restarts whose seed is derived from the data, so fits are
-deterministic for identical inputs.  Each start goes through a constrained
-quasi-Newton pass (SLSQP over the box + coefficient-budget constraints)
-followed by a short projected-Newton polish that pushes the projected
-gradient below ``GRAD_TOL`` whenever the optimum is a genuine stationary
-point; its Hessian is the central-difference one of :mod:`.likelihood`, the
-same stencil :func:`~.likelihood.derivatives` uses.  SLSQP and the polish
-minimize one ``likelihood._Objective`` per fit, so the polish starts from the
-value and score SLSQP has already computed at its final point.  The zero-init
-start itself stays in the candidate pool, which makes the descent property
-gamma_bar(theta_hat) <= gamma_bar(start) structural.  Every fit, the
-closed-form wn one included, is certified in one place (``_certified``):
+A fit runs from the canonical start (dynamic coefficients zero, the scale
+parameter set from the sample second moment) and, if given, from a warm
+start; nothing is random.  Each start goes through a constrained
+quasi-Newton pass (SLSQP over the box + coefficient-budget constraints) and
+a short projected-Newton polish that pushes the projected gradient below
+``GRAD_TOL`` whenever the optimum is a genuine stationary point; its Hessian
+is the central-difference one of :mod:`.likelihood`.  Both minimize one
+``likelihood._Objective`` per fit.  The starts stay in the candidate pool,
+so gamma_bar(theta_hat) <= gamma_bar(start) is structural.
+
+:func:`fit_family` fits nested models first and warm-starts each model at
+the best nested optimum whose parameter names it shares, zero-padded by
+name.  That point is feasible and keeps the inner contrast, so along
+same-family nesting and garch inside the power-2 aparch the fitted contrast
+never rises.  Every fit is certified in one place (``_certified``):
 contrast, projected gradient norm and the ``converged`` flag.
 """
 
 from __future__ import annotations
 
-import hashlib
 import warnings
 from dataclasses import dataclass
 
@@ -28,14 +28,8 @@ from scipy.optimize import minimize
 
 from .errors import OptimizerDiverged, QmselectError, TooShortSeries
 from .likelihood import _Objective, contrast, gamma_bar, gradient, _fd_hessian
-from .models import (
-    ConstraintSet,
-    Family,
-    ModelSpec,
-    ParamVector,
-    Trajectory,
-    constraint_set,
-)
+from .models import ConstraintSet, Family, ModelSpec, ParamVector, Trajectory
+from .models import _as_values, constraint_set, is_nested
 
 _ACTIVE_TOL = 1e-9
 
@@ -43,10 +37,6 @@ _ACTIVE_TOL = 1e-9
 MAX_ITER = 500
 #: a fit is converged when its projected gradient sup-norm is at most this
 GRAD_TOL = 1e-6
-#: jittered starts after the zero-init one, each coordinate moved by at most
-#: ``RESTART_JITTER`` before projection
-N_RESTARTS = 3
-RESTART_JITTER = 0.1
 #: projected-Newton steps of the polish after each SLSQP pass
 POLISH_STEPS = 6
 
@@ -90,11 +80,6 @@ def _start_point(spec: ModelSpec, cset: ConstraintSet, x: np.ndarray) -> np.ndar
     elif fam is Family.ARARCH:
         v[1] = m2
     return cset.project(v)
-
-
-def _restart_seed(spec: ModelSpec, x: np.ndarray) -> int:
-    digest = hashlib.sha256(spec.name.encode() + x.tobytes()).digest()
-    return int.from_bytes(digest[:8], "little")
 
 
 def projected_grad_norm(cset: ConstraintSet, v: np.ndarray, g: np.ndarray) -> float:
@@ -173,89 +158,104 @@ def _fit_wn(spec, cset, x) -> FitResult:
     return _certified(spec, cset, np.array([sigma]), x, iterations=0)
 
 
-def fit(spec: ModelSpec, x) -> FitResult:
+def fit(spec: ModelSpec, x, warm=None) -> FitResult:
     """Minimize the contrast for one model spec over its constraint set.
+
+    SLSQP and the polish run from the zero-init start and from ``warm`` if
+    given (the closed-form wn fit ignores it).  The candidates are each start,
+    then where the minimizers took it; ties within 1e-10 go to the earliest.
 
     Raises
     ------
+    ValueError
+        if ``warm`` is not ``spec.dim`` values inside ``constraint_set(spec)``.
     TooShortSeries
         if the sample has fewer than ``10 * spec.dim`` observations.
     OptimizerDiverged
         if no start produces a finite contrast value.
     """
     x = _series(x)
+    cset = constraint_set(spec)
+    if warm is not None:
+        warm = _as_values(spec, warm)
+        if not cset.contains(warm):
+            raise ValueError(f"warm start {warm.tolist()} is infeasible for {spec.name}")
     n = x.size
     if n < 10 * spec.dim:
         raise TooShortSeries(f"{spec.name}: n = {n} < {10 * spec.dim}")
-    cset = constraint_set(spec)
     if spec.family is Family.WN:
         return _fit_wn(spec, cset, x)
 
     base = _start_point(spec, cset, x)
-    rng = np.random.default_rng(_restart_seed(spec, x))
     starts = [base]
-    for _ in range(N_RESTARTS):
-        jitter = rng.uniform(-RESTART_JITTER, RESTART_JITTER, size=spec.dim)
-        starts.append(cset.project(base + jitter))
+    if warm is not None and not np.array_equal(warm, base):
+        starts.append(warm)
 
     bounds = cset.scipy_bounds()
     cons = cset.scipy_constraints()
     objective = _Objective(spec, x)
-    # candidates: (value, distance of start from base, theta, iterations)
-    candidates = [(gamma_bar(spec, base, x), 0.0, base, 0)]
+    candidates = []  # (value, theta, iterations) in preference order
     for start in starts:
+        candidates.append((gamma_bar(spec, start, x), start, 0))
         with warnings.catch_warnings():
             # SLSQP line searches may poke just outside the box; the contrast
             # is clamped there, so the probe values are finite and harmless
             warnings.filterwarnings("ignore", message=".*outside bounds.*")
-            res = minimize(
-                objective.value,
-                start,
-                jac=objective.grad,
-                method="SLSQP",
-                bounds=bounds,
-                constraints=cons,
-                options={"maxiter": MAX_ITER, "ftol": 1e-12},
-            )
+            res = minimize(objective.value, start, jac=objective.grad, method="SLSQP",
+                           bounds=bounds, constraints=cons,
+                           options={"maxiter": MAX_ITER, "ftol": 1e-12})
         if not np.all(np.isfinite(res.x)) or not np.isfinite(res.fun):
             continue
-        v = cset.project(res.x)
-        v, fv, extra = _polish(objective, cset, v)
-        dist = float(np.max(np.abs(start - base)))
-        candidates.append((fv, dist, v, int(res.nit) + extra))
+        v, fv, extra = _polish(objective, cset, cset.project(res.x))
+        candidates.append((fv, v, int(res.nit) + extra))
 
     finite = [c for c in candidates if np.isfinite(c[0])]
     if not finite:
         raise OptimizerDiverged(f"{spec.name}: no start produced a finite contrast")
     fbest = min(c[0] for c in finite)
-    # ties (within 1e-10) go to the start nearest the zero-init start
-    tied = sorted((c for c in finite if c[0] <= fbest + 1e-10), key=lambda c: c[1])
-    _, _, v, iters = tied[0]
+    _, v, iters = next(c for c in finite if c[0] <= fbest + 1e-10)
     return _certified(spec, cset, v, x, iters)
 
 
+def _warm_start(spec: ModelSpec, fits) -> np.ndarray | None:
+    """The optimum of the best finite fit in ``fits`` that is nested in
+    ``spec`` and whose parameter names are all among ``spec``'s, with the
+    names it lacks set to zero; None when there is no such fit."""
+    names = spec.param_names()
+    inner = [f for f in fits if np.isfinite(f.gamma_bar_min) and is_nested(f.spec, spec)
+             and set(f.spec.param_names()) <= set(names)]
+    if not inner:
+        return None
+    named = min(inner, key=lambda f: f.gamma_bar_min).theta.named()
+    return np.array([named.get(name, 0.0) for name in names])
+
+
 def fit_family(family, x) -> list[FitResult]:
-    """Fit every spec in ``family`` (order preserved); per-model failures are
-    returned as non-converged placeholder results instead of raising.  Only
-    the package's own errors and numerical failures count as failed fits; any
-    other exception is a programming error and propagates."""
+    """Fit every spec in ``family``, returned in the caller's order.
+
+    The specs are fitted in order of (dim, name), each warm-started by
+    :func:`_warm_start` from the fits made before it, so the results do not
+    depend on the caller's order.  Per-model failures are returned as
+    non-converged placeholder results instead of raising.  Only the package's
+    own errors and numerical failures count as failed fits; any other
+    exception is a programming error and propagates."""
     x = _series(x)
-    out = []
-    for spec in family:
+    family = list(family)
+    fits: dict[int, FitResult] = {}
+    for i in sorted(range(len(family)), key=lambda i: (family[i].dim, family[i].name)):
+        spec = family[i]
         try:
-            out.append(fit(spec, x))
+            fits[i] = fit(spec, x, _warm_start(spec, fits.values()))
         except (QmselectError, np.linalg.LinAlgError, FloatingPointError) as exc:
-            out.append(
-                FitResult(
-                    spec=spec,
-                    theta=ParamVector(spec, constraint_set(spec).project(np.zeros(spec.dim))),
-                    gamma_bar_min=float("nan"),
-                    loglik=float("nan"),
-                    converged=False,
-                    n_used=x.size,
-                    grad_norm=float("inf"),
-                    iterations=0,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
+            fits[i] = FitResult(
+                spec=spec,
+                theta=ParamVector(spec, constraint_set(spec).project(np.zeros(spec.dim))),
+                gamma_bar_min=float("nan"),
+                loglik=float("nan"),
+                converged=False,
+                n_used=x.size,
+                grad_norm=float("inf"),
+                iterations=0,
+                error=f"{type(exc).__name__}: {exc}",
             )
-    return out
+    return [fits[i] for i in range(len(family))]

@@ -567,16 +567,19 @@ def _sim_garch(omega, a, b, xi):
     out = np.zeros(n)
     x, h, xi = memoryview(out), memoryview(np.zeros(n)), memoryview(xi)
     omega, a, b = float(omega), list(map(float, a)), list(map(float, b))
-    for t in range(n):
-        ht = omega
-        for i in range(min(p, t)):
-            ht += a[i] * x[t - 1 - i] ** 2
-        for j in range(min(q, t)):
-            ht += b[j] * h[t - 1 - j]
-        h[t] = ht
-        x[t] = xt = math.sqrt(ht) * xi[t]
-        if abs(xt) > OVERFLOW_LIMIT:
-            raise NumericOverflow("(G)ARCH simulation overflow")
+    try:
+        for t in range(n):
+            ht = omega
+            for i in range(min(p, t)):
+                ht += a[i] * x[t - 1 - i] ** 2
+            for j in range(min(q, t)):
+                ht += b[j] * h[t - 1 - j]
+            h[t] = ht
+            x[t] = xt = math.sqrt(ht) * xi[t]
+            if abs(xt) > OVERFLOW_LIMIT:
+                raise NumericOverflow("(G)ARCH simulation overflow")
+    except ValueError:  # math.sqrt of a negative variance (infeasible parameters)
+        raise NumericOverflow("(G)ARCH simulation reached a negative variance") from None
     return out
 
 

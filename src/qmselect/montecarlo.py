@@ -18,10 +18,10 @@ goes through :func:`oracle_risk`, called once per n on every distinct
 
 Seeding: replication r at sample size n draws its trajectory from a PCG64
 generator keyed by SeedSequence([master_seed, n, r]); the oracle trajectory
-uses a reserved tag in place of r.  Fit restarts are keyed by the trajectory
-bytes.  Results therefore do not depend on how replications are scheduled,
-and aggregation walks replications in index order, so any ``threads`` value
-produces byte-identical tables.
+uses a reserved tag in place of r.  Fits draw no random numbers.  Results
+therefore do not depend on how replications are scheduled, and aggregation
+walks replications in index order, so any ``threads`` value produces
+byte-identical tables.
 """
 
 from __future__ import annotations

@@ -6,10 +6,11 @@ import qmselect as q
 import qmselect.fitting
 import qmselect.likelihood
 import qmselect.models
-from qmselect.fitting import _start_point, projected_grad_norm
-from qmselect.models import constraint_set
+from qmselect.fitting import _start_point, _warm_start, projected_grad_norm
+from qmselect.models import constraint_set, is_nested
+from qmselect.montecarlo import derive_seed
 
-from conftest import DGP1, DGP2
+from conftest import DGP1, DGP2, DGP3
 
 
 def test_wn_fit_is_closed_form():
@@ -144,10 +145,79 @@ def test_slsqp_builds_one_recursion_per_function_evaluation(monkeypatch, spec, t
 
     monkeypatch.setattr(qmselect.fitting, "minimize", minimize)
     q.fit(spec, x)
-    assert len(seen) == 4  # the base start and three restarts
+    assert len(seen) == 1  # the zero-init start alone
+    q.fit(spec, x, theta)
+    assert len(seen) == 3  # one more pass from each of zero-init and warm
     for builds, nfev, njev in seen:
         assert njev >= 1
         assert builds == nfev, (builds, nfev, njev)
+
+
+@pytest.fixture(scope="module")
+def garch_grid():
+    spec, theta = DGP3
+    x = q.simulate(spec, theta, 2000, seed=derive_seed(7, 2000, 2)).values
+    family = q.expand_family("garch(0..2,0..2)")
+    return family, x, q.fit_family(family, x)
+
+
+def test_fit_family_contrast_never_rises_along_nesting(garch_grid):
+    # every outer model has the padded inner optimum among its candidates
+    family, _, fits = garch_grid
+    pairs = 0
+    for inner in fits:
+        for outer in fits:
+            if inner is outer or not is_nested(inner.spec, outer.spec):
+                continue
+            if not set(inner.spec.param_names()) <= set(outer.spec.param_names()):
+                continue
+            pairs += 1
+            assert outer.gamma_bar_min <= inner.gamma_bar_min + 1e-10, (inner.spec, outer.spec)
+    assert pairs == 19  # strict dominance pairs of the 3x3 order grid without wn
+
+
+def test_fit_family_results_do_not_depend_on_the_callers_order(garch_grid):
+    family, x, fits = garch_grid
+    backwards = q.fit_family(family[::-1], x)[::-1]
+    for a, b in zip(fits, backwards):
+        assert a.spec == b.spec
+        assert a.theta.values.tobytes() == b.theta.values.tobytes()
+        assert a.gamma_bar_min == b.gamma_bar_min
+
+
+def test_warm_start_pads_by_parameter_name(dgp2_series_2000, dgp3_series_2000):
+    x = dgp3_series_2000.values
+    garch = q.fit(q.garch(1, 1), x)
+    omega, a1, b1 = garch.theta.values
+    aparch = q.aparch(2.0, 1, 1)
+    warm = _warm_start(aparch, [garch])
+    assert warm.tolist() == [omega, a1, 0.0, b1]
+    assert q.gamma_bar(aparch, warm, x) == pytest.approx(garch.gamma_bar_min, rel=1e-12)
+    wn = q.fit(q.wn(), dgp2_series_2000.values)
+    assert _warm_start(q.arma(1, 1), [wn]).tolist() == [0.0, 0.0, wn.theta.values[0]]
+    # ararch names its scale alpha0, not omega: no warm start across that embedding
+    assert _warm_start(q.ararch(1), [q.fit(q.garch(1, 0), x)]) is None
+    # a failed fit is never a warm start
+    failed = q.fit_family([q.garch(1, 1)], x[:25])[0]
+    assert _warm_start(q.garch(2, 1), [failed]) is None
+
+
+@pytest.mark.parametrize(
+    "warm",
+    [[1.0, 0.3], [1.0, 0.3, 0.4, 0.0], [1.0, -0.1, 0.4], [1.0, 0.6, 0.6]],
+    ids=["short", "long", "below-box", "over-budget"],
+)
+def test_fit_rejects_a_bad_warm_start(dgp3_series_2000, warm):
+    with pytest.raises(ValueError) as info:
+        q.fit(q.garch(1, 1), dgp3_series_2000.values, warm)
+    assert not isinstance(info.value, q.QmselectError)
+
+
+def test_fit_family_propagates_a_bad_warm_start(monkeypatch, dgp3_series_2000):
+    # a warm start outside the set is a programming error, not a failed fit
+    monkeypatch.setattr("qmselect.fitting._warm_start", lambda spec, fits: np.full(spec.dim, -1.0))
+    with pytest.raises(ValueError, match="warm start"):
+        q.fit_family([q.garch(1, 1)], dgp3_series_2000.values)
 
 
 def test_fit_family_keeps_order_and_flags_failures(dgp2_series_2000):
@@ -164,7 +234,7 @@ def test_fit_family_keeps_order_and_flags_failures(dgp2_series_2000):
 
 
 def test_fit_family_propagates_programming_errors(monkeypatch, dgp2_series_2000):
-    def broken(spec, x):
+    def broken(spec, x, warm=None):
         raise TypeError("bug in fit")
 
     monkeypatch.setattr("qmselect.fitting.fit", broken)

@@ -29,7 +29,7 @@ def test_canonical_names_round_trip():
 
 
 def test_aparch_names_keep_the_short_power_form():
-    # fit restart seeds hash the name, so these texts must not move
+    # names feed config_hash, so these texts must not move
     for delta in (2.0, 1.5, 0.5, 1.25):
         assert q.aparch(delta, 1, 1).name == f"aparch({delta:g};1,1)"
 
@@ -304,12 +304,20 @@ def test_infeasible_aparch_noise_paths_overflow(theta):
         [0.5, 1e30, 0.2],  # the residual overflows on the first step
         [1.5, 1.0, 0.2],  # explosive AR mean, overflowing to inf
         [-1.5, 1.0, 0.2],
+        [0.5, -1.0, 0.2],  # alpha0 < 0: negative ARCH variance on the first step
     ],
 )
 def test_infeasible_ararch_noise_paths_overflow(theta):
     xi = np.random.default_rng(4).standard_normal(2000)
     with pytest.raises(q.NumericOverflow):
         q.simulate_from_noise(q.ararch(1), theta, xi)
+
+
+def test_negative_garch_intercept_noise_path_overflows():
+    # omega < 0 makes the first variance negative; math.sqrt must not leak
+    xi = np.random.default_rng(4).standard_normal(2000)
+    with pytest.raises(q.NumericOverflow):
+        q.simulate_from_noise(q.garch(1, 1), [-1.0, 0.1, 0.2], xi)
 
 
 def test_burn_in_dropped():
