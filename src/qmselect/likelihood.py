@@ -32,12 +32,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import BoundaryTooClose
 from .models import (
     Family,
     ModelSpec,
+    _ar_filter,
     _as_values,
     _lag,
     _moments_from,
@@ -153,7 +153,7 @@ def _grad_arma(spec, v, x, rec):
     cols = np.empty((n, spec.dim))
     # a C-ordered copy, not the transposed view: mean(axis=0) over the view
     # differs in the last bits from the per-column result
-    cols[:, : p + q] = ((2.0 / sigma**2 * eps) * lfilter([1.0], ma, inputs, axis=-1)).T
+    cols[:, : p + q] = ((2.0 / sigma**2 * eps) * _ar_filter(ma, inputs)).T
     cols[:, p + q] = -2.0 * eps**2 / sigma**3 + 2.0 / sigma
     return cols
 
@@ -178,7 +178,7 @@ def _grad_garch(spec, v, x, rec):
     cols = np.empty((n, spec.dim))
     # a C-ordered copy, not the transposed view: mean(axis=0) over the view
     # differs in the last bits from the per-column result
-    cols[:] = (ratio * lfilter([1.0], braw, inputs, axis=-1)).T
+    cols[:] = (ratio * _ar_filter(braw, inputs)).T
     return cols
 
 
@@ -206,7 +206,7 @@ def _grad_aparch(spec, v, x, rec):
         inputs[1 + p + i] = v[1 + i] * _lag(-d * x * slope, i + 1)
     for j in range(q):
         inputs[1 + 2 * p + j] = _lag(s_lin, j + 1)
-    return (ratio * lfilter([1.0], braw, inputs, axis=-1)).T
+    return (ratio * _ar_filter(braw, inputs)).T
 
 
 def _grad_ararch(spec, v, x, rec):

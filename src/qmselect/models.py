@@ -15,7 +15,13 @@ with iid standard-normal innovations ``xi_t``:
 Conditional moments are always computed with the truncated convention: every
 quantity indexed before the start of the sample is treated as zero.  All the
 linear recursions are evaluated with :func:`scipy.signal.lfilter`, whose zero
-initial state is exactly that convention.
+initial state is exactly that convention.  A filter whose denominator is 1 is
+skipped: it is the identity, or a plain ``np.convolve`` for the arma(p,0)
+residuals, which is what ``lfilter`` would compute there one row at a time.
+
+Simulation starts from the same zero pre-sample.  arma paths go through
+``lfilter``; each variance-driven path (garch, aparch and the ARCH residual of
+ararch) is one loop on Python floats that keeps only the last p and q lags.
 """
 
 from __future__ import annotations
@@ -558,49 +564,80 @@ def _path_from_noise(spec: ModelSpec, v: np.ndarray, xi: np.ndarray) -> np.ndarr
 
 
 def _sim_garch(omega, a, b, xi):
+    # one Python-float loop (this is the 101k-step oracle path of the
+    # efficiency experiment): the noise is read and the path written through
+    # memoryviews, and the last p squares and q variances sit newest first in
+    # one short list that starts at 0.0, the truncated pre-sample convention.
+    # A pre-sample term adds an exact 0.0, so every step does the same IEEE
+    # operations in the same order as a loop over the min(p, t) and
+    # min(q, t) lags that exist, on numpy scalars (the reference loop in
+    # tests/test_models.py); ``x ** 2`` rounds like numpy's scalar square,
+    # ``x * x`` does not.  A block of one lag is overwritten in place, a
+    # longer one shifts by a pop and an insert.
     p, q = len(a), len(b)
-    n = xi.size
-    # the loop runs on Python floats: a memoryview of a float64 array reads
-    # and writes plain floats, so each step does the same IEEE operations in
-    # the same order as on numpy scalars, at a fraction of the cost (this is
-    # the 101k-step oracle path of the efficiency experiment)
-    out = np.zeros(n)
-    x, h, xi = memoryview(out), memoryview(np.zeros(n)), memoryview(xi)
-    omega, a, b = float(omega), list(map(float, a)), list(map(float, b))
+    out = np.zeros(xi.size)
+    x = memoryview(out)
+    omega, coef = float(omega), [*map(float, a), *map(float, b)]
+    lags = [0.0] * (p + q)  # x_{t-1}^2 .. x_{t-p}^2, h_{t-1} .. h_{t-q}
+    sqrt, pop, insert = math.sqrt, lags.pop, lags.insert
     try:
-        for t in range(n):
+        for t, e in enumerate(memoryview(xi)):
             ht = omega
-            for i in range(min(p, t)):
-                ht += a[i] * x[t - 1 - i] ** 2
-            for j in range(min(q, t)):
-                ht += b[j] * h[t - 1 - j]
-            h[t] = ht
-            x[t] = xt = math.sqrt(ht) * xi[t]
+            for c, lag in zip(coef, lags):
+                ht += c * lag
+            x[t] = xt = sqrt(ht) * e
             if abs(xt) > OVERFLOW_LIMIT:
                 raise NumericOverflow("(G)ARCH simulation overflow")
+            if q == 1:
+                lags[p] = ht
+            elif q:
+                pop()
+                insert(p, ht)
+            if p == 1:
+                lags[0] = xt**2
+            elif p:
+                pop(p - 1)
+                insert(0, xt**2)
     except ValueError:  # math.sqrt of a negative variance (infeasible parameters)
         raise NumericOverflow("(G)ARCH simulation reached a negative variance") from None
     return out
 
 
 def _sim_aparch(omega, a, gam, b, delta, xi):
+    # the garch kernel's design, with the last p values and q powers
+    # s = sigma ** delta in two newest-first lists.  math.pow does what
+    # numpy's scalar power does, but raises where numpy would warn and return
+    # nan or inf (a negative base under a fractional power, or an overflowing
+    # power); the loop maps that to the package's overflow error.
     p, q = len(a), len(b)
-    n = xi.size
-    x = np.zeros(n)
-    s = np.zeros(n)  # sigma_t ** delta
-    pow_inv = 1.0 / delta
-    for t in range(n):
-        st = omega
-        for i in range(min(p, t)):
-            xi_lag = x[t - 1 - i]
-            st += a[i] * (abs(xi_lag) - gam[i] * xi_lag) ** delta
-        for j in range(min(q, t)):
-            st += b[j] * s[t - 1 - j]
-        s[t] = st
-        x[t] = st**pow_inv * xi[t]
-        if abs(x[t]) > OVERFLOW_LIMIT:
-            raise NumericOverflow("aparch simulation overflow")
-    return x
+    out = np.zeros(xi.size)
+    x = memoryview(out)
+    omega, pow_inv = float(omega), 1.0 / delta
+    arch, b = list(zip(map(float, a), map(float, gam))), list(map(float, b))
+    xl = [0.0] * p  # x_{t-1} .. x_{t-p}
+    sl = [0.0] * q  # s_{t-1} .. s_{t-q}
+    power = math.pow
+    try:
+        for t, e in enumerate(memoryview(xi)):
+            st = omega
+            for (ai, gi), lag in zip(arch, xl):
+                st += ai * power(abs(lag) - gi * lag, delta)
+            for bj, lag in zip(b, sl):
+                st += bj * lag
+            x[t] = xt = power(st, pow_inv) * e
+            if abs(xt) > OVERFLOW_LIMIT:
+                raise NumericOverflow("aparch simulation overflow")
+            if p:
+                xl.pop()
+                xl.insert(0, xt)
+            if q:
+                sl.pop()
+                sl.insert(0, st)
+    except (ValueError, OverflowError):
+        raise NumericOverflow(
+            "aparch simulation reached a negative base or an overflowing power"
+        ) from None
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -615,10 +652,20 @@ class CondMoments:
     h_hat: np.ndarray
 
 
+def _ar_filter(poly: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``lfilter([1.0], poly, u)`` along the last axis.  A polynomial of size 1
+    is the identity filter, so ``u`` itself is returned: scipy would compute
+    the same values with one ``np.convolve`` per row."""
+    return u if poly.size == 1 else lfilter([1.0], poly, u, axis=-1)
+
+
 def _arma_residuals(spec: ModelSpec, v: np.ndarray, x: np.ndarray):
     """Truncated ARMA residuals eps and the MA polynomial they are filtered by."""
+    ar = np.concatenate(([1.0], -v[: spec.p]))
     ma = np.concatenate(([1.0], v[spec.p : spec.p + spec.q]))
-    return lfilter(np.concatenate(([1.0], -v[: spec.p])), ma, x), ma
+    if ma.size == 1:  # what lfilter computes here, without its apply_along_axis
+        return np.convolve(ar, x)[: x.size], ma
+    return lfilter(ar, ma, x), ma
 
 
 def _garch_variance(spec: ModelSpec, v: np.ndarray, x: np.ndarray):
@@ -629,7 +676,7 @@ def _garch_variance(spec: ModelSpec, v: np.ndarray, x: np.ndarray):
     for i in range(p):
         u += v[1 + i] * _lag(x, i + 1) ** 2
     b_poly = np.concatenate(([1.0], -v[1 + p :]))
-    return lfilter([1.0], b_poly, u), b_poly
+    return _ar_filter(b_poly, u), b_poly
 
 
 def _aparch_power(spec: ModelSpec, v: np.ndarray, x: np.ndarray):
@@ -641,7 +688,7 @@ def _aparch_power(spec: ModelSpec, v: np.ndarray, x: np.ndarray):
         w = (np.abs(x) - v[1 + p + i] * x) ** spec.delta
         u += v[1 + i] * _lag(w, i + 1)
     b_poly = np.concatenate(([1.0], -v[1 + 2 * p :]))
-    return lfilter([1.0], b_poly, u), b_poly
+    return _ar_filter(b_poly, u), b_poly
 
 
 def _ararch_residuals(spec: ModelSpec, v: np.ndarray, x: np.ndarray):

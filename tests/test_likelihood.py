@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.signal import lfilter
 
 import qmselect as q
 import qmselect.likelihood
+import qmselect.models
 from qmselect.likelihood import _Objective, _fd_steps
 
 
@@ -228,6 +230,39 @@ def test_ararch_score_at_zero_phi_reduces_to_arch(p):
     g = q.grad_per_t(q.garch(p, 0), alpha, x)
     full = q.grad_per_t(q.ararch(p), np.r_[0.0, alpha], x)
     assert_allclose(full[:, 1:], g, rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "spec,theta",
+    [
+        (q.arma(2, 0), [0.5, -0.3, 1.2]),
+        (q.garch(2, 0), [0.5, 0.2, 0.1]),
+        (q.aparch(1.5, 2, 0), [0.3, 0.1, 0.05, 0.3, -0.2]),
+    ],
+    ids=str,
+)
+def test_skipped_identity_filters_equal_lfilter(monkeypatch, spec, theta):
+    # with no q part the recursion's denominator is [1.0]: the package skips
+    # that filter, and must get exactly what scipy's lfilter gives
+    v = np.array(theta)
+    x = q.simulate(spec, v, 400, seed=5).values
+    got_rec = qmselect.models._recursion(spec, v, x)
+    got_scores = q.grad_per_t(spec, v, x)
+    assert got_rec[1].tolist() == [1.0]
+
+    def ar_filter(poly, u):
+        return lfilter([1.0], poly, u, axis=-1)
+
+    monkeypatch.setattr(qmselect.models, "_ar_filter", ar_filter)
+    monkeypatch.setattr(qmselect.likelihood, "_ar_filter", ar_filter)
+    if spec.family is q.Family.ARMA:
+        want_rec = (lfilter(np.r_[1.0, -v[:2]], [1.0], x), got_rec[1])
+    else:
+        want_rec = qmselect.models._recursion(spec, v, x)
+    assert np.array_equal(got_rec[0], want_rec[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        want_scores = qmselect.likelihood._score_from(spec, v, x, want_rec)
+    assert np.array_equal(got_scores, want_scores)
 
 
 def test_grad_per_t_rows_average_to_gradient():

@@ -263,8 +263,13 @@ def _reference_path(spec, v, xi):
     [
         (q.garch(1, 1), [1.0, 0.35, 0.4]),
         (q.garch(2, 1), [0.5, 0.2, 0.1, 0.4]),
+        (q.garch(0, 2), [0.8, 0.5, 0.3]),
+        (q.garch(3, 0), [0.4, 0.3, 0.2, 0.1]),
+        (q.garch(2, 2), [0.3, 0.15, 0.1, 0.4, 0.2]),
         (q.aparch(1.5, 1, 1), [0.3, 0.1, 0.3, 0.7]),
         (q.aparch(0.7, 2, 1), [0.2, 0.05, 0.1, -0.4, 0.5, 0.6]),
+        (q.aparch(2, 2, 2), [0.2, 0.1, 0.05, 0.5, -0.3, 0.4, 0.3]),
+        (q.aparch(0.5, 1, 0), [0.6, 0.4, -0.7]),
         (q.ararch(1), [-0.6, 0.8, 0.5]),
         (q.ararch(2), [0.5, 0.4, 0.2, 0.3]),
         (q.ararch(3), [0.9, 0.3, 0.3, 0.2, 0.25]),
@@ -273,8 +278,9 @@ def _reference_path(spec, v, xi):
 )
 def test_simulation_matches_reference_loop(spec, theta):
     v = np.array(theta)
-    for seed in (0, 1, 2):
-        xi = np.random.default_rng(seed).standard_normal(3000)
+    # lengths 1 and 2 end before the lag lists fill up for the larger orders
+    for seed, n in ((0, 3000), (1, 3000), (2, 3000), (3, 1), (4, 2)):
+        xi = np.random.default_rng(seed).standard_normal(n)
         got = q.simulate_from_noise(spec, v, xi).values
         assert np.array_equal(got, _reference_path(spec, v, xi))
 
@@ -287,10 +293,9 @@ def test_simulation_matches_reference_loop(spec, theta):
         [1e70, 0.1, 0.0, 0.5],  # sigma ** delta overflows on the first step
     ],
 )
-@pytest.mark.filterwarnings("ignore:.*scalar power:RuntimeWarning")
 def test_infeasible_aparch_noise_paths_overflow(theta):
-    # simulate_from_noise does not check feasibility; nan or inf paths (numpy
-    # warns on the way) must end in the package's overflow error
+    # simulate_from_noise does not check feasibility; a power that leaves the
+    # real numbers must end in the package's overflow error, with no warning
     spec = q.aparch(0.2, 1, 1) if theta[0] > 1e60 else q.aparch(1.5, 1, 1)
     xi = np.random.default_rng(4).standard_normal(50)
     with pytest.raises(q.NumericOverflow):
