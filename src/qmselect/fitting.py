@@ -2,20 +2,23 @@
 
 A fit runs from the canonical start (dynamic coefficients zero, the scale
 parameter set from the sample second moment) and, if given, from a warm
-start; nothing is random.  Each start goes through a constrained
-quasi-Newton pass (SLSQP over the box + coefficient-budget constraints) and
-a short projected-Newton polish that pushes the projected gradient below
-``GRAD_TOL`` whenever the optimum is a genuine stationary point; its Hessian
-is the central-difference one of :mod:`.likelihood`.  Both minimize one
-``likelihood._Objective`` per fit.  The starts stay in the candidate pool,
-so gamma_bar(theta_hat) <= gamma_bar(start) is structural.
+start; nothing is random.  Each start goes through SLSQP over the box and
+the coefficient budgets, each budget handed over as a linear inequality with
+a constant Jacobian.  While SLSQP's end point is not certified and the
+contrast still falls, SLSQP is restarted from there, up to ``MAX_PASSES``
+passes per start.  All passes minimize one ``likelihood._Objective`` per fit.
+The starts stay in the candidate pool, so gamma_bar(theta_hat) <=
+gamma_bar(start) is structural.
 
 :func:`fit_family` fits nested models first and warm-starts each model at
 the best nested optimum whose parameter names it shares, zero-padded by
 name.  That point is feasible and keeps the inner contrast, so along
 same-family nesting and garch inside the power-2 aparch the fitted contrast
 never rises.  Every fit is certified in one place (``_certified``):
-contrast, projected gradient norm and the ``converged`` flag.
+contrast, projected gradient norm and the ``converged`` flag.  The projected
+gradient is the step to the Euclidean projection of ``theta - gradient``, so
+it is zero exactly at a first-order (KKT) point of the constraint set,
+edges and kinks of the budgets included.
 """
 
 from __future__ import annotations
@@ -27,18 +30,16 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import OptimizerDiverged, QmselectError, TooShortSeries
-from .likelihood import _Objective, contrast, gamma_bar, gradient, _fd_hessian
+from .likelihood import _Objective, contrast, gamma_bar, gradient
 from .models import ConstraintSet, Family, ModelSpec, ParamVector, Trajectory
 from .models import _as_values, constraint_set, is_nested
 
-_ACTIVE_TOL = 1e-9
-
-#: SLSQP iteration cap per start
+#: SLSQP iteration cap per pass
 MAX_ITER = 500
 #: a fit is converged when its projected gradient sup-norm is at most this
 GRAD_TOL = 1e-6
-#: projected-Newton steps of the polish after each SLSQP pass
-POLISH_STEPS = 6
+#: SLSQP passes per start: restarts from an uncertified end point
+MAX_PASSES = 4
 
 
 @dataclass
@@ -83,56 +84,36 @@ def _start_point(spec: ModelSpec, cset: ConstraintSet, x: np.ndarray) -> np.ndar
 
 
 def projected_grad_norm(cset: ConstraintSet, v: np.ndarray, g: np.ndarray) -> float:
-    """Sup-norm of the gradient with components blocked by active constraints
-    removed; zero here means first-order stationarity on the feasible set."""
-    gp = g.astype(float).copy()
-    at_lo = v <= cset.lower + _ACTIVE_TOL
-    at_hi = v >= cset.upper - _ACTIVE_TOL
-    gp[at_lo & (gp > 0)] = 0.0
-    gp[at_hi & (gp < 0)] = 0.0
-    for grp in cset.groups:
-        if grp.value(v) < grp.bound - _ACTIVE_TOL:
-            continue
-        nu = np.zeros_like(v)
-        for i in grp.indices:
-            if abs(v[i]) > _ACTIVE_TOL:
-                nu[i] = np.sign(v[i])
-        denom = float(nu @ nu)
-        if denom > 0 and float(nu @ gp) < 0:  # descent would push the sum outward
-            gp -= (float(nu @ gp) / denom) * nu
-    return float(np.max(np.abs(gp))) if gp.size else 0.0
+    """Sup-norm of the projected-gradient step ``v - project(v - g)``; zero
+    exactly when ``v`` is a first-order (KKT) point on the feasible set."""
+    return float(np.max(np.abs(v - cset.project(v - g))))
 
 
-def _polish(objective: _Objective, cset, v):
-    """Projected-Newton refinement; returns (theta, gamma_bar at theta, n_steps)."""
-    spec, x = objective.spec, objective.x
-    steps = 0
-    fv = objective.value(v)
-    for _ in range(POLISH_STEPS):
-        g = objective.grad(v)
-        if projected_grad_norm(cset, v, g) <= GRAD_TOL:
+def _descend(objective: _Objective, cset: ConstraintSet, v, fv):
+    """SLSQP from ``v`` (contrast ``fv``), restarted from its end point while
+    that point is not certified and the contrast still falls, up to
+    ``MAX_PASSES`` passes; returns (gamma_bar, theta, iterations)."""
+    bounds, cons = cset.scipy_bounds(), cset.scipy_constraints()
+    iterations = 0
+    for _ in range(MAX_PASSES):
+        with warnings.catch_warnings():
+            # SLSQP line searches may poke just outside the box; the contrast
+            # is clamped there, so the probe values are finite and harmless
+            warnings.filterwarnings("ignore", message=".*outside bounds.*")
+            res = minimize(objective.value, v, jac=objective.grad, method="SLSQP",
+                           bounds=bounds, constraints=cons,
+                           options={"maxiter": MAX_ITER, "ftol": 1e-12})
+        iterations += int(res.nit)
+        if not np.all(np.isfinite(res.x)) or not np.isfinite(res.fun):
             break
-        hess = _fd_hessian(spec, v, x)
-        try:
-            w, q = np.linalg.eigh(hess)
-            w = np.maximum(w, max(1e-8, 1e-8 * float(np.max(np.abs(w)))))
-            step = -(q @ ((q.T @ g) / w))
-        except np.linalg.LinAlgError:
-            step = -g
-        accepted = False
-        t = 1.0
-        while t >= 1e-3:
-            cand = cset.project(v + t * step)
-            fc = objective.value(cand)
-            if fc < fv - 1e-14:
-                v, fv = cand, fc
-                accepted = True
-                break
-            t *= 0.5
-        steps += 1
-        if not accepted:
+        w = cset.project(res.x)
+        fw = objective.value(w)
+        if not fw < fv:
             break
-    return v, fv, steps
+        v, fv = w, fw
+        if projected_grad_norm(cset, v, objective.grad(v)) <= GRAD_TOL:
+            break
+    return fv, v, iterations
 
 
 def _certified(spec, cset, v, x, iterations: int) -> FitResult:
@@ -161,9 +142,11 @@ def _fit_wn(spec, cset, x) -> FitResult:
 def fit(spec: ModelSpec, x, warm=None) -> FitResult:
     """Minimize the contrast for one model spec over its constraint set.
 
-    SLSQP and the polish run from the zero-init start and from ``warm`` if
-    given (the closed-form wn fit ignores it).  The candidates are each start,
-    then where the minimizers took it; ties within 1e-10 go to the earliest.
+    SLSQP runs from the zero-init start and from ``warm`` if given (the
+    closed-form wn fit ignores it), in up to ``MAX_PASSES`` passes per start;
+    there is no other minimizer.  The candidates are each start, then where
+    its passes took it; ties within 1e-10 go to the earliest.  The result's
+    ``iterations`` sums SLSQP's iterations over the chosen start's passes.
 
     Raises
     ------
@@ -191,23 +174,12 @@ def fit(spec: ModelSpec, x, warm=None) -> FitResult:
     if warm is not None and not np.array_equal(warm, base):
         starts.append(warm)
 
-    bounds = cset.scipy_bounds()
-    cons = cset.scipy_constraints()
     objective = _Objective(spec, x)
     candidates = []  # (value, theta, iterations) in preference order
     for start in starts:
-        candidates.append((gamma_bar(spec, start, x), start, 0))
-        with warnings.catch_warnings():
-            # SLSQP line searches may poke just outside the box; the contrast
-            # is clamped there, so the probe values are finite and harmless
-            warnings.filterwarnings("ignore", message=".*outside bounds.*")
-            res = minimize(objective.value, start, jac=objective.grad, method="SLSQP",
-                           bounds=bounds, constraints=cons,
-                           options={"maxiter": MAX_ITER, "ftol": 1e-12})
-        if not np.all(np.isfinite(res.x)) or not np.isfinite(res.fun):
-            continue
-        v, fv, extra = _polish(objective, cset, cset.project(res.x))
-        candidates.append((fv, v, int(res.nit) + extra))
+        fv = gamma_bar(spec, start, x)
+        candidates.append((fv, start, 0))
+        candidates.append(_descend(objective, cset, start, fv))
 
     finite = [c for c in candidates if np.isfinite(c[0])]
     if not finite:

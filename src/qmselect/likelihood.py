@@ -15,12 +15,13 @@ recursions are linear filters, so their derivatives go through ``lfilter``
 with the same polynomial, and the ararch variance is closed form.  Where the
 ``H_FLOOR`` clamp is active the variance no longer depends on the parameters,
 so its share of the score is zero there.  Central differences remain only in
-``_fd_hessian``, the symmetrized Hessian of the gradient, and in the tests.
+:func:`derivatives`, the symmetrized Hessian of the gradient that serves the
+information matrices, and in the tests.
 
 Each family's recursion is one pass over the sample (``models._recursion``);
 the conditional moments and the scores are both read from it, each by one
 formula (``models._moments_from``, :func:`_score_from`).  ``_Objective`` is
-the contrast and gradient the fitting minimizers share: it keeps the
+the contrast and gradient that SLSQP's passes in a fit share: it keeps the
 recursion and value of the last point it valued and reuses them when that
 point is asked for again, so a step builds one recursion where
 :func:`gamma_bar` then :func:`gradient` would build two.  Its values are
@@ -241,12 +242,13 @@ def gradient(spec: ModelSpec, theta, x) -> np.ndarray:
 class _Objective:
     """gamma_bar and its gradient for the minimizers, one recursion per point.
 
-    SLSQP asks for the gradient at the point it has just valued, and the
-    polish starts where SLSQP stopped.  ``value`` keeps the recursion it
-    built and the value, together with a copy of the point; asked again at
-    that point, ``value`` returns the kept value and ``grad`` reads the score
-    from the kept recursion.  At any other point ``grad`` builds its own.
-    Both return exactly what :func:`gamma_bar` and :func:`gradient` return.
+    SLSQP asks for the gradient at the point it has just valued, and a
+    restarted pass starts at the point the objective already holds.  ``value``
+    keeps the recursion it built and the value, together with a copy of the
+    point; asked again at that point, ``value`` returns the kept value and
+    ``grad`` reads the score from the kept recursion.  At any other point
+    ``grad`` builds its own.  Both return exactly what :func:`gamma_bar` and
+    :func:`gradient` return.
     """
 
     def __init__(self, spec: ModelSpec, x: np.ndarray):
@@ -272,7 +274,9 @@ class _Objective:
 
 
 def derivatives(spec: ModelSpec, theta, x, *, check_boundary: bool = True) -> DerivEval:
-    """Symmetrized Hessian of gamma_bar at ``theta``.
+    """Symmetrized Hessian of gamma_bar at ``theta``: central differences of
+    the analytic gradient with steps ``FD_STEP * max(1, |theta_k|)``, the one
+    Hessian stencil of the package.
 
     Raises
     ------
@@ -282,22 +286,15 @@ def derivatives(spec: ModelSpec, theta, x, *, check_boundary: bool = True) -> De
     """
     v = _as_values(spec, theta)
     x = np.asarray(x, dtype=float)
-    if check_boundary and not constraint_set(spec).stencil_inside(v, 2.0 * _fd_steps(v)):
+    h = _fd_steps(v)
+    if check_boundary and not constraint_set(spec).stencil_inside(v, 2.0 * h):
         raise BoundaryTooClose(
             f"{spec.name}: parameters within 2 finite-difference steps of the boundary"
         )
-    return DerivEval(_fd_hessian(spec, v, x))
-
-
-def _fd_hessian(spec: ModelSpec, v: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Symmetrized central differences of the gradient with steps
-    :func:`_fd_steps`; the one Hessian stencil of the package."""
-    h = _fd_steps(v)
-    d = v.size
-    hess = np.empty((d, d))
-    for k in range(d):
+    hess = np.empty((v.size, v.size))
+    for k in range(v.size):
         vp, vm = v.copy(), v.copy()
         vp[k] += h[k]
         vm[k] -= h[k]
         hess[k, :] = (gradient(spec, vp, x) - gradient(spec, vm, x)) / (2.0 * h[k])
-    return 0.5 * (hess + hess.T)
+    return DerivEval(0.5 * (hess + hess.T))

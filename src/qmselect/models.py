@@ -27,6 +27,7 @@ ararch) is one loop on Python floats that keeps only the last p and q lags.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -319,14 +320,33 @@ class ConstraintSet:
             return False
         return all(g.value(v) <= g.bound + tol for g in self.groups)
 
+    def _signed(self, g: GroupBound) -> bool:
+        return bool(self.lower[g.indices[0]] < 0.0)
+
     def project(self, values) -> np.ndarray:
-        """Map an arbitrary vector to a feasible one (clip, then shrink groups)."""
-        v = np.clip(np.asarray(values, dtype=float), self.lower, self.upper)
+        """The Euclidean projection onto the set.
+
+        Coordinates outside every budget are clipped to their box.  Inside a
+        budget the box is implied, because ``constraint_set`` gives every
+        budgeted coordinate a box at least as wide as the budget: a group is
+        projected onto the l1-ball (signed) or the capped simplex
+        (non-negative) by the sort-based rule of Duchi, Shalev-Shwartz,
+        Singer & Chandra (2008), "Efficient projections onto the l1-ball for
+        learning in high dimensions".
+        """
+        y = np.asarray(values, dtype=float)
+        v = np.clip(y, self.lower, self.upper)
         for g in self.groups:
-            s = g.value(v)
-            if s > g.bound:
-                idx = list(g.indices)
-                v[idx] *= g.bound / s
+            idx = list(g.indices)
+            signed = self._signed(g)
+            a = np.abs(y[idx]) if signed else np.maximum(y[idx], 0.0)
+            if a.sum() > g.bound:
+                # shift by the threshold that leaves exactly the budget
+                u = np.sort(a)[::-1]
+                excess = np.cumsum(u) - g.bound
+                rho = np.nonzero(u * np.arange(1, u.size + 1) > excess)[0][-1]
+                a = np.maximum(a - excess[rho] / (rho + 1), 0.0)
+            v[idx] = np.copysign(a, y[idx]) if signed else a
         return v
 
     def stencil_inside(self, values, steps) -> bool:
@@ -346,19 +366,20 @@ class ConstraintSet:
         return [(float(lo), float(hi)) for lo, hi in zip(self.lower, self.upper)]
 
     def scipy_constraints(self) -> list[dict]:
+        """Each budget as one linear inequality ``bound - A v >= 0`` with a
+        constant Jacobian: A is a row of ones for a non-negative group and
+        the 2^k sign rows of a signed group, whose maximum is sum |v_i|."""
         cons = []
         for g in self.groups:
-            idx = np.array(g.indices)
-
-            def fun(v, idx=idx, bound=g.bound):
-                return bound - np.sum(np.abs(v[idx]))
-
-            def jac(v, idx=idx):
-                out = np.zeros_like(v)
-                out[idx] = -np.sign(v[idx])
-                return out
-
-            cons.append({"type": "ineq", "fun": fun, "jac": jac})
+            k = len(g.indices)
+            if self._signed(g):
+                signs = list(itertools.product((1.0, -1.0), repeat=k))
+            else:
+                signs = [(1.0,) * k]
+            a = np.zeros((len(signs), self.dim))
+            a[:, list(g.indices)] = signs
+            cons.append({"type": "ineq", "fun": lambda v, a=a, b=g.bound: b - a @ v,
+                         "jac": lambda v, a=a: -a})
         return cons
 
 

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -11,6 +15,8 @@ from qmselect.models import constraint_set, is_nested
 from qmselect.montecarlo import derive_seed
 
 from conftest import DGP1, DGP2, DGP3
+
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 
 def test_wn_fit_is_closed_form():
@@ -68,6 +74,22 @@ def test_converged_implies_small_projected_gradient(dgp2_series_2000, dgp3_serie
         assert pg == pytest.approx(res.grad_norm, rel=1e-9, abs=1e-12)
 
 
+def test_certificate_is_zero_at_a_budget_kink():
+    # a1 sits on the budget and a2 = 0: the normal cone of sum |a_i| <= 0.98
+    # there contains (1, s) for every s in [-1, 1], so -g = (1, 0.5) is blocked
+    cs = constraint_set(q.arma(2, 0))
+    v, g = np.array([0.98, 0.0, 1.0]), np.array([-1.0, -0.5, 0.0])
+    assert projected_grad_norm(cs, v, g) <= 1e-15
+
+
+def test_certificate_sees_a_bound_reached_to_rounding():
+    # b1 = 1.5e-9 is 1.5e-9 from its lower bound, so a gradient pushing it
+    # down can move it no further than that
+    cs = constraint_set(q.garch(1, 1))
+    v, g = np.array([1.0, 0.3, 1.5e-9]), np.array([0.0, 0.0, 3.9e-4])
+    assert projected_grad_norm(cs, v, g) <= qmselect.fitting.GRAD_TOL
+
+
 def test_ar1_estimates_concentrate():
     hits = 0
     for seed in range(20):
@@ -118,8 +140,10 @@ RECURSION_CASES = [
 @pytest.mark.parametrize("spec,theta", RECURSION_CASES, ids=[str(s) for s, _ in RECURSION_CASES])
 def test_slsqp_builds_one_recursion_per_function_evaluation(monkeypatch, spec, theta):
     # every gradient SLSQP asks for is at the point it has just valued, so
-    # the score must come from that evaluation's recursion, not a new one
+    # the score must come from that evaluation's recursion, not a new one; a
+    # restarted pass begins at the point the objective already holds
     x = q.simulate(spec, theta, 600, seed=31).values
+    cset = constraint_set(spec)
     calls = {"inside": False, "builds": 0}
     for name in BUILDERS:
         for module in (qmselect.models, qmselect.likelihood):
@@ -134,23 +158,31 @@ def test_slsqp_builds_one_recursion_per_function_evaluation(monkeypatch, spec, t
     seen = []
     real_minimize = qmselect.fitting.minimize
 
-    def minimize(*args, **kwargs):
+    def minimize(fun, x0, *args, **kwargs):
         calls["inside"], calls["builds"] = True, 0
         try:
-            res = real_minimize(*args, **kwargs)
+            res = real_minimize(fun, x0, *args, **kwargs)
         finally:
             calls["inside"] = False
-        seen.append((calls["builds"], res.nfev, res.njev))
+        seen.append((x0.copy(), res.x.copy(), calls["builds"], res.nfev, res.njev))
         return res
 
     monkeypatch.setattr(qmselect.fitting, "minimize", minimize)
-    q.fit(spec, x)
-    assert len(seen) == 1  # the zero-init start alone
-    q.fit(spec, x, theta)
-    assert len(seen) == 3  # one more pass from each of zero-init and warm
-    for builds, nfev, njev in seen:
-        assert njev >= 1
-        assert builds == nfev, (builds, nfev, njev)
+    base = _start_point(spec, cset, x)
+    for warm, starts in ((None, [base]), (theta, [base, np.asarray(theta)])):
+        seen.clear()
+        q.fit(spec, x, warm)
+        passes = []  # passes per start
+        for i, (x0, _, builds, nfev, njev) in enumerate(seen):
+            assert njev >= 1
+            restart = i > 0 and np.array_equal(x0, cset.project(seen[i - 1][1]))
+            if not restart:
+                assert np.array_equal(x0, starts[len(passes)])
+                passes.append(0)
+            passes[-1] += 1
+            assert builds == nfev - restart, (restart, builds, nfev, njev)
+        assert len(passes) == len(starts)
+        assert all(1 <= k <= qmselect.fitting.MAX_PASSES for k in passes)
 
 
 @pytest.fixture(scope="module")
@@ -185,21 +217,44 @@ def test_fit_family_results_do_not_depend_on_the_callers_order(garch_grid):
         assert a.gamma_bar_min == b.gamma_bar_min
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 4(b): SLSQP and the polish stop garch(0,1) at an "
-    "interior point that is not stationary",
-)
+GARCH01_SEED = derive_seed(7_000_003, 2000, 1)  # garch_desk_eff at seed 7, driver call 3, rep 1
+
+
 def test_garch01_fit_does_not_stall_in_the_interior():
     # garch(0,1) has no name-compatible nested model, so no warm start helps:
-    # the fit stops non-converged near (0.891, 0.796), projected gradient
-    # 0.037 and n * gamma_bar 4953.71, where the grid point (0.571, 0.870)
-    # already gives 4953.22 (garch_desk_eff at seed 7, driver call 3, rep 1)
+    # a single SLSQP pass stopped non-converged near (0.891, 0.796), projected
+    # gradient 0.037 and n * gamma_bar 4953.71, where the grid point
+    # (0.571, 0.870) already gives 4953.22
     spec, theta = DGP3
-    x = q.simulate(spec, theta, 2000, seed=derive_seed(7_000_003, 2000, 1)).values
+    x = q.simulate(spec, theta, 2000, seed=GARCH01_SEED).values
     res = q.fit(q.garch(0, 1), x)
     assert res.converged
     assert x.size * res.gamma_bar_min <= 4953.3
+
+
+GARCH01_CHILD = """
+import qmselect as q
+x = q.simulate(q.{spec}, {theta}, 2000, seed={seed}).values
+res = q.fit(q.garch(0, 1), x)
+print(int(res.converged), repr(x.size * res.gamma_bar_min))
+"""
+
+
+def test_garch01_fit_does_not_depend_on_the_blas_thread_count():
+    # SLSQP's least-squares subproblem goes through BLAS, whose thread count
+    # can move the points SLSQP visits; the certified optimum must not move
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    child = GARCH01_CHILD.format(spec=DGP3[0].name, theta=DGP3[1], seed=GARCH01_SEED)
+    out = []
+    for threads in ("1", "2"):
+        env["OPENBLAS_NUM_THREADS"] = threads
+        run = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        converged, value = run.stdout.split()
+        assert converged == "1", threads
+        out.append(float(value))
+    assert abs(out[0] - out[1]) <= 1e-6, out
 
 
 def test_warm_start_pads_by_parameter_name(dgp2_series_2000, dgp3_series_2000):

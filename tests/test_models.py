@@ -136,9 +136,87 @@ def test_project_restores_feasibility():
     cs = q.constraint_set(q.garch(1, 1))
     v = cs.project(np.array([-5.0, 0.7, 0.6]))
     assert cs.contains(v)
-    # box clip happens before the budget shrink
     assert v[0] >= 1e-6
     assert v[1] + v[2] <= 0.98 + 1e-12
+
+
+PROJECTION_SPECS = [q.wn(), q.arma(2, 3), q.garch(2, 1), q.aparch(1.5, 2, 1), q.ararch(2)]
+
+
+def _budget_vertices(cs, w):
+    """``w`` with one budget's coordinates moved to each vertex of the budget,
+    and with every coordinate outside the budgets at its lower or upper bound."""
+    free = np.setdiff1d(np.arange(cs.dim), [i for g in cs.groups for i in g.indices])
+    out = []
+    for bound in (cs.lower, cs.upper):
+        v = w.copy()
+        v[free] = bound[free]
+        out.append(v)
+    for g in cs.groups:
+        idx = list(g.indices)
+        for i in idx:
+            for sign in (1.0, -1.0) if cs.lower[i] < 0 else (1.0,):
+                v = w.copy()
+                v[idx] = 0.0
+                v[i] = sign * g.bound
+                out.append(v)
+    return out
+
+
+@pytest.mark.parametrize("spec", PROJECTION_SPECS, ids=str)
+def test_project_is_the_euclidean_projection(spec):
+    # P u is the nearest feasible point iff (u - Pu).(w - Pu) <= 0 for every
+    # feasible w; the budget's vertices are where a wrong shrink shows first
+    cs = q.constraint_set(spec)
+    rng = np.random.default_rng(11)
+    feasible = [cs.project(rng.uniform(-1.5, 1.5, cs.dim)) for _ in range(10)]
+    feasible += [v for w in feasible[:3] for v in _budget_vertices(cs, w)]
+    assert all(cs.contains(w) for w in feasible)
+    for scale in (0.5, 1.5, 4.0):
+        for _ in range(50):
+            u = rng.uniform(-scale, scale, cs.dim)
+            pu = cs.project(u)
+            assert cs.contains(pu, tol=1e-12)
+            assert np.max(np.abs(cs.project(pu) - pu)) <= 1e-15
+            for w in feasible:
+                assert (u - pu) @ (w - pu) <= 1e-12, (u, pu, w)
+
+
+def test_budget_jacobian_is_constant_and_charges_zero_coefficients():
+    cs = q.constraint_set(q.garch(1, 1))
+    (con,) = cs.scipy_constraints()
+    v = np.array([1.0, 0.0, 0.5])
+    assert_allclose(np.atleast_2d(con["jac"](v)), [[0.0, -1.0, -1.0]])
+    assert np.min(con["fun"](v)) == pytest.approx(0.48)
+    # a signed budget's sign rows have sum |v_i| as their maximum
+    cs = q.constraint_set(q.arma(3, 1))
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        v = rng.uniform(-0.5, 0.5, cs.dim)
+        for con, g in zip(cs.scipy_constraints(), cs.groups):
+            assert np.min(con["fun"](v)) == pytest.approx(g.bound - g.value(v), abs=1e-15)
+            assert_allclose(con["jac"](v), con["jac"](np.zeros(cs.dim)))
+
+
+def test_every_budget_implies_its_coordinates_box():
+    # ``ConstraintSet.project`` treats the box of a budgeted coordinate as
+    # implied by the budget: disjoint groups, each all signed or all
+    # non-negative, whose coordinates' boxes hold the budget's whole range
+    specs = [q.wn()]
+    for p in range(4):
+        specs.append(q.ararch(p))
+        for r in range(4):
+            specs += [q.arma(p, r), q.garch(p, r), q.aparch(0.5, p, r), q.aparch(2.0, p, r)]
+    for spec in specs:
+        cs = q.constraint_set(spec)
+        seen = set()
+        for g in cs.groups:
+            idx = list(g.indices)
+            assert idx and not seen & set(idx), spec
+            seen |= set(idx)
+            lower = cs.lower[idx]
+            assert np.all(lower == 0.0) or np.all(lower <= -g.bound), spec
+            assert np.all(cs.upper[idx] >= g.bound), spec
 
 
 def test_stencil_inside():
