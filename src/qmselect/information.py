@@ -37,9 +37,9 @@ class InfoMatrices:
     trace_pen: float
 
 
-def _logdet_spd(mat: np.ndarray) -> float:
-    c, low = cho_factor(mat, lower=True)
-    return float(2.0 * np.sum(np.log(np.diag(c))))
+def _logdet_spd(chol) -> float:
+    """log det of a symmetric positive definite matrix from its ``cho_factor``."""
+    return float(2.0 * np.sum(np.log(np.diag(chol[0]))))
 
 
 def _screen_neg_f(neg_f: np.ndarray) -> None:
@@ -50,10 +50,9 @@ def _screen_neg_f(neg_f: np.ndarray) -> None:
         )
 
 
-def _trace_pen_from(f_hat: np.ndarray, g_hat: np.ndarray, n: int) -> float:
-    neg_f = -f_hat
-    c = cho_factor(neg_f, lower=True)
-    return float((2.0 / n) * np.trace(cho_solve(c, g_hat)))
+def _trace_pen_from(chol, g_hat: np.ndarray, n: int) -> float:
+    """-(2/n) Tr(f_hat^-1 g_hat) from the ``cho_factor`` of -f_hat."""
+    return float((2.0 / n) * np.trace(cho_solve(chol, g_hat)))
 
 
 def info_matrices(fit_result, x) -> InfoMatrices:
@@ -79,11 +78,12 @@ def info_matrices(fit_result, x) -> InfoMatrices:
     g_hat = scores.T @ scores / (4.0 * n)
     neg_f = -f_hat
     _screen_neg_f(neg_f)
+    chol = cho_factor(neg_f, lower=True)
     return InfoMatrices(
         f_hat=f_hat,
         g_hat=g_hat,
-        logdet_negF=_logdet_spd(neg_f),
-        trace_pen=_trace_pen_from(f_hat, g_hat, n),
+        logdet_negF=_logdet_spd(chol),
+        trace_pen=_trace_pen_from(chol, g_hat, n),
     )
 
 

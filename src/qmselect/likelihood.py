@@ -19,13 +19,16 @@ so its share of the score is zero there.  Central differences remain only in
 information matrices, and in the tests.
 
 Each family's recursion is one pass over the sample (``models._recursion``);
-the conditional moments and the scores are both read from it, each by one
-formula (``models._moments_from``, :func:`_score_from`).  ``_Objective`` is
-the contrast and gradient that SLSQP's passes in a fit share: it keeps the
-recursion and value of the last point it valued and reuses them when that
-point is asked for again, so a step builds one recursion where
-:func:`gamma_bar` then :func:`gradient` would build two.  Its values are
-exactly theirs.
+the conditional moments, the per-observation scores and the gradient are all
+read from it, each by one formula (``models._moments_from``,
+:func:`_score_from`, :func:`_gradient_from`).  The score rows serve the
+information matrices.  The gradient needs only their mean, so it runs the
+family's filter once backwards over the sample instead of once per
+parameter (reverse-mode differentiation).  ``_Objective`` is the contrast
+and gradient that SLSQP's passes in a fit share: it keeps the recursion and
+value of the last point it valued and reuses them when that point is asked
+for again, so a step builds one recursion where :func:`gamma_bar` then
+:func:`gradient` would build two.  Its values are exactly theirs.
 """
 
 from __future__ import annotations
@@ -115,7 +118,8 @@ def grad_per_t(spec: ModelSpec, theta, x) -> np.ndarray:
     """(n, dim) matrix of per-observation contrast gradients.
 
     Analytic for every family (see the module docstring).  Row means equal
-    the gradient of gamma_bar.
+    the gradient of gamma_bar, which :func:`gradient` computes without the
+    rows.
     """
     v = _as_values(spec, theta)
     x = np.asarray(x, dtype=float)
@@ -139,6 +143,39 @@ def _score_from(spec: ModelSpec, v: np.ndarray, x: np.ndarray, rec) -> np.ndarra
     return _grad_ararch(spec, v, x, rec)
 
 
+def _variance_ratio(h_lin: np.ndarray, resid2: np.ndarray) -> np.ndarray:
+    """d gamma_t / d h_t = (h_t - resid_t^2) / h_t^2 at the clamped variance,
+    and 0 where the ``H_FLOOR`` clamp holds h_t fixed."""
+    h = np.maximum(h_lin, H_FLOOR)
+    ratio = (h - resid2) / h**2
+    clamped = h_lin < H_FLOOR
+    if clamped.any():
+        ratio = np.where(clamped, 0.0, ratio)  # derivative dies on the floor
+    return ratio
+
+
+def _aparch_ratio(d: float, x: np.ndarray, s_lin: np.ndarray) -> np.ndarray:
+    """d gamma_t / d s_t for the aparch power s_t = sigma_t ** delta, and 0
+    where a clamp holds h_t fixed."""
+    s = np.maximum(s_lin, H_FLOOR)
+    h = s ** (2.0 / d)
+    clamped = (s_lin < H_FLOOR) | (h < H_FLOOR)
+    # (h_t - x_t^2) / h_t^2 * dh_t/ds_t, with dh_t/ds_t = (2 / delta) * h_t / s_t
+    ratio = (2.0 / d) * (h - x**2) / (h * s)
+    if clamped.any():
+        ratio = np.where(clamped, 0.0, ratio)  # derivative dies on the floor
+    return ratio
+
+
+def _aparch_arch_terms(d: float, x: np.ndarray, gamma: float):
+    """The unlagged ARCH term (|x_t| - gamma x_t)^delta and its derivative in
+    gamma."""
+    base = np.abs(x) - gamma * x
+    # at x_t = 0 the power term is 0 for every gamma: its slope is 0, not inf * 0
+    slope = np.power(base, d - 1.0, out=np.zeros(x.size), where=x != 0.0)
+    return base**d, -d * x * slope
+
+
 def _grad_arma(spec, v, x, rec):
     p, q = spec.p, spec.q
     n = x.size
@@ -151,24 +188,18 @@ def _grad_arma(spec, v, x, rec):
         inputs[i] = -_lag(x, i + 1)
     for j in range(q):
         inputs[p + j] = -_lag(eps, j + 1)
-    cols = np.empty((n, spec.dim))
-    # a C-ordered copy, not the transposed view: mean(axis=0) over the view
-    # differs in the last bits from the per-column result
-    cols[:, : p + q] = ((2.0 / sigma**2 * eps) * _ar_filter(ma, inputs)).T
-    cols[:, p + q] = -2.0 * eps**2 / sigma**3 + 2.0 / sigma
-    return cols
+    rows = np.empty((spec.dim, n))
+    rows[: p + q] = (2.0 / sigma**2 * eps) * _ar_filter(ma, inputs)
+    rows[p + q] = -2.0 * eps**2 / sigma**3 + 2.0 / sigma
+    return rows.T
 
 
 def _grad_garch(spec, v, x, rec):
     p, q = spec.p, spec.q
     n = x.size
     h_lin, braw = rec
-    clamped = h_lin < H_FLOOR
-    h = np.maximum(h_lin, H_FLOOR)
-    # d gamma_t / d theta_k = (h_t - x_t^2) / h_t^2 * d h_t / d theta_k
-    ratio = (h - x**2) / h**2
-    if clamped.any():
-        ratio = np.where(clamped, 0.0, ratio)  # derivative dies on the floor
+    # d gamma_t / d theta_k = ratio_t * d h_t / d theta_k
+    ratio = _variance_ratio(h_lin, x**2)
     # d h / d theta_k is the b-filter of the derivative of the filter input
     inputs = np.empty((spec.dim, n))
     inputs[0] = 1.0
@@ -176,11 +207,7 @@ def _grad_garch(spec, v, x, rec):
         inputs[1 + i] = _lag(x, i + 1) ** 2
     for j in range(q):
         inputs[1 + p + j] = _lag(h_lin, j + 1)
-    cols = np.empty((n, spec.dim))
-    # a C-ordered copy, not the transposed view: mean(axis=0) over the view
-    # differs in the last bits from the per-column result
-    cols[:] = (ratio * _ar_filter(braw, inputs)).T
-    return cols
+    return (ratio * _ar_filter(braw, inputs)).T
 
 
 def _grad_aparch(spec, v, x, rec):
@@ -188,23 +215,14 @@ def _grad_aparch(spec, v, x, rec):
     n = x.size
     d = spec.delta
     s_lin, braw = rec
-    s = np.maximum(s_lin, H_FLOOR)
-    h = s ** (2.0 / d)
-    clamped = (s_lin < H_FLOOR) | (h < H_FLOOR)
-    # d gamma_t / d theta_k = (h_t - x_t^2) / h_t^2 * dh_t/ds_t * d s_t / d theta_k,
-    # with dh_t/ds_t = (2 / delta) * h_t / s_t
-    ratio = (2.0 / d) * (h - x**2) / (h * s)
-    if clamped.any():
-        ratio = np.where(clamped, 0.0, ratio)  # derivative dies on the floor
+    ratio = _aparch_ratio(d, x, s_lin)
     # d s / d theta_k is the b-filter of the derivative of the filter input
     inputs = np.empty((spec.dim, n))
     inputs[0] = 1.0
     for i in range(p):
-        base = np.abs(x) - v[1 + p + i] * x
-        inputs[1 + i] = _lag(base**d, i + 1)
-        # at x_t = 0 the power term is 0 for every gamma: its slope is 0, not inf * 0
-        slope = np.power(base, d - 1.0, out=np.zeros(n), where=x != 0.0)
-        inputs[1 + p + i] = v[1 + i] * _lag(-d * x * slope, i + 1)
+        power, dpower = _aparch_arch_terms(d, x, v[1 + p + i])
+        inputs[1 + i] = _lag(power, i + 1)
+        inputs[1 + p + i] = v[1 + i] * _lag(dpower, i + 1)
     for j in range(q):
         inputs[1 + 2 * p + j] = _lag(s_lin, j + 1)
     return (ratio * _ar_filter(braw, inputs)).T
@@ -212,11 +230,8 @@ def _grad_aparch(spec, v, x, rec):
 
 def _grad_ararch(spec, v, x, rec):
     z, h_lin = rec
-    clamped = h_lin < H_FLOOR
     h = np.maximum(h_lin, H_FLOOR)
-    ratio = (h - z**2) / h**2
-    if clamped.any():
-        ratio = np.where(clamped, 0.0, ratio)  # variance part dies on the floor
+    ratio = _variance_ratio(h_lin, z**2)
     x1 = _lag(x, 1)
     cols = np.empty((x.size, spec.dim))
     # phi moves the mean directly and the variance through every lagged z^2
@@ -235,8 +250,91 @@ def _fd_steps(v: np.ndarray) -> np.ndarray:
 
 
 def gradient(spec: ModelSpec, theta, x) -> np.ndarray:
-    """Gradient of gamma_bar (mean of the per-observation gradients)."""
-    return grad_per_t(spec, theta, x).mean(axis=0)
+    """Gradient of gamma_bar: the mean of the per-observation gradients,
+    computed without them (see :func:`_gradient_from`)."""
+    v = _as_values(spec, theta)
+    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _gradient_from(spec, v, x, _recursion(spec, v, x))
+
+
+def _gradient_from(spec: ModelSpec, v: np.ndarray, x: np.ndarray, rec) -> np.ndarray:
+    """Mean score from the recursion ``models._recursion`` built at ``v``;
+    callers hold the floating-point error state.
+
+    The arma, garch and aparch scores are ``w_t (L u_k)_t`` with ``L`` the
+    family's filter, so their mean is ``<r, u_k> / n`` with ``r = L^T w`` the
+    filter run backwards over ``w``: one 1-D pass, where the score rows need
+    one pass per parameter.  The inputs ``u_k`` are lags, so each inner
+    product is taken on slices, ``r[k:] @ u[:n - k]``.
+    """
+    fam = spec.family
+    if fam is Family.ARMA:
+        return _mean_grad_arma(spec, v, x, rec)
+    if fam is Family.GARCH:
+        return _mean_grad_garch(spec, v, x, rec)
+    if fam is Family.APARCH:
+        return _mean_grad_aparch(spec, v, x, rec)
+    return _score_from(spec, v, x, rec).mean(axis=0)  # wn, ararch: no filter
+
+
+def _adjoint(poly: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``L^T w`` for ``L = _ar_filter(poly, .)``: a causal filter is lower
+    triangular Toeplitz, so its transpose is the filter on the reversed series.
+    Returned contiguous: BLAS takes the inner products only over positive
+    strides, and the identity filter's result already is."""
+    return np.ascontiguousarray(_ar_filter(poly, w[::-1])[::-1])
+
+
+def _lagged_dot(r: np.ndarray, u: np.ndarray, k: int) -> float:
+    """``r @ _lag(u, k)`` without the lagged copy."""
+    return r[k:] @ u[: u.size - k]
+
+
+def _mean_grad_arma(spec, v, x, rec):
+    p, q = spec.p, spec.q
+    n = x.size
+    sigma = v[p + q]
+    eps, ma = rec
+    r = _adjoint(ma, (2.0 / sigma**2) * eps)
+    g = np.empty(spec.dim)
+    for i in range(p):
+        g[i] = -_lagged_dot(r, x, i + 1) / n
+    for j in range(q):
+        g[p + j] = -_lagged_dot(r, eps, j + 1) / n
+    g[p + q] = -2.0 * (eps @ eps) / n / sigma**3 + 2.0 / sigma
+    return g
+
+
+def _mean_grad_garch(spec, v, x, rec):
+    p, q = spec.p, spec.q
+    n = x.size
+    h_lin, braw = rec
+    x2 = x**2
+    r = _adjoint(braw, _variance_ratio(h_lin, x2))
+    g = np.empty(spec.dim)
+    g[0] = r.sum() / n
+    for i in range(p):
+        g[1 + i] = _lagged_dot(r, x2, i + 1) / n
+    for j in range(q):
+        g[1 + p + j] = _lagged_dot(r, h_lin, j + 1) / n
+    return g
+
+
+def _mean_grad_aparch(spec, v, x, rec):
+    p, q = spec.p, spec.q
+    n = x.size
+    s_lin, braw = rec
+    r = _adjoint(braw, _aparch_ratio(spec.delta, x, s_lin))
+    g = np.empty(spec.dim)
+    g[0] = r.sum() / n
+    for i in range(p):
+        power, dpower = _aparch_arch_terms(spec.delta, x, v[1 + p + i])
+        g[1 + i] = _lagged_dot(r, power, i + 1) / n
+        g[1 + p + i] = v[1 + i] * _lagged_dot(r, dpower, i + 1) / n
+    for j in range(q):
+        g[1 + 2 * p + j] = _lagged_dot(r, s_lin, j + 1) / n
+    return g
 
 
 class _Objective:
@@ -246,7 +344,7 @@ class _Objective:
     restarted pass starts at the point the objective already holds.  ``value``
     keeps the recursion it built and the value, together with a copy of the
     point; asked again at that point, ``value`` returns the kept value and
-    ``grad`` reads the score from the kept recursion.  At any other point
+    ``grad`` reads the gradient from the kept recursion.  At any other point
     ``grad`` builds its own.  Both return exactly what :func:`gamma_bar` and
     :func:`gradient` return.
     """
@@ -270,7 +368,7 @@ class _Objective:
     def grad(self, v: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             rec = self._rec if self._holds(v) else _recursion(self.spec, v, self.x)
-            return _score_from(self.spec, v, self.x, rec).mean(axis=0)
+            return _gradient_from(self.spec, v, self.x, rec)
 
 
 def derivatives(spec: ModelSpec, theta, x, *, check_boundary: bool = True) -> DerivEval:

@@ -185,6 +185,19 @@ def test_slsqp_builds_one_recursion_per_function_evaluation(monkeypatch, spec, t
         assert all(1 <= k <= qmselect.fitting.MAX_PASSES for k in passes)
 
 
+@pytest.mark.parametrize("spec,theta", RECURSION_CASES[:3], ids=[str(s) for s, _ in RECURSION_CASES[:3]])
+def test_fit_never_builds_the_score_rows(monkeypatch, spec, theta):
+    # the optimizer and the certificate only need the mean score, which the
+    # backward filter pass gives without the (n, dim) rows
+    x = q.simulate(spec, theta, 600, seed=32).values
+
+    def no_rows(*args):
+        raise AssertionError("score rows built during a fit")
+
+    monkeypatch.setattr(qmselect.likelihood, "_score_from", no_rows)
+    assert q.fit(spec, x).converged
+
+
 @pytest.fixture(scope="module")
 def garch_grid():
     spec, theta = DGP3

@@ -52,11 +52,11 @@ def test_closed_form_trace_validates_inputs():
 
 def test_trace_pen_scalar_case():
     # f = -2, g = 2: -(2/n) tr(f^-1 g) = 2/n
-    assert _trace_pen_from(np.array([[-2.0]]), np.array([[2.0]]), 50) == pytest.approx(2.0 / 50)
+    assert _trace_pen_from(cho_factor(np.array([[2.0]])), np.array([[2.0]]), 50) == pytest.approx(2.0 / 50)
 
 
 def test_trace_pen_identity_case():
-    assert _trace_pen_from(-np.eye(3), np.eye(3), 10) == pytest.approx(0.6)
+    assert _trace_pen_from(cho_factor(np.eye(3)), np.eye(3), 10) == pytest.approx(0.6)
 
 
 def test_trace_pen_matches_explicit_inverse():
@@ -66,16 +66,18 @@ def test_trace_pen_matches_explicit_inverse():
     b = rng.standard_normal((3, 3))
     g = b @ b.T
     direct = (2.0 / 100) * np.trace(np.linalg.inv(neg_f) @ g)
-    assert _trace_pen_from(-neg_f, g, 100) == pytest.approx(direct, abs=1e-10)
+    assert _trace_pen_from(cho_factor(neg_f), g, 100) == pytest.approx(direct, abs=1e-10)
 
 
 def test_logdet_matches_slogdet_and_permutation_invariant():
     rng = np.random.default_rng(13)
     a = rng.standard_normal((4, 4))
     m = a @ a.T + 2.0 * np.eye(4)
-    assert _logdet_spd(m) == pytest.approx(np.linalg.slogdet(m)[1], abs=1e-10)
+    assert _logdet_spd(cho_factor(m)) == pytest.approx(np.linalg.slogdet(m)[1], abs=1e-10)
     perm = np.array([2, 0, 3, 1])
-    assert _logdet_spd(m[np.ix_(perm, perm)]) == pytest.approx(_logdet_spd(m), abs=1e-10)
+    assert _logdet_spd(cho_factor(m[np.ix_(perm, perm)])) == pytest.approx(
+        _logdet_spd(cho_factor(m)), abs=1e-10
+    )
 
 
 def test_screen_rejects_singular_and_indefinite():

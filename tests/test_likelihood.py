@@ -156,7 +156,7 @@ def test_slsqp_objective_equals_gamma_bar_and_gradient(spec):
 
 @pytest.mark.parametrize("spec", SCORED_SPECS, ids=str)
 def test_objective_value_at_the_kept_point_builds_nothing(monkeypatch, spec):
-    # the polish values SLSQP's final point again; that must not rebuild
+    # each pass's end point is valued again after SLSQP returns; that must not rebuild
     rng = np.random.default_rng(404)
     x = q.simulate(spec, next(_interior_points(spec, rng, 1)), 300, seed=78).values
     a = next(_interior_points(spec, rng, 1))
@@ -248,6 +248,7 @@ def test_skipped_identity_filters_equal_lfilter(monkeypatch, spec, theta):
     x = q.simulate(spec, v, 400, seed=5).values
     got_rec = qmselect.models._recursion(spec, v, x)
     got_scores = q.grad_per_t(spec, v, x)
+    got_grad = q.gradient(spec, v, x)
     assert got_rec[1].tolist() == [1.0]
 
     def ar_filter(poly, u):
@@ -262,19 +263,37 @@ def test_skipped_identity_filters_equal_lfilter(monkeypatch, spec, theta):
     assert np.array_equal(got_rec[0], want_rec[0])
     with np.errstate(over="ignore", invalid="ignore"):
         want_scores = qmselect.likelihood._score_from(spec, v, x, want_rec)
+        want_grad = qmselect.likelihood._gradient_from(spec, v, x, want_rec)
     assert np.array_equal(got_scores, want_scores)
+    assert np.array_equal(got_grad, want_grad)
 
 
 def test_grad_per_t_rows_average_to_gradient():
+    # the gradient is the rows' mean taken by the backward (adjoint) filter
+    # pass; one input per branch of that path
     x = np.random.default_rng(1).standard_normal(200)
-    for spec, theta in [
-        (q.garch(1, 1), [0.5, 0.2, 0.3]),
-        (q.ararch(1), [0.3, 0.5, 0.2]),
-        (q.aparch(1.5, 1, 0), [0.5, 0.2, 0.1]),
+    with_zeros = x.copy()
+    with_zeros[::11] = 0.0
+    floor = np.array([1e-9, 1e-9, 0.5])
+    h_lin, _ = qmselect.models._recursion(q.garch(1, 1), floor, x)
+    assert (h_lin < qmselect.models.H_FLOOR).any()
+    for spec, theta, series in [
+        (q.wn(), [1.3], x),
+        (q.arma(1, 1), [0.3, -0.2, 0.9], x),
+        (q.arma(2, 2), [0.3, 0.2, -0.4, 0.1, 1.1], x),
+        (q.arma(2, 0), [0.5, -0.3, 1.2], x),  # identity MA filter, skipped
+        (q.garch(1, 1), [0.5, 0.2, 0.3], x),
+        (q.garch(0, 2), [0.5, 0.3, 0.2], x),
+        (q.garch(2, 2), [0.4, 0.1, 0.15, 0.3, 0.2], x),
+        (q.garch(1, 1), floor, x),  # on the H_FLOOR clamp
+        (q.aparch(1.5, 1, 0), [0.5, 0.2, 0.1], x),
+        (q.aparch(0.7, 2, 1), [0.3, 0.1, 0.05, 0.3, -0.2, 0.5], with_zeros),
+        (q.ararch(1), [0.3, 0.5, 0.2], x),
+        (q.ararch(2), [0.3, 0.5, 0.2, 0.1], x),
     ]:
-        rows = q.grad_per_t(spec, theta, x)
+        rows = q.grad_per_t(spec, theta, series)
         assert rows.shape == (200, len(theta))
-        assert_allclose(rows.mean(axis=0), q.gradient(spec, theta, x), rtol=1e-12, atol=1e-12)
+        assert_allclose(rows.mean(axis=0), q.gradient(spec, theta, series), rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
