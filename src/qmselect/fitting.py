@@ -3,22 +3,24 @@
 A fit runs from the canonical start (dynamic coefficients zero, the scale
 parameter set from the sample second moment) and, if given, from a warm
 start; nothing is random.  Each start goes through SLSQP over the box and
-the coefficient budgets, each budget handed over as a linear inequality with
-a constant Jacobian.  While SLSQP's end point is not certified and the
+the coefficient budgets, all budgets handed over as one linear inequality
+with a constant Jacobian.  While SLSQP's end point is not certified and the
 contrast still falls, SLSQP is restarted from there, up to ``MAX_PASSES``
-passes per start.  All passes minimize one ``likelihood._Objective`` per fit.
-The starts stay in the candidate pool, so gamma_bar(theta_hat) <=
-gamma_bar(start) is structural.
+passes per start.  All passes minimize one ``likelihood._Objective`` per
+fit, and ``_descend`` holds the floating-point error state for all of a
+start's passes.  The starts stay in the candidate pool, so
+gamma_bar(theta_hat) <= gamma_bar(start) is structural.
 
-:func:`fit_family` fits nested models first and warm-starts each model at
-the best nested optimum whose parameter names it shares, zero-padded by
-name.  That point is feasible and keeps the inner contrast, so along
-same-family nesting and garch inside the power-2 aparch the fitted contrast
-never rises.  Every fit is certified in one place (``_certified``):
-contrast, projected gradient norm and the ``converged`` flag.  The projected
-gradient is the step to the Euclidean projection of ``theta - gradient``, so
-it is zero exactly at a first-order (KKT) point of the constraint set,
-edges and kinks of the budgets included.
+:func:`fit_family` fits nested models first, in order of (dim, family
+declaration order, name), and warm-starts each model at the best nested
+optimum whose parameter names it shares, zero-padded by name.  That point
+is feasible and keeps the inner contrast, so along same-family nesting and
+garch inside the power-2 aparch the fitted contrast never rises.  Every fit
+is certified in one place (``_certified``): contrast, projected gradient
+norm and the ``converged`` flag.  The projected gradient is the step to the
+Euclidean projection of ``theta - gradient``, so it is zero exactly at a
+first-order (KKT) point of the constraint set, edges and kinks of the
+budgets included.
 """
 
 from __future__ import annotations
@@ -95,24 +97,26 @@ def _descend(objective: _Objective, cset: ConstraintSet, v, fv):
     ``MAX_PASSES`` passes; returns (gamma_bar, theta, iterations)."""
     bounds, cons = cset.scipy_bounds(), cset.scipy_constraints()
     iterations = 0
-    for _ in range(MAX_PASSES):
-        with warnings.catch_warnings():
-            # SLSQP line searches may poke just outside the box; the contrast
-            # is clamped there, so the probe values are finite and harmless
-            warnings.filterwarnings("ignore", message=".*outside bounds.*")
+    # the objective's callbacks run in this error state, entered once here:
+    # probes at explosive parameters overflow to an infinite contrast
+    with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
+        # SLSQP line searches may poke just outside the box; the contrast
+        # is clamped there, so the probe values are finite and harmless
+        warnings.filterwarnings("ignore", message=".*outside bounds.*")
+        for _ in range(MAX_PASSES):
             res = minimize(objective.value, v, jac=objective.grad, method="SLSQP",
                            bounds=bounds, constraints=cons,
                            options={"maxiter": MAX_ITER, "ftol": 1e-12})
-        iterations += int(res.nit)
-        if not np.all(np.isfinite(res.x)) or not np.isfinite(res.fun):
-            break
-        w = cset.project(res.x)
-        fw = objective.value(w)
-        if not fw < fv:
-            break
-        v, fv = w, fw
-        if projected_grad_norm(cset, v, objective.grad(v)) <= GRAD_TOL:
-            break
+            iterations += int(res.nit)
+            if not np.all(np.isfinite(res.x)) or not np.isfinite(res.fun):
+                break
+            w = cset.project(res.x)
+            fw = objective.value(w)
+            if not fw < fv:
+                break
+            v, fv = w, fw
+            if projected_grad_norm(cset, v, objective.grad(v)) <= GRAD_TOL:
+                break
     return fv, v, iterations
 
 
@@ -205,16 +209,20 @@ def _warm_start(spec: ModelSpec, fits) -> np.ndarray | None:
 def fit_family(family, x) -> list[FitResult]:
     """Fit every spec in ``family``, returned in the caller's order.
 
-    The specs are fitted in order of (dim, name), each warm-started by
-    :func:`_warm_start` from the fits made before it, so the results do not
-    depend on the caller's order.  Per-model failures are returned as
-    non-converged placeholder results instead of raising.  Only the package's
-    own errors and numerical failures count as failed fits; any other
-    exception is a programming error and propagates."""
+    The specs are fitted in order of (dim, family declaration order, name),
+    each warm-started by :func:`_warm_start` from the fits made before it, so
+    the results do not depend on the caller's order.  Every nested pair is
+    fitted inner first: the inner model has the smaller dim, or the same dim
+    and an earlier family (garch(0,q) inside aparch(2;0,q)).  Per-model
+    failures are returned as non-converged placeholder results instead of
+    raising.  Only the package's own errors and numerical failures count as
+    failed fits; any other exception is a programming error and propagates."""
     x = _series(x)
     family = list(family)
     fits: dict[int, FitResult] = {}
-    for i in sorted(range(len(family)), key=lambda i: (family[i].dim, family[i].name)):
+    order = list(Family)
+    for i in sorted(range(len(family)),
+                    key=lambda i: (family[i].dim, order.index(family[i].family), family[i].name)):
         spec = family[i]
         try:
             fits[i] = fit(spec, x, _warm_start(spec, fits.values()))

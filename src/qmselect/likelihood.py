@@ -28,11 +28,17 @@ parameter (reverse-mode differentiation).  ``_Objective`` is the contrast
 and gradient that SLSQP's passes in a fit share: it keeps the recursion and
 value of the last point it valued and reuses them when that point is asked
 for again, so a step builds one recursion where :func:`gamma_bar` then
-:func:`gradient` would build two.  Its values are exactly theirs.
+:func:`gradient` would build two.  Its values are exactly theirs.  A point
+costs SLSQP one recursion and one reduction for the value (constant moments
+stay scalars inside, see ``models._moments_from``) and one backward pass for
+the gradient.  The public functions enter ``np.errstate`` themselves; the
+objective's callbacks run in the error state that ``fitting._descend``
+enters once per descent.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,18 +80,22 @@ class DerivEval:
 def contrast(spec: ModelSpec, theta, x) -> ContrastEval:
     """Evaluate the contrast; ``loglik`` is -(n/2)*gamma_bar by construction."""
     x = np.asarray(x, dtype=float)
-    per_t, gamma_bar = _contrast_from(x, cond_moments(spec, theta, x))
+    cm = cond_moments(spec, theta, x)
+    # optimizer probes at explosive parameters can overflow; an infinite
+    # contrast is the correct "move away" signal there
+    with np.errstate(over="ignore", invalid="ignore"):
+        per_t, gamma_bar = _contrast_from(x, cm)
     return ContrastEval(gamma_bar, per_t, -0.5 * x.size * gamma_bar)
 
 
 def _contrast_from(x: np.ndarray, cm) -> tuple[np.ndarray, float]:
-    """Per-observation contrast and its mean from the conditional moments."""
-    # optimizer probes at explosive parameters can overflow; an infinite
-    # contrast is the correct "move away" signal there
-    with np.errstate(over="ignore", invalid="ignore"):
-        per_t = (x - cm.f_hat) ** 2 / cm.h_hat + np.log(cm.h_hat)
-        gamma_bar = float(np.mean(per_t))
-    if not np.isfinite(gamma_bar):
+    """Per-observation contrast and its mean (``inf`` if not finite) from the
+    conditional moments, whose constant parts may be scalars; callers hold
+    the floating-point error state.  The mean is ``sum / n``, what
+    ``np.mean`` computes, without its Python wrapper."""
+    per_t = (x - cm.f_hat) ** 2 / cm.h_hat + np.log(cm.h_hat)
+    gamma_bar = float(per_t.sum() / x.size)
+    if not math.isfinite(gamma_bar):
         gamma_bar = float("inf")
     return per_t, gamma_bar
 
@@ -154,11 +164,11 @@ def _variance_ratio(h_lin: np.ndarray, resid2: np.ndarray) -> np.ndarray:
     return ratio
 
 
-def _aparch_ratio(d: float, x: np.ndarray, s_lin: np.ndarray) -> np.ndarray:
+def _aparch_ratio(d: float, x: np.ndarray, s_lin: np.ndarray, h: np.ndarray) -> np.ndarray:
     """d gamma_t / d s_t for the aparch power s_t = sigma_t ** delta, and 0
-    where a clamp holds h_t fixed."""
+    where a clamp holds h_t fixed; ``h`` is the variance before its floor,
+    as ``models._aparch_power`` returns it."""
     s = np.maximum(s_lin, H_FLOOR)
-    h = s ** (2.0 / d)
     clamped = (s_lin < H_FLOOR) | (h < H_FLOOR)
     # (h_t - x_t^2) / h_t^2 * dh_t/ds_t, with dh_t/ds_t = (2 / delta) * h_t / s_t
     ratio = (2.0 / d) * (h - x**2) / (h * s)
@@ -167,13 +177,12 @@ def _aparch_ratio(d: float, x: np.ndarray, s_lin: np.ndarray) -> np.ndarray:
     return ratio
 
 
-def _aparch_arch_terms(d: float, x: np.ndarray, gamma: float):
-    """The unlagged ARCH term (|x_t| - gamma x_t)^delta and its derivative in
-    gamma."""
+def _aparch_gamma_slope(d: float, x: np.ndarray, gamma: float) -> np.ndarray:
+    """The derivative in gamma of the unlagged ARCH term (|x_t| - gamma x_t)^delta."""
     base = np.abs(x) - gamma * x
     # at x_t = 0 the power term is 0 for every gamma: its slope is 0, not inf * 0
     slope = np.power(base, d - 1.0, out=np.zeros(x.size), where=x != 0.0)
-    return base**d, -d * x * slope
+    return -d * x * slope
 
 
 def _grad_arma(spec, v, x, rec):
@@ -214,15 +223,14 @@ def _grad_aparch(spec, v, x, rec):
     p, q = spec.p, spec.q
     n = x.size
     d = spec.delta
-    s_lin, braw = rec
-    ratio = _aparch_ratio(d, x, s_lin)
+    s_lin, braw, powers, h = rec
+    ratio = _aparch_ratio(d, x, s_lin, h)
     # d s / d theta_k is the b-filter of the derivative of the filter input
     inputs = np.empty((spec.dim, n))
     inputs[0] = 1.0
     for i in range(p):
-        power, dpower = _aparch_arch_terms(d, x, v[1 + p + i])
-        inputs[1 + i] = _lag(power, i + 1)
-        inputs[1 + p + i] = v[1 + i] * _lag(dpower, i + 1)
+        inputs[1 + i] = _lag(powers[i], i + 1)
+        inputs[1 + p + i] = v[1 + i] * _lag(_aparch_gamma_slope(d, x, v[1 + p + i]), i + 1)
     for j in range(q):
         inputs[1 + 2 * p + j] = _lag(s_lin, j + 1)
     return (ratio * _ar_filter(braw, inputs)).T
@@ -324,13 +332,13 @@ def _mean_grad_garch(spec, v, x, rec):
 def _mean_grad_aparch(spec, v, x, rec):
     p, q = spec.p, spec.q
     n = x.size
-    s_lin, braw = rec
-    r = _adjoint(braw, _aparch_ratio(spec.delta, x, s_lin))
+    s_lin, braw, powers, h = rec
+    r = _adjoint(braw, _aparch_ratio(spec.delta, x, s_lin, h))
     g = np.empty(spec.dim)
     g[0] = r.sum() / n
     for i in range(p):
-        power, dpower = _aparch_arch_terms(spec.delta, x, v[1 + p + i])
-        g[1 + i] = _lagged_dot(r, power, i + 1) / n
+        g[1 + i] = _lagged_dot(r, powers[i], i + 1) / n
+        dpower = _aparch_gamma_slope(spec.delta, x, v[1 + p + i])
         g[1 + p + i] = v[1 + i] * _lagged_dot(r, dpower, i + 1) / n
     for j in range(q):
         g[1 + 2 * p + j] = _lagged_dot(r, s_lin, j + 1) / n
@@ -346,7 +354,12 @@ class _Objective:
     point; asked again at that point, ``value`` returns the kept value and
     ``grad`` reads the gradient from the kept recursion.  At any other point
     ``grad`` builds its own.  Both return exactly what :func:`gamma_bar` and
-    :func:`gradient` return.
+    :func:`gradient` return.  So a new point costs one recursion and one
+    reduction for its value, and one backward pass for its gradient.
+
+    Callers hold the floating-point error state, ``np.errstate(over="ignore",
+    invalid="ignore")`` as the public functions do; ``fitting._descend``
+    enters it once per descent, not once per callback.
     """
 
     def __init__(self, spec: ModelSpec, x: np.ndarray):
@@ -356,7 +369,7 @@ class _Objective:
         self._value = None
 
     def _holds(self, v: np.ndarray) -> bool:
-        return self._point is not None and np.array_equal(v, self._point)
+        return self._point is not None and bool((v == self._point).all())
 
     def value(self, v: np.ndarray) -> float:
         if not self._holds(v):
@@ -366,9 +379,8 @@ class _Objective:
         return self._value
 
     def grad(self, v: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            rec = self._rec if self._holds(v) else _recursion(self.spec, v, self.x)
-            return _gradient_from(self.spec, v, self.x, rec)
+        rec = self._rec if self._holds(v) else _recursion(self.spec, v, self.x)
+        return _gradient_from(self.spec, v, self.x, rec)
 
 
 def derivatives(spec: ModelSpec, theta, x, *, check_boundary: bool = True) -> DerivEval:

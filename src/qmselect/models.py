@@ -366,10 +366,18 @@ class ConstraintSet:
         return [(float(lo), float(hi)) for lo, hi in zip(self.lower, self.upper)]
 
     def scipy_constraints(self) -> list[dict]:
-        """Each budget as one linear inequality ``bound - A v >= 0`` with a
-        constant Jacobian: A is a row of ones for a non-negative group and
-        the 2^k sign rows of a signed group, whose maximum is sum |v_i|."""
-        cons = []
+        """The budgets as one linear inequality ``b - A v >= 0`` with a
+        constant Jacobian, or none without budgets.  ``A`` holds each group's
+        rows in group order, a row of ones for a non-negative group and the
+        2^k sign rows of a signed group, whose maximum is sum |v_i|; ``b``
+        holds the group's bound on each of its rows.  SLSQP stacks separate
+        constraints the same way, so it gets the same matrix and vector from
+        one callback per evaluation.  The value is taken group by group: a
+        matrix-vector product may sum a row in another order once the
+        matrix has more rows."""
+        if not self.groups:
+            return []
+        parts = []
         for g in self.groups:
             k = len(g.indices)
             if self._signed(g):
@@ -378,9 +386,10 @@ class ConstraintSet:
                 signs = [(1.0,) * k]
             a = np.zeros((len(signs), self.dim))
             a[:, list(g.indices)] = signs
-            cons.append({"type": "ineq", "fun": lambda v, a=a, b=g.bound: b - a @ v,
-                         "jac": lambda v, a=a: -a})
-        return cons
+            parts.append((g.bound, a))
+        jac = -np.vstack([a for _, a in parts])
+        return [{"type": "ineq", "fun": lambda v: np.concatenate([b - a @ v for b, a in parts]),
+                 "jac": lambda v: jac}]
 
 
 def constraint_set(spec: ModelSpec) -> ConstraintSet:
@@ -667,7 +676,10 @@ def _sim_aparch(omega, a, gam, b, delta, xi):
 
 @dataclass(frozen=True)
 class CondMoments:
-    """Fitted conditional mean and variance series, truncated convention."""
+    """Fitted conditional mean and variance series, truncated convention.
+
+    :func:`cond_moments` returns arrays; inside the package a constant moment
+    may be held as a scalar (see :func:`_moments_from`)."""
 
     f_hat: np.ndarray
     h_hat: np.ndarray
@@ -701,15 +713,23 @@ def _garch_variance(spec: ModelSpec, v: np.ndarray, x: np.ndarray):
 
 
 def _aparch_power(spec: ModelSpec, v: np.ndarray, x: np.ndarray):
-    """Unclamped truncated APARCH power s_lin (sigma_t ** delta) and the AR
-    polynomial in the b coefficients that filters it."""
+    """Unclamped truncated APARCH power s_lin (sigma_t ** delta), the AR
+    polynomial in the b coefficients that filters it, the unlagged ARCH power
+    terms (|x_t| - gamma_i x_t) ** delta (one per i) and the variance
+    h = max(s_lin, H_FLOOR) ** (2 / delta) before its own floor.  The moments
+    and the scores read all four, so each fractional power is taken once per
+    point."""
     p = spec.p
     u = np.full(x.size, v[0])
+    powers = []
     for i in range(p):
         w = (np.abs(x) - v[1 + p + i] * x) ** spec.delta
+        powers.append(w)
         u += v[1 + i] * _lag(w, i + 1)
     b_poly = np.concatenate(([1.0], -v[1 + 2 * p :]))
-    return _ar_filter(b_poly, u), b_poly
+    s_lin = _ar_filter(b_poly, u)
+    s = np.maximum(s_lin, H_FLOOR)  # guards fractional powers off the feasible set
+    return s_lin, b_poly, powers, s ** (2.0 / spec.delta)
 
 
 def _ararch_residuals(spec: ModelSpec, v: np.ndarray, x: np.ndarray):
@@ -740,28 +760,30 @@ def _recursion(spec: ModelSpec, v: np.ndarray, x: np.ndarray):
 
 
 def _moments_from(spec: ModelSpec, v: np.ndarray, x: np.ndarray, rec) -> CondMoments:
-    """Conditional moments from the recursion :func:`_recursion` built at ``v``."""
+    """Conditional moments from the recursion :func:`_recursion` built at ``v``.
+
+    A constant moment stays a scalar: ``h`` for wn and arma, and ``f = 0.0``
+    for wn, garch and aparch.  The contrast broadcasts it, so nothing fills
+    n copies; :func:`cond_moments` returns full arrays."""
     fam = spec.family
-    n = x.size
     if fam is Family.WN:
-        return CondMoments(np.zeros(n), np.full(n, max(v[0] ** 2, H_FLOOR)))
+        return CondMoments(0.0, max(v[0] ** 2, H_FLOOR))
     if fam is Family.ARMA:
         eps, _ = rec
-        return CondMoments(x - eps, np.full(n, max(v[spec.p + spec.q] ** 2, H_FLOOR)))
+        return CondMoments(x - eps, max(v[spec.p + spec.q] ** 2, H_FLOOR))
     if fam is Family.GARCH:
         h_lin, _ = rec
-        return CondMoments(np.zeros(n), np.maximum(h_lin, H_FLOOR))
+        return CondMoments(0.0, np.maximum(h_lin, H_FLOOR))
     if fam is Family.APARCH:
-        s_lin, _ = rec
-        s = np.maximum(s_lin, H_FLOOR)  # guards fractional powers off the feasible set
-        h = s ** (2.0 / spec.delta)
-        return CondMoments(np.zeros(n), np.maximum(h, H_FLOOR))
+        *_, h = rec
+        return CondMoments(0.0, np.maximum(h, H_FLOOR))
     _, h_lin = rec
     return CondMoments(v[0] * _lag(x, 1), np.maximum(h_lin, H_FLOOR))
 
 
 def cond_moments(spec: ModelSpec, theta, x) -> CondMoments:
-    """Conditional mean ``f_hat`` and variance ``h_hat`` given the sample.
+    """Conditional mean ``f_hat`` and variance ``h_hat`` given the sample,
+    each a float64 array of the sample's length.
 
     Pre-sample values of every series are taken as zero.  ``h_hat`` is clamped
     below at ``H_FLOOR``; inside the feasible region the clamp is inert for
@@ -770,7 +792,11 @@ def cond_moments(spec: ModelSpec, theta, x) -> CondMoments:
     """
     v = _as_values(spec, theta)
     x = np.asarray(x, dtype=float)
-    return _moments_from(spec, v, x, _recursion(spec, v, x))
+    cm = _moments_from(spec, v, x, _recursion(spec, v, x))
+    # the only constant mean is 0: np.zeros leaves its pages unwritten
+    f_hat = cm.f_hat if np.ndim(cm.f_hat) else np.zeros(x.size)
+    h_hat = cm.h_hat if np.ndim(cm.h_hat) else np.full(x.size, cm.h_hat)
+    return CondMoments(f_hat, h_hat)
 
 
 # ---------------------------------------------------------------------------

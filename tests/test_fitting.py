@@ -230,6 +230,26 @@ def test_fit_family_results_do_not_depend_on_the_callers_order(garch_grid):
         assert a.gamma_bar_min == b.gamma_bar_min
 
 
+def test_fit_family_fits_garch_before_the_equal_dim_aparch_nesting_it(monkeypatch, dgp3_series_2000):
+    # garch(0,1) and aparch(2;0,1) share their dim, and "aparch" sorts first by
+    # name; the family declaration order fits garch first and warm-starts
+    # aparch at its optimum
+    x = dgp3_series_2000.values
+    garch, aparch = q.garch(0, 1), q.aparch(2.0, 0, 1)
+    warms = {}
+    real_fit = qmselect.fitting.fit
+
+    def fit(spec, x, warm=None):
+        warms[spec] = warm
+        return real_fit(spec, x, warm)
+
+    monkeypatch.setattr(qmselect.fitting, "fit", fit)
+    fit_aparch, fit_garch = q.fit_family([aparch, garch], x)
+    assert warms[garch] is None
+    assert warms[aparch] is not None and np.array_equal(warms[aparch], fit_garch.theta.values)
+    assert fit_aparch.gamma_bar_min <= fit_garch.gamma_bar_min
+
+
 GARCH01_SEED = derive_seed(7_000_003, 2000, 1)  # garch_desk_eff at seed 7, driver call 3, rep 1
 
 

@@ -131,27 +131,69 @@ def test_analytic_gradient_matches_finite_differences(spec):
         assert np.max(np.abs(ga - gf)) / denom <= 1e-5
 
 
-@pytest.mark.parametrize("spec", SCORED_SPECS, ids=str)
-def test_slsqp_objective_equals_gamma_bar_and_gradient(spec):
+def _edge_series(zeros: bool) -> np.ndarray:
+    x = np.random.default_rng(1).standard_normal(200)
+    if zeros:
+        x[::11] = 0.0
+    return x
+
+
+# the branches the interior points miss: (spec, two points, series with exact zeros)
+OBJECTIVE_EDGES = [
+    # scalar sigma^2 meets the convolve path of the skipped MA filter
+    pytest.param(q.arma(2, 0), ([0.5, -0.3, 1.2], [0.1, 0.6, 0.8]), False, id="arma(2,0)"),
+    # h_lin under H_FLOOR: the clamp sets h and zeroes the variance ratio
+    pytest.param(q.garch(1, 1), ([1e-9, 1e-9, 0.5], [1e-9, 0.0, 0.9]), False,
+                 id="garch(1,1)-on-the-floor"),
+    # delta < 1 with x_t = 0: the kept power terms next to the finite gamma slope
+    pytest.param(q.aparch(0.7, 2, 1), ([0.3, 0.1, 0.05, 0.3, -0.2, 0.5],
+                                       [0.6, 0.2, 0.1, -0.4, 0.5, 0.3]), True,
+                 id="aparch(0.7;2,1)-exact-zeros"),
+    # an explosive MA filter overflows: gamma_bar is inf
+    pytest.param(q.arma(1, 1), ([0.5, 60.0, 0.5], [-0.3, -45.0, 1.0]), False,
+                 id="arma(1,1)-explosive"),
+]
+
+
+@pytest.mark.parametrize(
+    "spec,edge,zeros",
+    [pytest.param(s, None, False, id=str(s)) for s in SCORED_SPECS] + OBJECTIVE_EDGES,
+)
+def test_slsqp_objective_equals_gamma_bar_and_gradient(spec, edge, zeros):
     # the objective fitting hands to SLSQP must be the public contrast and
     # gradient exactly, whether or not its grad reuses the kept recursion
-    rng = np.random.default_rng(303)
-    x = q.simulate(spec, next(_interior_points(spec, rng, 1)), 400, seed=77).values
-    points = list(_interior_points(spec, rng, 6))
+    if edge is None:
+        rng = np.random.default_rng(303)
+        x = q.simulate(spec, next(_interior_points(spec, rng, 1)), 400, seed=77).values
+        points = list(_interior_points(spec, rng, 6))
+    else:
+        x = _edge_series(zeros)
+        points = [np.array(v) for v in edge]
+    if edge is not None and spec == q.arma(1, 1):  # the explosive case overflows
+        assert all(q.gamma_bar(spec, v, x) == math.inf for v in points)
+
+    def same(got, want):
+        # the explosive point's gradient is nan where the overflow meets zero
+        return np.array_equal(got, want, equal_nan=True)
+
     for a, b in zip(points[::2], points[1::2]):
-        # value then grad at the same point
-        obj = _Objective(spec, x)
-        assert obj.value(a) == q.gamma_bar(spec, a, x)
-        assert np.array_equal(obj.grad(a.copy()), q.gradient(spec, a, x))
-        # grad at a point never valued
-        obj = _Objective(spec, x)
-        assert np.array_equal(obj.grad(b), q.gradient(spec, b, x))
-        # value(a), value(b), grad(a): the slot holds b
-        obj = _Objective(spec, x)
-        obj.value(a)
-        assert obj.value(b) == q.gamma_bar(spec, b, x)
-        assert np.array_equal(obj.grad(a), q.gradient(spec, a, x))
-        assert np.array_equal(obj.grad(b), q.gradient(spec, b, x))
+        # the callbacks run in the error state fitting._descend holds
+        with np.errstate(over="ignore", invalid="ignore"):
+            # value then grad at the same point
+            obj = _Objective(spec, x)
+            va, ga = obj.value(a), obj.grad(a.copy())
+            # grad at a point never valued
+            gb_fresh = _Objective(spec, x).grad(b)
+            # value(a), value(b), grad(a): the slot holds b
+            obj = _Objective(spec, x)
+            obj.value(a)
+            vb, ga_other, gb = obj.value(b), obj.grad(a), obj.grad(b)
+        assert va == q.gamma_bar(spec, a, x)
+        assert vb == q.gamma_bar(spec, b, x)
+        assert same(ga, q.gradient(spec, a, x))
+        assert same(ga_other, q.gradient(spec, a, x))
+        assert same(gb_fresh, q.gradient(spec, b, x))
+        assert same(gb, q.gradient(spec, b, x))
 
 
 @pytest.mark.parametrize("spec", SCORED_SPECS, ids=str)

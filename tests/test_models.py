@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -188,14 +189,48 @@ def test_budget_jacobian_is_constant_and_charges_zero_coefficients():
     v = np.array([1.0, 0.0, 0.5])
     assert_allclose(np.atleast_2d(con["jac"](v)), [[0.0, -1.0, -1.0]])
     assert np.min(con["fun"](v)) == pytest.approx(0.48)
+    # all budgets are one inequality: each group's rows in group order, and
     # a signed budget's sign rows have sum |v_i| as their maximum
-    cs = q.constraint_set(q.arma(3, 1))
-    rng = np.random.default_rng(4)
-    for _ in range(20):
-        v = rng.uniform(-0.5, 0.5, cs.dim)
-        for con, g in zip(cs.scipy_constraints(), cs.groups):
-            assert np.min(con["fun"](v)) == pytest.approx(g.bound - g.value(v), abs=1e-15)
-            assert_allclose(con["jac"](v), con["jac"](np.zeros(cs.dim)))
+    for spec, scale in ((q.arma(3, 1), 0.5), (q.arma(1, 6), 1e4)):
+        cs = q.constraint_set(spec)
+        (con,) = cs.scipy_constraints()
+        jac = con["jac"](np.zeros(cs.dim))
+        blocks = []
+        for g in cs.groups:
+            block = np.zeros((2 ** len(g.indices), cs.dim))
+            block[:, list(g.indices)] = list(itertools.product((1.0, -1.0), repeat=len(g.indices)))
+            blocks.append(block)
+        assert np.array_equal(jac, -np.vstack(blocks))
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            v = rng.uniform(-scale, scale, cs.dim)
+            values = con["fun"](v)
+            # each row exactly as its group alone would give it
+            assert np.array_equal(values, np.concatenate([g.bound - b @ v for g, b in zip(cs.groups, blocks)]))
+            for g, part in zip(cs.groups, np.split(values, np.cumsum([b.shape[0] for b in blocks])[:-1])):
+                assert np.min(part) == pytest.approx(g.bound - g.value(v), abs=1e-15 * max(1.0, scale))
+            assert np.array_equal(con["jac"](v), jac)
+
+
+MOMENT_CASES = [
+    (q.wn(), [1.3]),
+    (q.arma(2, 1), [0.3, 0.2, -0.4, 1.1]),
+    (q.arma(2, 0), [0.5, -0.3, 1.2]),
+    (q.garch(1, 1), [0.5, 0.2, 0.3]),
+    (q.aparch(1.5, 1, 1), [0.3, 0.1, 0.3, 0.6]),
+    (q.ararch(1), [0.5, 0.4, 0.2]),
+]
+
+
+@pytest.mark.parametrize("spec,theta", MOMENT_CASES, ids=[str(s) for s, _ in MOMENT_CASES])
+def test_public_moments_and_contrast_are_full_length_arrays(spec, theta):
+    # constant moments are scalars inside the package, never at its boundary
+    x = q.simulate(spec, theta, 150, seed=8).values
+    cm = q.cond_moments(spec, theta, x)
+    for arr in (cm.f_hat, cm.h_hat, q.contrast(spec, theta, x).per_t):
+        assert isinstance(arr, np.ndarray)
+        assert arr.dtype == np.float64 and arr.shape == (x.size,)
+        assert arr.flags.writeable
 
 
 def test_every_budget_implies_its_coordinates_box():
