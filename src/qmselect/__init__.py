@@ -25,7 +25,6 @@ from .criteria import (
 )
 from .errors import (
     AllModelsFailed,
-    BoundaryTooClose,
     ConfigError,
     MissingInfo,
     NonStationaryParams,
@@ -103,6 +102,6 @@ __all__ = [
     "run_consistency", "run_efficiency", "oracle_risk", "derive_seed", "write_metadata",
     # errors
     "QmselectError", "NonStationaryParams", "NumericOverflow", "TooShortSeries",
-    "OptimizerDiverged", "BoundaryTooClose", "SingularF", "MissingInfo",
+    "OptimizerDiverged", "SingularF", "MissingInfo",
     "AllModelsFailed", "UnsupportedFamily", "ConfigError",
 ]

@@ -245,7 +245,9 @@ def select_from_fits(
                 try:
                     info_cache[i] = info_matrices(f, x)
                 except (QmselectError, np.linalg.LinAlgError, FloatingPointError) as exc:
-                    info_cache[i] = exc
+                    # without its traceback: the frames' locals would live as
+                    # long as the cache
+                    info_cache[i] = exc.with_traceback(None)
             info = info_cache[i]
             if isinstance(info, Exception):
                 rows.append(

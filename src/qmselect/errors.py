@@ -26,10 +26,6 @@ class OptimizerDiverged(QmselectError):
     """Every optimizer start failed to produce a finite result."""
 
 
-class BoundaryTooClose(QmselectError):
-    """Finite-difference stencil would leave the constraint set."""
-
-
 class SingularF(QmselectError):
     """Estimated curvature matrix is numerically singular."""
 

@@ -11,6 +11,13 @@ Conventions (all per observation, on the contrast scale):
 * ``trace_pen`` is -(2/n) * Tr(f_hat^-1 g_hat), a non-negative penalty rate
   whose n-multiple matches the closed forms in :func:`closed_form_trace`
   for well-specified models.
+
+Boundary policy: a converged fit on a box bound or a budget face gets its
+matrices like any other.  ``f_hat`` is then the Hessian of the smooth
+extension of the recursions across the boundary, which the complex-step
+Hessian of :func:`.likelihood.derivatives` evaluates at the fitted point
+itself.  So only non-convergence and :class:`SingularF` keep a model out of
+the determinant- and trace-based criteria.
 """
 
 from __future__ import annotations
@@ -60,9 +67,6 @@ def info_matrices(fit_result, x) -> InfoMatrices:
 
     Raises
     ------
-    BoundaryTooClose
-        when theta_hat sits too close to the constraint boundary for the
-        finite-difference Hessian stencil.
     SingularF
         when -f_hat fails the numerical rank screen; callers treat the model
         as unusable for determinant-based criteria.
@@ -74,11 +78,12 @@ def info_matrices(fit_result, x) -> InfoMatrices:
     theta = fit_result.theta.values
     deriv = derivatives(fit_result.spec, theta, x)
     f_hat = -0.5 * deriv.hessian
-    scores = grad_per_t(fit_result.spec, theta, x)
-    g_hat = scores.T @ scores / (4.0 * n)
     neg_f = -f_hat
+    # screen first: a singular model needs no (n, dim) score rows
     _screen_neg_f(neg_f)
     chol = cho_factor(neg_f, lower=True)
+    scores = grad_per_t(fit_result.spec, theta, x)
+    g_hat = scores.T @ scores / (4.0 * n)
     return InfoMatrices(
         f_hat=f_hat,
         g_hat=g_hat,

@@ -14,9 +14,11 @@ truncated recursions of :mod:`.models`: the arma, garch and aparch
 recursions are linear filters, so their derivatives go through ``lfilter``
 with the same polynomial, and the ararch variance is closed form.  Where the
 ``H_FLOOR`` clamp is active the variance no longer depends on the parameters,
-so its share of the score is zero there.  Central differences remain only in
-:func:`derivatives`, the symmetrized Hessian of the gradient that serves the
-information matrices, and in the tests.
+so its share of the score is zero there.  Second derivatives are the
+complex-step derivatives of that gradient (:func:`derivatives`): the
+gradient path runs unchanged on complex parameters, so one derivative path
+serves the fit and the information matrices.  Finite differences remain only
+in the tests, as oracles.
 
 Each family's recursion is one pass over the sample (``models._recursion``);
 the conditional moments, the per-observation scores and the gradient are all
@@ -43,7 +45,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryTooClose
 from .models import (
     Family,
     ModelSpec,
@@ -53,12 +54,12 @@ from .models import (
     _moments_from,
     _recursion,
     cond_moments,
-    constraint_set,
     H_FLOOR,
 )
 
-#: relative step for finite differences, h_k = FD_STEP * max(1, |theta_k|)
-FD_STEP = 1e-5
+#: imaginary step of the complex-step Hessian; no difference is taken, so it
+#: can sit far below the rounding error of the real part
+CS_STEP = 1e-20
 
 
 @dataclass(frozen=True)
@@ -155,7 +156,12 @@ def _score_from(spec: ModelSpec, v: np.ndarray, x: np.ndarray, rec) -> np.ndarra
 
 def _variance_ratio(h_lin: np.ndarray, resid2: np.ndarray) -> np.ndarray:
     """d gamma_t / d h_t = (h_t - resid_t^2) / h_t^2 at the clamped variance,
-    and 0 where the ``H_FLOOR`` clamp holds h_t fixed."""
+    and 0 where the ``H_FLOOR`` clamp holds h_t fixed.
+
+    Under the complex-step Hessian ``h_lin`` is complex.  NumPy orders complex
+    numbers by real part first, so the clamp and its test act on the real
+    part, and a clamped entry's imaginary part is 0: the derivative dies on
+    the floor there too."""
     h = np.maximum(h_lin, H_FLOOR)
     ratio = (h - resid2) / h**2
     clamped = h_lin < H_FLOOR
@@ -167,7 +173,8 @@ def _variance_ratio(h_lin: np.ndarray, resid2: np.ndarray) -> np.ndarray:
 def _aparch_ratio(d: float, x: np.ndarray, s_lin: np.ndarray, h: np.ndarray) -> np.ndarray:
     """d gamma_t / d s_t for the aparch power s_t = sigma_t ** delta, and 0
     where a clamp holds h_t fixed; ``h`` is the variance before its floor,
-    as ``models._aparch_power`` returns it."""
+    as ``models._aparch_power`` returns it.  On complex inputs the clamps
+    act on the real part, as in :func:`_variance_ratio`."""
     s = np.maximum(s_lin, H_FLOOR)
     clamped = (s_lin < H_FLOOR) | (h < H_FLOOR)
     # (h_t - x_t^2) / h_t^2 * dh_t/ds_t, with dh_t/ds_t = (2 / delta) * h_t / s_t
@@ -181,7 +188,7 @@ def _aparch_gamma_slope(d: float, x: np.ndarray, gamma: float) -> np.ndarray:
     """The derivative in gamma of the unlagged ARCH term (|x_t| - gamma x_t)^delta."""
     base = np.abs(x) - gamma * x
     # at x_t = 0 the power term is 0 for every gamma: its slope is 0, not inf * 0
-    slope = np.power(base, d - 1.0, out=np.zeros(x.size), where=x != 0.0)
+    slope = np.power(base, d - 1.0, out=np.zeros(x.size, dtype=base.dtype), where=x != 0.0)
     return -d * x * slope
 
 
@@ -241,9 +248,9 @@ def _grad_ararch(spec, v, x, rec):
     h = np.maximum(h_lin, H_FLOOR)
     ratio = _variance_ratio(h_lin, z**2)
     x1 = _lag(x, 1)
-    cols = np.empty((x.size, spec.dim))
+    cols = np.empty((x.size, spec.dim), dtype=h_lin.dtype)
     # phi moves the mean directly and the variance through every lagged z^2
-    dh_phi = np.zeros(x.size)
+    dh_phi = np.zeros(x.size, dtype=h_lin.dtype)
     for i in range(spec.p):
         dh_phi -= 2.0 * v[2 + i] * _lag(z * x1, i + 1)
     cols[:, 0] = -2.0 * z * x1 / h + ratio * dh_phi
@@ -251,10 +258,6 @@ def _grad_ararch(spec, v, x, rec):
     for i in range(spec.p):
         cols[:, 2 + i] = ratio * _lag(z, i + 1) ** 2
     return cols
-
-
-def _fd_steps(v: np.ndarray) -> np.ndarray:
-    return FD_STEP * np.maximum(1.0, np.abs(v))
 
 
 def gradient(spec: ModelSpec, theta, x) -> np.ndarray:
@@ -305,7 +308,7 @@ def _mean_grad_arma(spec, v, x, rec):
     sigma = v[p + q]
     eps, ma = rec
     r = _adjoint(ma, (2.0 / sigma**2) * eps)
-    g = np.empty(spec.dim)
+    g = np.empty(spec.dim, dtype=r.dtype)
     for i in range(p):
         g[i] = -_lagged_dot(r, x, i + 1) / n
     for j in range(q):
@@ -320,7 +323,7 @@ def _mean_grad_garch(spec, v, x, rec):
     h_lin, braw = rec
     x2 = x**2
     r = _adjoint(braw, _variance_ratio(h_lin, x2))
-    g = np.empty(spec.dim)
+    g = np.empty(spec.dim, dtype=r.dtype)
     g[0] = r.sum() / n
     for i in range(p):
         g[1 + i] = _lagged_dot(r, x2, i + 1) / n
@@ -334,7 +337,7 @@ def _mean_grad_aparch(spec, v, x, rec):
     n = x.size
     s_lin, braw, powers, h = rec
     r = _adjoint(braw, _aparch_ratio(spec.delta, x, s_lin, h))
-    g = np.empty(spec.dim)
+    g = np.empty(spec.dim, dtype=r.dtype)
     g[0] = r.sum() / n
     for i in range(p):
         g[1 + i] = _lagged_dot(r, powers[i], i + 1) / n
@@ -384,27 +387,25 @@ class _Objective:
 
 
 def derivatives(spec: ModelSpec, theta, x, *, check_boundary: bool = True) -> DerivEval:
-    """Symmetrized Hessian of gamma_bar at ``theta``: central differences of
-    the analytic gradient with steps ``FD_STEP * max(1, |theta_k|)``, the one
-    Hessian stencil of the package.
+    """Symmetrized Hessian of gamma_bar at ``theta`` by complex steps of the
+    analytic gradient: column k is ``Im(grad(theta + i CS_STEP e_k)) / CS_STEP``
+    (Squire & Trapp 1998; Martins, Sturdza & Alonso 2003).
 
-    Raises
-    ------
-    BoundaryTooClose
-        when ``check_boundary`` is on and the finite-difference stencil
-        (2x the step in every coordinate) would leave the constraint set.
+    Every evaluation has the real part ``theta`` itself, so the Hessian is
+    defined wherever the gradient is, on a box bound or a budget face
+    included: it is the Hessian of the smooth extension of the recursions
+    across the boundary.  No difference is taken, so there is no cancellation
+    and no step to tune.
+
+    ``check_boundary`` is accepted for compatibility and has no effect: no
+    step leaves the point, so there is no boundary to check.
     """
     v = _as_values(spec, theta)
     x = np.asarray(x, dtype=float)
-    h = _fd_steps(v)
-    if check_boundary and not constraint_set(spec).stencil_inside(v, 2.0 * h):
-        raise BoundaryTooClose(
-            f"{spec.name}: parameters within 2 finite-difference steps of the boundary"
-        )
     hess = np.empty((v.size, v.size))
-    for k in range(v.size):
-        vp, vm = v.copy(), v.copy()
-        vp[k] += h[k]
-        vm[k] -= h[k]
-        hess[k, :] = (gradient(spec, vp, x) - gradient(spec, vm, x)) / (2.0 * h[k])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(v.size):
+            vc = v.astype(complex)
+            vc[k] += 1j * CS_STEP
+            hess[:, k] = _gradient_from(spec, vc, x, _recursion(spec, vc, x)).imag / CS_STEP
     return DerivEval(0.5 * (hess + hess.T))

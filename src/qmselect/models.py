@@ -349,19 +349,6 @@ class ConstraintSet:
             v[idx] = np.copysign(a, y[idx]) if signed else a
         return v
 
-    def stencil_inside(self, values, steps) -> bool:
-        """True if moving any single coordinate by +-steps[i] stays feasible."""
-        v = np.asarray(values, dtype=float)
-        h = np.asarray(steps, dtype=float)
-        if np.any(v - h < self.lower) or np.any(v + h > self.upper):
-            return False
-        for g in self.groups:
-            # a single-coordinate move of size h_i changes the group sum by at most h_i
-            worst = max(h[i] for i in g.indices)
-            if g.value(v) + worst > g.bound:
-                return False
-        return True
-
     def scipy_bounds(self) -> list[tuple[float, float]]:
         return [(float(lo), float(hi)) for lo, hi in zip(self.lower, self.upper)]
 
@@ -718,7 +705,9 @@ def _aparch_power(spec: ModelSpec, v: np.ndarray, x: np.ndarray):
     terms (|x_t| - gamma_i x_t) ** delta (one per i) and the variance
     h = max(s_lin, H_FLOOR) ** (2 / delta) before its own floor.  The moments
     and the scores read all four, so each fractional power is taken once per
-    point."""
+    point.  Under the complex-step Hessian ``v`` is complex; NumPy orders
+    complex numbers by real part first, so ``np.maximum`` clamps on the real
+    part and a clamped entry's imaginary part is 0."""
     p = spec.p
     u = np.full(x.size, v[0])
     powers = []

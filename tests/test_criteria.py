@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import qmselect as q
+import qmselect.criteria
 from qmselect.criteria import CriterionKind, select_from_fits
 
 
@@ -135,6 +136,18 @@ def test_select_matches_brute_force_and_order_invariant(dgp2_series_2000):
         assert rev_values == values
 
 
+def test_boundary_optima_compete_in_kcprime(dgp3_series_2000):
+    x = dgp3_series_2000.values
+    fits = q.fit_family(q.expand_family("garch(0..2,0..2)"), x)
+    g12 = next(f for f in fits if f.spec == q.garch(1, 2))
+    # b2 reaches its bound 0 exactly at one BLAS thread, to rounding at more
+    assert g12.converged and 0.0 <= g12.theta.named()["b2"] < 1e-15
+    sel = select_from_fits(fits, x, q.KC_PRIME)
+    row = next(r for r in sel.rows if r.spec == q.garch(1, 2))
+    assert row.report is not None and row.excluded is None
+    assert sel.chosen == q.garch(1, 1)
+
+
 def test_unconverged_fits_become_excluded_rows():
     fits = [fake_fit(q.wn(), 1.0)]
     bad = fake_fit(q.arma(1, 0), np.nan)
@@ -152,6 +165,18 @@ def test_all_models_failed():
     bad.converged = False
     with pytest.raises(q.AllModelsFailed):
         select_from_fits([bad], np.zeros(100), q.AIC)
+
+
+def test_cached_info_failures_hold_no_traceback(monkeypatch):
+    # a traceback would keep the failing frames' locals alive with the cache
+    def singular(fit, x):
+        raise q.SingularF("flat")
+
+    monkeypatch.setattr(qmselect.criteria, "info_matrices", singular)
+    cache = {}
+    with pytest.raises(q.AllModelsFailed):
+        select_from_fits([fake_fit(q.wn(), 1.0)], np.zeros(100), q.KC_PRIME, cache)
+    assert isinstance(cache[0], q.SingularF) and cache[0].__traceback__ is None
 
 
 def test_classify():

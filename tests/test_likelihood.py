@@ -8,7 +8,7 @@ from scipy.signal import lfilter
 import qmselect as q
 import qmselect.likelihood
 import qmselect.models
-from qmselect.likelihood import _Objective, _fd_steps
+from qmselect.likelihood import _Objective
 
 
 def fd_gradient(spec, theta, x, h=1e-6):
@@ -356,18 +356,50 @@ def test_hessian_psd_at_garch_optimum(dgp3_series_2000, dgp3_fit_2000):
     assert eigs[0] >= -1e-6 * eigs[-1]
 
 
-def test_boundary_too_close_raises():
-    x = np.random.default_rng(2).standard_normal(300)
-    with pytest.raises(q.BoundaryTooClose):
-        q.derivatives(q.garch(1, 1), [0.5, 1e-7, 0.3], x)
-    # same point is fine when the caller disables the check
-    d = q.derivatives(q.garch(1, 1), [0.5, 1e-7, 0.3], x, check_boundary=False)
-    assert np.all(np.isfinite(d.hessian))
+def fd_hessian(spec, theta, x, h=1e-6):
+    """Independent central-difference reference of the analytic gradient,
+    steps relative to each parameter (absolute at 0), so a parameter near the
+    ``H_FLOOR`` clamp is not stepped across it."""
+    theta = np.asarray(theta, dtype=float)
+    out = np.empty((theta.size, theta.size))
+    for k in range(theta.size):
+        hk = h * (abs(theta[k]) or 1.0)
+        tp, tm = theta.copy(), theta.copy()
+        tp[k] += hk
+        tm[k] -= hk
+        out[:, k] = (q.gradient(spec, tp, x) - q.gradient(spec, tm, x)) / (2 * hk)
+    return 0.5 * (out + out.T)
 
 
-def test_fd_steps_scale_with_parameter():
-    steps = _fd_steps(np.array([0.0, 2.0, -100.0]))
-    assert_allclose(steps, [1e-5, 2e-5, 1e-3])
+# one case per family and recursion branch, boundary points included
+HESSIAN_CASES = [
+    pytest.param(q.wn(), [1.3], False, id="wn"),
+    pytest.param(q.arma(1, 1), [0.3, -0.2, 0.9], False, id="arma(1,1)"),
+    pytest.param(q.arma(2, 2), [0.3, 0.2, -0.4, 0.1, 1.1], False, id="arma(2,2)"),
+    # identity MA filter: the convolve path
+    pytest.param(q.arma(3, 0), [0.3, 0.2, -0.1, 1.2], False, id="arma(3,0)"),
+    pytest.param(q.garch(1, 1), [0.5, 0.2, 0.3], False, id="garch(1,1)"),
+    pytest.param(q.garch(0, 2), [0.5, 0.3, 0.2], False, id="garch(0,2)"),
+    pytest.param(q.garch(1, 1), [1e-9, 1e-9, 0.5], False, id="garch(1,1)-on-the-floor"),
+    pytest.param(q.aparch(1.5, 1, 0), [0.5, 0.2, 0.1], False, id="aparch(1.5;1,0)"),
+    pytest.param(q.aparch(0.7, 2, 1), [0.3, 0.1, 0.05, 0.3, -0.2, 0.5], True,
+                 id="aparch(0.7;2,1)-zeros"),
+    pytest.param(q.ararch(1), [0.3, 0.5, 0.2], False, id="ararch(1)"),
+    pytest.param(q.ararch(2), [0.3, 0.5, 0.2, 0.1], False, id="ararch(2)"),
+    pytest.param(q.garch(2, 1), [0.4, 0.0, 0.2, 0.5], False, id="garch(2,1)-a1-on-its-bound"),
+    # sum |a_i| = 0.98, the budget
+    pytest.param(q.arma(3, 0), [0.5, -0.3, 0.18, 1.0], False, id="arma(3,0)-on-the-budget-face"),
+]
+
+
+@pytest.mark.parametrize("spec, theta, zeros", HESSIAN_CASES)
+def test_complex_step_hessian_matches_central_differences(spec, theta, zeros):
+    # a dropped imaginary part would give a zero column; under the suite's
+    # filterwarnings = error it raises ComplexWarning instead
+    x = _edge_series(zeros)
+    got = q.derivatives(spec, theta, x).hessian
+    assert_allclose(got, fd_hessian(spec, theta, x), rtol=1e-7)
+    assert np.array_equal(got, got.T)
 
 
 # ---------------------------------------------------------------------------

@@ -254,12 +254,6 @@ def test_every_budget_implies_its_coordinates_box():
             assert np.all(cs.upper[idx] >= g.bound), spec
 
 
-def test_stencil_inside():
-    cs = q.constraint_set(q.garch(1, 0))
-    assert cs.stencil_inside(np.array([1.0, 0.5]), np.array([1e-4, 1e-4]))
-    assert not cs.stencil_inside(np.array([1.0, 1e-6]), np.array([1e-4, 1e-4]))
-
-
 def test_param_vector_validation():
     pv = q.ParamVector(q.garch(1, 1), [1.0, 0.35, 0.4])
     assert pv.named() == {"omega": 1.0, "a1": 0.35, "b1": 0.4}
