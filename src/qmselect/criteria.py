@@ -178,7 +178,10 @@ class SelectionResult:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(
-                ["model", "converged", "n_gamma_bar", "penalty", "logdet_term", "value", "chosen"]
+                [
+                    "model", "converged", "n_gamma_bar", "penalty", "logdet_term", "value",
+                    "chosen", "excluded",
+                ]
             )
             for r in self.rows:
                 comp = r.report.components if r.report else None
@@ -191,6 +194,7 @@ class SelectionResult:
                         repr(comp.logdet_term) if comp and comp.logdet_term is not None else "",
                         repr(r.report.value) if r.report else "",
                         str(r.chosen).lower(),
+                        r.excluded or "",
                     ]
                 )
 

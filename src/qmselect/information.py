@@ -5,7 +5,9 @@ Conventions (all per observation, on the contrast scale):
 * ``f_hat`` is minus half the Hessian of gamma_bar at theta_hat, so it is
   negative definite at a regular interior minimum;
 * ``g_hat`` is the average outer product of the per-observation contrast
-  gradients divided by 4;
+  gradients divided by 4; the rows are complex steps of the conditional
+  moments, taken in the same pass of :func:`.likelihood.derivatives` as the
+  Hessian;
 * ``logdet_negF`` is log det(-f_hat), computed through a Cholesky
   factorization (the matrix is screened for numerical rank first);
 * ``trace_pen`` is -(2/n) * Tr(f_hat^-1 g_hat), a non-negative penalty rate
@@ -29,7 +31,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import SingularF, UnsupportedFamily
-from .likelihood import derivatives, grad_per_t
+from .likelihood import derivatives
 from .models import Family, ModelSpec
 
 #: relative eigenvalue floor below which -f_hat is declared singular
@@ -65,6 +67,9 @@ def _trace_pen_from(chol, g_hat: np.ndarray, n: int) -> float:
 def info_matrices(fit_result, x) -> InfoMatrices:
     """Estimate the curvature/score matrices for a converged fit.
 
+    One call of :func:`.likelihood.derivatives` gives both: its Hessian for
+    ``f_hat`` and its per-observation scores for ``g_hat``.
+
     Raises
     ------
     SingularF
@@ -75,15 +80,12 @@ def info_matrices(fit_result, x) -> InfoMatrices:
         raise ValueError(f"{fit_result.spec.name}: info matrices need a converged fit")
     x = np.asarray(x, dtype=float)
     n = x.size
-    theta = fit_result.theta.values
-    deriv = derivatives(fit_result.spec, theta, x)
+    deriv = derivatives(fit_result.spec, fit_result.theta.values, x)
     f_hat = -0.5 * deriv.hessian
     neg_f = -f_hat
-    # screen first: a singular model needs no (n, dim) score rows
     _screen_neg_f(neg_f)
     chol = cho_factor(neg_f, lower=True)
-    scores = grad_per_t(fit_result.spec, theta, x)
-    g_hat = scores.T @ scores / (4.0 * n)
+    g_hat = deriv.scores.T @ deriv.scores / (4.0 * n)
     return InfoMatrices(
         f_hat=f_hat,
         g_hat=g_hat,

@@ -9,33 +9,27 @@ and ``gamma_bar`` is its sample mean; the quasi-log-likelihood is exactly
 ``-(n/2) * gamma_bar``.  Minimizing gamma_bar is the estimation principle
 used everywhere in this package.
 
-First derivatives are analytic for every family.  They differentiate the
-truncated recursions of :mod:`.models`: the arma, garch and aparch
-recursions are linear filters, so their derivatives go through ``lfilter``
-with the same polynomial, and the ararch variance is closed form.  Where the
-``H_FLOOR`` clamp is active the variance no longer depends on the parameters,
-so its share of the score is zero there.  Second derivatives are the
-complex-step derivatives of that gradient (:func:`derivatives`): the
-gradient path runs unchanged on complex parameters, so one derivative path
-serves the fit and the information matrices.  Finite differences remain only
-in the tests, as oracles.
+Each family has one hand-derived derivative, the gradient of gamma_bar
+(:func:`_gradient_from`), which differentiates the truncated recursions of
+:mod:`.models`.  Where the ``H_FLOOR`` clamp is active the variance no longer
+depends on the parameters, so its share of the gradient is zero there.  The
+Hessian and the per-observation scores are complex steps, of that gradient
+and of the conditional moments, taken in one pass (:func:`derivatives`): the
+recursions run unchanged on complex parameters.  They serve the information
+matrices.  Finite differences remain only in the tests, as oracles.
 
 Each family's recursion is one pass over the sample (``models._recursion``);
-the conditional moments, the per-observation scores and the gradient are all
-read from it, each by one formula (``models._moments_from``,
-:func:`_score_from`, :func:`_gradient_from`).  The score rows serve the
-information matrices.  The gradient needs only their mean, so it runs the
-family's filter once backwards over the sample instead of once per
-parameter (reverse-mode differentiation).  ``_Objective`` is the contrast
-and gradient that SLSQP's passes in a fit share: it keeps the recursion and
-value of the last point it valued and reuses them when that point is asked
-for again, so a step builds one recursion where :func:`gamma_bar` then
-:func:`gradient` would build two.  Its values are exactly theirs.  A point
-costs SLSQP one recursion and one reduction for the value (constant moments
-stay scalars inside, see ``models._moments_from``) and one backward pass for
-the gradient.  The public functions enter ``np.errstate`` themselves; the
-objective's callbacks run in the error state that ``fitting._descend``
-enters once per descent.
+the conditional moments and the gradient are read from it
+(``models._moments_from``, :func:`_gradient_from`).  ``_Objective`` is the
+contrast and gradient that SLSQP's passes in a fit share: it keeps the
+recursion and value of the last point it valued and reuses them when that
+point is asked for again, so a step builds one recursion where
+:func:`gamma_bar` then :func:`gradient` would build two.  Its values are
+exactly theirs.  A point costs SLSQP one recursion and one reduction for the
+value (constant moments stay scalars inside, see ``models._moments_from``)
+and one backward pass for the gradient.  The public functions enter
+``np.errstate`` themselves; the objective's callbacks run in the error state
+that ``fitting._descend`` enters once per descent.
 """
 
 from __future__ import annotations
@@ -73,9 +67,12 @@ class ContrastEval:
 
 @dataclass(frozen=True)
 class DerivEval:
-    """Second derivatives of gamma_bar at one parameter point."""
+    """Derivatives of the contrast at one parameter point, both complex steps
+    (see :func:`derivatives`): ``hessian`` is the (dim, dim) Hessian of
+    gamma_bar, ``scores`` the (n, dim) per-observation gradients of gamma_t."""
 
     hessian: np.ndarray
+    scores: np.ndarray
 
 
 def contrast(spec: ModelSpec, theta, x) -> ContrastEval:
@@ -122,36 +119,16 @@ def mu4_hat(xi) -> float:
 
 
 # ---------------------------------------------------------------------------
-# per-observation gradients
+# gradients
 
 
 def grad_per_t(spec: ModelSpec, theta, x) -> np.ndarray:
-    """(n, dim) matrix of per-observation contrast gradients.
-
-    Analytic for every family (see the module docstring).  Row means equal
-    the gradient of gamma_bar, which :func:`gradient` computes without the
-    rows.
-    """
-    v = _as_values(spec, theta)
-    x = np.asarray(x, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _score_from(spec, v, x, _recursion(spec, v, x))
-
-
-def _score_from(spec: ModelSpec, v: np.ndarray, x: np.ndarray, rec) -> np.ndarray:
-    """Per-observation scores from the recursion ``models._recursion`` built at
-    ``v``; callers hold the floating-point error state."""
-    fam = spec.family
-    if fam is Family.WN:
-        sigma = v[0]
-        return (-2.0 * x**2 / sigma**3 + 2.0 / sigma)[:, None]
-    if fam is Family.ARMA:
-        return _grad_arma(spec, v, x, rec)
-    if fam is Family.GARCH:
-        return _grad_garch(spec, v, x, rec)
-    if fam is Family.APARCH:
-        return _grad_aparch(spec, v, x, rec)
-    return _grad_ararch(spec, v, x, rec)
+    """(n, dim) matrix of per-observation contrast gradients, the ``scores``
+    of :func:`derivatives`: complex steps of the conditional moments, so they
+    cost that whole pass, the Hessian included.  Row means equal the gradient
+    of gamma_bar, the family's one hand-derived derivative, which
+    :func:`gradient` computes without the rows."""
+    return derivatives(spec, theta, x).scores
 
 
 def _variance_ratio(h_lin: np.ndarray, resid2: np.ndarray) -> np.ndarray:
@@ -192,74 +169,6 @@ def _aparch_gamma_slope(d: float, x: np.ndarray, gamma: float) -> np.ndarray:
     return -d * x * slope
 
 
-def _grad_arma(spec, v, x, rec):
-    p, q = spec.p, spec.q
-    n = x.size
-    sigma = v[p + q]
-    eps, ma = rec
-    # d eps / d theta_k is the MA-filter of minus the lagged x (AR part) or
-    # the lagged eps (MA part); all p + q columns go through one filter call
-    inputs = np.empty((p + q, n))
-    for i in range(p):
-        inputs[i] = -_lag(x, i + 1)
-    for j in range(q):
-        inputs[p + j] = -_lag(eps, j + 1)
-    rows = np.empty((spec.dim, n))
-    rows[: p + q] = (2.0 / sigma**2 * eps) * _ar_filter(ma, inputs)
-    rows[p + q] = -2.0 * eps**2 / sigma**3 + 2.0 / sigma
-    return rows.T
-
-
-def _grad_garch(spec, v, x, rec):
-    p, q = spec.p, spec.q
-    n = x.size
-    h_lin, braw = rec
-    # d gamma_t / d theta_k = ratio_t * d h_t / d theta_k
-    ratio = _variance_ratio(h_lin, x**2)
-    # d h / d theta_k is the b-filter of the derivative of the filter input
-    inputs = np.empty((spec.dim, n))
-    inputs[0] = 1.0
-    for i in range(p):
-        inputs[1 + i] = _lag(x, i + 1) ** 2
-    for j in range(q):
-        inputs[1 + p + j] = _lag(h_lin, j + 1)
-    return (ratio * _ar_filter(braw, inputs)).T
-
-
-def _grad_aparch(spec, v, x, rec):
-    p, q = spec.p, spec.q
-    n = x.size
-    d = spec.delta
-    s_lin, braw, powers, h = rec
-    ratio = _aparch_ratio(d, x, s_lin, h)
-    # d s / d theta_k is the b-filter of the derivative of the filter input
-    inputs = np.empty((spec.dim, n))
-    inputs[0] = 1.0
-    for i in range(p):
-        inputs[1 + i] = _lag(powers[i], i + 1)
-        inputs[1 + p + i] = v[1 + i] * _lag(_aparch_gamma_slope(d, x, v[1 + p + i]), i + 1)
-    for j in range(q):
-        inputs[1 + 2 * p + j] = _lag(s_lin, j + 1)
-    return (ratio * _ar_filter(braw, inputs)).T
-
-
-def _grad_ararch(spec, v, x, rec):
-    z, h_lin = rec
-    h = np.maximum(h_lin, H_FLOOR)
-    ratio = _variance_ratio(h_lin, z**2)
-    x1 = _lag(x, 1)
-    cols = np.empty((x.size, spec.dim), dtype=h_lin.dtype)
-    # phi moves the mean directly and the variance through every lagged z^2
-    dh_phi = np.zeros(x.size, dtype=h_lin.dtype)
-    for i in range(spec.p):
-        dh_phi -= 2.0 * v[2 + i] * _lag(z * x1, i + 1)
-    cols[:, 0] = -2.0 * z * x1 / h + ratio * dh_phi
-    cols[:, 1] = ratio
-    for i in range(spec.p):
-        cols[:, 2 + i] = ratio * _lag(z, i + 1) ** 2
-    return cols
-
-
 def gradient(spec: ModelSpec, theta, x) -> np.ndarray:
     """Gradient of gamma_bar: the mean of the per-observation gradients,
     computed without them (see :func:`_gradient_from`)."""
@@ -271,22 +180,27 @@ def gradient(spec: ModelSpec, theta, x) -> np.ndarray:
 
 def _gradient_from(spec: ModelSpec, v: np.ndarray, x: np.ndarray, rec) -> np.ndarray:
     """Mean score from the recursion ``models._recursion`` built at ``v``;
-    callers hold the floating-point error state.
+    callers hold the floating-point error state.  This is each family's one
+    hand-derived derivative; it also runs on complex ``v``, for the Hessian.
 
     The arma, garch and aparch scores are ``w_t (L u_k)_t`` with ``L`` the
     family's filter, so their mean is ``<r, u_k> / n`` with ``r = L^T w`` the
     filter run backwards over ``w``: one 1-D pass, where the score rows need
     one pass per parameter.  The inputs ``u_k`` are lags, so each inner
-    product is taken on slices, ``r[k:] @ u[:n - k]``.
+    product is taken on slices, ``r[k:] @ u[:n - k]``.  The wn mean score is
+    closed form, and the ararch filter is the identity (``r = w``).
     """
     fam = spec.family
+    if fam is Family.WN:
+        sigma = v[0]
+        return np.array([-2.0 * (x @ x) / x.size / sigma**3 + 2.0 / sigma])
     if fam is Family.ARMA:
         return _mean_grad_arma(spec, v, x, rec)
     if fam is Family.GARCH:
         return _mean_grad_garch(spec, v, x, rec)
     if fam is Family.APARCH:
         return _mean_grad_aparch(spec, v, x, rec)
-    return _score_from(spec, v, x, rec).mean(axis=0)  # wn, ararch: no filter
+    return _mean_grad_ararch(spec, v, x, rec)
 
 
 def _adjoint(poly: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -348,6 +262,22 @@ def _mean_grad_aparch(spec, v, x, rec):
     return g
 
 
+def _mean_grad_ararch(spec, v, x, rec):
+    # the filter is the identity: the variance ratio weights the lagged inputs
+    # directly, and phi moves the mean and, through every lagged z, the variance
+    n = x.size
+    z, h_lin = rec
+    z2, zx1 = z**2, z * _lag(x, 1)
+    ratio = _variance_ratio(h_lin, z2)
+    g = np.empty(spec.dim, dtype=ratio.dtype)
+    g[0] = -2.0 * _lagged_dot(z / np.maximum(h_lin, H_FLOOR), x, 1) / n
+    g[1] = ratio.sum() / n
+    for i in range(spec.p):
+        g[0] -= 2.0 * v[2 + i] * _lagged_dot(ratio, zx1, i + 1) / n
+        g[2 + i] = _lagged_dot(ratio, z2, i + 1) / n
+    return g
+
+
 class _Objective:
     """gamma_bar and its gradient for the minimizers, one recursion per point.
 
@@ -387,15 +317,21 @@ class _Objective:
 
 
 def derivatives(spec: ModelSpec, theta, x, *, check_boundary: bool = True) -> DerivEval:
-    """Symmetrized Hessian of gamma_bar at ``theta`` by complex steps of the
-    analytic gradient: column k is ``Im(grad(theta + i CS_STEP e_k)) / CS_STEP``
-    (Squire & Trapp 1998; Martins, Sturdza & Alonso 2003).
+    """Hessian and per-observation scores of gamma_bar at ``theta``, both by
+    complex steps (Squire & Trapp 1998; Martins, Sturdza & Alonso 2003).
 
-    Every evaluation has the real part ``theta`` itself, so the Hessian is
-    defined wherever the gradient is, on a box bound or a budget face
-    included: it is the Hessian of the smooth extension of the recursions
-    across the boundary.  No difference is taken, so there is no cancellation
-    and no step to tune.
+    Step k builds the family's recursion at ``theta + i CS_STEP e_k``.  Hessian
+    column k is ``Im(grad) / CS_STEP`` of the analytic gradient there; score
+    column k is the contrast's derivative in its two moments, one formula for
+    every family: ``(-2 r_t / h_t) Im f_t + ((h_t - r_t^2) / h_t^2) Im h_t``,
+    over ``CS_STEP``, with ``r = x - f`` and the weights from the real moments.
+    A moment the ``H_FLOOR`` clamp holds fixed has no imaginary part.
+
+    Every evaluation has the real part ``theta`` itself, so both are defined
+    wherever the gradient is, on a box bound or a budget face included: they
+    are the derivatives of the smooth extension of the recursions across the
+    boundary.  No difference is taken, so there is no cancellation and no step
+    to tune.
 
     ``check_boundary`` is accepted for compatibility and has no effect: no
     step leaves the point, so there is no boundary to check.
@@ -403,9 +339,17 @@ def derivatives(spec: ModelSpec, theta, x, *, check_boundary: bool = True) -> De
     v = _as_values(spec, theta)
     x = np.asarray(x, dtype=float)
     hess = np.empty((v.size, v.size))
+    scores = np.empty((v.size, x.size))
     with np.errstate(over="ignore", invalid="ignore"):
+        cm = _moments_from(spec, v, x, _recursion(spec, v, x))
+        resid = x - cm.f_hat
+        w_f = (-2.0 / CS_STEP) * resid / cm.h_hat
+        w_h = (cm.h_hat - resid**2) / (CS_STEP * cm.h_hat**2)
         for k in range(v.size):
             vc = v.astype(complex)
             vc[k] += 1j * CS_STEP
-            hess[:, k] = _gradient_from(spec, vc, x, _recursion(spec, vc, x)).imag / CS_STEP
-    return DerivEval(0.5 * (hess + hess.T))
+            rec = _recursion(spec, vc, x)
+            hess[:, k] = _gradient_from(spec, vc, x, rec).imag / CS_STEP
+            cmc = _moments_from(spec, vc, x, rec)
+            scores[k] = w_f * np.imag(cmc.f_hat) + w_h * np.imag(cmc.h_hat)
+    return DerivEval(0.5 * (hess + hess.T), scores.T)

@@ -205,3 +205,25 @@ def test_selection_csv_schema(tmp_path, dgp2_series_2000):
     # repr round-trip: value column reproduces the float exactly
     assert float(chosen["value"]) == sel.chosen_row.report.value
     assert rows[0]["logdet_term"] == ""  # bic has no logdet part
+
+
+def test_selection_csv_records_exclusions(tmp_path, monkeypatch, dgp2_series_2000):
+    # a model kept out of the criterion says why in the table, not only on stdout
+    x = dgp2_series_2000.values
+    fits = q.fit_family(q.expand_family("wn+arma(1,1)"), x)
+    info_matrices = qmselect.criteria.info_matrices
+
+    def singular_wn(fit, x):
+        if fit.spec == q.wn():
+            raise q.SingularF("flat")
+        return info_matrices(fit, x)
+
+    monkeypatch.setattr(qmselect.criteria, "info_matrices", singular_wn)
+    sel = select_from_fits(fits, x, q.KC_PRIME)
+    out = tmp_path / "sel.csv"
+    sel.to_csv(out)
+    with open(out, newline="") as fh:
+        rows = {r["model"]: r for r in csv.DictReader(fh)}
+    assert rows["wn"]["excluded"] == "SingularF: flat"
+    assert rows["wn"]["value"] == "" and rows["wn"]["chosen"] == "false"
+    assert rows["arma(1,1)"]["excluded"] == "" and rows["arma(1,1)"]["chosen"] == "true"

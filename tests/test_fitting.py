@@ -188,13 +188,17 @@ def test_slsqp_builds_one_recursion_per_function_evaluation(monkeypatch, spec, t
 @pytest.mark.parametrize("spec,theta", RECURSION_CASES[:3], ids=[str(s) for s, _ in RECURSION_CASES[:3]])
 def test_fit_never_builds_the_score_rows(monkeypatch, spec, theta):
     # the optimizer and the certificate only need the mean score, which the
-    # backward filter pass gives without the (n, dim) rows
+    # backward filter pass gives without the (n, dim) rows; the rows come
+    # only from complex steps, so a fit never evaluates a complex point
     x = q.simulate(spec, theta, 600, seed=32).values
+    recursion = qmselect.likelihood._recursion
 
-    def no_rows(*args):
-        raise AssertionError("score rows built during a fit")
+    def real_only(spec, v, x):
+        if np.iscomplexobj(v):
+            raise AssertionError("complex point evaluated during a fit")
+        return recursion(spec, v, x)
 
-    monkeypatch.setattr(qmselect.likelihood, "_score_from", no_rows)
+    monkeypatch.setattr(qmselect.likelihood, "_recursion", real_only)
     assert q.fit(spec, x).converged
 
 

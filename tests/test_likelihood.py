@@ -296,29 +296,35 @@ def test_skipped_identity_filters_equal_lfilter(monkeypatch, spec, theta):
     def ar_filter(poly, u):
         return lfilter([1.0], poly, u, axis=-1)
 
+    recursion = qmselect.models._recursion
+
+    def lfilter_recursion(spec, v, x):
+        if spec.family is q.Family.ARMA:  # the residuals skip _ar_filter
+            return lfilter(np.r_[1.0, -v[: spec.p]], [1.0], x), recursion(spec, v, x)[1]
+        return recursion(spec, v, x)
+
     monkeypatch.setattr(qmselect.models, "_ar_filter", ar_filter)
     monkeypatch.setattr(qmselect.likelihood, "_ar_filter", ar_filter)
-    if spec.family is q.Family.ARMA:
-        want_rec = (lfilter(np.r_[1.0, -v[:2]], [1.0], x), got_rec[1])
-    else:
-        want_rec = qmselect.models._recursion(spec, v, x)
-    assert np.array_equal(got_rec[0], want_rec[0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        want_scores = qmselect.likelihood._score_from(spec, v, x, want_rec)
-        want_grad = qmselect.likelihood._gradient_from(spec, v, x, want_rec)
-    assert np.array_equal(got_scores, want_scores)
-    assert np.array_equal(got_grad, want_grad)
+    monkeypatch.setattr(qmselect.likelihood, "_recursion", lfilter_recursion)
+    assert np.array_equal(got_rec[0], lfilter_recursion(spec, v, x)[0])
+    # the scores and the gradient, on the real and the complex recursions
+    assert np.array_equal(got_scores, q.grad_per_t(spec, v, x))
+    assert np.array_equal(got_grad, q.gradient(spec, v, x))
 
 
 def test_grad_per_t_rows_average_to_gradient():
-    # the gradient is the rows' mean taken by the backward (adjoint) filter
-    # pass; one input per branch of that path
+    # the rows are complex steps of the moments, the gradient is each
+    # family's hand-derived mean score (the backward filter pass for arma,
+    # garch and aparch, closed forms for wn and ararch); one input per branch
     x = np.random.default_rng(1).standard_normal(200)
     with_zeros = x.copy()
     with_zeros[::11] = 0.0
     floor = np.array([1e-9, 1e-9, 0.5])
     h_lin, _ = qmselect.models._recursion(q.garch(1, 1), floor, x)
     assert (h_lin < qmselect.models.H_FLOOR).any()
+    arch_floor = np.array([0.3, 1e-9, 1e-9])
+    _, h_lin = qmselect.models._recursion(q.ararch(1), arch_floor, x)
+    assert (h_lin < qmselect.models.H_FLOOR).any() and (h_lin > qmselect.models.H_FLOOR).any()
     for spec, theta, series in [
         (q.wn(), [1.3], x),
         (q.arma(1, 1), [0.3, -0.2, 0.9], x),
@@ -332,6 +338,7 @@ def test_grad_per_t_rows_average_to_gradient():
         (q.aparch(0.7, 2, 1), [0.3, 0.1, 0.05, 0.3, -0.2, 0.5], with_zeros),
         (q.ararch(1), [0.3, 0.5, 0.2], x),
         (q.ararch(2), [0.3, 0.5, 0.2, 0.1], x),
+        (q.ararch(1), arch_floor, x),  # on the H_FLOOR clamp
     ]:
         rows = q.grad_per_t(spec, theta, series)
         assert rows.shape == (200, len(theta))
@@ -400,6 +407,52 @@ def test_complex_step_hessian_matches_central_differences(spec, theta, zeros):
     got = q.derivatives(spec, theta, x).hessian
     assert_allclose(got, fd_hessian(spec, theta, x), rtol=1e-7)
     assert np.array_equal(got, got.T)
+
+
+@pytest.mark.parametrize("spec, theta, zeros", HESSIAN_CASES)
+def test_complex_step_scores_match_central_differences(spec, theta, zeros):
+    # the rows are the complex step of the moments through the contrast;
+    # the oracle differences the per-observation contrast itself, with the
+    # steps of fd_hessian
+    x = _edge_series(zeros)
+    theta = np.asarray(theta, dtype=float)
+    ref = np.empty((x.size, theta.size))
+    for k in range(theta.size):
+        hk = 1e-6 * (abs(theta[k]) or 1.0)
+        tp, tm = theta.copy(), theta.copy()
+        tp[k] += hk
+        tm[k] -= hk
+        ref[:, k] = (q.contrast(spec, tp, x).per_t - q.contrast(spec, tm, x).per_t) / (2 * hk)
+    # an entry near 0 carries the differences' rounding error, ~1e-10 of the
+    # largest entry: the tolerance is relative to the largest one
+    scale = float(np.max(np.abs(ref)))
+    assert_allclose(q.grad_per_t(spec, theta, x), ref, rtol=1e-7, atol=1e-7 * scale)
+
+
+@pytest.mark.parametrize(
+    "spec, theta",
+    [
+        (q.wn(), [1.3]),
+        (q.arma(1, 1), [0.3, -0.2, 0.9]),
+        (q.garch(1, 1), [0.5, 0.2, 0.3]),
+        (q.aparch(1.5, 1, 1), [0.3, 0.15, 0.3, 0.6]),
+        (q.ararch(2), [0.3, 0.5, 0.2, 0.1]),
+    ],
+    ids=str,
+)
+def test_hessian_is_the_complex_step_of_the_mean_gradient(spec, theta):
+    # building the score rows in the same pass leaves the Hessian as it was
+    x = _edge_series(False)
+    v = np.asarray(theta, dtype=float)
+    cols = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(v.size):
+            vc = v.astype(complex)
+            vc[k] += 1j * qmselect.likelihood.CS_STEP
+            rec = qmselect.models._recursion(spec, vc, x)
+            cols.append(qmselect.likelihood._gradient_from(spec, vc, x, rec).imag)
+    hess = np.column_stack(cols) / qmselect.likelihood.CS_STEP
+    assert np.array_equal(q.derivatives(spec, v, x).hessian, 0.5 * (hess + hess.T))
 
 
 # ---------------------------------------------------------------------------
