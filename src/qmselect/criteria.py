@@ -159,6 +159,8 @@ class ModelRow:
 
     spec: ModelSpec
     converged: bool
+    grad_norm: float
+    iterations: int
     report: CriterionReport | None = None
     excluded: str | None = None
     chosen: bool = False
@@ -180,7 +182,7 @@ class SelectionResult:
             w.writerow(
                 [
                     "model", "converged", "n_gamma_bar", "penalty", "logdet_term", "value",
-                    "chosen", "excluded",
+                    "chosen", "excluded", "grad_norm", "iterations",
                 ]
             )
             for r in self.rows:
@@ -195,8 +197,14 @@ class SelectionResult:
                         repr(r.report.value) if r.report else "",
                         str(r.chosen).lower(),
                         r.excluded or "",
+                        repr(r.grad_norm),
+                        r.iterations,
                     ]
                 )
+
+
+def _row(fit: FitResult, **outcome) -> ModelRow:
+    return ModelRow(fit.spec, fit.converged, fit.grad_norm, fit.iterations, **outcome)
 
 
 def classify(truth: ModelSpec, chosen: ModelSpec) -> str:
@@ -241,7 +249,7 @@ def select_from_fits(
     rows: list[ModelRow] = []
     for i, f in enumerate(fits):
         if not f.converged:
-            rows.append(ModelRow(f.spec, False, excluded=f.error or "not converged"))
+            rows.append(_row(f, excluded=f.error or "not converged"))
             continue
         info = None
         if kind.needs_info:
@@ -254,17 +262,15 @@ def select_from_fits(
                     info_cache[i] = exc.with_traceback(None)
             info = info_cache[i]
             if isinstance(info, Exception):
-                rows.append(
-                    ModelRow(f.spec, True, excluded=f"{type(info).__name__}: {info}")
-                )
+                rows.append(_row(f, excluded=f"{type(info).__name__}: {info}"))
                 continue
         try:
             mu4 = mu4_hat(residuals(f.spec, f.theta.values, x)) if kind.needs_mu4 else None
             report = criterion_value(f, kind, info=info, mu4=mu4)
         except (UnsupportedFamily, MissingInfo) as exc:
-            rows.append(ModelRow(f.spec, True, excluded=f"{type(exc).__name__}: {exc}"))
+            rows.append(_row(f, excluded=f"{type(exc).__name__}: {exc}"))
             continue
-        rows.append(ModelRow(f.spec, True, report=report))
+        rows.append(_row(f, report=report))
 
     scored = [r for r in rows if r.report is not None and np.isfinite(r.report.value)]
     if not scored:

@@ -21,12 +21,13 @@ residuals, which is what ``lfilter`` would compute there one row at a time.
 
 Simulation starts from the same zero pre-sample.  arma paths go through
 ``lfilter``; each variance-driven path (garch, aparch and the ARCH residual of
-ararch) is one loop on Python floats that keeps only the last p and q lags.
+ararch) is one loop per order, generated once, with every lag a local float.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
 import re
@@ -581,80 +582,79 @@ def _path_from_noise(spec: ModelSpec, v: np.ndarray, xi: np.ndarray) -> np.ndarr
 
 
 def _sim_garch(omega, a, b, xi):
-    # one Python-float loop (this is the 101k-step oracle path of the
-    # efficiency experiment): the noise is read and the path written through
-    # memoryviews, and the last p squares and q variances sit newest first in
-    # one short list that starts at 0.0, the truncated pre-sample convention.
-    # A pre-sample term adds an exact 0.0, so every step does the same IEEE
-    # operations in the same order as a loop over the min(p, t) and
-    # min(q, t) lags that exist, on numpy scalars (the reference loop in
-    # tests/test_models.py); ``x ** 2`` rounds like numpy's scalar square,
-    # ``x * x`` does not.  A block of one lag is overwritten in place, a
-    # longer one shifts by a pop and an insert.
-    p, q = len(a), len(b)
     out = np.zeros(xi.size)
-    x = memoryview(out)
-    omega, coef = float(omega), [*map(float, a), *map(float, b)]
-    lags = [0.0] * (p + q)  # x_{t-1}^2 .. x_{t-p}^2, h_{t-1} .. h_{t-q}
-    sqrt, pop, insert = math.sqrt, lags.pop, lags.insert
+    coefs = map(float, [omega, *a, *b])
     try:
-        for t, e in enumerate(memoryview(xi)):
-            ht = omega
-            for c, lag in zip(coef, lags):
-                ht += c * lag
-            x[t] = xt = sqrt(ht) * e
-            if abs(xt) > OVERFLOW_LIMIT:
-                raise NumericOverflow("(G)ARCH simulation overflow")
-            if q == 1:
-                lags[p] = ht
-            elif q:
-                pop()
-                insert(p, ht)
-            if p == 1:
-                lags[0] = xt**2
-            elif p:
-                pop(p - 1)
-                insert(0, xt**2)
+        _kernel(Family.GARCH, len(a), len(b))(out, xi, *coefs)
     except ValueError:  # math.sqrt of a negative variance (infeasible parameters)
         raise NumericOverflow("(G)ARCH simulation reached a negative variance") from None
     return out
 
 
 def _sim_aparch(omega, a, gam, b, delta, xi):
-    # the garch kernel's design, with the last p values and q powers
-    # s = sigma ** delta in two newest-first lists.  math.pow does what
-    # numpy's scalar power does, but raises where numpy would warn and return
-    # nan or inf (a negative base under a fractional power, or an overflowing
-    # power); the loop maps that to the package's overflow error.
-    p, q = len(a), len(b)
+    # math.pow does what numpy's scalar power does, but raises where numpy
+    # would warn and return nan or inf (a negative base under a fractional
+    # power, or an overflowing power); that maps to the package's overflow error
     out = np.zeros(xi.size)
-    x = memoryview(out)
-    omega, pow_inv = float(omega), 1.0 / delta
-    arch, b = list(zip(map(float, a), map(float, gam))), list(map(float, b))
-    xl = [0.0] * p  # x_{t-1} .. x_{t-p}
-    sl = [0.0] * q  # s_{t-1} .. s_{t-q}
-    power = math.pow
+    coefs = map(float, [omega, *a, *gam, *b, delta])
     try:
-        for t, e in enumerate(memoryview(xi)):
-            st = omega
-            for (ai, gi), lag in zip(arch, xl):
-                st += ai * power(abs(lag) - gi * lag, delta)
-            for bj, lag in zip(b, sl):
-                st += bj * lag
-            x[t] = xt = power(st, pow_inv) * e
-            if abs(xt) > OVERFLOW_LIMIT:
-                raise NumericOverflow("aparch simulation overflow")
-            if p:
-                xl.pop()
-                xl.insert(0, xt)
-            if q:
-                sl.pop()
-                sl.insert(0, st)
+        _kernel(Family.APARCH, len(a), len(b))(out, xi, *coefs)
     except (ValueError, OverflowError):
         raise NumericOverflow(
             "aparch simulation reached a negative base or an overflowing power"
         ) from None
     return out
+
+
+@functools.cache
+def _kernel(family: Family, p: int, q: int):
+    # The simulation loop of one garch or aparch order, written out and
+    # compiled once (the 101k-step oracle path of the efficiency experiment).
+    # Each of the last p values (garch: squares x_{t-i} ** 2) and q variances
+    # or powers s = sigma ** delta is a local of its own, CPython's fastest
+    # variable, shifted by one tuple assignment, so a step runs no inner loop.
+    # The lags start at 0.0, the truncated pre-sample: a pre-sample term adds
+    # an exact 0.0, and ``omega + a1 * x1 + ... + b1 * s1`` evaluates left to
+    # right, so every step does the same IEEE operations in the same order as
+    # a loop over the min(p, t) and min(q, t) lags that exist, on numpy
+    # scalars (the reference loops in tests/test_models.py); ``x ** 2``
+    # rounds like numpy's scalar square, ``x * x`` does not.  Only names built
+    # from range(p) and range(q) and fixed text enter the source:
+    # coefficients, omega and delta are arguments, so no value reaches exec.
+    xs = [f"x{i}" for i in range(1, p + 1)]
+    ss = [f"s{j}" for j in range(1, q + 1)]
+    a = [f"a{i}" for i in range(1, p + 1)]
+    b = [f"b{j}" for j in range(1, q + 1)]
+    if family is Family.GARCH:
+        args, label = [*a, *b], "(G)ARCH"
+        arch = [f"{ai} * {x}" for ai, x in zip(a, xs)]
+        level, new_x, inverse = "sqrt(st)", "xt ** 2", ""
+    else:
+        g = [f"g{i}" for i in range(1, p + 1)]
+        args, label = [*a, *g, *b, "delta"], "aparch"
+        arch = [f"{ai} * power(abs({x}) - {gi} * {x}, delta)" for ai, gi, x in zip(a, g, xs)]
+        level, new_x, inverse = "power(st, pow_inv)", "xt", "pow_inv = 1.0 / delta"
+
+    def assign(names, values):
+        return f"{', '.join(names)} = {', '.join(values)}" if names else ""
+
+    step = " + ".join(["omega", *arch, *(f"{bj} * {sj}" for bj, sj in zip(b, ss))])
+    source = f"""
+def kernel({", ".join(["out", "xi", "omega", *args])}):
+    path, sqrt, power, limit = memoryview(out), math.sqrt, math.pow, OVERFLOW_LIMIT
+    {inverse}
+    {assign(xs + ss, ["0.0"] * (p + q))}
+    for t, e in enumerate(memoryview(xi)):
+        st = {step}
+        path[t] = xt = {level} * e
+        if abs(xt) > limit:
+            raise NumericOverflow("{label} simulation overflow")
+        {assign(ss, ["st", *ss[:-1]])}
+        {assign(xs, [new_x, *xs[:-1]])}
+"""
+    namespace = {"math": math, "NumericOverflow": NumericOverflow, "OVERFLOW_LIMIT": OVERFLOW_LIMIT}
+    exec(source, namespace)
+    return namespace["kernel"]
 
 
 # ---------------------------------------------------------------------------

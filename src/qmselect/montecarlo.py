@@ -69,6 +69,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n_reps < 1:
             raise ConfigError("n_reps must be >= 1")
+        if self.burn_in < 0:
+            raise ConfigError("burn_in must be >= 0")
         if not self.n_values:
             raise ConfigError("n_values must not be empty")
         if any(n < 10 for n in self.n_values):
@@ -159,10 +161,12 @@ def _run_replication(payload):
 def _replicate(config: ExperimentConfig, n: int, want_theta: bool, threads: int) -> list:
     """Every replication at sample size n, results in replication order."""
     payloads = [(config, n, r, want_theta) for r in range(config.n_reps)]
-    if threads <= 1:
+    # a fork pool starts every worker at once, so no more than there is work for
+    workers = min(threads, len(payloads))
+    if workers <= 1:
         return [_run_replication(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=threads) as ex:
-        chunk = max(1, len(payloads) // (threads * 4))
+    with ProcessPoolExecutor(max_workers=workers) as ex:
+        chunk = max(1, len(payloads) // (workers * 4))
         return list(ex.map(_run_replication, payloads, chunksize=chunk))
 
 

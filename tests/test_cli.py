@@ -198,6 +198,14 @@ def test_config_errors_exit_5(tmp_path, capsys):
     assert code == EXIT_CONFIG
 
 
+def test_negative_burn_in_exits_5(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(GOOD_CONFIG.replace("master_seed = 11", "master_seed = 11\nburn_in = -5"))
+    code, _, err = run_cli(["mc-consistency", "--config", str(bad), "--threads", "1"], capsys)
+    assert code == EXIT_CONFIG
+    assert "burn_in" in err
+
+
 def test_shipped_configs_parse():
     for name, family_size in [
         ("arma11_desk.cfg", 10),

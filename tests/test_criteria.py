@@ -223,7 +223,14 @@ def test_selection_csv_records_exclusions(tmp_path, monkeypatch, dgp2_series_200
     out = tmp_path / "sel.csv"
     sel.to_csv(out)
     with open(out, newline="") as fh:
-        rows = {r["model"]: r for r in csv.DictReader(fh)}
+        reader = csv.DictReader(fh)
+        rows = {r["model"]: r for r in reader}
+    assert reader.fieldnames[-4:] == ["chosen", "excluded", "grad_norm", "iterations"]
     assert rows["wn"]["excluded"] == "SingularF: flat"
     assert rows["wn"]["value"] == "" and rows["wn"]["chosen"] == "false"
     assert rows["arma(1,1)"]["excluded"] == "" and rows["arma(1,1)"]["chosen"] == "true"
+    # every row, excluded or not, carries its fit's certificate exactly
+    for f in fits:
+        assert float(rows[f.spec.name]["grad_norm"]) == f.grad_norm
+        assert int(rows[f.spec.name]["iterations"]) == f.iterations
+    assert int(rows["arma(1,1)"]["iterations"]) > 0

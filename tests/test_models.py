@@ -373,10 +373,14 @@ def _reference_path(spec, v, xi):
         (q.garch(0, 2), [0.8, 0.5, 0.3]),
         (q.garch(3, 0), [0.4, 0.3, 0.2, 0.1]),
         (q.garch(2, 2), [0.3, 0.15, 0.1, 0.4, 0.2]),
+        (q.garch(3, 3), [0.2, 0.1, 0.05, 0.05, 0.3, 0.2, 0.1]),
         (q.aparch(1.5, 1, 1), [0.3, 0.1, 0.3, 0.7]),
+        (q.aparch(1.5, 3, 2), [0.2, 0.05, 0.04, 0.03, 0.3, -0.2, 0.1, 0.4, 0.3]),
+        (q.aparch(0.7, 0, 2), [0.3, 0.5, 0.3]),  # no ARCH term
         (q.aparch(0.7, 2, 1), [0.2, 0.05, 0.1, -0.4, 0.5, 0.6]),
         (q.aparch(2, 2, 2), [0.2, 0.1, 0.05, 0.5, -0.3, 0.4, 0.3]),
         (q.aparch(0.5, 1, 0), [0.6, 0.4, -0.7]),
+        (q.ararch(0), [0.5, 0.8]),  # no lag at all
         (q.ararch(1), [-0.6, 0.8, 0.5]),
         (q.ararch(2), [0.5, 0.4, 0.2, 0.3]),
         (q.ararch(3), [0.9, 0.3, 0.3, 0.2, 0.25]),
@@ -385,8 +389,8 @@ def _reference_path(spec, v, xi):
 )
 def test_simulation_matches_reference_loop(spec, theta):
     v = np.array(theta)
-    # lengths 1 and 2 end before the lag lists fill up for the larger orders
-    for seed, n in ((0, 3000), (1, 3000), (2, 3000), (3, 1), (4, 2)):
+    # lengths 1 to 3 end before every lag holds a sample value for the larger orders
+    for seed, n in ((0, 3000), (1, 3000), (2, 3000), (3, 1), (4, 2), (5, 3)):
         xi = np.random.default_rng(seed).standard_normal(n)
         got = q.simulate_from_noise(spec, v, xi).values
         assert np.array_equal(got, _reference_path(spec, v, xi))
@@ -423,6 +427,13 @@ def test_infeasible_ararch_noise_paths_overflow(theta):
     xi = np.random.default_rng(4).standard_normal(2000)
     with pytest.raises(q.NumericOverflow):
         q.simulate_from_noise(q.ararch(1), theta, xi)
+
+
+def test_explosive_garch_noise_path_overflows():
+    # the in-loop guard of the garch kernel, not the isfinite check after it
+    xi = np.random.default_rng(4).standard_normal(2000)
+    with pytest.raises(q.NumericOverflow, match="simulation overflow"):
+        q.simulate_from_noise(q.garch(1, 0), [1.0, 5.0], xi)
 
 
 def test_negative_garch_intercept_noise_path_overflows():

@@ -46,6 +46,8 @@ def test_config_validation():
         small_config(n_reps=0)
     with pytest.raises(q.ConfigError, match="n value"):
         small_config(n_values=(5,))
+    with pytest.raises(q.ConfigError, match="burn_in"):
+        small_config(burn_in=-5)
     with pytest.raises(q.ConfigError, match="family"):
         small_config(family=())
     with pytest.raises(ValueError, match="unknown criterion"):
@@ -101,6 +103,43 @@ def test_consistency_threads_do_not_change_results(tmp_path):
     t1.to_csv(p1)
     t2.to_csv(p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_replication_pool_has_no_more_workers_than_replications(tmp_path, monkeypatch):
+    import qmselect.montecarlo as mc
+
+    sizes = []
+
+    class InProcessPool:
+        # records the pool size and maps in this process: no worker is started
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(mc, "ProcessPoolExecutor", InProcessPool)
+    cfg = small_config(
+        family=tuple(q.expand_family("wn+arma(0..1,0..1)")),
+        n_values=(200, 300),
+        n_reps=2,
+        criteria=("aic", "bic"),
+    )
+    serial = q.run_consistency(cfg, threads=1)
+    pooled = q.run_consistency(cfg, threads=64)
+    assert sizes == [2, 2]  # one pool per n, capped at n_reps
+    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    serial.to_csv(p1)
+    pooled.to_csv(p2)
+    assert p1.read_bytes() == p2.read_bytes()
+    q.run_consistency(small_config(n_reps=1), threads=64)
+    assert sizes == [2, 2]  # a single replication runs in this process
 
 
 def test_drivers_fit_exactly_the_configured_specs(monkeypatch):
