@@ -46,7 +46,7 @@ import numpy as np
 
 from .criteria import CriterionKind, select
 from .errors import AllModelsFailed, ConfigError, NonStationaryParams, QmselectError
-from .models import Trajectory, expand_family, parse_spec, simulate
+from .models import DEFAULT_BURN_IN, Trajectory, expand_family, parse_spec, simulate
 from .montecarlo import (
     DEFAULT_ORACLE_N,
     ExperimentConfig,
@@ -130,7 +130,7 @@ def parse_config(text: str) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"[experiment] criteria: {exc}") from exc
     oracle_n = intval("experiment", "oracle_n", exp.get("oracle_n", str(DEFAULT_ORACLE_N)))
-    burn_in = intval("experiment", "burn_in", exp.get("burn_in", "1000"))
+    burn_in = intval("experiment", "burn_in", exp.get("burn_in", str(DEFAULT_BURN_IN)))
     output_dir = exp["output_dir"].strip()
     if not output_dir:
         raise ConfigError("[experiment] output_dir must not be empty")
@@ -323,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", required=True, help="comma-separated parameters")
     p.add_argument("--n", type=int, required=True, help="trajectory length")
     p.add_argument("--seed", type=int, required=True, help="generator seed")
-    p.add_argument("--burn-in", type=int, default=1000, dest="burn_in")
+    p.add_argument("--burn-in", type=int, default=DEFAULT_BURN_IN, dest="burn_in")
     p.add_argument("--out", help="output CSV path (single column 'x')")
     p.set_defaults(func=_cmd_simulate)
 

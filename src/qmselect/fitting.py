@@ -72,9 +72,7 @@ def _start_point(spec: ModelSpec, cset: ConstraintSet, x: np.ndarray) -> np.ndar
     m2 = float(np.mean(x**2))
     v = np.zeros(spec.dim)
     fam = spec.family
-    if fam is Family.WN:
-        v[0] = np.sqrt(m2)
-    elif fam is Family.ARMA:
+    if fam is Family.ARMA:
         v[-1] = np.sqrt(m2)
     elif fam is Family.GARCH:
         v[0] = m2
@@ -136,21 +134,15 @@ def _certified(spec, cset, v, x, iterations: int) -> FitResult:
     )
 
 
-def _fit_wn(spec, cset, x) -> FitResult:
-    # closed form: the contrast in sigma alone is minimized at the root
-    # of the uncentered second moment, clipped into the box
-    sigma = float(np.clip(np.sqrt(np.mean(x**2)), cset.lower[0], cset.upper[0]))
-    return _certified(spec, cset, np.array([sigma]), x, iterations=0)
-
-
 def fit(spec: ModelSpec, x, warm=None) -> FitResult:
     """Minimize the contrast for one model spec over its constraint set.
 
-    SLSQP runs from the zero-init start and from ``warm`` if given (the
-    closed-form wn fit ignores it), in up to ``MAX_PASSES`` passes per start;
-    there is no other minimizer.  The candidates are each start, then where
-    its passes took it; ties within 1e-10 go to the earliest.  The result's
-    ``iterations`` sums SLSQP's iterations over the chosen start's passes.
+    SLSQP runs from the zero-init start and from ``warm`` if given, in up to
+    ``MAX_PASSES`` passes per start; there is no other minimizer.  The
+    candidates are each start, then where its passes took it; ties within
+    1e-10 go to the earliest.  The result's ``iterations`` sums SLSQP's
+    iterations over the chosen start's passes.  A one-parameter model's
+    start is its closed-form optimum: it is certified there with no pass.
 
     Raises
     ------
@@ -170,10 +162,9 @@ def fit(spec: ModelSpec, x, warm=None) -> FitResult:
     n = x.size
     if n < 10 * spec.dim:
         raise TooShortSeries(f"{spec.name}: n = {n} < {10 * spec.dim}")
-    if spec.family is Family.WN:
-        return _fit_wn(spec, cset, x)
-
     base = _start_point(spec, cset, x)
+    if spec.dim == 1:
+        return _certified(spec, cset, base, x, iterations=0)
     starts = [base]
     if warm is not None and not np.array_equal(warm, base):
         starts.append(warm)

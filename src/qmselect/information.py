@@ -32,7 +32,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .errors import SingularF, UnsupportedFamily
 from .likelihood import derivatives
-from .models import Family, ModelSpec
+from .models import Family, ModelSpec, wn
 
 #: relative eigenvalue floor below which -f_hat is declared singular
 RANK_RTOL = 1e-10
@@ -107,20 +107,18 @@ def closed_form_trace(family, p: int = 0, q: int = 0, mu4: float = 3.0) -> Close
     """Closed-form -2 Tr(F^-1 G) for a correctly specified model.
 
     ``family`` may be a :class:`Family`, a :class:`ModelSpec` (orders taken
-    from it), or a family name string.  ``mu4`` is the fourth-moment ratio of
-    the innovations (3 for Gaussian noise).
+    from it), or a family name string (``"wn"`` too).  ``mu4`` is the
+    fourth-moment ratio of the innovations (3 for Gaussian noise).
     """
+    if isinstance(family, str):
+        family = wn() if family.lower() == "wn" else Family(family.lower())
     if isinstance(family, ModelSpec):
         p, q = family.p, family.q
         family = family.family
-    if isinstance(family, str):
-        family = Family(family.lower())
     if not mu4 >= 1.0:
         raise ValueError("mu4 must be >= 1")
     if p < 0 or q < 0:
         raise ValueError("orders must be non-negative")
-    if family is Family.WN:
-        return ClosedFormTrace(mu4 - 1.0, True)
     if family is Family.ARMA:
         return ClosedFormTrace(2.0 * (p + q) + mu4 - 1.0, True)
     if family is Family.GARCH:

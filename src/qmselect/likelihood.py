@@ -187,13 +187,10 @@ def _gradient_from(spec: ModelSpec, v: np.ndarray, x: np.ndarray, rec) -> np.nda
     family's filter, so their mean is ``<r, u_k> / n`` with ``r = L^T w`` the
     filter run backwards over ``w``: one 1-D pass, where the score rows need
     one pass per parameter.  The inputs ``u_k`` are lags, so each inner
-    product is taken on slices, ``r[k:] @ u[:n - k]``.  The wn mean score is
-    closed form, and the ararch filter is the identity (``r = w``).
+    product is taken on slices, ``r[k:] @ u[:n - k]``.  The ararch filter is
+    the identity (``r = w``).
     """
     fam = spec.family
-    if fam is Family.WN:
-        sigma = v[0]
-        return np.array([-2.0 * (x @ x) / x.size / sigma**3 + 2.0 / sigma])
     if fam is Family.ARMA:
         return _mean_grad_arma(spec, v, x, rec)
     if fam is Family.GARCH:

@@ -4,10 +4,10 @@ The process classes handled here all have the causal form
 
     X_t = M(theta; X_{t-1}, X_{t-2}, ...) * xi_t + f(theta; X_{t-1}, ...)
 
-with iid standard-normal innovations ``xi_t``:
+with iid standard-normal innovations ``xi_t``, in four families:
 
-* ``wn``          -- X_t = sigma * xi_t
-* ``arma(p,q)``   -- linear conditional mean, constant scale sigma
+* ``arma(p,q)``   -- linear conditional mean, constant scale sigma; white
+  noise X_t = sigma * xi_t is ``arma(0,0)``, named ``wn``
 * ``garch(p,q)``  -- zero mean, conditional variance recursion
 * ``aparch(d;p,q)`` -- asymmetric power variant, power ``d`` fixed per spec
 * ``ararch(p)``   -- AR(1) mean with ARCH(p) errors driven by the AR residual
@@ -53,7 +53,6 @@ DEFAULT_BURN_IN = 1000
 
 
 class Family(Enum):
-    WN = "wn"
     ARMA = "arma"
     GARCH = "garch"
     APARCH = "aparch"
@@ -64,9 +63,10 @@ class Family(Enum):
 class ModelSpec:
     """A model family with fixed orders (and fixed power for aparch).
 
-    Degenerate orders are normalized on construction: ``arma(0,0)``,
-    ``garch(0,0)`` and ``aparch(d;0,0)`` all collapse to ``wn``, and
-    ``ar(p)`` / ``arch(p)`` are only aliases accepted by :func:`parse_spec`.
+    Degenerate orders are normalized on construction: ``garch(0,0)`` and
+    ``aparch(d;0,0)`` collapse to white noise, ``arma(0,0)``, whose name is
+    ``wn``; only aparch keeps a power other than 2.  ``ar(p)`` / ``arch(p)``
+    are only aliases accepted by :func:`parse_spec`.
     """
 
     family: Family
@@ -81,18 +81,14 @@ class ModelSpec:
             raise ValueError("aparch power must be positive and finite")
         if self.family is Family.ARARCH and self.q != 0:
             raise ValueError("ararch takes a single order p")
-        if self.family in (Family.ARMA, Family.GARCH, Family.APARCH) and self.p == 0 and self.q == 0:
-            object.__setattr__(self, "family", Family.WN)
-        if self.family is Family.WN:
-            object.__setattr__(self, "p", 0)
-            object.__setattr__(self, "q", 0)
+        if self.family in (Family.GARCH, Family.APARCH) and self.p == 0 and self.q == 0:
+            object.__setattr__(self, "family", Family.ARMA)
+        if self.family is not Family.APARCH:
             object.__setattr__(self, "delta", 2.0)
 
     @property
     def dim(self) -> int:
         """Number of free parameters."""
-        if self.family is Family.WN:
-            return 1
         if self.family in (Family.ARMA, Family.GARCH):
             return self.p + self.q + 1
         if self.family is Family.APARCH:
@@ -102,7 +98,7 @@ class ModelSpec:
     @property
     def name(self) -> str:
         """Canonical text form, parseable by :func:`parse_spec`."""
-        if self.family is Family.WN:
+        if self == _WN:
             return "wn"
         if self.family is Family.APARCH:
             return f"aparch({_power_text(self.delta)};{self.p},{self.q})"
@@ -111,8 +107,6 @@ class ModelSpec:
         return f"{self.family.value}({self.p},{self.q})"
 
     def param_names(self) -> list[str]:
-        if self.family is Family.WN:
-            return ["sigma"]
         if self.family is Family.ARMA:
             return [f"a{i}" for i in range(1, self.p + 1)] + [
                 f"b{j}" for j in range(1, self.q + 1)
@@ -143,8 +137,11 @@ def _power_text(delta: float) -> str:
     return text
 
 
+_WN = ModelSpec(Family.ARMA)
+
+
 def wn() -> ModelSpec:
-    return ModelSpec(Family.WN)
+    return _WN
 
 
 def arma(p: int, q: int) -> ModelSpec:
@@ -389,8 +386,6 @@ def constraint_set(spec: ModelSpec) -> ConstraintSet:
     """
     c = 1.0 - COEF_MARGIN
     p, q = spec.p, spec.q
-    if spec.family is Family.WN:
-        return ConstraintSet(np.array([SIGMA_MIN]), np.array([SIGMA_MAX]))
     if spec.family is Family.ARMA:
         lower = np.array([-c] * (p + q) + [SIGMA_MIN])
         upper = np.array([c] * (p + q) + [SIGMA_MAX])
@@ -491,7 +486,11 @@ class Trajectory:
             rows = list(csv.reader(fh))
         if not rows or rows[0] != ["x"]:
             raise ValueError(f"{path}: expected a single-column CSV with header 'x'")
-        return cls(np.array([float(r[0]) for r in rows[1:]]))
+        x = np.array([float(r[0]) for r in rows[1:]])
+        bad = np.flatnonzero(~np.isfinite(x))
+        if bad.size:  # the header is line 1
+            raise ValueError(f"{path}: line {bad[0] + 2}: non-finite value {float(x[bad[0]])}")
+        return cls(x)
 
 
 def _lag(arr: np.ndarray, k: int) -> np.ndarray:
@@ -558,8 +557,6 @@ def simulate_from_noise(spec: ModelSpec, theta, noise, burn_in: int = 0) -> Traj
 def _path_from_noise(spec: ModelSpec, v: np.ndarray, xi: np.ndarray) -> np.ndarray:
     fam = spec.family
     p, q = spec.p, spec.q
-    if fam is Family.WN:
-        return v[0] * xi
     if fam is Family.ARMA:
         sigma = v[p + q]
         eps = sigma * xi
@@ -732,11 +729,8 @@ def _ararch_residuals(spec: ModelSpec, v: np.ndarray, x: np.ndarray):
 
 def _recursion(spec: ModelSpec, v: np.ndarray, x: np.ndarray):
     """The family's truncated recursion at ``v``: the one pass over the sample
-    that both the conditional moments and the scores are read from (``None``
-    for wn, which has none)."""
+    that both the conditional moments and the scores are read from."""
     fam = spec.family
-    if fam is Family.WN:
-        return None
     if fam is Family.ARMA:
         return _arma_residuals(spec, v, x)
     if fam is Family.GARCH:
@@ -751,12 +745,10 @@ def _recursion(spec: ModelSpec, v: np.ndarray, x: np.ndarray):
 def _moments_from(spec: ModelSpec, v: np.ndarray, x: np.ndarray, rec) -> CondMoments:
     """Conditional moments from the recursion :func:`_recursion` built at ``v``.
 
-    A constant moment stays a scalar: ``h`` for wn and arma, and ``f = 0.0``
-    for wn, garch and aparch.  The contrast broadcasts it, so nothing fills
-    n copies; :func:`cond_moments` returns full arrays."""
+    A constant moment stays a scalar: ``h`` for arma (white noise included),
+    and ``f = 0.0`` for garch and aparch.  The contrast broadcasts it, so
+    nothing fills n copies; :func:`cond_moments` returns full arrays."""
     fam = spec.family
-    if fam is Family.WN:
-        return CondMoments(0.0, max(v[0] ** 2, H_FLOOR))
     if fam is Family.ARMA:
         eps, _ = rec
         return CondMoments(x - eps, max(v[spec.p + spec.q] ** 2, H_FLOOR))
@@ -776,7 +768,7 @@ def cond_moments(spec: ModelSpec, theta, x) -> CondMoments:
 
     Pre-sample values of every series are taken as zero.  ``h_hat`` is clamped
     below at ``H_FLOOR``; inside the feasible region the clamp is inert for
-    the wn/arma/garch families (their scale floors exceed it), it only guards
+    the arma/garch families (their scale floors exceed it), it only guards
     evaluations near or outside the boundary.
     """
     v = _as_values(spec, theta)
@@ -800,17 +792,13 @@ def is_nested(inner: ModelSpec, outer: ModelSpec) -> bool:
     everything, garch inside the power-2 aparch, arch inside ararch, ar(1)
     inside ararch).  Reflexive and transitive on the families shipped here.
     """
-    if inner == outer:
-        return True
     fi, fo = inner.family, outer.family
-    if fi is Family.WN:
-        return True
-    if fo is Family.WN:
-        return False
     if fi is fo:
         if fi is Family.APARCH and inner.delta != outer.delta:
             return False
         return inner.p <= outer.p and inner.q <= outer.q
+    if inner == _WN:
+        return True
     if fi is Family.GARCH and fo is Family.APARCH:
         return outer.delta == 2.0 and inner.p <= outer.p and inner.q <= outer.q
     if fi is Family.GARCH and fo is Family.ARARCH:

@@ -38,7 +38,7 @@ from .criteria import CriterionKind, classify, select_from_fits
 from .errors import AllModelsFailed, ConfigError
 from .fitting import fit_family
 from .likelihood import gamma_bar
-from .models import ModelSpec, simulate
+from .models import DEFAULT_BURN_IN, ModelSpec, constraint_set, simulate
 from .version import __version__
 
 #: replication-index stand-in for oracle trajectory seeds
@@ -64,7 +64,7 @@ class ExperimentConfig:
     criteria: tuple[str, ...]
     master_seed: int
     oracle_n: int = DEFAULT_ORACLE_N
-    burn_in: int = 1000
+    burn_in: int = DEFAULT_BURN_IN
 
     def __post_init__(self):
         if self.n_reps < 1:
@@ -75,13 +75,14 @@ class ExperimentConfig:
             raise ConfigError("n_values must not be empty")
         if any(n < 10 for n in self.n_values):
             raise ConfigError("every n value must be >= 10")
+        for key, values in (("n_values", self.n_values), ("criteria", self.criteria)):
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{key} must not repeat a value, got {list(values)}")
         if not self.family:
             raise ConfigError("family must not be empty")
         for name in self.criteria:
             CriterionKind.named(name)
         # fail early on an infeasible data-generating parameter
-        from .models import constraint_set
-
         if not constraint_set(self.dgp).contains(np.asarray(self.dgp_theta)):
             raise ConfigError(
                 f"dgp parameters {list(self.dgp_theta)} infeasible for {self.dgp.name}"
@@ -243,7 +244,7 @@ def oracle_risk(
     eval_points,
     oracle_n: int = DEFAULT_ORACLE_N,
     seed: int | None = None,
-    burn_in: int = 1000,
+    burn_in: int = DEFAULT_BURN_IN,
     master_seed: int = 0,
     n_tag: int = 0,
 ) -> np.ndarray:

@@ -135,6 +135,20 @@ def test_select_no_usable_model_exits_4(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_select_rejects_non_finite_data(tmp_path, capsys, bad):
+    path = tmp_path / "ar1.csv"
+    q.simulate(q.arma(1, 0), [0.5, 1.0], 300, seed=3).to_csv(path)
+    lines = path.read_text().splitlines()
+    lines[100] = bad  # line 101 of the file
+    path.write_text("\n".join(lines) + "\n")
+    code, _, err = run_cli(
+        ["select", "--data", str(path), "--family", "wn+arma(1,0)", "--criterion", "bic"], capsys
+    )
+    assert code == EXIT_PARSE
+    assert f"line 101: non-finite value {bad}" in err
+
+
 def test_select_rejects_unknown_criterion(ar2_csv, capsys):
     code, _, _ = run_cli(
         ["select", "--data", ar2_csv, "--family", "wn", "--criterion", "dic"], capsys
@@ -180,6 +194,8 @@ def test_config_round_trip():
         (lambda t: t.replace("theta = 0.5, 0.6, 1.0", "theta = 0.5, zebra"), "theta"),
         (lambda t: t.replace("n_values = 200, 500", "n_values = two hundred"), "n_values"),
         (lambda t: t.replace("theta = 0.5, 0.6, 1.0", "theta = 1.5, 0.6, 1.0"), "infeasible"),
+        (lambda t: t.replace("n_values = 200, 500", "n_values = 200, 200"), "n_values must not repeat"),
+        (lambda t: t.replace("criteria = aic, bic", "criteria = aic, aic"), "criteria must not repeat"),
     ],
 )
 def test_config_errors_name_the_field(mutate, needle):

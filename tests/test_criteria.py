@@ -234,3 +234,33 @@ def test_selection_csv_records_exclusions(tmp_path, monkeypatch, dgp2_series_200
         assert float(rows[f.spec.name]["grad_norm"]) == f.grad_norm
         assert int(rows[f.spec.name]["iterations"]) == f.iterations
     assert int(rows["arma(1,1)"]["iterations"]) > 0
+
+
+# ---------------------------------------------------------------------------
+# every family end to end
+
+#: the smallest spec of each family, with a point to simulate it at
+SMALLEST = {
+    q.Family.ARMA: (q.wn(), [1.0]),
+    q.Family.GARCH: (q.garch(1, 0), [1.0, 0.3]),
+    q.Family.APARCH: (q.aparch(1.5, 1, 0), [1.0, 0.3, 0.2]),
+    q.Family.ARARCH: (q.ararch(0), [0.5, 1.0]),
+}
+
+
+@pytest.mark.parametrize("family", list(q.Family), ids=lambda f: f.value)
+def test_smallest_spec_of_every_family_runs_end_to_end(family):
+    spec, theta = SMALLEST[family]
+    assert spec.family is family
+    x = q.simulate(spec, theta, 800, seed=17).values
+    fit = q.fit(spec, x)
+    assert fit.converged
+    info = q.info_matrices(fit, x)
+    mu4 = q.mu4_hat(q.residuals(spec, fit.theta.values, x))
+    for name in qmselect.criteria._KNOWN:
+        kind = CriterionKind.named(name)
+        if kind.needs_mu4 and not q.closed_form_trace(spec).complete:
+            with pytest.raises(q.UnsupportedFamily):
+                q.criterion_value(fit, kind, info, mu4)
+            continue
+        assert math.isfinite(q.criterion_value(fit, kind, info, mu4).value)

@@ -27,6 +27,20 @@ def test_wn_fit_is_closed_form():
     assert res.grad_norm <= 1e-6
 
 
+@pytest.mark.parametrize("n", [50, 200, 2000])
+def test_wn_fit_is_its_start_with_no_slsqp_pass(monkeypatch, n):
+    def no_minimizer(*args, **kwargs):
+        raise AssertionError("white noise is fitted in closed form")
+
+    monkeypatch.setattr(qmselect.fitting, "minimize", no_minimizer)
+    x = np.random.default_rng(n).standard_normal(n) * 1.3
+    cset = constraint_set(q.wn())
+    res = q.fit(q.wn(), x, warm=[0.5])
+    assert res.theta.values.tolist() == [np.clip(np.sqrt(np.mean(x**2)), cset.lower[0], cset.upper[0])]
+    assert res.iterations == 0 and res.converged
+    assert res.gamma_bar_min == q.gamma_bar(q.wn(), res.theta.values, x)
+
+
 def test_too_short_series_rejected():
     with pytest.raises(q.TooShortSeries):
         q.fit(q.arma(1, 1), np.ones(20))  # needs 10 * dim = 30

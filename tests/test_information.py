@@ -28,6 +28,12 @@ def test_closed_form_trace_values(family, p, qq, mu4, expected):
     assert cf.complete
 
 
+@pytest.mark.parametrize("mu4", [1.0, 3.0, 9.0])
+def test_closed_form_trace_of_wn_is_arma00(mu4):
+    assert q.closed_form_trace("wn", mu4=mu4) == q.closed_form_trace("arma", 0, 0, mu4)
+    assert q.closed_form_trace(q.wn(), mu4=mu4) == q.closed_form_trace("arma", 0, 0, mu4)
+
+
 def test_closed_form_trace_accepts_spec():
     cf = q.closed_form_trace(q.garch(2, 1))
     assert cf.value == pytest.approx(2.0 * 4.0)

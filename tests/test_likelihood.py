@@ -71,6 +71,14 @@ def test_wn_sigma_derivative_by_hand():
     assert g0[0] == pytest.approx(0.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("n", [50, 200, 2000])
+@pytest.mark.parametrize("sigma", [0.5, 1.0, 1.3, 2.0])
+def test_white_noise_gradient_is_its_closed_form(n, sigma):
+    x = np.random.default_rng(n).standard_normal(n) * 1.2
+    expected = -2.0 * (x @ x) / n / sigma**3 + 2.0 / sigma
+    assert q.gradient(q.wn(), [sigma], x).tolist() == [expected]
+
+
 def test_ar1_phi_gradient_by_hand():
     g = q.gradient(q.arma(1, 0), [0.0, 1.0], [1.0, 2.0])
     assert g[0] == pytest.approx(-2.0)

@@ -48,6 +48,17 @@ def test_empty_models_collapse_to_wn():
     assert q.aparch(1.5, 0, 0) == q.wn()
 
 
+def test_white_noise_is_arma00():
+    assert len(q.Family) == 4
+    assert q.wn().family is q.Family.ARMA and (q.wn().p, q.wn().q) == (0, 0)
+    assert q.aparch(1.5, 0, 0).delta == 2.0
+    # only aparch keeps a power, so a stray one cannot split equal specs
+    assert q.ModelSpec(q.Family.GARCH, 1, 1, delta=3.0) == q.garch(1, 1)
+    assert q.ModelSpec(q.Family.ARARCH, 1, delta=0.5) == q.ararch(1)
+    assert q.aparch(1.5, 1, 0).delta == 1.5
+    assert q.parse_spec("wn").name == q.arma(0, 0).name == "wn"
+
+
 @pytest.mark.parametrize(
     "bad",
     [
@@ -210,6 +221,12 @@ def test_budget_jacobian_is_constant_and_charges_zero_coefficients():
             for g, part in zip(cs.groups, np.split(values, np.cumsum([b.shape[0] for b in blocks])[:-1])):
                 assert np.min(part) == pytest.approx(g.bound - g.value(v), abs=1e-15 * max(1.0, scale))
             assert np.array_equal(con["jac"](v), jac)
+
+
+@pytest.mark.parametrize("sigma", [0.5, 1.0, 1.3, 2.0])
+def test_white_noise_path_is_the_scaled_noise(sigma):
+    xi = np.random.default_rng(5).standard_normal(300)
+    assert np.array_equal(q.simulate_from_noise(q.wn(), [sigma], xi).values, sigma * xi)
 
 
 MOMENT_CASES = [
@@ -553,6 +570,18 @@ def test_nesting_examples():
     assert not q.is_nested(q.garch(1, 1), q.aparch(1.5, 1, 1))
     assert q.is_nested(q.garch(2, 0), q.ararch(2))
     assert q.is_nested(q.arma(1, 0), q.ararch(1))
+
+
+def test_white_noise_is_inside_every_family_and_holds_only_itself():
+    outers = [q.arma(0, 1), q.garch(1, 0), q.aparch(1.5, 0, 1), q.ararch(0)]
+    assert [s.family for s in outers] == list(q.Family)
+    for outer in outers:
+        assert q.is_nested(q.wn(), outer)
+    fam = q.expand_family(
+        "arma(0..2,0..2)+garch(0..2,0..2)+aparch(1.5;0..1,0..1)+aparch(2;0..1,0..1)+ararch(0..2)"
+    )
+    for spec in fam:
+        assert q.is_nested(spec, q.wn()) == (spec == q.wn())
 
 
 def test_nesting_reflexive_transitive():

@@ -54,6 +54,10 @@ def test_config_validation():
         small_config(criteria=("aicc",))
     with pytest.raises(q.ConfigError, match="infeasible"):
         small_config(dgp_theta=(1.2, 0.5, 1.0))  # ar budget exceeded
+    with pytest.raises(q.ConfigError, match="n_values"):
+        small_config(n_values=(200, 200))
+    with pytest.raises(q.ConfigError, match="criteria"):
+        small_config(criteria=("aic", "aic"))
 
 
 def test_config_hash_tracks_content():
