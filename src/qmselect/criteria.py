@@ -264,8 +264,15 @@ def select_from_fits(
             if isinstance(info, Exception):
                 rows.append(_row(f, excluded=f"{type(info).__name__}: {info}"))
                 continue
+        mu4 = None
+        if kind.needs_mu4:
+            xi = residuals(f.spec, f.theta.values, x)
+            try:
+                mu4 = mu4_hat(xi)
+            except ValueError as exc:  # all-zero residuals: the ratio is undefined
+                rows.append(_row(f, excluded=f"{type(exc).__name__}: {exc}"))
+                continue
         try:
-            mu4 = mu4_hat(residuals(f.spec, f.theta.values, x)) if kind.needs_mu4 else None
             report = criterion_value(f, kind, info=info, mu4=mu4)
         except (UnsupportedFamily, MissingInfo) as exc:
             rows.append(_row(f, excluded=f"{type(exc).__name__}: {exc}"))

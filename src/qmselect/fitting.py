@@ -34,7 +34,7 @@ from scipy.optimize import minimize
 from .errors import OptimizerDiverged, QmselectError, TooShortSeries
 from .likelihood import _Objective, contrast, gamma_bar, gradient
 from .models import ConstraintSet, Family, ModelSpec, ParamVector, Trajectory
-from .models import _as_values, constraint_set, is_nested
+from .models import _as_values, _omega_index, constraint_set, is_nested
 
 #: SLSQP iteration cap per pass
 MAX_ITER = 500
@@ -71,15 +71,10 @@ def _start_point(spec: ModelSpec, cset: ConstraintSet, x: np.ndarray) -> np.ndar
     """Zero dynamic coefficients; scale from the uncentered second moment."""
     m2 = float(np.mean(x**2))
     v = np.zeros(spec.dim)
-    fam = spec.family
-    if fam is Family.ARMA:
+    if spec.family is Family.ARMA:
         v[-1] = np.sqrt(m2)
-    elif fam is Family.GARCH:
-        v[0] = m2
-    elif fam is Family.APARCH:
-        v[0] = m2 ** (spec.delta / 2.0)
-    elif fam is Family.ARARCH:
-        v[1] = m2
+    else:  # omega is a variance, or an aparch power sigma ** delta
+        v[_omega_index(spec)] = m2 ** (spec.delta / 2.0)
     return cset.project(v)
 
 

@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .errors import SingularF, UnsupportedFamily
+from .errors import SingularF
 from .likelihood import derivatives
 from .models import Family, ModelSpec, wn
 
@@ -107,24 +107,16 @@ def closed_form_trace(family, p: int = 0, q: int = 0, mu4: float = 3.0) -> Close
     """Closed-form -2 Tr(F^-1 G) for a correctly specified model.
 
     ``family`` may be a :class:`Family`, a :class:`ModelSpec` (orders taken
-    from it), or a family name string (``"wn"`` too).  ``mu4`` is the
-    fourth-moment ratio of the innovations (3 for Gaussian noise).
+    from it), or a family name string (``"wn"`` too); the orders are checked
+    as :class:`ModelSpec` checks them.  ``mu4`` is the fourth-moment ratio of
+    the innovations (3 for Gaussian noise).
     """
     if isinstance(family, str):
         family = wn() if family.lower() == "wn" else Family(family.lower())
-    if isinstance(family, ModelSpec):
-        p, q = family.p, family.q
-        family = family.family
+    spec = family if isinstance(family, ModelSpec) else ModelSpec(family, p, q)
     if not mu4 >= 1.0:
         raise ValueError("mu4 must be >= 1")
-    if p < 0 or q < 0:
-        raise ValueError("orders must be non-negative")
-    if family is Family.ARMA:
-        return ClosedFormTrace(2.0 * (p + q) + mu4 - 1.0, True)
-    if family is Family.GARCH:
-        return ClosedFormTrace((mu4 - 1.0) * (p + q + 1.0), True)
-    if family is Family.APARCH:
-        return ClosedFormTrace((mu4 - 1.0) * (2.0 * p + q + 1.0), True)
-    if family is Family.ARARCH:
-        return ClosedFormTrace((mu4 - 1.0) * (p + 2.0), False)
-    raise UnsupportedFamily(str(family))
+    if spec.family is Family.ARMA:
+        return ClosedFormTrace(2.0 * (spec.p + spec.q) + mu4 - 1.0, True)
+    # every ARCH family: (mu4 - 1) per parameter; ararch lacks its phi offset
+    return ClosedFormTrace((mu4 - 1.0) * spec.dim, spec.family is not Family.ARARCH)

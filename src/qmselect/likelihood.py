@@ -18,9 +18,12 @@ and of the conditional moments, taken in one pass (:func:`derivatives`): the
 recursions run unchanged on complex parameters.  They serve the information
 matrices.  Finite differences remain only in the tests, as oracles.
 
-Each family's recursion is one pass over the sample (``models._recursion``);
-the conditional moments and the gradient are read from it
-(``models._moments_from``, :func:`_gradient_from`).  ``_Objective`` is the
+Each family's recursion is one pass over the sample (``models._recursion``)
+that returns one named record; the conditional moments and the gradient are
+read from its fields (``models._moments_from``, :func:`_gradient_from`).  The
+three ARCH families share one variance filter, so they share one gradient
+block too: the omega, a and b entries (:func:`_mean_grad_arch`); aparch adds
+its gamma entries and ararch its phi entry.  ``_Objective`` is the
 contrast and gradient that SLSQP's passes in a fit share: it keeps the
 recursion and value of the last point it valued and reuses them when that
 point is asked for again, so a step builds one recursion where
@@ -46,6 +49,7 @@ from .models import (
     _as_values,
     _lag,
     _moments_from,
+    _omega_index,
     _recursion,
     cond_moments,
     H_FLOOR,
@@ -150,7 +154,7 @@ def _variance_ratio(h_lin: np.ndarray, resid2: np.ndarray) -> np.ndarray:
 def _aparch_ratio(d: float, x: np.ndarray, s_lin: np.ndarray, h: np.ndarray) -> np.ndarray:
     """d gamma_t / d s_t for the aparch power s_t = sigma_t ** delta, and 0
     where a clamp holds h_t fixed; ``h`` is the variance before its floor,
-    as ``models._aparch_power`` returns it.  On complex inputs the clamps
+    as the recursion holds it.  On complex inputs the clamps
     act on the real part, as in :func:`_variance_ratio`."""
     s = np.maximum(s_lin, H_FLOOR)
     clamped = (s_lin < H_FLOOR) | (h < H_FLOOR)
@@ -183,21 +187,33 @@ def _gradient_from(spec: ModelSpec, v: np.ndarray, x: np.ndarray, rec) -> np.nda
     callers hold the floating-point error state.  This is each family's one
     hand-derived derivative; it also runs on complex ``v``, for the Hessian.
 
-    The arma, garch and aparch scores are ``w_t (L u_k)_t`` with ``L`` the
-    family's filter, so their mean is ``<r, u_k> / n`` with ``r = L^T w`` the
-    filter run backwards over ``w``: one 1-D pass, where the score rows need
-    one pass per parameter.  The inputs ``u_k`` are lags, so each inner
-    product is taken on slices, ``r[k:] @ u[:n - k]``.  The ararch filter is
-    the identity (``r = w``).
+    Every score is ``w_t (L u_k)_t`` with ``L`` the family's filter, so its
+    mean is ``<r, u_k> / n`` with ``r = L^T w`` the filter run backwards over
+    ``w``: one 1-D pass, where the score rows need one pass per parameter.
+    The inputs ``u_k`` are lags, so each inner product is taken on slices,
+    ``r[k:] @ u[:n - k]``.  The three ARCH families share the omega, a and b
+    entries (:func:`_mean_grad_arch`) and differ in ``w``; aparch adds its
+    gamma entries, and ararch, whose filter is the identity, its phi entry.
     """
     fam = spec.family
     if fam is Family.ARMA:
         return _mean_grad_arma(spec, v, x, rec)
-    if fam is Family.GARCH:
-        return _mean_grad_garch(spec, v, x, rec)
+    n, p = x.size, spec.p
     if fam is Family.APARCH:
-        return _mean_grad_aparch(spec, v, x, rec)
-    return _mean_grad_ararch(spec, v, x, rec)
+        g, r = _mean_grad_arch(spec, rec, _aparch_ratio(spec.delta, x, rec.level, rec.h))
+        for i in range(p):
+            dpower = _aparch_gamma_slope(spec.delta, x, v[1 + p + i])
+            g[1 + p + i] = v[1 + i] * _lagged_dot(r, dpower, i + 1) / n
+        return g
+    z = rec.resid  # x itself for garch
+    g, r = _mean_grad_arch(spec, rec, _variance_ratio(rec.level, z**2))
+    if fam is Family.ARARCH:
+        # phi moves the mean and, through every lagged z, the variance
+        zx1 = z * _lag(x, 1)
+        g[0] = -2.0 * _lagged_dot(z / np.maximum(rec.level, H_FLOOR), x, 1) / n
+        for i in range(p):
+            g[0] -= 2.0 * v[2 + i] * _lagged_dot(r, zx1, i + 1) / n
+    return g
 
 
 def _adjoint(poly: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -217,8 +233,8 @@ def _mean_grad_arma(spec, v, x, rec):
     p, q = spec.p, spec.q
     n = x.size
     sigma = v[p + q]
-    eps, ma = rec
-    r = _adjoint(ma, (2.0 / sigma**2) * eps)
+    eps = rec.resid
+    r = _adjoint(rec.poly, (2.0 / sigma**2) * eps)
     g = np.empty(spec.dim, dtype=r.dtype)
     for i in range(p):
         g[i] = -_lagged_dot(r, x, i + 1) / n
@@ -228,51 +244,21 @@ def _mean_grad_arma(spec, v, x, rec):
     return g
 
 
-def _mean_grad_garch(spec, v, x, rec):
-    p, q = spec.p, spec.q
-    n = x.size
-    h_lin, braw = rec
-    x2 = x**2
-    r = _adjoint(braw, _variance_ratio(h_lin, x2))
+def _mean_grad_arch(spec, rec, w):
+    """The omega, a_i and b_j entries of an ARCH family's mean score, from
+    ``w = d gamma_t / d level_t``, and ``r = L^T w``; the family's own entries
+    are left unset."""
+    n = w.size
+    r = _adjoint(rec.poly, w)
     g = np.empty(spec.dim, dtype=r.dtype)
-    g[0] = r.sum() / n
-    for i in range(p):
-        g[1 + i] = _lagged_dot(r, x2, i + 1) / n
-    for j in range(q):
-        g[1 + p + j] = _lagged_dot(r, h_lin, j + 1) / n
-    return g
-
-
-def _mean_grad_aparch(spec, v, x, rec):
-    p, q = spec.p, spec.q
-    n = x.size
-    s_lin, braw, powers, h = rec
-    r = _adjoint(braw, _aparch_ratio(spec.delta, x, s_lin, h))
-    g = np.empty(spec.dim, dtype=r.dtype)
-    g[0] = r.sum() / n
-    for i in range(p):
-        g[1 + i] = _lagged_dot(r, powers[i], i + 1) / n
-        dpower = _aparch_gamma_slope(spec.delta, x, v[1 + p + i])
-        g[1 + p + i] = v[1 + i] * _lagged_dot(r, dpower, i + 1) / n
-    for j in range(q):
-        g[1 + 2 * p + j] = _lagged_dot(r, s_lin, j + 1) / n
-    return g
-
-
-def _mean_grad_ararch(spec, v, x, rec):
-    # the filter is the identity: the variance ratio weights the lagged inputs
-    # directly, and phi moves the mean and, through every lagged z, the variance
-    n = x.size
-    z, h_lin = rec
-    z2, zx1 = z**2, z * _lag(x, 1)
-    ratio = _variance_ratio(h_lin, z2)
-    g = np.empty(spec.dim, dtype=ratio.dtype)
-    g[0] = -2.0 * _lagged_dot(z / np.maximum(h_lin, H_FLOOR), x, 1) / n
-    g[1] = ratio.sum() / n
-    for i in range(spec.p):
-        g[0] -= 2.0 * v[2 + i] * _lagged_dot(ratio, zx1, i + 1) / n
-        g[2 + i] = _lagged_dot(ratio, z2, i + 1) / n
-    return g
+    o = _omega_index(spec)
+    g[o] = r.sum() / n
+    for i, u in enumerate(rec.inputs):
+        g[o + 1 + i] = _lagged_dot(r, u, i + 1) / n
+    b = g.size - spec.q
+    for j in range(spec.q):
+        g[b + j] = _lagged_dot(r, rec.level, j + 1) / n
+    return g, r
 
 
 class _Objective:
@@ -305,7 +291,7 @@ class _Objective:
         if not self._holds(v):
             rec = _recursion(self.spec, v, self.x)
             self._point, self._rec = v.copy(), rec
-            self._value = _contrast_from(self.x, _moments_from(self.spec, v, self.x, rec))[1]
+            self._value = _contrast_from(self.x, _moments_from(rec))[1]
         return self._value
 
     def grad(self, v: np.ndarray) -> np.ndarray:
@@ -338,7 +324,7 @@ def derivatives(spec: ModelSpec, theta, x, *, check_boundary: bool = True) -> De
     hess = np.empty((v.size, v.size))
     scores = np.empty((v.size, x.size))
     with np.errstate(over="ignore", invalid="ignore"):
-        cm = _moments_from(spec, v, x, _recursion(spec, v, x))
+        cm = _moments_from(_recursion(spec, v, x))
         resid = x - cm.f_hat
         w_f = (-2.0 / CS_STEP) * resid / cm.h_hat
         w_h = (cm.h_hat - resid**2) / (CS_STEP * cm.h_hat**2)
@@ -347,6 +333,6 @@ def derivatives(spec: ModelSpec, theta, x, *, check_boundary: bool = True) -> De
             vc[k] += 1j * CS_STEP
             rec = _recursion(spec, vc, x)
             hess[:, k] = _gradient_from(spec, vc, x, rec).imag / CS_STEP
-            cmc = _moments_from(spec, vc, x, rec)
+            cmc = _moments_from(rec)
             scores[k] = w_f * np.imag(cmc.f_hat) + w_h * np.imag(cmc.h_hat)
     return DerivEval(0.5 * (hess + hess.T), scores.T)

@@ -12,12 +12,22 @@ with iid standard-normal innovations ``xi_t``, in four families:
 * ``aparch(d;p,q)`` -- asymmetric power variant, power ``d`` fixed per spec
 * ``ararch(p)``   -- AR(1) mean with ARCH(p) errors driven by the AR residual
 
+The last three are the ARCH families.  They share one variance recursion,
+s_t = omega + sum_i a_i g_i(e_{t-i}) + sum_j b_j s_{t-j}, with e the mean
+residual and s the variance (aparch: the power sigma_t ** delta), and one
+filter evaluates it (:func:`_arch_filter`).  Each family only chooses the
+inputs g_i(e): x^2 for garch, (|x| - gamma_i x)^delta for aparch, and z^2
+for ararch, with z its AR(1) residual and no b part.
+
 Conditional moments are always computed with the truncated convention: every
 quantity indexed before the start of the sample is treated as zero.  All the
 linear recursions are evaluated with :func:`scipy.signal.lfilter`, whose zero
 initial state is exactly that convention.  A filter whose denominator is 1 is
 skipped: it is the identity, or a plain ``np.convolve`` for the arma(p,0)
 residuals, which is what ``lfilter`` would compute there one row at a time.
+Each family's recursion is one pass over the sample that returns one named
+record (:func:`_recursion`); the conditional moments and the mean gradient
+of :mod:`.likelihood` are read from its fields.
 
 Simulation starts from the same zero pre-sample.  arma paths go through
 ``lfilter``; each variance-driven path (garch, aparch and the ARCH residual of
@@ -37,7 +47,7 @@ from enum import Enum
 import numpy as np
 from scipy.signal import lfilter
 
-from .errors import NonStationaryParams, NumericOverflow, UnsupportedFamily
+from .errors import NonStationaryParams, NumericOverflow
 
 #: stationarity margin: sums of dynamic coefficients stay below 1 - COEF_MARGIN
 COEF_MARGIN = 0.02
@@ -67,6 +77,11 @@ class ModelSpec:
     ``aparch(d;0,0)`` collapse to white noise, ``arma(0,0)``, whose name is
     ``wn``; only aparch keeps a power other than 2.  ``ar(p)`` / ``arch(p)``
     are only aliases accepted by :func:`parse_spec`.
+
+    Parameters are in :meth:`param_names` order: arma's a_i, b_j and sigma;
+    for the ARCH families ararch's phi, then omega, the a_i, aparch's gamma_i
+    and the b_j last.  garch(p,q) is the power-2, leverage-free case of
+    aparch(2;p,q), and ararch(p) is garch(p,0) on the AR(1) residual.
     """
 
     family: Family
@@ -395,23 +410,20 @@ def constraint_set(spec: ModelSpec) -> ConstraintSet:
         if q:
             groups.append(GroupBound(tuple(range(p, p + q)), c))
         return ConstraintSet(lower, upper, tuple(groups))
-    if spec.family is Family.GARCH:
-        lower = np.array([OMEGA_MIN] + [0.0] * (p + q))
-        upper = np.array([OMEGA_MAX] + [c] * (p + q))
-        groups = (GroupBound(tuple(range(1, 1 + p + q)), c),) if p + q else ()
-        return ConstraintSet(lower, upper, groups)
-    if spec.family is Family.APARCH:
-        lower = np.array([OMEGA_MIN] + [0.0] * p + [-c] * p + [0.0] * q)
-        upper = np.array([OMEGA_MAX] + [c] * p + [c] * p + [c] * q)
-        idx = tuple(range(1, 1 + p)) + tuple(range(1 + 2 * p, 1 + 2 * p + q))
-        groups = (GroupBound(idx, c),) if idx else ()
-        return ConstraintSet(lower, upper, groups)
-    if spec.family is Family.ARARCH:
-        lower = np.array([-c, OMEGA_MIN] + [0.0] * p)
-        upper = np.array([c, OMEGA_MAX] + [c] * p)
-        groups = (GroupBound(tuple(range(2, 2 + p)), c),) if p else ()
-        return ConstraintSet(lower, upper, groups)
-    raise UnsupportedFamily(str(spec.family))
+    # the ARCH families: ararch's phi, then omega, the a_i, aparch's gamma_i and the b_j
+    o = _omega_index(spec)
+    k = p if spec.family is Family.APARCH else 0
+    lower = np.array([-c] * o + [OMEGA_MIN] + [0.0] * p + [-c] * k + [0.0] * q)
+    upper = np.array([c] * o + [OMEGA_MAX] + [c] * (p + k + q))
+    idx = tuple(range(o + 1, o + 1 + p)) + tuple(range(spec.dim - q, spec.dim))
+    groups = (GroupBound(idx, c),) if idx else ()
+    return ConstraintSet(lower, upper, groups)
+
+
+def _omega_index(spec: ModelSpec) -> int:
+    """Where omega sits among an ARCH family's parameters: after ararch's phi,
+    first otherwise.  The a_i follow it and the b_j are the last q."""
+    return 1 if spec.family is Family.ARARCH else 0
 
 
 @dataclass(frozen=True)
@@ -486,9 +498,12 @@ class Trajectory:
             rows = list(csv.reader(fh))
         if not rows or rows[0] != ["x"]:
             raise ValueError(f"{path}: expected a single-column CSV with header 'x'")
+        for line, r in enumerate(rows[1:], start=2):  # the header is line 1
+            if len(r) != 1:
+                raise ValueError(f"{path}: line {line}: expected one field, got {len(r)}")
         x = np.array([float(r[0]) for r in rows[1:]])
         bad = np.flatnonzero(~np.isfinite(x))
-        if bad.size:  # the header is line 1
+        if bad.size:
             raise ValueError(f"{path}: line {bad[0] + 2}: non-finite value {float(x[bad[0]])}")
         return cls(x)
 
@@ -562,43 +577,26 @@ def _path_from_noise(spec: ModelSpec, v: np.ndarray, xi: np.ndarray) -> np.ndarr
         eps = sigma * xi
         ma = np.concatenate(([1.0], v[p : p + q]))
         return lfilter(ma, np.concatenate(([1.0], -v[:p])), eps)
-    if fam is Family.GARCH:
-        omega, a, b = v[0], v[1 : 1 + p], v[1 + p :]
-        return _sim_garch(omega, a, b, xi)
     if fam is Family.APARCH:
-        omega = v[0]
-        a = v[1 : 1 + p]
-        gam = v[1 + p : 1 + 2 * p]
-        b = v[1 + 2 * p :]
-        return _sim_aparch(omega, a, gam, b, spec.delta, xi)
-    if fam is Family.ARARCH:
-        # the AR(1) residual z is an ARCH(p) path, i.e. a garch(p, 0) one
-        z = _sim_garch(v[1], v[2:], (), xi)
-        return lfilter([1.0], [1.0, -v[0]], z)
-    raise UnsupportedFamily(str(fam))
+        return _sim_arch(Family.APARCH, p, q, [*v, spec.delta], xi)
+    # ararch's AR(1) residual z is an ARCH(p) path, i.e. a garch(p, 0) one
+    o = _omega_index(spec)
+    path = _sim_arch(Family.GARCH, p, q, v[o:], xi)
+    return lfilter([1.0], [1.0, -v[0]], path) if o else path
 
 
-def _sim_garch(omega, a, b, xi):
+def _sim_arch(family: Family, p: int, q: int, coefs, xi):
+    """The garch or aparch path of order (p, q) that ``_kernel`` writes, with
+    ``coefs`` in the kernel's argument order."""
     out = np.zeros(xi.size)
-    coefs = map(float, [omega, *a, *b])
     try:
-        _kernel(Family.GARCH, len(a), len(b))(out, xi, *coefs)
-    except ValueError:  # math.sqrt of a negative variance (infeasible parameters)
-        raise NumericOverflow("(G)ARCH simulation reached a negative variance") from None
-    return out
-
-
-def _sim_aparch(omega, a, gam, b, delta, xi):
-    # math.pow does what numpy's scalar power does, but raises where numpy
-    # would warn and return nan or inf (a negative base under a fractional
-    # power, or an overflowing power); that maps to the package's overflow error
-    out = np.zeros(xi.size)
-    coefs = map(float, [omega, *a, *gam, *b, delta])
-    try:
-        _kernel(Family.APARCH, len(a), len(b))(out, xi, *coefs)
+        _kernel(family, p, q)(out, xi, *map(float, coefs))
     except (ValueError, OverflowError):
+        # math.sqrt and math.pow raise where numpy would warn and return nan
+        # or inf: a negative variance or base (infeasible parameters), or an
+        # overflowing power; that maps to the package's overflow error
         raise NumericOverflow(
-            "aparch simulation reached a negative base or an overflowing power"
+            "simulation reached a negative variance or base, or an overflowing power"
         ) from None
     return out
 
@@ -676,90 +674,87 @@ def _ar_filter(poly: np.ndarray, u: np.ndarray) -> np.ndarray:
     return u if poly.size == 1 else lfilter([1.0], poly, u, axis=-1)
 
 
-def _arma_residuals(spec: ModelSpec, v: np.ndarray, x: np.ndarray):
-    """Truncated ARMA residuals eps and the MA polynomial they are filtered by."""
+@dataclass(slots=True)
+class _Recursion:
+    """A family's truncated recursion at one point: the one pass over the
+    sample that the conditional moments and the mean gradient are read from.
+
+    ``level`` is the output of the family's filter and ``poly`` that filter's
+    AR polynomial: the arma residuals and the MA polynomial, or an ARCH
+    family's unclamped variance (aparch: power sigma ** delta) and
+    ``[1, -b]``.  ``inputs`` holds the unlagged input of each a_i of an ARCH
+    family (none for arma), ``resid`` the mean residual x - f (x itself for
+    garch and aparch).  ``f`` and ``h`` are the conditional mean and the variance before
+    its floor; a constant one is a scalar (see :func:`_moments_from`)."""
+
+    f: np.ndarray | float
+    h: np.ndarray | float
+    resid: np.ndarray
+    poly: np.ndarray
+    level: np.ndarray
+    inputs: list[np.ndarray]
+
+
+def _arma_residuals(spec: ModelSpec, v: np.ndarray, x: np.ndarray) -> _Recursion:
+    """Truncated ARMA residuals eps, filtered by the MA polynomial."""
     ar = np.concatenate(([1.0], -v[: spec.p]))
     ma = np.concatenate(([1.0], v[spec.p : spec.p + spec.q]))
     if ma.size == 1:  # what lfilter computes here, without its apply_along_axis
-        return np.convolve(ar, x)[: x.size], ma
-    return lfilter(ar, ma, x), ma
+        eps = np.convolve(ar, x)[: x.size]
+    else:
+        eps = lfilter(ar, ma, x)
+    return _Recursion(x - eps, v[spec.p + spec.q] ** 2, eps, ma, eps, [])
 
 
-def _garch_variance(spec: ModelSpec, v: np.ndarray, x: np.ndarray):
-    """Unclamped truncated GARCH variance h_lin and the AR polynomial in the
-    b coefficients that filters it."""
-    p = spec.p
-    u = np.full(x.size, v[0])
-    for i in range(p):
-        u += v[1 + i] * _lag(x, i + 1) ** 2
-    b_poly = np.concatenate(([1.0], -v[1 + p :]))
-    return _ar_filter(b_poly, u), b_poly
+def _arch_filter(v: np.ndarray, o: int, q: int, inputs, n: int):
+    """The one ARCH variance filter of garch, aparch and ararch: the unclamped
+    truncated level s_t = omega + sum_i a_i input_i[t - i] + sum_j b_j s_{t-j}
+    and the polynomial ``[1, -b]`` that filters it.  omega is ``v[o]``, the
+    a_i follow it and the b_j are the last ``q`` entries of ``v``; ``inputs``
+    holds one unlagged series per a_i."""
+    u = np.full(n, v[o])
+    for i, w in enumerate(inputs):
+        u += v[o + 1 + i] * _lag(w, i + 1)
+    poly = np.concatenate(([1.0], -v[v.size - q :]))
+    return _ar_filter(poly, u), poly
 
 
-def _aparch_power(spec: ModelSpec, v: np.ndarray, x: np.ndarray):
-    """Unclamped truncated APARCH power s_lin (sigma_t ** delta), the AR
-    polynomial in the b coefficients that filters it, the unlagged ARCH power
-    terms (|x_t| - gamma_i x_t) ** delta (one per i) and the variance
-    h = max(s_lin, H_FLOOR) ** (2 / delta) before its own floor.  The moments
-    and the scores read all four, so each fractional power is taken once per
-    point.  Under the complex-step Hessian ``v`` is complex; NumPy orders
-    complex numbers by real part first, so ``np.maximum`` clamps on the real
-    part and a clamped entry's imaginary part is 0."""
-    p = spec.p
-    u = np.full(x.size, v[0])
-    powers = []
-    for i in range(p):
-        w = (np.abs(x) - v[1 + p + i] * x) ** spec.delta
-        powers.append(w)
-        u += v[1 + i] * _lag(w, i + 1)
-    b_poly = np.concatenate(([1.0], -v[1 + 2 * p :]))
-    s_lin = _ar_filter(b_poly, u)
-    s = np.maximum(s_lin, H_FLOOR)  # guards fractional powers off the feasible set
-    return s_lin, b_poly, powers, s ** (2.0 / spec.delta)
+def _recursion(spec: ModelSpec, v: np.ndarray, x: np.ndarray) -> _Recursion:
+    """The family's truncated recursion at ``v``.
 
-
-def _ararch_residuals(spec: ModelSpec, v: np.ndarray, x: np.ndarray):
-    """Truncated AR(1) residuals z and the unclamped ARCH variance they drive."""
-    z = x - v[0] * _lag(x, 1)
-    h = np.full(x.size, v[1])
-    for i in range(spec.p):
-        h += v[2 + i] * _lag(z, i + 1) ** 2
-    return z, h
-
-
-def _recursion(spec: ModelSpec, v: np.ndarray, x: np.ndarray):
-    """The family's truncated recursion at ``v``: the one pass over the sample
-    that both the conditional moments and the scores are read from."""
-    fam = spec.family
+    An ARCH family feeds :func:`_arch_filter`: garch the square x_t^2, shared
+    by every lag; ararch the square of its AR(1) residual
+    z_t = x_t - phi x_{t-1}; aparch one power (|x_t| - gamma_i x_t) ** delta
+    per lag, and its variance is h = max(s, H_FLOOR) ** (2 / delta), each
+    fractional power taken once per point.  Under the complex-step Hessian
+    ``v`` is complex; NumPy orders complex numbers by real part first, so
+    ``np.maximum`` clamps on the real part and a clamped entry's imaginary
+    part is 0."""
+    fam, p = spec.family, spec.p
     if fam is Family.ARMA:
         return _arma_residuals(spec, v, x)
-    if fam is Family.GARCH:
-        return _garch_variance(spec, v, x)
     if fam is Family.APARCH:
-        return _aparch_power(spec, v, x)
+        inputs = [(np.abs(x) - v[1 + p + i] * x) ** spec.delta for i in range(p)]
+        s, poly = _arch_filter(v, 0, spec.q, inputs, x.size)
+        h = np.maximum(s, H_FLOOR) ** (2.0 / spec.delta)  # guards the fractional power
+        return _Recursion(0.0, h, x, poly, s, inputs)
+    f, resid = 0.0, x
     if fam is Family.ARARCH:
-        return _ararch_residuals(spec, v, x)
-    raise UnsupportedFamily(str(fam))
+        f = v[0] * _lag(x, 1)
+        resid = x - f
+    inputs = [resid**2] * p if p else []
+    h, poly = _arch_filter(v, _omega_index(spec), spec.q, inputs, x.size)
+    return _Recursion(f, h, resid, poly, h, inputs)
 
 
-def _moments_from(spec: ModelSpec, v: np.ndarray, x: np.ndarray, rec) -> CondMoments:
-    """Conditional moments from the recursion :func:`_recursion` built at ``v``.
+def _moments_from(rec: _Recursion) -> CondMoments:
+    """Conditional moments from a recursion: its mean, and its variance with
+    the ``H_FLOOR`` clamp.
 
     A constant moment stays a scalar: ``h`` for arma (white noise included),
     and ``f = 0.0`` for garch and aparch.  The contrast broadcasts it, so
     nothing fills n copies; :func:`cond_moments` returns full arrays."""
-    fam = spec.family
-    if fam is Family.ARMA:
-        eps, _ = rec
-        return CondMoments(x - eps, max(v[spec.p + spec.q] ** 2, H_FLOOR))
-    if fam is Family.GARCH:
-        h_lin, _ = rec
-        return CondMoments(0.0, np.maximum(h_lin, H_FLOOR))
-    if fam is Family.APARCH:
-        *_, h = rec
-        return CondMoments(0.0, np.maximum(h, H_FLOOR))
-    _, h_lin = rec
-    return CondMoments(v[0] * _lag(x, 1), np.maximum(h_lin, H_FLOOR))
+    return CondMoments(rec.f, np.maximum(rec.h, H_FLOOR))
 
 
 def cond_moments(spec: ModelSpec, theta, x) -> CondMoments:
@@ -773,7 +768,7 @@ def cond_moments(spec: ModelSpec, theta, x) -> CondMoments:
     """
     v = _as_values(spec, theta)
     x = np.asarray(x, dtype=float)
-    cm = _moments_from(spec, v, x, _recursion(spec, v, x))
+    cm = _moments_from(_recursion(spec, v, x))
     # the only constant mean is 0: np.zeros leaves its pages unwritten
     f_hat = cm.f_hat if np.ndim(cm.f_hat) else np.zeros(x.size)
     h_hat = cm.h_hat if np.ndim(cm.h_hat) else np.full(x.size, cm.h_hat)

@@ -149,6 +149,33 @@ def test_select_rejects_non_finite_data(tmp_path, capsys, bad):
     assert f"line 101: non-finite value {bad}" in err
 
 
+@pytest.mark.parametrize("bad,got", [("", 0), ("2.0,3.0", 2)], ids=["blank", "two_fields"])
+def test_select_rejects_rows_that_are_not_one_field(tmp_path, capsys, bad, got):
+    path = tmp_path / "ar1.csv"
+    q.simulate(q.arma(1, 0), [0.5, 1.0], 300, seed=3).to_csv(path)
+    lines = path.read_text().splitlines()
+    lines[100] = bad  # line 101 of the file
+    path.write_text("\n".join(lines) + "\n")
+    code, _, err = run_cli(
+        ["select", "--data", str(path), "--family", "wn+arma(1,0)", "--criterion", "bic"], capsys
+    )
+    assert code == EXIT_PARSE
+    assert f"line 101: expected one field, got {got}" in err
+
+
+def test_select_tracepen_cf_on_an_all_zero_series_exits_4(tmp_path, capsys):
+    # the fourth-moment ratio of all-zero residuals is undefined: every model
+    # is excluded with that reason, and no model is left to choose
+    path = tmp_path / "zero.csv"
+    path.write_text("x\n" + "0.0\n" * 200)
+    code, _, err = run_cli(
+        ["select", "--data", str(path), "--family", "wn+arma(1,0)", "--criterion", "tracepen_cf"],
+        capsys,
+    )
+    assert code == EXIT_NO_MODEL
+    assert "no candidate produced a criterion value" in err
+
+
 def test_select_rejects_unknown_criterion(ar2_csv, capsys):
     code, _, _ = run_cli(
         ["select", "--data", ar2_csv, "--family", "wn", "--criterion", "dic"], capsys

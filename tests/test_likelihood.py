@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -282,6 +283,27 @@ def test_ararch_score_at_zero_phi_reduces_to_arch(p):
     assert_allclose(full[:, 1:], g, rtol=1e-12)
 
 
+@pytest.mark.parametrize("step", [None, 0, 1], ids=["real", "complex_phi", "complex_omega"])
+@pytest.mark.parametrize("p", [1, 2])
+def test_ararch_is_garch_p0_on_its_ar1_residual(p, step):
+    # ararch(p) feeds its AR(1) residual z to the one ARCH filter and the one
+    # gradient block: its variance and its omega and a entries are exactly
+    # garch(p, 0)'s on z, on a real point and on a complex-step one
+    x = np.random.default_rng(13).standard_normal(300)
+    v = np.r_[0.4, 0.6, np.full(p, 0.3 / p)]
+    if step is not None:
+        v = v.astype(complex)
+        v[step] += 1j * qmselect.likelihood.CS_STEP
+    z = x - v[0] * np.r_[0.0, x[:-1]]
+    rec = qmselect.models._recursion(q.ararch(p), v, x)
+    arch = qmselect.models._recursion(q.garch(p, 0), v[1:], z)
+    assert np.array_equal(rec.resid, z)
+    assert np.array_equal(rec.h, arch.h)
+    g = qmselect.likelihood._gradient_from(q.ararch(p), v, x, rec)
+    g_arch = qmselect.likelihood._gradient_from(q.garch(p, 0), v[1:], z, arch)
+    assert np.array_equal(g[1:], g_arch)
+
+
 @pytest.mark.parametrize(
     "spec,theta",
     [
@@ -299,7 +321,7 @@ def test_skipped_identity_filters_equal_lfilter(monkeypatch, spec, theta):
     got_rec = qmselect.models._recursion(spec, v, x)
     got_scores = q.grad_per_t(spec, v, x)
     got_grad = q.gradient(spec, v, x)
-    assert got_rec[1].tolist() == [1.0]
+    assert got_rec.poly.tolist() == [1.0]
 
     def ar_filter(poly, u):
         return lfilter([1.0], poly, u, axis=-1)
@@ -307,14 +329,16 @@ def test_skipped_identity_filters_equal_lfilter(monkeypatch, spec, theta):
     recursion = qmselect.models._recursion
 
     def lfilter_recursion(spec, v, x):
+        rec = recursion(spec, v, x)
         if spec.family is q.Family.ARMA:  # the residuals skip _ar_filter
-            return lfilter(np.r_[1.0, -v[: spec.p]], [1.0], x), recursion(spec, v, x)[1]
-        return recursion(spec, v, x)
+            eps = lfilter(np.r_[1.0, -v[: spec.p]], [1.0], x)
+            rec = dataclasses.replace(rec, f=x - eps, resid=eps, level=eps)
+        return rec
 
     monkeypatch.setattr(qmselect.models, "_ar_filter", ar_filter)
     monkeypatch.setattr(qmselect.likelihood, "_ar_filter", ar_filter)
     monkeypatch.setattr(qmselect.likelihood, "_recursion", lfilter_recursion)
-    assert np.array_equal(got_rec[0], lfilter_recursion(spec, v, x)[0])
+    assert np.array_equal(got_rec.level, lfilter_recursion(spec, v, x).level)
     # the scores and the gradient, on the real and the complex recursions
     assert np.array_equal(got_scores, q.grad_per_t(spec, v, x))
     assert np.array_equal(got_grad, q.gradient(spec, v, x))
@@ -328,10 +352,10 @@ def test_grad_per_t_rows_average_to_gradient():
     with_zeros = x.copy()
     with_zeros[::11] = 0.0
     floor = np.array([1e-9, 1e-9, 0.5])
-    h_lin, _ = qmselect.models._recursion(q.garch(1, 1), floor, x)
+    h_lin = qmselect.models._recursion(q.garch(1, 1), floor, x).level
     assert (h_lin < qmselect.models.H_FLOOR).any()
     arch_floor = np.array([0.3, 1e-9, 1e-9])
-    _, h_lin = qmselect.models._recursion(q.ararch(1), arch_floor, x)
+    h_lin = qmselect.models._recursion(q.ararch(1), arch_floor, x).level
     assert (h_lin < qmselect.models.H_FLOOR).any() and (h_lin > qmselect.models.H_FLOOR).any()
     for spec, theta, series in [
         (q.wn(), [1.3], x),
