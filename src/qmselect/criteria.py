@@ -120,14 +120,13 @@ def criterion_value(
             raise MissingInfo("tracepen needs estimated info matrices")
         penalty = n * info.trace_pen
     elif name == "tracepen_cf":
-        if mu4 is None:
-            raise MissingInfo("closed-form tracepen needs a mu4 estimate")
-        cft = closed_form_trace(fit.spec, mu4=mu4)
-        if not cft.complete:
+        if not closed_form_trace(fit.spec).complete:
             raise UnsupportedFamily(
                 f"{fit.spec.name}: closed-form trace is incomplete for this family"
             )
-        penalty = cft.value
+        if mu4 is None:
+            raise MissingInfo("closed-form tracepen needs a mu4 estimate")
+        penalty = closed_form_trace(fit.spec, mu4=mu4).value
         mu4_used = mu4
     elif name == "kc":
         if info is None:
@@ -265,7 +264,9 @@ def select_from_fits(
                 rows.append(_row(f, excluded=f"{type(info).__name__}: {info}"))
                 continue
         mu4 = None
-        if kind.needs_mu4:
+        # a family the closed form cannot score is excluded by criterion_value
+        # below, so its residual pass would be wasted
+        if kind.needs_mu4 and closed_form_trace(f.spec).complete:
             xi = residuals(f.spec, f.theta.values, x)
             try:
                 mu4 = mu4_hat(xi)

@@ -75,8 +75,9 @@ class ModelSpec:
 
     Degenerate orders are normalized on construction: ``garch(0,0)`` and
     ``aparch(d;0,0)`` collapse to white noise, ``arma(0,0)``, whose name is
-    ``wn``; only aparch keeps a power other than 2.  ``ar(p)`` / ``arch(p)``
-    are only aliases accepted by :func:`parse_spec`.
+    ``wn``; only aparch keeps a power other than 2.  ``ar(p)``, ``ma(q)`` and
+    ``arch(p)`` are only aliases accepted by :func:`parse_spec` and
+    :func:`expand_family`.
 
     Parameters are in :meth:`param_names` order: arma's a_i, b_j and sigma;
     for the ARCH families ararch's phi, then omega, the a_i, aparch's gamma_i
@@ -175,127 +176,77 @@ def ararch(p: int) -> ModelSpec:
     return ModelSpec(Family.ARARCH, p)
 
 
-_SPEC_RE = re.compile(
-    r"""^\s*(?P<name>[a-z]+)\s*
-        (?:\(\s*(?:(?P<delta>[0-9.]+)\s*;)?\s*(?P<p>\d+)\s*(?:,\s*(?P<q>\d+))?\s*\))?\s*$""",
+#: text name -> (number of orders, constructor); aparch's constructor takes
+#: the power first
+_NAMES = {
+    "wn": (0, wn),
+    "ar": (1, lambda p: arma(p, 0)),
+    "ma": (1, lambda q: arma(0, q)),
+    "arch": (1, lambda p: garch(p, 0)),
+    "ararch": (1, ararch),
+    "arma": (2, arma),
+    "garch": (2, garch),
+    "aparch": (2, aparch),
+}
+
+_ORDER = r"\d+(?:\.\.\d+)?"
+_TERM_RE = re.compile(
+    rf"""\s*(?P<name>[a-z]+)\s*
+        (?:\(\s*(?:(?P<power>[0-9.]+)\s*;)?\s*(?P<orders>{_ORDER}(?:\s*,\s*{_ORDER})*)\s*\))?\s*""",
     re.IGNORECASE | re.VERBOSE,
 )
 
 
-def parse_spec(text: str) -> ModelSpec:
-    """Parse a canonical model name like ``arma(1,1)`` or ``aparch(1.5;1,0)``.
-
-    Accepted aliases: ``ar(p)`` for ``arma(p,0)`` and ``arch(p)`` for
-    ``garch(p,0)``.
-    """
-    m = _SPEC_RE.match(text)
+def _parse_term(term: str) -> list[ModelSpec]:
+    """Every spec of one family term: a model name whose orders may be ranges
+    ``lo..hi``, expanded in :func:`itertools.product` order."""
+    m = _TERM_RE.fullmatch(term)
     if not m:
-        raise ValueError(f"cannot parse model spec {text!r}")
-    name = m.group("name").lower()
-    delta = m.group("delta")
-    p = int(m.group("p")) if m.group("p") is not None else None
-    q = int(m.group("q")) if m.group("q") is not None else None
-    if name == "wn":
-        if p is not None or delta is not None:
-            raise ValueError(f"wn takes no orders: {text!r}")
-        return wn()
-    if delta is not None and name != "aparch":
-        raise ValueError(f"only aparch takes a power prefix: {text!r}")
-    if p is None:
-        raise ValueError(f"missing orders in model spec {text!r}")
-    if name == "ar":
-        _expect_single_order(q, text)
-        return arma(p, 0)
-    if name == "ma":
-        _expect_single_order(q, text)
-        return arma(0, p)
-    if name == "arch":
-        _expect_single_order(q, text)
-        return garch(p, 0)
-    if name == "ararch":
-        _expect_single_order(q, text)
-        return ararch(p)
-    if name == "arma":
-        return arma(p, _require_q(q, text))
-    if name == "garch":
-        return garch(p, _require_q(q, text))
-    if name == "aparch":
-        return aparch(float(delta) if delta is not None else 2.0, p, _require_q(q, text))
-    raise ValueError(f"unknown model family in {text!r}")
+        raise ValueError(f"cannot parse model term {term!r}")
+    name, power = m["name"].lower(), m["power"]
+    if name not in _NAMES:
+        raise ValueError(f"unknown model family in {term!r}")
+    count, make = _NAMES[name]
+    if power is not None and name != "aparch":
+        raise ValueError(f"only aparch takes a power prefix: {term!r}")
+    ranges = [_order_range(tok, term) for tok in m["orders"].split(",")] if m["orders"] else []
+    if len(ranges) != count:
+        raise ValueError(f"{name} takes {count} order(s): {term!r}")
+    head = (float(power or 2.0),) if name == "aparch" else ()
+    return [make(*head, *orders) for orders in itertools.product(*ranges)]
 
 
-def _expect_single_order(q, text):
-    if q is not None:
-        raise ValueError(f"family takes a single order: {text!r}")
+def _order_range(tok: str, term: str) -> range:
+    lo, _, hi = tok.partition("..")
+    lo, hi = int(lo), int(hi or lo)  # int() skips the whitespace around a token
+    if hi < lo:
+        raise ValueError(f"empty order range {tok.strip()!r} in {term!r}")
+    return range(lo, hi + 1)
 
 
-def _require_q(q, text):
-    if q is None:
-        raise ValueError(f"missing second order in {text!r}")
-    return q
+def parse_spec(text: str) -> ModelSpec:
+    """Parse one model name like ``arma(1,1)`` or ``aparch(1.5;1,0)``: a
+    family term (see :func:`expand_family`) without order ranges.
+
+    Accepted aliases: ``ar(p)`` for ``arma(p,0)``, ``ma(q)`` for
+    ``arma(0,q)``, ``arch(p)`` for ``garch(p,0)``, and ``wn`` for
+    ``arma(0,0)``.  Only aparch takes a power prefix; its default is 2.
+    """
+    if ".." in text:
+        raise ValueError(f"a single model spec has no order ranges: {text!r}")
+    return _parse_term(text)[0]
 
 
 def expand_family(expr: str) -> list[ModelSpec]:
     """Expand a family expression like ``"arma(0..2,0..2)+garch(1,1)"``.
 
-    Each ``+``-separated term is a model name whose integer orders may be
-    ranges ``lo..hi``.  Duplicates (e.g. the ``wn`` model reached both as
-    ``arma(0,0)`` and ``garch(0,0)``) are removed, keeping first occurrence.
+    Each ``+``-separated term is a model name, in the grammar of
+    :func:`parse_spec`, whose integer orders may be ranges ``lo..hi``.
+    Duplicates (e.g. the ``wn`` model reached both as ``arma(0,0)`` and
+    ``garch(0,0)``) are removed, keeping first occurrence.
     """
-    out: list[ModelSpec] = []
-    seen = set()
-    for term in expr.split("+"):
-        term = term.strip()
-        if not term:
-            raise ValueError("empty term in family expression")
-        for spec in _expand_term(term):
-            if spec not in seen:
-                seen.add(spec)
-                out.append(spec)
-    return out
-
-
-_RANGE_RE = re.compile(r"^(\d+)(?:\.\.(\d+))?$")
-
-
-def _expand_range(tok: str, term: str) -> range:
-    m = _RANGE_RE.match(tok.strip())
-    if not m:
-        raise ValueError(f"bad order range {tok!r} in {term!r}")
-    lo = int(m.group(1))
-    hi = int(m.group(2)) if m.group(2) is not None else lo
-    if hi < lo:
-        raise ValueError(f"empty order range {tok!r} in {term!r}")
-    return range(lo, hi + 1)
-
-
-def _expand_term(term: str) -> list[ModelSpec]:
-    m = re.match(r"^([a-z]+)\s*(?:\(([^)]*)\))?$", term, re.IGNORECASE)
-    if not m:
-        raise ValueError(f"cannot parse family term {term!r}")
-    name, inner = m.group(1).lower(), m.group(2)
-    if inner is None:
-        return [parse_spec(term)]
-    delta = None
-    if ";" in inner:
-        head, inner = inner.split(";", 1)
-        delta = head.strip()
-    toks = [t for t in inner.split(",")]
-    ranges = [_expand_range(t, term) for t in toks]
-    out = []
-    if len(ranges) == 1:
-        for p in ranges[0]:
-            out.append(parse_spec(f"{name}({p})"))
-    elif len(ranges) == 2:
-        for p in ranges[0]:
-            for q in ranges[1]:
-                if delta is not None:
-                    out.append(parse_spec(f"{name}({delta};{p},{q})"))
-                else:
-                    out.append(parse_spec(f"{name}({p},{q})"))
-    else:
-        raise ValueError(f"too many orders in {term!r}")
-    return out
+    terms = [term.strip() for term in expr.split("+")]
+    return list(dict.fromkeys(spec for term in terms for spec in _parse_term(term)))
 
 
 # ---------------------------------------------------------------------------
@@ -498,10 +449,15 @@ class Trajectory:
             rows = list(csv.reader(fh))
         if not rows or rows[0] != ["x"]:
             raise ValueError(f"{path}: expected a single-column CSV with header 'x'")
+        values = []
         for line, r in enumerate(rows[1:], start=2):  # the header is line 1
             if len(r) != 1:
                 raise ValueError(f"{path}: line {line}: expected one field, got {len(r)}")
-        x = np.array([float(r[0]) for r in rows[1:]])
+            try:
+                values.append(float(r[0]))
+            except ValueError:
+                raise ValueError(f"{path}: line {line}: not a number: {r[0]!r}") from None
+        x = np.array(values)
         bad = np.flatnonzero(~np.isfinite(x))
         if bad.size:
             raise ValueError(f"{path}: line {bad[0] + 2}: non-finite value {float(x[bad[0]])}")

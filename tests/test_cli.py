@@ -163,6 +163,16 @@ def test_select_rejects_rows_that_are_not_one_field(tmp_path, capsys, bad, got):
     assert f"line 101: expected one field, got {got}" in err
 
 
+def test_select_rejects_non_numeric_data(tmp_path, capsys):
+    path = tmp_path / "words.csv"
+    path.write_text("x\n1.0\nabc\n2.0\n")
+    code, _, err = run_cli(
+        ["select", "--data", str(path), "--family", "wn+arma(1,0)", "--criterion", "bic"], capsys
+    )
+    assert code == EXIT_PARSE
+    assert "words.csv" in err and "line 3" in err
+
+
 def test_select_tracepen_cf_on_an_all_zero_series_exits_4(tmp_path, capsys):
     # the fourth-moment ratio of all-zero residuals is undefined: every model
     # is excluded with that reason, and no model is left to choose
@@ -259,6 +269,26 @@ def test_shipped_configs_parse():
             cfg = parse_config(fh.read())
         assert len(cfg.experiment.family) == family_size
         assert cfg.experiment.dgp in cfg.experiment.family
+
+
+@pytest.mark.parametrize(
+    "path,digest",
+    [
+        ("configs/arma11_desk.cfg", "ade01c2f8264665cbf07a08f00cc4244044b3b055c59e36b595e727b203cde26"),
+        ("configs/full_protocol.cfg", "90914ddea3346a54567e6340cf3b8a0deeda130ae829a41b7879f6a4795a29ce"),
+        ("configs/garch11_desk.cfg", "e8f4990716a45aee88a0c202a28ae2ac0049e0254a1cd70b3530a3858e7f86b0"),
+        (
+            "perfbench/configs/aparch_ararch.cfg",
+            "04cf00c5da04bff41da9de63f8109b44444aa9ee34b9c07160d53c7001398545",
+        ),
+    ],
+)
+def test_shipped_config_hashes_are_pinned(path, digest):
+    # the family's model names feed the hash, so a parser change that moves a
+    # name or the order of the family shows here
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, path)) as fh:
+        cfg = parse_config(fh.read())
+    assert cfg.experiment.config_hash() == digest
 
 
 def test_full_protocol_scale():

@@ -179,6 +179,29 @@ def test_cached_info_failures_hold_no_traceback(monkeypatch):
     assert isinstance(cache[0], q.SingularF) and cache[0].__traceback__ is None
 
 
+def test_tracepen_cf_skips_the_residual_pass_of_a_family_it_cannot_score(monkeypatch):
+    fits = [fake_fit(spec, 1.0) for spec in q.expand_family("wn+ararch(0..2)")]
+    x = q.simulate(q.ararch(1), [0.3, 1.0, 0.2], 100, seed=5).values
+    mu4 = q.mu4_hat(q.residuals(q.wn(), fits[0].theta.values, x))
+    real, calls = qmselect.criteria.residuals, []
+
+    def counting(spec, theta, x):
+        calls.append(spec)
+        return real(spec, theta, x)
+
+    monkeypatch.setattr(qmselect.criteria, "residuals", counting)
+    sel = select_from_fits(fits, x, q.TRACE_PEN_CF)
+    assert calls == [q.wn()]
+    wn_row, *ararch_rows = sel.rows
+    assert wn_row.excluded is None
+    assert wn_row.report.value == 100 * 1.0 + q.closed_form_trace(q.wn(), mu4=mu4).value
+    for k, row in enumerate(ararch_rows):
+        assert row.report is None
+        assert row.excluded == (
+            f"UnsupportedFamily: ararch({k}): closed-form trace is incomplete for this family"
+        )
+
+
 def test_classify():
     truth = q.arma(1, 1)
     assert q.classify(truth, q.arma(1, 1)) == "true_model"

@@ -110,6 +110,40 @@ def test_expand_family_rejects(bad):
         q.expand_family(bad)
 
 
+@pytest.mark.parametrize("term", ["ararch(1.5;1)", "ar(2.5;0..1)", "ma(1.5;1)", "arch(7;1..2)"])
+def test_expand_family_rejects_a_power_prefix_off_aparch(term):
+    # a family term reads like a model name: the power is aparch's alone
+    with pytest.raises(ValueError, match="power prefix"):
+        q.expand_family(term)
+
+
+@pytest.mark.parametrize(
+    "term",
+    [
+        # test_parse_rejects_garbage
+        "arma(1)",
+        "garch(1,)",
+        "frob(1,2)",
+        "wn(1)",
+        "arma(-1,0)",
+        f"aparch({'9' * 400};1,1)",
+        # test_aliases_normalize
+        "ar(2)",
+        "arch(3)",
+        "ARMA(1, 1)",
+        "wn",
+    ],
+)
+def test_a_single_term_expands_to_its_parsed_spec(term):
+    try:
+        spec = q.parse_spec(term)
+    except ValueError:
+        with pytest.raises(ValueError):
+            q.expand_family(term)
+    else:
+        assert q.expand_family(term) == [spec]
+
+
 # ---------------------------------------------------------------------------
 # constraint sets
 
