@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criteria import CriterionKind, select
+from .criteria import _KNOWN, CriterionKind, select
 from .errors import AllModelsFailed, ConfigError, NonStationaryParams, QmselectError
 from .models import DEFAULT_BURN_IN, Trajectory, expand_family, parse_spec, simulate
 from .montecarlo import (
@@ -330,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("select", help="fit a candidate family and pick by criterion")
     p.add_argument("--data", required=True, help="input CSV with a single column 'x'")
     p.add_argument("--family", required=True, help='family expression, e.g. "arma(0..2,0..2)"')
-    p.add_argument("--criterion", required=True, help="aic|bic|hq|tracepen|tracepen_cf|kc|kcprime")
+    p.add_argument("--criterion", required=True, help="|".join(_KNOWN))
     p.add_argument("--out", help="write the per-model selection table as CSV")
     p.set_defaults(func=_cmd_select)
 

@@ -6,7 +6,9 @@ Every criterion value has the shape
 
 summed in exactly that order, so values are bit-reproducible and two
 criteria sharing a fit differ only through their penalty/logdet parts.
-Available kinds:
+Each named kind is one row of the private table ``_RULES`` (its penalty, what
+it needs, whether it adds log det(-F)), which the known names, ``needs_info``,
+``needs_mu4`` and :func:`criterion_value` all read:
 
 * ``aic``         penalty 2|m|
 * ``bic``         penalty |m| log n
@@ -16,7 +18,8 @@ Available kinds:
 * ``kc``          penalty |m| log n, plus log det(-F) correction term
 * ``kcprime``     penalty |m| log n - |m| log 2pi + 2 log|m|, plus log det(-F)
 * custom          penalty n * pen(spec) for a user callable, checked to be
-                  monotone along the nesting partial order of the family
+                  monotone along the nesting partial order of the family; it
+                  needs neither info matrices nor mu4, whatever its name
 """
 
 from __future__ import annotations
@@ -24,17 +27,45 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import AllModelsFailed, MissingInfo, QmselectError, UnsupportedFamily
-from .fitting import FitResult, fit_family
+from .fitting import FitResult, _series, fit_family
 from .information import InfoMatrices, closed_form_trace, info_matrices
 from .likelihood import mu4_hat, residuals
-from .models import ModelSpec, Trajectory, is_nested
+from .models import ModelSpec, is_nested
 
-_KNOWN = ("aic", "bic", "hq", "tracepen", "tracepen_cf", "kc", "kcprime")
+
+class _Rule(NamedTuple):
+    penalty: Callable[[FitResult, InfoMatrices | None, float | None], float]
+    needs_info: bool = False
+    needs_mu4: bool = False
+    logdet: bool = False  # adds log det(-F) after the penalty
+
+
+def _bic(fit: FitResult, info, mu4) -> float:
+    return fit.spec.dim * math.log(fit.n_used)
+
+
+def _kcprime(fit: FitResult, info, mu4) -> float:
+    n, m = fit.n_used, fit.spec.dim
+    return m * math.log(n) - m * math.log(2.0 * math.pi) + 2.0 * math.log(m)
+
+
+_RULES = {
+    "aic": _Rule(lambda fit, info, mu4: 2.0 * fit.spec.dim),
+    "bic": _Rule(_bic),
+    "hq": _Rule(lambda fit, info, mu4: fit.spec.dim * math.log(math.log(fit.n_used))),
+    "tracepen": _Rule(lambda fit, info, mu4: fit.n_used * info.trace_pen, needs_info=True),
+    "tracepen_cf": _Rule(
+        lambda fit, info, mu4: closed_form_trace(fit.spec, mu4=mu4).value, needs_mu4=True
+    ),
+    "kc": _Rule(_bic, needs_info=True, logdet=True),
+    "kcprime": _Rule(_kcprime, needs_info=True, logdet=True),
+}
+_KNOWN = tuple(_RULES)
 
 
 @dataclass(frozen=True)
@@ -45,24 +76,31 @@ class CriterionKind:
     name: str
     custom_pen: Callable[[ModelSpec], float] | None = None
 
+    def __post_init__(self):
+        if self.custom_pen is None and self.name not in _RULES:
+            raise ValueError(f"unknown criterion {self.name!r}; expected one of {_KNOWN}")
+
     @classmethod
     def named(cls, name: str) -> "CriterionKind":
-        name = name.strip().lower()
-        if name not in _KNOWN:
-            raise ValueError(f"unknown criterion {name!r}; expected one of {_KNOWN}")
-        return cls(name)
+        return cls(name.strip().lower())
 
     @classmethod
     def custom(cls, pen: Callable[[ModelSpec], float], name: str = "custom") -> "CriterionKind":
         return cls(name, custom_pen=pen)
 
     @property
+    def _rule(self) -> _Rule:
+        if self.custom_pen is None:
+            return _RULES[self.name]
+        return _Rule(lambda fit, info, mu4: fit.n_used * float(self.custom_pen(fit.spec)))
+
+    @property
     def needs_info(self) -> bool:
-        return self.name in ("tracepen", "kc", "kcprime")
+        return self._rule.needs_info
 
     @property
     def needs_mu4(self) -> bool:
-        return self.name == "tracepen_cf"
+        return self._rule.needs_mu4
 
 
 AIC = CriterionKind("aic")
@@ -96,57 +134,28 @@ def criterion_value(
     info: InfoMatrices | None = None,
     mu4: float | None = None,
 ) -> CriterionReport:
-    """Canonical criterion value for one fitted model.
-
-    ``info`` is required for tracepen/kc/kcprime (MissingInfo otherwise);
-    ``mu4`` is required for the closed-form trace variant.
-    """
-    n = fit.n_used
-    m = fit.spec.dim
-    n_gamma_bar = n * fit.gamma_bar_min
-    logdet_term = None
-    mu4_used = None
-    name = kind.name
-    if kind.custom_pen is not None:
-        penalty = n * float(kind.custom_pen(fit.spec))
-    elif name == "aic":
-        penalty = 2.0 * m
-    elif name == "bic":
-        penalty = m * math.log(n)
-    elif name == "hq":
-        penalty = m * math.log(math.log(n))
-    elif name == "tracepen":
-        if info is None:
-            raise MissingInfo("tracepen needs estimated info matrices")
-        penalty = n * info.trace_pen
-    elif name == "tracepen_cf":
+    """Canonical criterion value for one fitted model; MissingInfo if the
+    kind's rule needs ``info`` or ``mu4`` and it is None."""
+    rule = kind._rule
+    if rule.needs_info and info is None:
+        raise MissingInfo(f"{kind.name} needs estimated info matrices")
+    if rule.needs_mu4:
         if not closed_form_trace(fit.spec).complete:
             raise UnsupportedFamily(
                 f"{fit.spec.name}: closed-form trace is incomplete for this family"
             )
         if mu4 is None:
             raise MissingInfo("closed-form tracepen needs a mu4 estimate")
-        penalty = closed_form_trace(fit.spec, mu4=mu4).value
-        mu4_used = mu4
-    elif name == "kc":
-        if info is None:
-            raise MissingInfo("kc needs estimated info matrices")
-        penalty = m * math.log(n)
-        logdet_term = info.logdet_negF
-    elif name == "kcprime":
-        if info is None:
-            raise MissingInfo("kcprime needs estimated info matrices")
-        penalty = m * math.log(n) - m * math.log(2.0 * math.pi) + 2.0 * math.log(m)
-        logdet_term = info.logdet_negF
-    else:
-        raise ValueError(f"unknown criterion kind {name!r}")
-
+    n_gamma_bar = fit.n_used * fit.gamma_bar_min
+    penalty = rule.penalty(fit, info, mu4)
+    logdet_term = info.logdet_negF if rule.logdet else None
+    mu4_used = mu4 if rule.needs_mu4 else None
     value = n_gamma_bar + penalty
     if logdet_term is not None:
         value = value + logdet_term
     return CriterionReport(
         spec=fit.spec,
-        kind=name,
+        kind=kind.name,
         value=value,
         components=CriterionComponents(n_gamma_bar, penalty, logdet_term, mu4_used),
     )
@@ -238,9 +247,10 @@ def select_from_fits(
     ``info_cache`` maps fit index -> InfoMatrices or Exception; it is filled
     lazily so several criteria evaluated on the same fits estimate the info
     matrices only once per model.  Only the package's own errors and numerical
-    failures exclude a model; any other exception propagates.
+    failures exclude a model; any other exception propagates, and so does
+    MissingInfo, since the sweep always supplies what a rule needs.
     """
-    x = x.values if isinstance(x, Trajectory) else np.asarray(x, dtype=float)
+    x = _series(x)
     if kind.custom_pen is not None:
         _check_custom_monotone(kind, [f.spec for f in fits])
     if info_cache is None:
@@ -274,11 +284,9 @@ def select_from_fits(
                 rows.append(_row(f, excluded=f"{type(exc).__name__}: {exc}"))
                 continue
         try:
-            report = criterion_value(f, kind, info=info, mu4=mu4)
-        except (UnsupportedFamily, MissingInfo) as exc:
+            rows.append(_row(f, report=criterion_value(f, kind, info=info, mu4=mu4)))
+        except UnsupportedFamily as exc:
             rows.append(_row(f, excluded=f"{type(exc).__name__}: {exc}"))
-            continue
-        rows.append(_row(f, report=report))
 
     scored = [r for r in rows if r.report is not None and np.isfinite(r.report.value)]
     if not scored:

@@ -9,12 +9,12 @@ Two experiment drivers share the same replication protocol:
   held-out trajectory per sample size ("oracle") and reports the mean excess
   risk of the selected model over the refitted true model, scaled by n.
 
-A replication is described by the payload ``(config, n, r, want_theta)``:
-the frozen :class:`ExperimentConfig` itself, with its ModelSpec objects, so
-a worker simulates and fits exactly the configured specs.  Both drivers
-build these payloads and map them through one helper.  All held-out scoring
-goes through :func:`oracle_risk`, called once per n on every distinct
-(spec, theta) point the replications produced.
+A replication is described by the payload ``(config, n, r)``, holding the
+frozen :class:`ExperimentConfig` itself, so a worker simulates and fits
+exactly the configured specs.  Both drivers map these payloads through one
+helper and read back one record: the converged true fit and each criterion's
+pick, as (spec, theta) points or None.  All held-out scoring goes through
+:func:`oracle_risk`, called once per n on every distinct point.
 
 Seeding: replication r at sample size n draws its trajectory from a PCG64
 generator keyed by SeedSequence([master_seed, n, r]); the oracle trajectory
@@ -31,6 +31,7 @@ import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -130,38 +131,33 @@ def write_metadata(path, config: ExperimentConfig, **extra) -> None:
 # replication worker (top level so process pools can pickle it)
 
 
-def _run_replication(payload):
-    config, n, r, want_theta = payload
-    dgp = config.dgp
+class _Record(NamedTuple):
+    true_fit: tuple | None  # the converged fit of the dgp spec as (spec, theta), or None
+    picks: dict  # criterion name -> (spec, theta) of its pick, or None if nothing scored
+
+
+def _run_replication(payload) -> _Record:
+    config, n, r = payload
     seed = derive_seed(config.master_seed, n, r)
-    traj = simulate(dgp, np.asarray(config.dgp_theta), n, seed=seed, burn_in=config.burn_in)
+    traj = simulate(config.dgp, np.asarray(config.dgp_theta), n, seed=seed, burn_in=config.burn_in)
     fits = fit_family(config.family, traj.values)
+    # every converged fit as a (spec, theta) point, the first fit of a spec winning
+    converged = [f for f in fits if f.converged]
+    points = {f.spec: (f.spec, tuple(map(float, f.theta.values))) for f in reversed(converged)}
     info_cache: dict = {}
-    out: dict = {"criteria": {}}
-    if want_theta:
-        true_fit = next((f for f in fits if f.spec == dgp), None)
-        if true_fit is not None and true_fit.converged:
-            out["true_fit"] = (dgp, tuple(map(float, true_fit.theta.values)))
-        else:
-            out["true_fit"] = None
+    picks: dict = {}
     for name in config.criteria:
-        kind = CriterionKind.named(name)
         try:
-            sel = select_from_fits(fits, traj.values, kind, info_cache)
+            sel = select_from_fits(fits, traj.values, CriterionKind.named(name), info_cache)
+            picks[name] = points[sel.chosen]
         except AllModelsFailed:
-            out["criteria"][name] = None
-            continue
-        entry = {"chosen": sel.chosen, "class": classify(dgp, sel.chosen)}
-        if want_theta:
-            chosen_fit = next(f for f in fits if f.spec == sel.chosen)
-            entry["theta"] = tuple(map(float, chosen_fit.theta.values))
-        out["criteria"][name] = entry
-    return out
+            picks[name] = None
+    return _Record(points.get(config.dgp), picks)
 
 
-def _replicate(config: ExperimentConfig, n: int, want_theta: bool, threads: int) -> list:
+def _replicate(config: ExperimentConfig, n: int, threads: int) -> list[_Record]:
     """Every replication at sample size n, results in replication order."""
-    payloads = [(config, n, r, want_theta) for r in range(config.n_reps)]
+    payloads = [(config, n, r) for r in range(config.n_reps)]
     # a fork pool starts every worker at once, so no more than there is work for
     workers = min(threads, len(payloads))
     if workers <= 1:
@@ -224,13 +220,11 @@ def run_consistency(config: ExperimentConfig, threads: int = 1) -> ConsistencyTa
         criteria=tuple(config.criteria),
     )
     for n in config.n_values:
-        results = _replicate(config, n, want_theta=False, threads=threads)
+        results = _replicate(config, n, threads)
         for crit in config.criteria:
-            cell = {cls: 0 for cls in CLASSES}
-            for res in results:
-                entry = res["criteria"][crit]
-                cell[entry["class"] if entry else "failed"] += 1
-            table.counts[(n, crit)] = cell
+            picks = (res.picks[crit] for res in results)
+            got = [classify(config.dgp, p[0]) if p else "failed" for p in picks]
+            table.counts[(n, crit)] = {cls: got.count(cls) for cls in CLASSES}
     return table
 
 
@@ -318,16 +312,13 @@ def run_efficiency(config: ExperimentConfig, threads: int = 1) -> EfficiencyTabl
     )
     star = (config.dgp, tuple(config.dgp_theta))
     for n in config.n_values:
-        results = _replicate(config, n, want_theta=True, threads=threads)
+        results = _replicate(config, n, threads)
         # a replication without a converged true fit has no reference loss,
         # so none of its picks is scored; it counts as failed for every criterion
-        scored = [res for res in results if res["true_fit"] is not None]
-        points = {star: None}  # distinct held-out points, first appearance first
-        for res in scored:
-            points[res["true_fit"]] = None
-            for entry in res["criteria"].values():
-                if entry is not None:
-                    points[(entry["chosen"], entry["theta"])] = None
+        scored = [res for res in results if res.true_fit is not None]
+        # distinct held-out points, first appearance first
+        picked = (p for res in scored for p in (res.true_fit, *res.picks.values()) if p is not None)
+        points = dict.fromkeys((star, *picked))
         values = oracle_risk(
             config.dgp,
             star[1],
@@ -338,11 +329,11 @@ def run_efficiency(config: ExperimentConfig, threads: int = 1) -> EfficiencyTabl
             n_tag=n,
         )
         risk = dict(zip(points, values))
-        loss_true = [risk[res["true_fit"]] - risk[star] for res in scored]
+        loss_true = [risk[res.true_fit] - risk[star] for res in scored]
         mean_true = float(np.mean(loss_true)) if loss_true else float("nan")
         for c in config.criteria:
-            picks = (res["criteria"][c] for res in scored)
-            loss_sel = [risk[(e["chosen"], e["theta"])] - risk[star] for e in picks if e is not None]
+            picks = (res.picks[c] for res in scored)
+            loss_sel = [risk[p] - risk[star] for p in picks if p is not None]
             mean_sel = float(np.mean(loss_sel)) if loss_sel else float("nan")
             table.rows[(n, c)] = {
                 "me": n * (mean_sel - mean_true),

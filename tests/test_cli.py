@@ -61,6 +61,13 @@ def test_version_flag(capsys):
     assert capsys.readouterr().out.strip() == "qmselect 0.1.0 (config schema 1)"
 
 
+def test_select_help_lists_every_criterion(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["select", "--help"])
+    assert exc.value.code == 0
+    assert "aic|bic|hq|tracepen|tracepen_cf|kc|kcprime" in capsys.readouterr().out
+
+
 def test_simulate_writes_deterministic_csv(tmp_path, capsys):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     base = ["simulate", "--model", "garch(1,1)", "--theta", "1,0.35,0.4", "--n", "50", "--seed", "5"]

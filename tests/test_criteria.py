@@ -202,6 +202,44 @@ def test_tracepen_cf_skips_the_residual_pass_of_a_family_it_cannot_score(monkeyp
         )
 
 
+@pytest.mark.parametrize("name", ["kcprime", "tracepen_cf"])
+def test_a_custom_kind_named_like_a_builtin_needs_nothing(monkeypatch, name):
+    calls = []
+
+    def singular(fit, x):
+        calls.append(fit.spec)
+        raise q.SingularF("flat")
+
+    monkeypatch.setattr(qmselect.criteria, "info_matrices", singular)
+    fits = [fake_fit(q.wn(), 1.0), fake_fit(q.arma(1, 0), 0.9)]
+    kind = CriterionKind.custom(lambda s: 0.01 * s.dim, name=name)
+    # all-zero residuals leave mu4 undefined, so a mu4 pass would exclude both
+    sel = select_from_fits(fits, np.zeros(100), kind)
+    assert sel.kind == name and sel.chosen == q.arma(1, 0)
+    assert [r.report.value for r in sel.rows] == [
+        100 * f.gamma_bar_min + 100 * (0.01 * f.spec.dim) for f in fits
+    ]
+    assert not kind.needs_info and not kind.needs_mu4
+    assert calls == []
+
+
+def test_missing_info_propagates_out_of_a_sweep(monkeypatch):
+    # the sweep hands every kind what its rule needs, so MissingInfo is a bug,
+    # never an excluded model
+    def missing(fit, kind, info=None, mu4=None):
+        raise q.MissingInfo("no info")
+
+    monkeypatch.setattr(qmselect.criteria, "criterion_value", missing)
+    fits = [fake_fit(q.wn(), 1.0), fake_fit(q.arma(1, 0), 0.9)]
+    with pytest.raises(q.MissingInfo, match="no info"):
+        select_from_fits(fits, np.zeros(100), q.AIC)
+
+
+def test_a_kind_with_an_unknown_name_is_refused_when_built():
+    with pytest.raises(ValueError, match="unknown criterion 'aicc'"):
+        CriterionKind("aicc")
+
+
 def test_classify():
     truth = q.arma(1, 1)
     assert q.classify(truth, q.arma(1, 1)) == "true_model"

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 
@@ -271,3 +272,46 @@ def test_metadata_file(tmp_path):
     assert meta["burn_in"] == 1000
     assert meta["table"] == "consistency"
     assert meta["threads_used"] == 2
+
+
+# ---------------------------------------------------------------------------
+# regression pin: the tables of the three desk setups
+
+
+ALL_CRITERIA = ("aic", "bic", "hq", "tracepen", "tracepen_cf", "kc", "kcprime")
+
+#: dgp, theta, family, master seed and smallest n of arma11_desk,
+#: garch11_desk and the aparch_ararch benchmark workload, with the sha256 of
+#: the consistency CSV at 6 replications and every criterion
+DESK_SETUPS = {
+    "arma11_desk": (
+        "arma(1,1)", (0.5, 0.6, 1.0), "arma(0..2,0..2) + garch(1,1)", 20260814, 200,
+        "46f07764852ad93bf383ef4b02d865e3e0991f2287d39d9c37e3d17b61b37d09",
+    ),
+    "garch11_desk": (
+        "garch(1,1)", (1.0, 0.35, 0.4), "wn + garch(0..2,0..2) + arma(1,0)", 20260815, 500,
+        "c47854ff5fd6b37f59e46fc2cdd386653692a168208b599c3f49be2f97416c42",
+    ),
+    "aparch_ararch": (
+        "aparch(1.5;1,1)", (0.5, 0.1, 0.3, 0.6),
+        "wn + garch(1,1) + aparch(1.5;1,0..1) + aparch(2;1,1) + ararch(1..2)", 20260816, 500,
+        "f60ad27304675a539741b7d397810baedbeec3e82d643635b1c4031a4e2bb6d2",
+    ),
+}
+
+
+@pytest.mark.parametrize("setup", sorted(DESK_SETUPS))
+def test_desk_consistency_tables_are_pinned(setup, tmp_path):
+    dgp, theta, family, seed, n, digest = DESK_SETUPS[setup]
+    cfg = q.ExperimentConfig(
+        dgp=q.parse_spec(dgp),
+        dgp_theta=theta,
+        family=tuple(q.expand_family(family)),
+        n_values=(n,),
+        n_reps=6,
+        criteria=ALL_CRITERIA,
+        master_seed=seed,
+    )
+    path = tmp_path / "consistency.csv"
+    q.run_consistency(cfg).to_csv(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
