@@ -34,7 +34,7 @@ from scipy.optimize import minimize
 from .errors import OptimizerDiverged, QmselectError, TooShortSeries
 from .likelihood import _Objective, contrast, gamma_bar, gradient
 from .models import ConstraintSet, Family, ModelSpec, ParamVector, Trajectory
-from .models import _as_values, _omega_index, constraint_set, is_nested
+from .models import _as_values, constraint_set, is_nested
 
 #: SLSQP iteration cap per pass
 MAX_ITER = 500
@@ -68,13 +68,12 @@ def _series(x) -> np.ndarray:
 
 
 def _start_point(spec: ModelSpec, cset: ConstraintSet, x: np.ndarray) -> np.ndarray:
-    """Zero dynamic coefficients; scale from the uncentered second moment."""
+    """Zero dynamic coefficients; the family's one scale block, sigma or omega
+    (a variance, or aparch's sigma ** delta), from the uncentered second moment."""
     m2 = float(np.mean(x**2))
     v = np.zeros(spec.dim)
-    if spec.family is Family.ARMA:
-        v[-1] = np.sqrt(m2)
-    else:  # omega is a variance, or an aparch power sigma ** delta
-        v[_omega_index(spec)] = m2 ** (spec.delta / 2.0)
+    v[spec.layout.sigma] = np.sqrt(m2)
+    v[spec.layout.omega] = m2 ** (spec.delta / 2.0)
     return cset.project(v)
 
 

@@ -32,7 +32,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .errors import SingularF
 from .likelihood import derivatives
-from .models import Family, ModelSpec, wn
+from .models import Family, ModelSpec
 
 #: relative eigenvalue floor below which -f_hat is declared singular
 RANK_RTOL = 1e-10
@@ -103,17 +103,12 @@ class ClosedFormTrace(NamedTuple):
     complete: bool
 
 
-def closed_form_trace(family, p: int = 0, q: int = 0, mu4: float = 3.0) -> ClosedFormTrace:
-    """Closed-form -2 Tr(F^-1 G) for a correctly specified model.
+def closed_form_trace(spec: ModelSpec, *, mu4: float = 3.0) -> ClosedFormTrace:
+    """Closed-form -2 Tr(F^-1 G) for a correctly specified model ``spec``.
 
-    ``family`` may be a :class:`Family`, a :class:`ModelSpec` (orders taken
-    from it), or a family name string (``"wn"`` too); the orders are checked
-    as :class:`ModelSpec` checks them.  ``mu4`` is the fourth-moment ratio of
-    the innovations (3 for Gaussian noise).
+    ``mu4`` is the fourth-moment ratio of the innovations (3 for Gaussian
+    noise).
     """
-    if isinstance(family, str):
-        family = wn() if family.lower() == "wn" else Family(family.lower())
-    spec = family if isinstance(family, ModelSpec) else ModelSpec(family, p, q)
     if not mu4 >= 1.0:
         raise ValueError("mu4 must be >= 1")
     if spec.family is Family.ARMA:

@@ -49,7 +49,6 @@ from .models import (
     _as_values,
     _lag,
     _moments_from,
-    _omega_index,
     _recursion,
     cond_moments,
     H_FLOOR,
@@ -195,24 +194,26 @@ def _gradient_from(spec: ModelSpec, v: np.ndarray, x: np.ndarray, rec) -> np.nda
     entries (:func:`_mean_grad_arch`) and differ in ``w``; aparch adds its
     gamma entries, and ararch, whose filter is the identity, its phi entry.
     """
-    fam = spec.family
+    fam, lay = spec.family, spec.layout
     if fam is Family.ARMA:
         return _mean_grad_arma(spec, v, x, rec)
-    n, p = x.size, spec.p
+    n = x.size
     if fam is Family.APARCH:
         g, r = _mean_grad_arch(spec, rec, _aparch_ratio(spec.delta, x, rec.level, rec.h))
-        for i in range(p):
-            dpower = _aparch_gamma_slope(spec.delta, x, v[1 + p + i])
-            g[1 + p + i] = v[1 + i] * _lagged_dot(r, dpower, i + 1) / n
+        a, gamma, g_gamma = v[lay.a], v[lay.gamma], g[lay.gamma]  # g_gamma is a view of g
+        for i in range(spec.p):
+            dpower = _aparch_gamma_slope(spec.delta, x, gamma[i])
+            g_gamma[i] = a[i] * _lagged_dot(r, dpower, i + 1) / n
         return g
     z = rec.resid  # x itself for garch
     g, r = _mean_grad_arch(spec, rec, _variance_ratio(rec.level, z**2))
     if fam is Family.ARARCH:
         # phi moves the mean and, through every lagged z, the variance
         zx1 = z * _lag(x, 1)
-        g[0] = -2.0 * _lagged_dot(z / np.maximum(rec.level, H_FLOOR), x, 1) / n
-        for i in range(p):
-            g[0] -= 2.0 * v[2 + i] * _lagged_dot(r, zx1, i + 1) / n
+        phi, a = lay.phi.start, v[lay.a]
+        g[phi] = -2.0 * _lagged_dot(z / np.maximum(rec.level, H_FLOOR), x, 1) / n
+        for i in range(spec.p):
+            g[phi] -= 2.0 * a[i] * _lagged_dot(r, zx1, i + 1) / n
     return g
 
 
@@ -230,17 +231,17 @@ def _lagged_dot(r: np.ndarray, u: np.ndarray, k: int) -> float:
 
 
 def _mean_grad_arma(spec, v, x, rec):
-    p, q = spec.p, spec.q
-    n = x.size
-    sigma = v[p + q]
+    lay, n = spec.layout, x.size
+    sigma = v[lay.sigma.start]
     eps = rec.resid
     r = _adjoint(rec.poly, (2.0 / sigma**2) * eps)
     g = np.empty(spec.dim, dtype=r.dtype)
-    for i in range(p):
-        g[i] = -_lagged_dot(r, x, i + 1) / n
-    for j in range(q):
-        g[p + j] = -_lagged_dot(r, eps, j + 1) / n
-    g[p + q] = -2.0 * (eps @ eps) / n / sigma**3 + 2.0 / sigma
+    g_ar, g_ma = g[lay.ar], g[lay.ma]  # views: writes land in g
+    for i in range(spec.p):
+        g_ar[i] = -_lagged_dot(r, x, i + 1) / n
+    for j in range(spec.q):
+        g_ma[j] = -_lagged_dot(r, eps, j + 1) / n
+    g[lay.sigma.start] = -2.0 * (eps @ eps) / n / sigma**3 + 2.0 / sigma
     return g
 
 
@@ -248,16 +249,15 @@ def _mean_grad_arch(spec, rec, w):
     """The omega, a_i and b_j entries of an ARCH family's mean score, from
     ``w = d gamma_t / d level_t``, and ``r = L^T w``; the family's own entries
     are left unset."""
-    n = w.size
+    lay, n = spec.layout, w.size
     r = _adjoint(rec.poly, w)
     g = np.empty(spec.dim, dtype=r.dtype)
-    o = _omega_index(spec)
-    g[o] = r.sum() / n
+    g[lay.omega.start] = r.sum() / n
+    g_a, g_b = g[lay.a], g[lay.b]  # views: writes land in g
     for i, u in enumerate(rec.inputs):
-        g[o + 1 + i] = _lagged_dot(r, u, i + 1) / n
-    b = g.size - spec.q
+        g_a[i] = _lagged_dot(r, u, i + 1) / n
     for j in range(spec.q):
-        g[b + j] = _lagged_dot(r, rec.level, j + 1) / n
+        g_b[j] = _lagged_dot(r, rec.level, j + 1) / n
     return g, r
 
 

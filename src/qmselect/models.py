@@ -17,7 +17,8 @@ s_t = omega + sum_i a_i g_i(e_{t-i}) + sum_j b_j s_{t-j}, with e the mean
 residual and s the variance (aparch: the power sigma_t ** delta), and one
 filter evaluates it (:func:`_arch_filter`).  Each family only chooses the
 inputs g_i(e): x^2 for garch, (|x| - gamma_i x)^delta for aparch, and z^2
-for ararch, with z its AR(1) residual and no b part.
+for ararch, with z its AR(1) residual and no b part.  Every index into a
+parameter vector, here and in the other modules, reads :attr:`ModelSpec.layout`.
 
 Conditional moments are always computed with the truncated convention: every
 quantity indexed before the start of the sample is treated as zero.  All the
@@ -43,6 +44,7 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 from scipy.signal import lfilter
@@ -69,6 +71,34 @@ class Family(Enum):
     ARARCH = "ararch"
 
 
+class _Layout(NamedTuple):
+    """Where each block of a spec's parameters theta sits, as slices in this
+    one order: the mean blocks (arma's AR and MA coefficients, ararch's phi),
+    then the variance blocks; a block the family lacks is an empty slice."""
+
+    ar: slice
+    ma: slice
+    phi: slice
+    omega: slice
+    a: slice
+    gamma: slice
+    b: slice
+    sigma: slice
+
+
+#: each family's block sizes from its orders (p, q); a block not named is empty
+_BLOCK_SIZES = {
+    Family.ARMA: lambda p, q: {"ar": p, "ma": q, "sigma": 1},
+    Family.GARCH: lambda p, q: {"omega": 1, "a": p, "b": q},
+    Family.APARCH: lambda p, q: {"omega": 1, "a": p, "gamma": p, "b": q},
+    Family.ARARCH: lambda p, q: {"phi": 1, "omega": 1, "a": p},
+}
+
+#: each block's parameter names: entry i (from 1) is ``stem.format(i)``
+_STEMS = {"ar": "a{}", "ma": "b{}", "phi": "phi", "omega": "omega", "a": "a{}",
+          "gamma": "gamma{}", "b": "b{}", "sigma": "sigma"}
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """A model family with fixed orders (and fixed power for aparch).
@@ -79,10 +109,10 @@ class ModelSpec:
     ``arch(p)`` are only aliases accepted by :func:`parse_spec` and
     :func:`expand_family`.
 
-    Parameters are in :meth:`param_names` order: arma's a_i, b_j and sigma;
-    for the ARCH families ararch's phi, then omega, the a_i, aparch's gamma_i
-    and the b_j last.  garch(p,q) is the power-2, leverage-free case of
-    aparch(2;p,q), and ararch(p) is garch(p,0) on the AR(1) residual.
+    Parameters are in :meth:`param_names` order, in the blocks of
+    :attr:`layout`: arma's a_i, b_j and sigma; ararch's phi, then omega, the
+    a_i, aparch's gamma_i and the b_j.  garch(p,q) is the power-2,
+    leverage-free aparch(2;p,q), and ararch(p) garch(p,0) on an AR(1) residual.
     """
 
     family: Family
@@ -102,14 +132,17 @@ class ModelSpec:
         if self.family is not Family.APARCH:
             object.__setattr__(self, "delta", 2.0)
 
+    @functools.cached_property
+    def layout(self) -> _Layout:
+        """The blocks of theta (see :class:`_Layout`), built once per spec."""
+        sizes = _BLOCK_SIZES[self.family](self.p, self.q)
+        bounds = [0, *itertools.accumulate(sizes.get(role, 0) for role in _Layout._fields)]
+        return _Layout(*map(slice, bounds, bounds[1:]))
+
     @property
     def dim(self) -> int:
-        """Number of free parameters."""
-        if self.family in (Family.ARMA, Family.GARCH):
-            return self.p + self.q + 1
-        if self.family is Family.APARCH:
-            return 2 * self.p + self.q + 1
-        return self.p + 2  # ararch
+        """Number of free parameters: where the last block ends."""
+        return self.layout.sigma.stop
 
     @property
     def name(self) -> str:
@@ -123,22 +156,10 @@ class ModelSpec:
         return f"{self.family.value}({self.p},{self.q})"
 
     def param_names(self) -> list[str]:
-        if self.family is Family.ARMA:
-            return [f"a{i}" for i in range(1, self.p + 1)] + [
-                f"b{j}" for j in range(1, self.q + 1)
-            ] + ["sigma"]
-        if self.family is Family.GARCH:
-            return ["omega"] + [f"a{i}" for i in range(1, self.p + 1)] + [
-                f"b{j}" for j in range(1, self.q + 1)
-            ]
-        if self.family is Family.APARCH:
-            return (
-                ["omega"]
-                + [f"a{i}" for i in range(1, self.p + 1)]
-                + [f"gamma{i}" for i in range(1, self.p + 1)]
-                + [f"b{j}" for j in range(1, self.q + 1)]
-            )
-        return ["phi"] + [f"alpha{i}" for i in range(0, self.p + 1)]
+        # ararch names its omega and a_i alpha0, alpha1, ...
+        stems = {**_STEMS, "omega": "alpha0", "a": "alpha{}"} if self.family is Family.ARARCH else _STEMS
+        return [stems[role].format(i) for role, block in zip(_Layout._fields, self.layout)
+                for i in range(1, block.stop - block.start + 1)]
 
     def __str__(self) -> str:
         return self.name
@@ -344,37 +365,21 @@ class ConstraintSet:
 
 
 def constraint_set(spec: ModelSpec) -> ConstraintSet:
-    """Feasible parameter region for a model spec.
-
-    Dynamic-coefficient budgets keep a stationarity/invertibility margin of
-    ``COEF_MARGIN``; scale parameters live in fixed positive boxes
-    (``sigma`` in [1e-3, 1e3], variance scales in [1e-6, 1e6]).
+    """Feasible parameter region for a model spec, one rule per block of its
+    :attr:`ModelSpec.layout`: boxes [-c, c] (ar, ma, phi, gamma) or [0, c] (a,
+    b) with the margin c = 1 - ``COEF_MARGIN``, fixed positive boxes for sigma
+    and omega, and budgets sum |theta_i| <= c on ar, on ma and on a and b.
     """
     c = 1.0 - COEF_MARGIN
-    p, q = spec.p, spec.q
-    if spec.family is Family.ARMA:
-        lower = np.array([-c] * (p + q) + [SIGMA_MIN])
-        upper = np.array([c] * (p + q) + [SIGMA_MAX])
-        groups = []
-        if p:
-            groups.append(GroupBound(tuple(range(0, p)), c))
-        if q:
-            groups.append(GroupBound(tuple(range(p, p + q)), c))
-        return ConstraintSet(lower, upper, tuple(groups))
-    # the ARCH families: ararch's phi, then omega, the a_i, aparch's gamma_i and the b_j
-    o = _omega_index(spec)
-    k = p if spec.family is Family.APARCH else 0
-    lower = np.array([-c] * o + [OMEGA_MIN] + [0.0] * p + [-c] * k + [0.0] * q)
-    upper = np.array([c] * o + [OMEGA_MAX] + [c] * (p + k + q))
-    idx = tuple(range(o + 1, o + 1 + p)) + tuple(range(spec.dim - q, spec.dim))
-    groups = (GroupBound(idx, c),) if idx else ()
-    return ConstraintSet(lower, upper, groups)
-
-
-def _omega_index(spec: ModelSpec) -> int:
-    """Where omega sits among an ARCH family's parameters: after ararch's phi,
-    first otherwise.  The a_i follow it and the b_j are the last q."""
-    return 1 if spec.family is Family.ARARCH else 0
+    lay = spec.layout
+    boxes = {"omega": (OMEGA_MIN, OMEGA_MAX), "sigma": (SIGMA_MIN, SIGMA_MAX),
+             "a": (0.0, c), "b": (0.0, c)}
+    lower, upper = np.empty(spec.dim), np.empty(spec.dim)
+    for role, block in zip(_Layout._fields, lay):
+        lower[block], upper[block] = boxes.get(role, (-c, c))
+    index = range(spec.dim)
+    budgets = (index[lay.ar], index[lay.ma], [*index[lay.a], *index[lay.b]])
+    return ConstraintSet(lower, upper, tuple(GroupBound(tuple(i), c) for i in budgets if i))
 
 
 @dataclass(frozen=True)
@@ -385,11 +390,7 @@ class ParamVector:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float).copy()
-        if v.shape != (self.spec.dim,):
-            raise ValueError(
-                f"{self.spec.name} needs {self.spec.dim} parameters, got shape {v.shape}"
-            )
+        v = _as_values(self.spec, self.values).copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
@@ -411,7 +412,9 @@ def _as_values(spec: ModelSpec, theta) -> np.ndarray:
         return theta.values
     v = np.asarray(theta, dtype=float)
     if v.shape != (spec.dim,):
-        raise ValueError(f"{spec.name} needs {spec.dim} parameters, got shape {v.shape}")
+        got = v.size if v.ndim == 1 else f"shape {v.shape}"
+        raise ValueError(f"{spec.name} takes {spec.dim} parameter{'s' * (spec.dim != 1)} "
+                         f"({', '.join(spec.param_names())}), got {got}")
     return v
 
 
@@ -496,11 +499,7 @@ def simulate(
     NumericOverflow
         if any |X_t| exceeds 1e10 during the recursion.
     """
-    values = _as_values(spec, theta)
-    if not constraint_set(spec).contains(values):
-        raise NonStationaryParams(
-            f"parameters {values.tolist()} outside the feasible set of {spec.name}"
-        )
+    values = ParamVector(spec, theta).validate().values
     if n <= 0:
         raise ValueError("n must be positive")
     if burn_in < 0:
@@ -526,19 +525,18 @@ def simulate_from_noise(spec: ModelSpec, theta, noise, burn_in: int = 0) -> Traj
 
 
 def _path_from_noise(spec: ModelSpec, v: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    fam = spec.family
-    p, q = spec.p, spec.q
-    if fam is Family.ARMA:
-        sigma = v[p + q]
-        eps = sigma * xi
-        ma = np.concatenate(([1.0], v[p : p + q]))
-        return lfilter(ma, np.concatenate(([1.0], -v[:p])), eps)
-    if fam is Family.APARCH:
-        return _sim_arch(Family.APARCH, p, q, [*v, spec.delta], xi)
+    lay = spec.layout
+    if spec.family is Family.ARMA:
+        eps = v[lay.sigma.start] * xi
+        ma = np.concatenate(([1.0], v[lay.ma]))
+        return lfilter(ma, np.concatenate(([1.0], -v[lay.ar])), eps)
+    # the variance blocks omega, a, gamma and b, in order, are the kernel's arguments
+    arch = v[lay.omega.start : lay.b.stop]
+    if spec.family is Family.APARCH:
+        return _sim_arch(Family.APARCH, spec.p, spec.q, [*arch, spec.delta], xi)
     # ararch's AR(1) residual z is an ARCH(p) path, i.e. a garch(p, 0) one
-    o = _omega_index(spec)
-    path = _sim_arch(Family.GARCH, p, q, v[o:], xi)
-    return lfilter([1.0], [1.0, -v[0]], path) if o else path
+    path = _sim_arch(Family.GARCH, spec.p, spec.q, arch, xi)
+    return _ar_filter(np.concatenate(([1.0], -v[lay.phi])), path)
 
 
 def _sim_arch(family: Family, p: int, q: int, coefs, xi):
@@ -653,25 +651,27 @@ class _Recursion:
 
 def _arma_residuals(spec: ModelSpec, v: np.ndarray, x: np.ndarray) -> _Recursion:
     """Truncated ARMA residuals eps, filtered by the MA polynomial."""
-    ar = np.concatenate(([1.0], -v[: spec.p]))
-    ma = np.concatenate(([1.0], v[spec.p : spec.p + spec.q]))
+    lay = spec.layout
+    ar = np.concatenate(([1.0], -v[lay.ar]))
+    ma = np.concatenate(([1.0], v[lay.ma]))
     if ma.size == 1:  # what lfilter computes here, without its apply_along_axis
         eps = np.convolve(ar, x)[: x.size]
     else:
         eps = lfilter(ar, ma, x)
-    return _Recursion(x - eps, v[spec.p + spec.q] ** 2, eps, ma, eps, [])
+    return _Recursion(x - eps, v[lay.sigma.start] ** 2, eps, ma, eps, [])
 
 
-def _arch_filter(v: np.ndarray, o: int, q: int, inputs, n: int):
+def _arch_filter(v: np.ndarray, layout: _Layout, inputs, n: int):
     """The one ARCH variance filter of garch, aparch and ararch: the unclamped
     truncated level s_t = omega + sum_i a_i input_i[t - i] + sum_j b_j s_{t-j}
-    and the polynomial ``[1, -b]`` that filters it.  omega is ``v[o]``, the
-    a_i follow it and the b_j are the last ``q`` entries of ``v``; ``inputs``
-    holds one unlagged series per a_i."""
-    u = np.full(n, v[o])
+    and the polynomial ``[1, -b]`` that filters it, with omega, the a_i and
+    the b_j read from ``v`` at their ``layout`` blocks; ``inputs`` holds one
+    unlagged series per a_i."""
+    u = np.full(n, v[layout.omega.start])
+    a = v[layout.a]
     for i, w in enumerate(inputs):
-        u += v[o + 1 + i] * _lag(w, i + 1)
-    poly = np.concatenate(([1.0], -v[v.size - q :]))
+        u += a[i] * _lag(w, i + 1)
+    poly = np.concatenate(([1.0], -v[layout.b]))
     return _ar_filter(poly, u), poly
 
 
@@ -686,20 +686,21 @@ def _recursion(spec: ModelSpec, v: np.ndarray, x: np.ndarray) -> _Recursion:
     ``v`` is complex; NumPy orders complex numbers by real part first, so
     ``np.maximum`` clamps on the real part and a clamped entry's imaginary
     part is 0."""
-    fam, p = spec.family, spec.p
+    fam, lay = spec.family, spec.layout
     if fam is Family.ARMA:
         return _arma_residuals(spec, v, x)
     if fam is Family.APARCH:
-        inputs = [(np.abs(x) - v[1 + p + i] * x) ** spec.delta for i in range(p)]
-        s, poly = _arch_filter(v, 0, spec.q, inputs, x.size)
+        gamma = v[lay.gamma]
+        inputs = [(np.abs(x) - gamma[i] * x) ** spec.delta for i in range(spec.p)]
+        s, poly = _arch_filter(v, lay, inputs, x.size)
         h = np.maximum(s, H_FLOOR) ** (2.0 / spec.delta)  # guards the fractional power
         return _Recursion(0.0, h, x, poly, s, inputs)
     f, resid = 0.0, x
     if fam is Family.ARARCH:
-        f = v[0] * _lag(x, 1)
+        f = v[lay.phi.start] * _lag(x, 1)
         resid = x - f
-    inputs = [resid**2] * p if p else []
-    h, poly = _arch_filter(v, _omega_index(spec), spec.q, inputs, x.size)
+    inputs = [resid**2] * spec.p if spec.p else []
+    h, poly = _arch_filter(v, lay, inputs, x.size)
     return _Recursion(f, h, resid, poly, h, inputs)
 
 

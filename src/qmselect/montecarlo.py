@@ -39,7 +39,7 @@ from .criteria import CriterionKind, classify, select_from_fits
 from .errors import AllModelsFailed, ConfigError
 from .fitting import fit_family
 from .likelihood import gamma_bar
-from .models import DEFAULT_BURN_IN, ModelSpec, constraint_set, simulate
+from .models import DEFAULT_BURN_IN, ModelSpec, _as_values, constraint_set, simulate
 from .version import __version__
 
 #: replication-index stand-in for oracle trajectory seeds
@@ -76,15 +76,20 @@ class ExperimentConfig:
             raise ConfigError("n_values must not be empty")
         if any(n < 10 for n in self.n_values):
             raise ConfigError("every n value must be >= 10")
-        for key, values in (("n_values", self.n_values), ("criteria", self.criteria)):
+        for key, values in (("n_values", self.n_values), ("criteria", self.criteria),
+                            ("family", self.family)):
             if len(set(values)) < len(values):
-                raise ConfigError(f"{key} must not repeat a value, got {list(values)}")
+                raise ConfigError(f"{key} must not repeat a value, got {', '.join(map(str, values))}")
         if not self.family:
             raise ConfigError("family must not be empty")
         for name in self.criteria:
             CriterionKind.named(name)
-        # fail early on an infeasible data-generating parameter
-        if not constraint_set(self.dgp).contains(np.asarray(self.dgp_theta)):
+        # fail early on a data-generating parameter of the wrong length or infeasible
+        try:
+            theta = _as_values(self.dgp, self.dgp_theta)
+        except ValueError as exc:
+            raise ConfigError(f"dgp parameters: {exc}") from None
+        if not constraint_set(self.dgp).contains(theta):
             raise ConfigError(
                 f"dgp parameters {list(self.dgp_theta)} infeasible for {self.dgp.name}"
             )

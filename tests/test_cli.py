@@ -98,10 +98,11 @@ def test_simulate_rejects_infeasible_theta(capsys):
 
 
 def test_simulate_rejects_wrong_theta_length(capsys):
-    code, _, _ = run_cli(
+    code, _, err = run_cli(
         ["simulate", "--model", "arma(1,0)", "--theta", "0.5", "--n", "10", "--seed", "0"], capsys
     )
     assert code == EXIT_PARSE
+    assert "arma(1,0) takes 2 parameters (a1, sigma), got 1" in err
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +239,8 @@ def test_config_round_trip():
         (lambda t: t.replace("theta = 0.5, 0.6, 1.0", "theta = 0.5, zebra"), "theta"),
         (lambda t: t.replace("n_values = 200, 500", "n_values = two hundred"), "n_values"),
         (lambda t: t.replace("theta = 0.5, 0.6, 1.0", "theta = 1.5, 0.6, 1.0"), "infeasible"),
+        (lambda t: t.replace("theta = 0.5, 0.6, 1.0", "theta = 0.5, 0.6"),
+         "arma(1,1) takes 3 parameters (a1, b1, sigma), got 2"),
         (lambda t: t.replace("n_values = 200, 500", "n_values = 200, 200"), "n_values must not repeat"),
         (lambda t: t.replace("criteria = aic, bic", "criteria = aic, aic"), "criteria must not repeat"),
     ],

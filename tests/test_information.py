@@ -23,15 +23,15 @@ from qmselect.information import _logdet_spd, _screen_neg_f, _trace_pen_from
     ],
 )
 def test_closed_form_trace_values(family, p, qq, mu4, expected):
-    cf = q.closed_form_trace(family, p, qq, mu4)
+    spec = q.wn() if family == "wn" else q.ModelSpec(q.Family(family), p, qq)
+    cf = q.closed_form_trace(spec, mu4=mu4)
     assert cf.value == pytest.approx(expected)
     assert cf.complete
 
 
 @pytest.mark.parametrize("mu4", [1.0, 3.0, 9.0])
 def test_closed_form_trace_of_wn_is_arma00(mu4):
-    assert q.closed_form_trace("wn", mu4=mu4) == q.closed_form_trace("arma", 0, 0, mu4)
-    assert q.closed_form_trace(q.wn(), mu4=mu4) == q.closed_form_trace("arma", 0, 0, mu4)
+    assert q.closed_form_trace(q.wn(), mu4=mu4) == q.closed_form_trace(q.arma(0, 0), mu4=mu4)
 
 
 def test_closed_form_trace_accepts_spec():
@@ -40,16 +40,16 @@ def test_closed_form_trace_accepts_spec():
 
 
 def test_ararch_trace_is_flagged_incomplete():
-    cf = q.closed_form_trace("ararch", p=1, mu4=3.0)
+    cf = q.closed_form_trace(q.ararch(1), mu4=3.0)
     assert cf.value == pytest.approx(6.0)
     assert not cf.complete
 
 
 def test_closed_form_trace_validates_inputs():
     with pytest.raises(ValueError):
-        q.closed_form_trace("arma", 1, 0, mu4=0.5)
+        q.closed_form_trace(q.arma(1, 0), mu4=0.5)
     with pytest.raises(ValueError):
-        q.closed_form_trace("garch", -1, 0)
+        q.closed_form_trace(q.garch(-1, 0))
 
 
 # ---------------------------------------------------------------------------

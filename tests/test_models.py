@@ -88,6 +88,52 @@ def test_param_names_match_dims():
         assert len(spec.param_names()) == spec.dim
 
 
+# the parameter order and feasible set that --theta, [dgp] theta and fit(...).theta mean
+PINNED_LAYOUTS = [
+    (q.wn(), ["sigma"], [1e-3], [1e3], []),
+    (q.arma(2, 1), ["a1", "a2", "b1", "sigma"],
+     [-0.98, -0.98, -0.98, 1e-3], [0.98, 0.98, 0.98, 1e3], [(0, 1), (2,)]),
+    (q.garch(1, 2), ["omega", "a1", "b1", "b2"],
+     [1e-6, 0.0, 0.0, 0.0], [1e6, 0.98, 0.98, 0.98], [(1, 2, 3)]),
+    (q.aparch(1.5, 2, 1), ["omega", "a1", "a2", "gamma1", "gamma2", "b1"],
+     [1e-6, 0.0, 0.0, -0.98, -0.98, 0.0], [1e6, 0.98, 0.98, 0.98, 0.98, 0.98], [(1, 2, 5)]),
+    (q.ararch(2), ["phi", "alpha0", "alpha1", "alpha2"],
+     [-0.98, 1e-6, 0.0, 0.0], [0.98, 1e6, 0.98, 0.98], [(2, 3)]),
+]
+
+
+@pytest.mark.parametrize(
+    "spec,names,lower,upper,groups", PINNED_LAYOUTS, ids=[case[0].name for case in PINNED_LAYOUTS]
+)
+def test_parameter_layout_is_pinned(spec, names, lower, upper, groups):
+    cset = q.constraint_set(spec)
+    assert spec.param_names() == names
+    np.testing.assert_array_equal(cset.lower, lower)
+    np.testing.assert_array_equal(cset.upper, upper)
+    assert [g.indices for g in cset.groups] == groups
+    assert all(g.bound == 0.98 for g in cset.groups)
+
+
+@pytest.mark.parametrize(
+    "spec,blocks",
+    [
+        (q.wn(), {"sigma": (0, 1)}),
+        (q.arma(2, 1), {"ar": (0, 2), "ma": (2, 3), "sigma": (3, 4)}),
+        (q.garch(1, 2), {"omega": (0, 1), "a": (1, 2), "b": (2, 4)}),
+        (q.aparch(1.5, 2, 1), {"omega": (0, 1), "a": (1, 3), "gamma": (3, 5), "b": (5, 6)}),
+        (q.ararch(2), {"phi": (0, 1), "omega": (1, 2), "a": (2, 4)}),
+    ],
+    ids=[case[0].name for case in PINNED_LAYOUTS],
+)
+def test_layout_blocks_tile_theta_in_role_order(spec, blocks):
+    lay = spec.layout
+    assert lay._fields == ("ar", "ma", "phi", "omega", "a", "gamma", "b", "sigma")
+    assert all(block.step is None for block in lay)
+    assert {role: (b.start, b.stop) for role, b in zip(lay._fields, lay) if b.stop > b.start} == blocks
+    assert [i for block in lay for i in range(block.start, block.stop)] == list(range(spec.dim))
+    assert spec.layout is lay  # built once per spec
+
+
 def test_expand_family_full_grid_count():
     fam = q.expand_family("arma(0..6,0..6)+garch(0..6,0..6)")
     # 49 + 49 minus the shared empty model

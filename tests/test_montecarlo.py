@@ -59,6 +59,11 @@ def test_config_validation():
         small_config(n_values=(200, 200))
     with pytest.raises(q.ConfigError, match="criteria"):
         small_config(criteria=("aic", "aic"))
+    with pytest.raises(q.ConfigError, match="family must not repeat"):
+        small_config(family=(q.arma(1, 1), q.arma(1, 1)))
+    # a short theta is named as such, not reported as infeasible
+    with pytest.raises(q.ConfigError, match=r"arma\(1,1\) takes 3 parameters \(a1, b1, sigma\), got 2"):
+        small_config(dgp_theta=(0.5, 0.6))
 
 
 def test_config_hash_tracks_content():
