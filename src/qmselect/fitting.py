@@ -1,14 +1,16 @@
 """Contrast minimization: single-model fits and family sweeps.
 
-A fit runs from the canonical start (dynamic coefficients zero, the scale
-parameter set from the sample second moment) and, if given, from a warm
-start; nothing is random.  Each start goes through SLSQP over the box and
-the coefficient budgets, all budgets handed over as one linear inequality
-with a constant Jacobian.  While SLSQP's end point is not certified and the
-contrast still falls, SLSQP is restarted from there, up to ``MAX_PASSES``
-passes per start.  All passes minimize one ``likelihood._Objective`` per
+A fit has one or two starts, each valued first: a warm start if given, then
+the canonical start (dynamic coefficients zero, the scale parameter set from
+the sample second moment); nothing is random.  SLSQP descends from them in
+that order over the box and the coefficient budgets, all budgets handed over
+as one linear inequality with a constant Jacobian, and stops after the first
+descent whose end point is certified (projected gradient at most
+``GRAD_TOL``).  Within a descent, while SLSQP's end point is not certified
+and the contrast still falls, SLSQP is restarted from there, up to
+``MAX_PASSES`` passes.  All passes minimize one ``likelihood._Objective`` per
 fit, and ``_descend`` holds the floating-point error state for all of a
-start's passes.  The starts stay in the candidate pool, so
+start's passes.  Every start stays in the candidate pool, so
 gamma_bar(theta_hat) <= gamma_bar(start) is structural.
 
 :func:`fit_family` fits nested models first, in order of (dim, family
@@ -86,9 +88,14 @@ def projected_grad_norm(cset: ConstraintSet, v: np.ndarray, g: np.ndarray) -> fl
 def _descend(objective: _Objective, cset: ConstraintSet, v, fv):
     """SLSQP from ``v`` (contrast ``fv``), restarted from its end point while
     that point is not certified and the contrast still falls, up to
-    ``MAX_PASSES`` passes; returns (gamma_bar, theta, iterations)."""
+    ``MAX_PASSES`` passes; returns (gamma_bar, theta, iterations, certified),
+    where ``certified`` tells whether the end point's projected gradient is at
+    most ``GRAD_TOL``.  When no pass lowers the contrast, the end point is
+    ``v`` itself, and it is tested there: a warm start can already be a KKT
+    point."""
     bounds, cons = cset.scipy_bounds(), cset.scipy_constraints()
     iterations = 0
+    certified = None
     # the objective's callbacks run in this error state, entered once here:
     # probes at explosive parameters overflow to an infinite contrast
     with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
@@ -107,9 +114,12 @@ def _descend(objective: _Objective, cset: ConstraintSet, v, fv):
             if not fw < fv:
                 break
             v, fv = w, fw
-            if projected_grad_norm(cset, v, objective.grad(v)) <= GRAD_TOL:
+            certified = projected_grad_norm(cset, v, objective.grad(v)) <= GRAD_TOL
+            if certified:
                 break
-    return fv, v, iterations
+        if certified is None:
+            certified = projected_grad_norm(cset, v, objective.grad(v)) <= GRAD_TOL
+    return fv, v, iterations, certified
 
 
 def _certified(spec, cset, v, x, iterations: int) -> FitResult:
@@ -131,12 +141,15 @@ def _certified(spec, cset, v, x, iterations: int) -> FitResult:
 def fit(spec: ModelSpec, x, warm=None) -> FitResult:
     """Minimize the contrast for one model spec over its constraint set.
 
-    SLSQP runs from the zero-init start and from ``warm`` if given, in up to
-    ``MAX_PASSES`` passes per start; there is no other minimizer.  The
-    candidates are each start, then where its passes took it; ties within
-    1e-10 go to the earliest.  The result's ``iterations`` sums SLSQP's
-    iterations over the chosen start's passes.  A one-parameter model's
-    start is its closed-form optimum: it is certified there with no pass.
+    SLSQP descends first from ``warm`` if given, then from the zero-init
+    start, in up to ``MAX_PASSES`` passes per start; there is no other
+    minimizer.  The zero-init descent runs only when the warm one ends
+    uncertified.  The candidates are each start, then each descent's end
+    point in the order run.  Among those within 1e-10 of the lowest contrast,
+    the first certified one wins, and the earliest when none is certified; a
+    start counts as uncertified.  The result's ``iterations`` sums SLSQP's
+    iterations over the chosen start's passes.  A one-parameter model's start
+    is its closed-form optimum: it is certified there with no pass.
 
     Raises
     ------
@@ -161,20 +174,22 @@ def fit(spec: ModelSpec, x, warm=None) -> FitResult:
         return _certified(spec, cset, base, x, iterations=0)
     starts = [base]
     if warm is not None and not np.array_equal(warm, base):
-        starts.append(warm)
+        starts.insert(0, warm)
 
     objective = _Objective(spec, x)
-    candidates = []  # (value, theta, iterations) in preference order
-    for start in starts:
-        fv = gamma_bar(spec, start, x)
-        candidates.append((fv, start, 0))
+    # (value, theta, iterations, certified): each start, then each descent run
+    candidates = [(gamma_bar(spec, start, x), start, 0, False) for start in starts]
+    for fv, start, _, _ in candidates[:len(starts)]:
         candidates.append(_descend(objective, cset, start, fv))
+        if candidates[-1][3]:
+            break
 
     finite = [c for c in candidates if np.isfinite(c[0])]
     if not finite:
         raise OptimizerDiverged(f"{spec.name}: no start produced a finite contrast")
     fbest = min(c[0] for c in finite)
-    _, v, iters = next(c for c in finite if c[0] <= fbest + 1e-10)
+    tied = [c for c in finite if c[0] <= fbest + 1e-10]
+    _, v, iters, _ = next((c for c in tied if c[3]), tied[0])
     return _certified(spec, cset, v, x, iters)
 
 

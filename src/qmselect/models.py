@@ -299,7 +299,7 @@ class ConstraintSet:
 
     def contains(self, values, tol: float = 1e-9) -> bool:
         v = np.asarray(values, dtype=float)
-        if v.shape != self.lower.shape:
+        if v.shape != self.lower.shape or not np.all(np.isfinite(v)):
             return False
         if np.any(v < self.lower - tol) or np.any(v > self.upper + tol):
             return False

@@ -97,6 +97,16 @@ def test_simulate_rejects_infeasible_theta(capsys):
     assert "error" in err
 
 
+def test_simulate_rejects_nan_theta(capsys):
+    # every comparison with NaN is false, so only an explicit finiteness test
+    # keeps a NaN omega from simulating an exploding path
+    code, _, err = run_cli(
+        ["simulate", "--model", "garch(1,1)", "--theta", "nan,0.1,0.1", "--n", "10", "--seed", "1"], capsys
+    )
+    assert code == EXIT_CONSTRAINT
+    assert "outside the feasible set of garch(1,1)" in err
+
+
 def test_simulate_rejects_wrong_theta_length(capsys):
     code, _, err = run_cli(
         ["simulate", "--model", "arma(1,0)", "--theta", "0.5", "--n", "10", "--seed", "0"], capsys
@@ -239,6 +249,7 @@ def test_config_round_trip():
         (lambda t: t.replace("theta = 0.5, 0.6, 1.0", "theta = 0.5, zebra"), "theta"),
         (lambda t: t.replace("n_values = 200, 500", "n_values = two hundred"), "n_values"),
         (lambda t: t.replace("theta = 0.5, 0.6, 1.0", "theta = 1.5, 0.6, 1.0"), "infeasible"),
+        (lambda t: t.replace("theta = 0.5, 0.6, 1.0", "theta = 0.5, nan, 1.0"), "[0.5, nan, 1.0] infeasible"),
         (lambda t: t.replace("theta = 0.5, 0.6, 1.0", "theta = 0.5, 0.6"),
          "arma(1,1) takes 3 parameters (a1, b1, sigma), got 2"),
         (lambda t: t.replace("n_values = 200, 500", "n_values = 200, 200"), "n_values must not repeat"),
@@ -259,6 +270,14 @@ def test_config_errors_exit_5(tmp_path, capsys):
     assert "schema" in err
     code, _, err = run_cli(["mc-consistency", "--config", str(tmp_path / "nope.cfg"), "--threads", "1"], capsys)
     assert code == EXIT_CONFIG
+
+
+def test_non_finite_dgp_theta_exits_5(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(GOOD_CONFIG.replace("theta = 0.5, 0.6, 1.0", "theta = 0.5, 0.6, nan"))
+    code, _, err = run_cli(["mc-consistency", "--config", str(bad), "--threads", "1"], capsys)
+    assert code == EXIT_CONFIG
+    assert "infeasible" in err
 
 
 def test_negative_burn_in_exits_5(tmp_path, capsys):

@@ -184,7 +184,7 @@ def test_slsqp_builds_one_recursion_per_function_evaluation(monkeypatch, spec, t
 
     monkeypatch.setattr(qmselect.fitting, "minimize", minimize)
     base = _start_point(spec, cset, x)
-    for warm, starts in ((None, [base]), (theta, [base, np.asarray(theta)])):
+    for warm, starts in ((None, [base]), (theta, [np.asarray(theta)])):
         seen.clear()
         q.fit(spec, x, warm)
         passes = []  # passes per start
@@ -198,6 +198,83 @@ def test_slsqp_builds_one_recursion_per_function_evaluation(monkeypatch, spec, t
             assert builds == nfev - restart, (restart, builds, nfev, njev)
         assert len(passes) == len(starts)
         assert all(1 <= k <= qmselect.fitting.MAX_PASSES for k in passes)
+
+
+def _record_descents(monkeypatch):
+    """Patch ``fitting.minimize`` to record each call's ``x0``; a restarted
+    pass is recorded too, so the caller keeps only the starts it expects."""
+    x0s = []
+    real_minimize = qmselect.fitting.minimize
+
+    def minimize(fun, x0, *args, **kwargs):
+        x0s.append(np.array(x0, copy=True))
+        return real_minimize(fun, x0, *args, **kwargs)
+
+    monkeypatch.setattr(qmselect.fitting, "minimize", minimize)
+    return x0s
+
+
+@pytest.mark.parametrize("spec,theta", RECURSION_CASES, ids=[str(s) for s, _ in RECURSION_CASES])
+def test_a_certified_warm_descent_skips_the_zero_init_descent(monkeypatch, spec, theta):
+    x = q.simulate(spec, theta, 600, seed=31).values
+    base = _start_point(spec, constraint_set(spec), x)
+    x0s = _record_descents(monkeypatch)
+    res = q.fit(spec, x, theta)
+    assert res.converged
+    assert np.array_equal(x0s[0], theta)
+    assert not any(np.array_equal(x0, base) for x0 in x0s)
+
+
+@pytest.mark.parametrize("spec,theta", RECURSION_CASES, ids=[str(s) for s, _ in RECURSION_CASES])
+def test_a_warm_start_at_the_optimum_certifies_without_moving(monkeypatch, spec, theta):
+    # SLSQP cannot lower the contrast from the optimum itself, so the descent
+    # ends where it began; that start is tested there and certifies
+    x = q.simulate(spec, theta, 600, seed=31).values
+    optimum = q.fit(spec, x).theta.values
+    x0s = _record_descents(monkeypatch)
+    res = q.fit(spec, x, optimum)
+    assert len(x0s) == 1 and np.array_equal(x0s[0], optimum)
+    assert res.converged and np.array_equal(res.theta.values, optimum)
+
+
+@pytest.mark.parametrize("spec,theta", RECURSION_CASES, ids=[str(s) for s, _ in RECURSION_CASES])
+def test_an_uncertified_warm_descent_is_followed_by_the_zero_init_one(monkeypatch, spec, theta):
+    # with a zero tolerance no end point certifies, so both starts are
+    # descended, warm first, and the pool still holds both starts
+    monkeypatch.setattr(qmselect.fitting, "GRAD_TOL", 0.0)
+    x = q.simulate(spec, theta, 600, seed=31).values
+    base = _start_point(spec, constraint_set(spec), x)
+    x0s = _record_descents(monkeypatch)
+    res = q.fit(spec, x, theta)
+    starts = [x0 for x0 in x0s if np.array_equal(x0, theta) or np.array_equal(x0, base)]
+    assert [np.array_equal(x0, base) for x0 in starts] == [False, True]
+    assert res.gamma_bar_min <= q.gamma_bar(spec, theta, x)
+    assert res.gamma_bar_min <= q.gamma_bar(spec, base, x)
+
+
+@pytest.mark.parametrize("certified", [(False, True), (True, False), (False, False)],
+                         ids=["zero-init", "warm", "neither"])
+def test_a_certified_candidate_wins_a_tie(monkeypatch, certified):
+    # the two descents end within 1e-10 of each other, below both starts;
+    # the certified end point is taken over an earlier uncertified one, and
+    # the earliest descent when neither is certified
+    spec, theta = RECURSION_CASES[1]
+    x = q.simulate(spec, theta, 600, seed=31).values
+    warm = np.asarray(theta)
+    base = _start_point(spec, constraint_set(spec), x)
+    ends = {"warm": np.array([1.1, 0.3, 0.45]), "base": np.array([1.2, 0.32, 0.41])}
+    low = min(q.gamma_bar(spec, warm, x), q.gamma_bar(spec, base, x)) - 1.0
+    outcome = {"warm": (low + 5e-11, ends["warm"], 3, certified[0]),
+               "base": (low, ends["base"], 4, certified[1])}
+
+    def descend(objective, cset, v, fv):
+        return outcome["warm" if np.array_equal(v, warm) else "base"]
+
+    monkeypatch.setattr(qmselect.fitting, "_descend", descend)
+    res = q.fit(spec, x, warm)
+    expected = "base" if certified == (False, True) else "warm"
+    assert res.theta.values.tolist() == ends[expected].tolist()
+    assert res.iterations == outcome[expected][2]
 
 
 @pytest.mark.parametrize("spec,theta", RECURSION_CASES[:3], ids=[str(s) for s, _ in RECURSION_CASES[:3]])
@@ -328,8 +405,8 @@ def test_warm_start_pads_by_parameter_name(dgp2_series_2000, dgp3_series_2000):
 
 @pytest.mark.parametrize(
     "warm",
-    [[1.0, 0.3], [1.0, 0.3, 0.4, 0.0], [1.0, -0.1, 0.4], [1.0, 0.6, 0.6]],
-    ids=["short", "long", "below-box", "over-budget"],
+    [[1.0, 0.3], [1.0, 0.3, 0.4, 0.0], [1.0, -0.1, 0.4], [1.0, 0.6, 0.6], [float("nan"), 0.1, 0.1]],
+    ids=["short", "long", "below-box", "over-budget", "nan"],
 )
 def test_fit_rejects_a_bad_warm_start(dgp3_series_2000, warm):
     with pytest.raises(ValueError) as info:

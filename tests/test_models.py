@@ -207,6 +207,8 @@ def test_garch_constraints():
     assert not cs.contains([1.0, 0.6, 0.5])  # coefficient budget exceeded
     assert not cs.contains([0.0, 0.1, 0.1])  # omega below floor
     assert not cs.contains([1.0, -0.01, 0.1])
+    # every comparison with NaN is false, so NaN needs a test of its own
+    assert not cs.contains([np.nan, 0.1, 0.1])
 
 
 def test_all_dgps_feasible(dgp1, dgp2, dgp3):

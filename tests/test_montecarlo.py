@@ -55,6 +55,8 @@ def test_config_validation():
         small_config(criteria=("aicc",))
     with pytest.raises(q.ConfigError, match="infeasible"):
         small_config(dgp_theta=(1.2, 0.5, 1.0))  # ar budget exceeded
+    with pytest.raises(q.ConfigError, match="infeasible"):
+        small_config(dgp_theta=(float("nan"), 0.5, 1.0))
     with pytest.raises(q.ConfigError, match="n_values"):
         small_config(n_values=(200, 200))
     with pytest.raises(q.ConfigError, match="criteria"):
