@@ -7,8 +7,13 @@ select          fit a candidate family to a CSV series and pick by criterion
 mc-consistency  replicated selection-frequency experiment from a config file
 mc-efficiency   replicated held-out-risk experiment from a config file
 
-Exit codes: 0 success, 2 argument/input parse error, 3 infeasible model
-parameters, 4 no candidate model usable, 5 config-file validation error.
+``mc-<driver>`` runs ``montecarlo.run_<driver>`` and writes ``<driver>.csv``
+and ``<driver>.meta.json``, whose ``failed`` counts per (n, criterion) the
+replications without a pick.
+
+Exit codes: 0 success, 2 argument/input parse error (an unreadable input or
+unwritable output path included), 3 infeasible model parameters, 4 no
+candidate model usable, 5 config-file validation error.
 
 Config files are flat INI text with a ``schema = 1`` marker::
 
@@ -223,14 +228,13 @@ def _cmd_simulate(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    if args.out:
-        traj.to_csv(args.out)
     v = traj.values
     print(
         f"{spec.name}: n = {v.size}, mean = {np.mean(v):.6f}, sd = {np.std(v):.6f}, "
         f"min = {np.min(v):.6f}, max = {np.max(v):.6f}"
     )
     if args.out:
+        traj.to_csv(args.out)
         print(f"wrote {args.out}")
     return 0
 
@@ -240,7 +244,7 @@ def _cmd_select(args) -> int:
         family = expand_family(args.family)
         kind = CriterionKind.named(args.criterion)
         traj = Trajectory.from_csv(args.data)
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
@@ -266,44 +270,31 @@ def _cmd_select(args) -> int:
     return 0
 
 
-def _load_config_or_fail(args):
+def _cmd_mc(args) -> int:
+    """``mc-<driver>``: run ``run_<driver>`` and write ``<driver>.csv`` and
+    ``<driver>.meta.json`` under the output directory."""
+    stem = args.command.removeprefix("mc-")
     cfg = parse_config_file(args.config)
     if args.out_dir:
         cfg.output_dir = args.out_dir
     os.makedirs(cfg.output_dir, exist_ok=True)
-    return cfg
-
-
-def _config_file_hash(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
-def _cmd_mc_consistency(args) -> int:
-    cfg = _load_config_or_fail(args)
-    table = run_consistency(cfg.experiment, threads=args.threads)
-    csv_path = os.path.join(cfg.output_dir, "consistency.csv")
-    meta_path = os.path.join(cfg.output_dir, "consistency.meta.json")
+    # looked up at call time, so a replaced module attribute is the one run
+    table = globals()[f"run_{stem}"](cfg.experiment, threads=args.threads)
+    csv_path = os.path.join(cfg.output_dir, f"{stem}.csv")
+    meta_path = os.path.join(cfg.output_dir, f"{stem}.meta.json")
     table.to_csv(csv_path)
-    write_metadata(meta_path, cfg.experiment, config_file_sha256=_config_file_hash(args.config))
+    with open(args.config, "rb") as fh:
+        sha = hashlib.sha256(fh.read()).hexdigest()
+    write_metadata(meta_path, cfg.experiment, config_file_sha256=sha, failed=table.failed_counts())
     print(table.to_text())
     print(f"wrote {csv_path} and {meta_path}")
     return 0
 
 
-def _cmd_mc_efficiency(args) -> int:
-    cfg = _load_config_or_fail(args)
-    table = run_efficiency(cfg.experiment, threads=args.threads)
-    csv_path = os.path.join(cfg.output_dir, "efficiency.csv")
-    meta_path = os.path.join(cfg.output_dir, "efficiency.meta.json")
-    table.to_csv(csv_path)
-    failed = {str(n): {c: table.failed[(n, c)] for c in table.criteria} for n in table.n_values}
-    write_metadata(
-        meta_path, cfg.experiment, config_file_sha256=_config_file_hash(args.config), failed=failed
-    )
-    print(table.to_text())
-    print(f"wrote {csv_path} and {meta_path}")
-    return 0
+def positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -334,15 +325,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write the per-model selection table as CSV")
     p.set_defaults(func=_cmd_select)
 
-    for name, fn, desc in (
-        ("mc-consistency", _cmd_mc_consistency, "replicated selection-frequency experiment"),
-        ("mc-efficiency", _cmd_mc_efficiency, "replicated held-out-risk experiment"),
+    for name, desc in (
+        ("mc-consistency", "replicated selection-frequency experiment"),
+        ("mc-efficiency", "replicated held-out-risk experiment"),
     ):
         p = sub.add_parser(name, help=desc)
         p.add_argument("--config", required=True, help="experiment config file")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+        p.add_argument("--threads", type=positive_int, default=os.cpu_count() or 1)
         p.add_argument("--out-dir", help="override the config's output_dir")
-        p.set_defaults(func=fn)
+        p.set_defaults(func=_cmd_mc)
     return parser
 
 
@@ -357,6 +348,9 @@ def main(argv=None) -> int:
     except QmselectError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # an input or output path that cannot be read or written
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -59,6 +59,8 @@ OMEGA_MIN = 1e-6
 OMEGA_MAX = 1e6
 #: hard lower clamp for conditional variances
 H_FLOOR = 1e-8
+#: slack of ConstraintSet.contains on every bound, for rounding at a face
+FEASIBILITY_TOL = 1e-9
 #: simulation overflow guard
 OVERFLOW_LIMIT = 1e10
 DEFAULT_BURN_IN = 1000
@@ -297,10 +299,11 @@ class ConstraintSet:
     def dim(self) -> int:
         return self.lower.size
 
-    def contains(self, values, tol: float = 1e-9) -> bool:
+    def contains(self, values) -> bool:
         v = np.asarray(values, dtype=float)
         if v.shape != self.lower.shape or not np.all(np.isfinite(v)):
             return False
+        tol = FEASIBILITY_TOL
         if np.any(v < self.lower - tol) or np.any(v > self.upper + tol):
             return False
         return all(g.value(v) <= g.bound + tol for g in self.groups)

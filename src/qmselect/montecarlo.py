@@ -16,6 +16,10 @@ helper and read back one record: the converged true fit and each criterion's
 pick, as (spec, theta) points or None.  All held-out scoring goes through
 :func:`oracle_risk`, called once per n on every distinct point.
 
+Both tables write their CSV and text through one writer, ``_Table``, from
+one list of columns; a new driver's table is one more subclass.  A config is
+validated once, in :class:`ExperimentConfig`.
+
 Seeding: replication r at sample size n draws its trajectory from a PCG64
 generator keyed by SeedSequence([master_seed, n, r]); the oracle trajectory
 uses a reserved tag in place of r.  Fits draw no random numbers.  Results
@@ -31,7 +35,7 @@ import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -68,8 +72,12 @@ class ExperimentConfig:
     burn_in: int = DEFAULT_BURN_IN
 
     def __post_init__(self):
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.n_reps < 1:
             raise ConfigError("n_reps must be >= 1")
+        if self.oracle_n < MIN_ORACLE_N:
+            raise ConfigError(f"oracle_n must be >= {MIN_ORACLE_N}")
         if self.burn_in < 0:
             raise ConfigError("burn_in must be >= 0")
         if not self.n_values:
@@ -112,7 +120,7 @@ class ExperimentConfig:
         return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _metadata(config: ExperimentConfig, **extra) -> dict:
+def write_metadata(path, config: ExperimentConfig, **extra) -> None:
     meta = {
         "master_seed": config.master_seed,
         "config_hash": config.config_hash(),
@@ -123,12 +131,8 @@ def _metadata(config: ExperimentConfig, **extra) -> dict:
         "burn_in": config.burn_in,
     }
     meta.update(extra)
-    return meta
-
-
-def write_metadata(path, config: ExperimentConfig, **extra) -> None:
     with open(path, "w") as fh:
-        json.dump(_metadata(config, **extra), fh, indent=2, sort_keys=True)
+        json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -173,16 +177,75 @@ def _replicate(config: ExperimentConfig, n: int, threads: int) -> list[_Record]:
 
 
 # ---------------------------------------------------------------------------
-# consistency
+# tables
+
+
+class _Column(NamedTuple):
+    csv: str  # CSV header
+    label: str  # text header
+    width: int
+    decimals: int
 
 
 @dataclass
-class ConsistencyTable:
+class _Table:
+    """Figures per (n, criterion) of one experiment, written as CSV and text.
+
+    A subclass names its ``title`` (formatted with ``n_reps`` and ``dgp``) and
+    its ``columns``, and defines ``_figures(n, criterion)``, one value per
+    column, and ``_failed(n, criterion)``, the replications without a pick.
+    """
+
     dgp: str
     n_reps: int
     n_values: tuple[int, ...]
     criteria: tuple[str, ...]
+
+    title: ClassVar[str]
+    columns: ClassVar[tuple[_Column, ...]]
+
+    @classmethod
+    def from_config(cls, config: ExperimentConfig):
+        return cls(config.dgp.name, config.n_reps, tuple(config.n_values), tuple(config.criteria))
+
+    def _rows(self):
+        for n in self.n_values:
+            for crit in self.criteria:
+                yield n, crit, self._figures(n, crit)
+
+    def failed_counts(self) -> dict:
+        """Replications without a pick, as {str(n): {criterion: count}}."""
+        return {str(n): {c: self._failed(n, c) for c in self.criteria} for n in self.n_values}
+
+    def to_csv(self, path) -> None:
+        with open(path, "w", newline="") as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(["dgp", "n", "criterion", *(col.csv for col in self.columns)])
+            for n, crit, figures in self._rows():
+                w.writerow([self.dgp, n, crit, *map(repr, figures)])
+
+    def to_text(self) -> str:
+        lines = [self.title.format(n_reps=self.n_reps, dgp=self.dgp)]
+        lines.append(f"{'n':>6}  {'criterion':<12}" + "".join(f"{c.label:>{c.width}}" for c in self.columns))
+        for n, crit, figures in self._rows():
+            cells = (f"{v:>{c.width}.{c.decimals}f}" for c, v in zip(self.columns, figures))
+            lines.append(f"{n:>6}  {crit:<12}" + "".join(cells))
+        return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# consistency
+
+
+@dataclass
+class ConsistencyTable(_Table):
     counts: dict = field(default_factory=dict)  # (n, criterion) -> {class: count}
+
+    title: ClassVar[str] = "selection frequencies (%) over {n_reps} replications of {dgp}"
+    # one column per class, in CLASSES order
+    columns: ClassVar[tuple[_Column, ...]] = tuple(
+        _Column(f"pct_{label}", label, 12, 1) for label in ("true", "overfit", "misspec", "failed")
+    )
 
     def count(self, n: int, criterion: str, cls: str) -> int:
         return self.counts[(n, criterion)][cls]
@@ -190,40 +253,18 @@ class ConsistencyTable:
     def pct(self, n: int, criterion: str, cls: str) -> float:
         return 100.0 * self.counts[(n, criterion)][cls] / self.n_reps
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["dgp", "n", "criterion", "pct_true", "pct_overfit", "pct_misspec", "pct_failed"])
-            for n in self.n_values:
-                for crit in self.criteria:
-                    w.writerow(
-                        [self.dgp, n, crit]
-                        + [repr(self.pct(n, crit, cls)) for cls in CLASSES]
-                    )
+    def _figures(self, n, criterion):
+        return tuple(self.pct(n, criterion, cls) for cls in CLASSES)
 
-    def to_text(self) -> str:
-        lines = [f"selection frequencies (%) over {self.n_reps} replications of {self.dgp}"]
-        header = f"{'n':>6}  {'criterion':<12}" + "".join(f"{c:>12}" for c in ("true", "overfit", "misspec", "failed"))
-        lines.append(header)
-        for n in self.n_values:
-            for crit in self.criteria:
-                row = f"{n:>6}  {crit:<12}" + "".join(
-                    f"{self.pct(n, crit, cls):>12.1f}" for cls in CLASSES
-                )
-                lines.append(row)
-        return "\n".join(lines)
+    def _failed(self, n, criterion):
+        return self.count(n, criterion, "failed")
 
 
 def run_consistency(config: ExperimentConfig, threads: int = 1) -> ConsistencyTable:
     """Tabulate how often each criterion selects the true/overfit/misspecified
     model across replications; 'failed' counts replications where a criterion
     had no usable candidate at all."""
-    table = ConsistencyTable(
-        dgp=config.dgp.name,
-        n_reps=config.n_reps,
-        n_values=tuple(config.n_values),
-        criteria=tuple(config.criteria),
-    )
+    table = ConsistencyTable.from_config(config)
     for n in config.n_values:
         results = _replicate(config, n, threads)
         for crit in config.criteria:
@@ -238,64 +279,42 @@ def run_consistency(config: ExperimentConfig, threads: int = 1) -> ConsistencyTa
 
 
 def oracle_risk(
-    dgp: ModelSpec,
-    dgp_theta,
-    eval_points,
-    oracle_n: int = DEFAULT_ORACLE_N,
-    seed: int | None = None,
-    burn_in: int = DEFAULT_BURN_IN,
-    master_seed: int = 0,
-    n_tag: int = 0,
+    dgp: ModelSpec, dgp_theta, eval_points, *,
+    seed: int, oracle_n: int = DEFAULT_ORACLE_N, burn_in: int = DEFAULT_BURN_IN,
 ) -> np.ndarray:
     """Held-out contrast values for (spec, theta) pairs on one long trajectory.
 
     ``eval_points`` is an iterable of (ModelSpec, theta) pairs; the return
-    value is the array of gamma_bar values of each pair on the shared oracle
-    trajectory simulated from the data-generating process.
+    value is the array of gamma_bar values of each pair on the oracle
+    trajectory simulated from the data-generating process at ``seed``.
     """
     if oracle_n < MIN_ORACLE_N:
         raise ValueError(f"oracle_n must be >= {MIN_ORACLE_N}")
-    if seed is None:
-        seed = derive_seed(master_seed, n_tag, ORACLE_TAG)
     traj = simulate(dgp, np.asarray(dgp_theta), oracle_n, seed=seed, burn_in=burn_in)
     return np.array([gamma_bar(spec, theta, traj.values) for spec, theta in eval_points])
 
 
 @dataclass
-class EfficiencyTable:
-    dgp: str
-    n_reps: int
-    n_values: tuple[int, ...]
-    criteria: tuple[str, ...]
+class EfficiencyTable(_Table):
     rows: dict = field(default_factory=dict)  # (n, criterion) -> dict
     failed: dict = field(default_factory=dict)  # (n, criterion) -> count
+
+    title: ClassVar[str] = "held-out selection risk over {n_reps} replications of {dgp}"
+    columns: ClassVar[tuple[_Column, ...]] = (
+        _Column("me", "ME", 12, 4),
+        _Column("mean_loss_selected", "loss(sel)", 14, 6),
+        _Column("mean_loss_true", "loss(true)", 14, 6),
+    )
 
     def me(self, n: int, criterion: str) -> float:
         return self.rows[(n, criterion)]["me"]
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["dgp", "n", "criterion", "me", "mean_loss_selected", "mean_loss_true"])
-            for n in self.n_values:
-                for crit in self.criteria:
-                    row = self.rows[(n, crit)]
-                    w.writerow(
-                        [self.dgp, n, crit]
-                        + [repr(row[k]) for k in ("me", "mean_loss_selected", "mean_loss_true")]
-                    )
+    def _figures(self, n, criterion):
+        row = self.rows[(n, criterion)]
+        return tuple(row[c.csv] for c in self.columns)
 
-    def to_text(self) -> str:
-        lines = [f"held-out selection risk over {self.n_reps} replications of {self.dgp}"]
-        lines.append(f"{'n':>6}  {'criterion':<12}{'ME':>12}{'loss(sel)':>14}{'loss(true)':>14}")
-        for n in self.n_values:
-            for crit in self.criteria:
-                row = self.rows[(n, crit)]
-                lines.append(
-                    f"{n:>6}  {crit:<12}{row['me']:>12.4f}"
-                    f"{row['mean_loss_selected']:>14.6f}{row['mean_loss_true']:>14.6f}"
-                )
-        return "\n".join(lines)
+    def _failed(self, n, criterion):
+        return self.failed[(n, criterion)]
 
 
 def run_efficiency(config: ExperimentConfig, threads: int = 1) -> EfficiencyTable:
@@ -307,14 +326,7 @@ def run_efficiency(config: ExperimentConfig, threads: int = 1) -> EfficiencyTabl
     """
     if config.dgp not in config.family:
         raise ConfigError("efficiency runs need the dgp spec inside the family")
-    if config.oracle_n < MIN_ORACLE_N:
-        raise ConfigError(f"oracle_n must be >= {MIN_ORACLE_N}")
-    table = EfficiencyTable(
-        dgp=config.dgp.name,
-        n_reps=config.n_reps,
-        n_values=tuple(config.n_values),
-        criteria=tuple(config.criteria),
-    )
+    table = EfficiencyTable.from_config(config)
     star = (config.dgp, tuple(config.dgp_theta))
     for n in config.n_values:
         results = _replicate(config, n, threads)
@@ -324,15 +336,9 @@ def run_efficiency(config: ExperimentConfig, threads: int = 1) -> EfficiencyTabl
         # distinct held-out points, first appearance first
         picked = (p for res in scored for p in (res.true_fit, *res.picks.values()) if p is not None)
         points = dict.fromkeys((star, *picked))
-        values = oracle_risk(
-            config.dgp,
-            star[1],
-            list(points),
-            oracle_n=config.oracle_n,
-            burn_in=config.burn_in,
-            master_seed=config.master_seed,
-            n_tag=n,
-        )
+        seed = derive_seed(config.master_seed, n, ORACLE_TAG)
+        values = oracle_risk(config.dgp, star[1], list(points), seed=seed,
+                             oracle_n=config.oracle_n, burn_in=config.burn_in)
         risk = dict(zip(points, values))
         loss_true = [risk[res.true_fit] - risk[star] for res in scored]
         mean_true = float(np.mean(loss_true)) if loss_true else float("nan")
@@ -340,10 +346,8 @@ def run_efficiency(config: ExperimentConfig, threads: int = 1) -> EfficiencyTabl
             picks = (res.picks[c] for res in scored)
             loss_sel = [risk[p] - risk[star] for p in picks if p is not None]
             mean_sel = float(np.mean(loss_sel)) if loss_sel else float("nan")
-            table.rows[(n, c)] = {
-                "me": n * (mean_sel - mean_true),
-                "mean_loss_selected": mean_sel,
-                "mean_loss_true": mean_true,
-            }
+            table.rows[(n, c)] = dict(
+                me=n * (mean_sel - mean_true), mean_loss_selected=mean_sel, mean_loss_true=mean_true
+            )
             table.failed[(n, c)] = config.n_reps - len(loss_sel)
     return table

@@ -254,6 +254,7 @@ def test_config_round_trip():
          "arma(1,1) takes 3 parameters (a1, b1, sigma), got 2"),
         (lambda t: t.replace("n_values = 200, 500", "n_values = 200, 200"), "n_values must not repeat"),
         (lambda t: t.replace("criteria = aic, bic", "criteria = aic, aic"), "criteria must not repeat"),
+        (lambda t: t.replace("master_seed = 11", "master_seed = -5"), "master_seed must be >= 0, got -5"),
     ],
 )
 def test_config_errors_name_the_field(mutate, needle):
@@ -286,6 +287,50 @@ def test_negative_burn_in_exits_5(tmp_path, capsys):
     code, _, err = run_cli(["mc-consistency", "--config", str(bad), "--threads", "1"], capsys)
     assert code == EXIT_CONFIG
     assert "burn_in" in err
+
+
+def test_negative_master_seed_exits_5_before_any_output(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    out_dir = tmp_path / "out"
+    bad.write_text(GOOD_CONFIG.replace("master_seed = 11", "master_seed = -5"))
+    code, _, err = run_cli(
+        ["mc-consistency", "--config", str(bad), "--threads", "1", "--out-dir", str(out_dir)], capsys
+    )
+    assert code == EXIT_CONFIG
+    assert "master_seed" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-4"])
+def test_threads_below_one_exit_2(tmp_path, capsys, threads):
+    cfg_path = tmp_path / "demo.cfg"
+    cfg_path.write_text(GOOD_CONFIG)
+    with pytest.raises(SystemExit) as exc:
+        main(["mc-consistency", "--config", str(cfg_path), "--threads", threads,
+              "--out-dir", str(tmp_path / "out")])
+    assert exc.value.code == EXIT_PARSE
+    assert f"argument --threads: must be >= 1, got {threads}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "select", "mc-consistency"])
+def test_an_unwritable_output_path_exits_2(command, ar2_csv, tmp_path, capsys):
+    cfg_path = tmp_path / "demo.cfg"
+    cfg_path.write_text(GOOD_CONFIG)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "out"  # nothing can be made below a regular file
+    argv = {
+        "simulate": ["simulate", "--model", "wn", "--theta", "1", "--n", "10", "--seed", "0",
+                     "--out", str(out)],
+        "select": ["select", "--data", ar2_csv, "--family", "wn", "--criterion", "bic",
+                   "--out", str(out)],
+        "mc-consistency": ["mc-consistency", "--config", str(cfg_path), "--threads", "1",
+                           "--out-dir", str(out)],
+    }[command]
+    code, _, err = run_cli(argv, capsys)
+    assert code == EXIT_PARSE
+    assert err.startswith("error: ") and str(out) in err
 
 
 def test_shipped_configs_parse():
@@ -332,7 +377,15 @@ def test_full_protocol_scale():
 # experiment subcommands (tiny runs)
 
 
-def test_mc_consistency_end_to_end(tmp_path, capsys):
+def test_mc_consistency_end_to_end(tmp_path, capsys, monkeypatch):
+    tables = []
+    real_run = cli.run_consistency
+
+    def recording_run(*args, **kwargs):
+        tables.append(real_run(*args, **kwargs))
+        return tables[-1]
+
+    monkeypatch.setattr(cli, "run_consistency", recording_run)
     cfg_path = tmp_path / "demo.cfg"
     cfg_path.write_text(GOOD_CONFIG.replace("n_values = 200, 500", "n_values = 200"))
     out_dir = tmp_path / "out"
@@ -350,6 +403,9 @@ def test_mc_consistency_end_to_end(tmp_path, capsys):
     assert len(meta["config_file_sha256"]) == 64
     with open(csv_path, newline="") as fh:
         assert len(list(csv.DictReader(fh))) == 2  # one n value x two criteria
+    # failed picks per (n, criterion), read from the 'failed' class
+    (table,) = tables
+    assert meta["failed"] == {"200": {c: table.count(200, c, "failed") for c in ("aic", "bic")}}
 
 
 def test_mc_efficiency_end_to_end(tmp_path, capsys, monkeypatch):

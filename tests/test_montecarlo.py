@@ -45,6 +45,10 @@ def test_derive_seed_deterministic_and_distinct():
 def test_config_validation():
     with pytest.raises(q.ConfigError, match="n_reps"):
         small_config(n_reps=0)
+    with pytest.raises(q.ConfigError, match="master_seed must be >= 0, got -5"):
+        small_config(master_seed=-5)
+    with pytest.raises(q.ConfigError, match="oracle_n must be >= 10000"):
+        small_config(oracle_n=9_999)
     with pytest.raises(q.ConfigError, match="n value"):
         small_config(n_values=(5,))
     with pytest.raises(q.ConfigError, match="burn_in"):
@@ -208,15 +212,26 @@ def test_oracle_risk_minimized_near_truth():
 
 def test_oracle_risk_validates_length():
     with pytest.raises(ValueError, match="oracle_n"):
-        q.oracle_risk(q.wn(), [1.0], [(q.wn(), [1.0])], oracle_n=100)
+        q.oracle_risk(q.wn(), [1.0], [(q.wn(), [1.0])], seed=0, oracle_n=100)
 
 
-def test_oracle_seed_derivation_matches_tag():
-    a = q.oracle_risk(q.wn(), [1.0], [(q.wn(), [1.0])], oracle_n=10_000, master_seed=9, n_tag=200)
-    b = q.oracle_risk(
-        q.wn(), [1.0], [(q.wn(), [1.0])], oracle_n=10_000, seed=derive_seed(9, 200, ORACLE_TAG)
-    )
-    assert a[0] == b[0]
+def test_oracle_seed_derivation_matches_tag(monkeypatch):
+    import qmselect.montecarlo as mc
+
+    seeds = []
+    real_simulate = mc.simulate
+
+    def recorder(spec, theta, n, seed, burn_in):
+        seeds.append((n, seed))
+        return real_simulate(spec, theta, n, seed=seed, burn_in=burn_in)
+
+    monkeypatch.setattr(mc, "simulate", recorder)
+    q.run_efficiency(small_config(master_seed=9, n_values=(200, 300), n_reps=1))
+    # per n: replication 0's path, then the oracle path keyed by the oracle tag
+    assert seeds == [
+        step for n in (200, 300)
+        for step in ((n, derive_seed(9, n, 0)), (10_000, derive_seed(9, n, ORACLE_TAG)))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -322,3 +337,70 @@ def test_desk_consistency_tables_are_pinned(setup, tmp_path):
     path = tmp_path / "consistency.csv"
     q.run_consistency(cfg).to_csv(path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+#: the sha256 of the efficiency CSV of garch11_desk's setup at n = 500,
+#: 4 replications, every criterion and a 10,000-step oracle
+EFFICIENCY_CSV_SHA256 = "5f293cf251e142146b9f55fb76462874045ed735c7d02a2349f191a0faea9489"
+
+
+def test_desk_efficiency_table_is_pinned(tmp_path):
+    dgp, theta, family, seed, n, _ = DESK_SETUPS["garch11_desk"]
+    cfg = q.ExperimentConfig(
+        dgp=q.parse_spec(dgp),
+        dgp_theta=theta,
+        family=tuple(q.expand_family(family)),
+        n_values=(n,),
+        n_reps=4,
+        criteria=ALL_CRITERIA,
+        master_seed=seed,
+        oracle_n=10_000,
+    )
+    path = tmp_path / "efficiency.csv"
+    q.run_efficiency(cfg).to_csv(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == EFFICIENCY_CSV_SHA256
+
+
+def ararch_config(family):
+    return q.ExperimentConfig(
+        dgp=q.parse_spec("ararch(1)"),
+        dgp_theta=(0.3, 1.0, 0.2),
+        family=tuple(q.expand_family(family)),
+        n_values=(100, 400),
+        n_reps=4,
+        criteria=("aic", "bic", "tracepen_cf"),
+        master_seed=5,
+        oracle_n=10_000,
+    )
+
+
+def test_consistency_text_is_pinned():
+    # garch(1,0) is misspecified for ararch(1) data, and the only model
+    # tracepen_cf can score
+    text = q.run_consistency(ararch_config("garch(1,0) + ararch(1..2)")).to_text()
+    assert text == (
+        "selection frequencies (%) over 4 replications of ararch(1)\n"
+        "     n  criterion           true     overfit     misspec      failed\n"
+        "   100  aic                100.0         0.0         0.0         0.0\n"
+        "   100  bic                 50.0         0.0        50.0         0.0\n"
+        "   100  tracepen_cf          0.0         0.0       100.0         0.0\n"
+        "   400  aic                 75.0        25.0         0.0         0.0\n"
+        "   400  bic                100.0         0.0         0.0         0.0\n"
+        "   400  tracepen_cf          0.0         0.0       100.0         0.0"
+    )
+
+
+def test_efficiency_text_is_pinned():
+    # tracepen_cf scores no ararch model, so it fails every replication
+    table = q.run_efficiency(ararch_config("ararch(1..2)"))
+    assert table.failed[(100, "tracepen_cf")] == table.failed[(400, "tracepen_cf")] == 4
+    assert table.to_text() == (
+        "held-out selection risk over 4 replications of ararch(1)\n"
+        "     n  criterion             ME     loss(sel)    loss(true)\n"
+        "   100  aic               0.0000      0.026489      0.026489\n"
+        "   100  bic               0.0000      0.026489      0.026489\n"
+        "   100  tracepen_cf          nan           nan      0.026489\n"
+        "   400  aic               0.4804      0.008344      0.007143\n"
+        "   400  bic               0.0000      0.007143      0.007143\n"
+        "   400  tracepen_cf          nan           nan      0.007143"
+    )
