@@ -4,8 +4,10 @@ A fit has one or two starts, each valued first: a warm start if given, then
 the canonical start (dynamic coefficients zero, the scale parameter set from
 the sample second moment); nothing is random.  SLSQP descends from them in
 that order over the box and the coefficient budgets, all budgets handed over
-as one linear inequality with a constant Jacobian, and stops after the first
-descent whose end point is certified (projected gradient at most
+as one linear inequality with a constant Jacobian.  The constraint set and
+these SLSQP arguments are built once per spec, not once per fit
+(``models.constraint_set``, ``ConstraintSet.slsqp_args``).  A fit stops after
+the first descent whose end point is certified (projected gradient at most
 ``GRAD_TOL``).  Within a descent, while SLSQP's end point is not certified
 and the contrast still falls, SLSQP is restarted from there, up to
 ``MAX_PASSES`` passes.  All passes minimize one ``likelihood._Objective`` per
@@ -93,7 +95,6 @@ def _descend(objective: _Objective, cset: ConstraintSet, v, fv):
     most ``GRAD_TOL``.  When no pass lowers the contrast, the end point is
     ``v`` itself, and it is tested there: a warm start can already be a KKT
     point."""
-    bounds, cons = cset.scipy_bounds(), cset.scipy_constraints()
     iterations = 0
     certified = None
     # the objective's callbacks run in this error state, entered once here:
@@ -104,8 +105,7 @@ def _descend(objective: _Objective, cset: ConstraintSet, v, fv):
         warnings.filterwarnings("ignore", message=".*outside bounds.*")
         for _ in range(MAX_PASSES):
             res = minimize(objective.value, v, jac=objective.grad, method="SLSQP",
-                           bounds=bounds, constraints=cons,
-                           options={"maxiter": MAX_ITER, "ftol": 1e-12})
+                           **cset.slsqp_args, options={"maxiter": MAX_ITER, "ftol": 1e-12})
             iterations += int(res.nit)
             if not np.all(np.isfinite(res.x)) or not np.isfinite(res.fun):
                 break

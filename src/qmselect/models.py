@@ -22,16 +22,23 @@ parameter vector, here and in the other modules, reads :attr:`ModelSpec.layout`.
 
 Conditional moments are always computed with the truncated convention: every
 quantity indexed before the start of the sample is treated as zero.  All the
-linear recursions are evaluated with :func:`scipy.signal.lfilter`, whose zero
-initial state is exactly that convention.  A filter whose denominator is 1 is
-skipped: it is the identity, or a plain ``np.convolve`` for the arma(p,0)
-residuals, which is what ``lfilter`` would compute there one row at a time.
+linear recursions are evaluated as :func:`scipy.signal.lfilter` evaluates them,
+and its zero initial state is exactly that convention.  One helper runs them
+(:func:`_lfilter`): where the denominator has more than one coefficient it
+calls scipy's C filter ``scipy.signal._sigtools._linear_filter`` directly, as
+``lfilter`` itself does, without ``lfilter``'s per-call wrapper.  That private
+core is used only on the scipy versions in ``_CORE_PINNED_ON``, on which the
+tests pin it bit-equal to ``lfilter``; on any other version, or when it does
+not import, the helper calls ``lfilter``.  A filter whose denominator is 1 is
+skipped before the helper: it is the identity, or a plain ``np.convolve`` for
+the arma(p,0) residuals, which is what ``lfilter`` would compute there one row
+at a time.
 Each family's recursion is one pass over the sample that returns one named
 record (:func:`_recursion`); the conditional moments and the mean gradient
 of :mod:`.likelihood` are read from its fields.
 
 Simulation starts from the same zero pre-sample.  arma paths go through
-``lfilter``; each variance-driven path (garch, aparch and the ARCH residual of
+:func:`_lfilter`; each variance-driven path (garch, aparch and the ARCH residual of
 ararch) is one loop per order, generated once, with every lag a local float.
 """
 
@@ -47,6 +54,8 @@ from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
+import scipy
+from scipy.optimize import Bounds
 from scipy.signal import lfilter
 
 from .errors import NonStationaryParams, NumericOverflow
@@ -289,11 +298,24 @@ class GroupBound:
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """Box bounds plus group absolute-sum bounds."""
+    """Box bounds plus group absolute-sum bounds.
+
+    ``lower`` and ``upper`` are read-only copies of the arrays given, so one
+    set can serve every caller (:func:`constraint_set` builds one per spec).
+    What the fits read on every call is built once per set, on first use:
+    each group's index array and sign for :meth:`project`, and SLSQP's
+    arguments (:attr:`slsqp_args`).
+    """
 
     lower: np.ndarray
     upper: np.ndarray
     groups: tuple[GroupBound, ...] = ()
+
+    def __post_init__(self):
+        for name in ("lower", "upper"):
+            bound = np.array(getattr(self, name), dtype=float)
+            bound.flags.writeable = False
+            object.__setattr__(self, name, bound)
 
     @property
     def dim(self) -> int:
@@ -308,11 +330,15 @@ class ConstraintSet:
             return False
         return all(g.value(v) <= g.bound + tol for g in self.groups)
 
-    def _signed(self, g: GroupBound) -> bool:
-        return bool(self.lower[g.indices[0]] < 0.0)
+    @functools.cached_property
+    def _members(self) -> tuple[tuple[np.ndarray, bool, float], ...]:
+        """Each group's indices as an array, whether it is signed (its box
+        reaches below 0, so the budget is on |theta_i|), and its bound."""
+        return tuple((np.array(g.indices), bool(self.lower[g.indices[0]] < 0.0), g.bound)
+                     for g in self.groups)
 
     def project(self, values) -> np.ndarray:
-        """The Euclidean projection onto the set.
+        """The Euclidean projection onto the set, as a new array.
 
         Coordinates outside every budget are clipped to their box.  Inside a
         budget the box is implied, because ``constraint_set`` gives every
@@ -324,54 +350,60 @@ class ConstraintSet:
         """
         y = np.asarray(values, dtype=float)
         v = np.clip(y, self.lower, self.upper)
-        for g in self.groups:
-            idx = list(g.indices)
-            signed = self._signed(g)
+        for idx, signed, bound in self._members:
             a = np.abs(y[idx]) if signed else np.maximum(y[idx], 0.0)
-            if a.sum() > g.bound:
+            if a.sum() > bound:
                 # shift by the threshold that leaves exactly the budget
                 u = np.sort(a)[::-1]
-                excess = np.cumsum(u) - g.bound
+                excess = np.cumsum(u) - bound
                 rho = np.nonzero(u * np.arange(1, u.size + 1) > excess)[0][-1]
                 a = np.maximum(a - excess[rho] / (rho + 1), 0.0)
             v[idx] = np.copysign(a, y[idx]) if signed else a
         return v
 
-    def scipy_bounds(self) -> list[tuple[float, float]]:
-        return [(float(lo), float(hi)) for lo, hi in zip(self.lower, self.upper)]
+    @functools.cached_property
+    def slsqp_args(self) -> dict:
+        """The ``bounds`` and ``constraints`` arguments of SLSQP's
+        ``scipy.optimize.minimize`` call, built once per set.
 
-    def scipy_constraints(self) -> list[dict]:
-        """The budgets as one linear inequality ``b - A v >= 0`` with a
-        constant Jacobian, or none without budgets.  ``A`` holds each group's
-        rows in group order, a row of ones for a non-negative group and the
-        2^k sign rows of a signed group, whose maximum is sum |v_i|; ``b``
-        holds the group's bound on each of its rows.  SLSQP stacks separate
-        constraints the same way, so it gets the same matrix and vector from
-        one callback per evaluation.  The value is taken group by group: a
-        matrix-vector product may sum a row in another order once the
-        matrix has more rows."""
+        The box is one :class:`scipy.optimize.Bounds`.  The budgets are one
+        linear inequality ``b - A v >= 0`` with a constant Jacobian, or no
+        constraint without budgets.  ``A`` holds each group's rows in group
+        order, a row of ones for a non-negative group and the 2^k sign rows
+        of a signed group, whose maximum is sum |v_i|; ``b`` holds the
+        group's bound on each of its rows.  SLSQP stacks separate constraints
+        the same way, so it gets the same matrix and vector from one callback
+        per evaluation.  The value is taken group by group: a matrix-vector
+        product may sum a row in another order once the matrix has more rows.
+        """
+        bounds = Bounds(self.lower, self.upper)
         if not self.groups:
-            return []
+            return {"bounds": bounds, "constraints": []}
         parts = []
-        for g in self.groups:
-            k = len(g.indices)
-            if self._signed(g):
-                signs = list(itertools.product((1.0, -1.0), repeat=k))
-            else:
-                signs = [(1.0,) * k]
+        for idx, signed, bound in self._members:
+            signs = list(itertools.product((1.0, -1.0), repeat=idx.size)) if signed else [(1.0,) * idx.size]
             a = np.zeros((len(signs), self.dim))
-            a[:, list(g.indices)] = signs
-            parts.append((g.bound, a))
+            a[:, idx] = signs
+            parts.append((bound, a))
         jac = -np.vstack([a for _, a in parts])
-        return [{"type": "ineq", "fun": lambda v: np.concatenate([b - a @ v for b, a in parts]),
-                 "jac": lambda v: jac}]
+        if len(parts) == 1:
+            ((b, a),) = parts
+            fun = lambda v: b - a @ v
+        else:
+            fun = lambda v: np.concatenate([b - a @ v for b, a in parts])
+        return {"bounds": bounds,
+                "constraints": [{"type": "ineq", "fun": fun, "jac": lambda v: jac}]}
 
 
+@functools.cache
 def constraint_set(spec: ModelSpec) -> ConstraintSet:
     """Feasible parameter region for a model spec, one rule per block of its
     :attr:`ModelSpec.layout`: boxes [-c, c] (ar, ma, phi, gamma) or [0, c] (a,
     b) with the margin c = 1 - ``COEF_MARGIN``, fixed positive boxes for sigma
     and omega, and budgets sum |theta_i| <= c on ar, on ma and on a and b.
+
+    Built once per spec: equal specs get the same set, whose arrays are
+    read-only.
     """
     c = 1.0 - COEF_MARGIN
     lay = spec.layout
@@ -532,7 +564,7 @@ def _path_from_noise(spec: ModelSpec, v: np.ndarray, xi: np.ndarray) -> np.ndarr
     if spec.family is Family.ARMA:
         eps = v[lay.sigma.start] * xi
         ma = np.concatenate(([1.0], v[lay.ma]))
-        return lfilter(ma, np.concatenate(([1.0], -v[lay.ar])), eps)
+        return _lfilter(ma, np.concatenate(([1.0], -v[lay.ar])), eps)
     # the variance blocks omega, a, gamma and b, in order, are the kernel's arguments
     arch = v[lay.omega.start : lay.b.stop]
     if spec.family is Family.APARCH:
@@ -624,11 +656,49 @@ class CondMoments:
     h_hat: np.ndarray
 
 
+#: the scipy versions on which the tests have pinned scipy's C filter
+#: ``_sigtools._linear_filter`` bit-equal to ``lfilter`` (tests/test_models.py)
+_CORE_PINNED_ON = frozenset({"1.17.1"})
+
+
+def _pinned_core(version: str):
+    """scipy's C filter ``_sigtools._linear_filter``, what ``lfilter`` calls
+    for a denominator of more than one coefficient, if ``version`` is in
+    ``_CORE_PINNED_ON`` and the core imports; None otherwise."""
+    if version not in _CORE_PINNED_ON:
+        return None
+    try:
+        from scipy.signal._sigtools import _linear_filter
+    except ImportError:
+        return None
+    return _linear_filter
+
+
+_LINEAR_FILTER = _pinned_core(scipy.__version__)
+#: the numerator of an all-pole filter, as ``lfilter`` converts ``[1.0]``
+_ONE = np.ones(1)
+_ONE.flags.writeable = False
+
+
+def _lfilter(b: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``lfilter(b, a, x)`` along the last axis, the package's one filter call.
+
+    Where ``lfilter`` would call its C core, a denominator of more than one
+    coefficient, the core is called directly with the arguments ``lfilter``
+    would pass it (``b`` and ``a`` are arrays already); ``lfilter``'s
+    per-call wrapper costs more than the filter on short samples.  Without a
+    pinned core (see :func:`_pinned_core`), and for a one-coefficient
+    denominator, ``lfilter`` itself runs."""
+    if a.size == 1 or _LINEAR_FILTER is None:
+        return lfilter(b, a, x, axis=-1)
+    return _LINEAR_FILTER(b, a, x, -1)
+
+
 def _ar_filter(poly: np.ndarray, u: np.ndarray) -> np.ndarray:
     """``lfilter([1.0], poly, u)`` along the last axis.  A polynomial of size 1
     is the identity filter, so ``u`` itself is returned: scipy would compute
     the same values with one ``np.convolve`` per row."""
-    return u if poly.size == 1 else lfilter([1.0], poly, u, axis=-1)
+    return u if poly.size == 1 else _lfilter(_ONE, poly, u)
 
 
 @dataclass(slots=True)
@@ -660,7 +730,7 @@ def _arma_residuals(spec: ModelSpec, v: np.ndarray, x: np.ndarray) -> _Recursion
     if ma.size == 1:  # what lfilter computes here, without its apply_along_axis
         eps = np.convolve(ar, x)[: x.size]
     else:
-        eps = lfilter(ar, ma, x)
+        eps = _lfilter(ar, ma, x)
     return _Recursion(x - eps, v[lay.sigma.start] ** 2, eps, ma, eps, [])
 
 

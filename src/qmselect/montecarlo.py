@@ -91,7 +91,10 @@ class ExperimentConfig:
         if not self.family:
             raise ConfigError("family must not be empty")
         for name in self.criteria:
-            CriterionKind.named(name)
+            try:
+                CriterionKind.named(name)
+            except ValueError as exc:
+                raise ConfigError(f"criteria: {exc}") from None
         # fail early on a data-generating parameter of the wrong length or infeasible
         try:
             theta = _as_values(self.dgp, self.dgp_theta)

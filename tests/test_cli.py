@@ -273,6 +273,15 @@ def test_config_errors_exit_5(tmp_path, capsys):
     assert code == EXIT_CONFIG
 
 
+def test_unknown_criterion_exits_5(tmp_path, capsys):
+    # checked once, by ExperimentConfig, as every other bad field is
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(GOOD_CONFIG.replace("criteria = aic, bic", "criteria = aic, aicc"))
+    code, out, err = run_cli(["mc-consistency", "--config", str(bad), "--threads", "1"], capsys)
+    assert code == EXIT_CONFIG and out == ""
+    assert err.startswith("config error: criteria: unknown criterion 'aicc'")
+
+
 def test_non_finite_dgp_theta_exits_5(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text(GOOD_CONFIG.replace("theta = 0.5, 0.6, 1.0", "theta = 0.5, 0.6, nan"))
@@ -314,7 +323,10 @@ def test_threads_below_one_exit_2(tmp_path, capsys, threads):
 
 
 @pytest.mark.parametrize("command", ["simulate", "select", "mc-consistency"])
-def test_an_unwritable_output_path_exits_2(command, ar2_csv, tmp_path, capsys):
+def test_an_unwritable_output_path_exits_2(command, ar2_csv, tmp_path, capsys, monkeypatch):
+    # the path is checked before the work: nothing is fitted or printed
+    fitted = []
+    monkeypatch.setattr(q.criteria, "fit_family", lambda *args: fitted.append(args))
     cfg_path = tmp_path / "demo.cfg"
     cfg_path.write_text(GOOD_CONFIG)
     blocker = tmp_path / "file"
@@ -328,9 +340,25 @@ def test_an_unwritable_output_path_exits_2(command, ar2_csv, tmp_path, capsys):
         "mc-consistency": ["mc-consistency", "--config", str(cfg_path), "--threads", "1",
                            "--out-dir", str(out)],
     }[command]
-    code, _, err = run_cli(argv, capsys)
+    code, stdout, err = run_cli(argv, capsys)
     assert code == EXIT_PARSE
     assert err.startswith("error: ") and str(out) in err
+    assert stdout == "" and fitted == []
+
+
+def test_an_output_path_check_leaves_no_file(tmp_path, capsys):
+    # the check before the work makes no file a failed run would leave behind
+    data, out = tmp_path / "tiny.csv", tmp_path / "table.csv"
+    q.simulate(q.wn(), [1.0], 30, seed=1).to_csv(data)
+    argv = ["select", "--data", str(data), "--family", "arma(3,3)", "--criterion", "aic",
+            "--out", str(out)]
+    code, _, _ = run_cli(argv, capsys)
+    assert code == EXIT_NO_MODEL
+    assert not out.exists()
+    # and an existing file is written only by the work itself
+    out.write_text("kept\n")
+    assert run_cli(argv, capsys)[0] == EXIT_NO_MODEL
+    assert out.read_text() == "kept\n"
 
 
 def test_shipped_configs_parse():

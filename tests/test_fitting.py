@@ -326,6 +326,30 @@ def test_fit_family_results_do_not_depend_on_the_callers_order(garch_grid):
         assert a.gamma_bar_min == b.gamma_bar_min
 
 
+SIGN_FLIP_FAMILY = "wn + arma(0..2,0..2) + garch(0..2,0..2) + aparch(1.5;1,1) + ararch(1..2)"
+
+
+@pytest.mark.parametrize(
+    "dgp,theta",
+    [(q.garch(1, 1), (1.0, 0.35, 0.4)), (q.arma(1, 1), (0.5, 0.6, 1.0)),
+     (q.aparch(1.5, 1, 1), (0.3, 0.1, 0.3, 0.6))],
+    ids=str,
+)
+def test_fit_family_is_sign_flip_invariant(dgp, theta):
+    # x -> -x: every contrast sees only squares, |x| or products of two
+    # signed terms, and the constraint sets are symmetric, so each fit is
+    # bit-identical, with aparch's gamma (the sign of its leverage) negated
+    family = q.expand_family(SIGN_FLIP_FAMILY)
+    for seed in (0, 1):
+        x = q.simulate(dgp, theta, 300, seed=seed).values
+        for fit, flipped in zip(q.fit_family(family, x), q.fit_family(family, -x)):
+            mirrored = flipped.theta.values.copy()
+            mirrored[flipped.spec.layout.gamma] *= -1.0
+            assert np.array_equal(fit.theta.values, mirrored), (fit.spec, seed)
+            assert fit.gamma_bar_min == flipped.gamma_bar_min, (fit.spec, seed)
+            assert fit.converged == flipped.converged, (fit.spec, seed)
+
+
 def test_fit_family_fits_garch_before_the_equal_dim_aparch_nesting_it(monkeypatch, dgp3_series_2000):
     # garch(0,1) and aparch(2;0,1) share their dim, and "aparch" sorts first by
     # name; the family declaration order fits garch first and warm-starts

@@ -344,6 +344,33 @@ def test_skipped_identity_filters_equal_lfilter(monkeypatch, spec, theta):
     assert np.array_equal(got_grad, q.gradient(spec, v, x))
 
 
+@pytest.mark.parametrize(
+    "spec,theta",
+    [
+        (q.arma(1, 1), [0.5, 0.6, 1.0]),
+        (q.garch(1, 1), [0.3, 0.2, 0.5]),
+        (q.aparch(1.5, 1, 1), [0.3, 0.1, 0.3, 0.6]),
+        (q.ararch(2), [0.5, 0.4, 0.2, 0.3]),
+    ],
+    ids=str,
+)
+def test_filter_helper_equals_lfilter_through_fits_and_derivatives(monkeypatch, spec, theta):
+    # every filter goes through models._lfilter, which calls scipy's C core
+    # directly on a pinned scipy: with lfilter in its place, the path, the
+    # fit, the gradient and the complex-step derivatives are bit-identical
+    def outputs():
+        x = q.simulate(spec, theta, 400, seed=12).values
+        res = q.fit(spec, x)
+        deriv = q.derivatives(spec, res.theta, x)
+        return (x, res.theta.values, res.gamma_bar_min, res.grad_norm, res.iterations,
+                q.gradient(spec, theta, x), deriv.hessian, deriv.scores)
+
+    got = outputs()
+    monkeypatch.setattr(qmselect.models, "_lfilter", lambda b, a, x: lfilter(b, a, x, axis=-1))
+    for g, w in zip(got, outputs()):
+        assert np.array_equal(g, w)
+
+
 def test_grad_per_t_rows_average_to_gradient():
     # the rows are complex steps of the moments, the gradient is each
     # family's hand-derived mean score (the backward filter pass for arma,

@@ -1,11 +1,16 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
+import scipy
 from numpy.testing import assert_allclose
+from scipy.optimize import Bounds
+from scipy.signal import lfilter
 
 import qmselect as q
+from qmselect import models
 from qmselect.models import H_FLOOR, _lag
 
 
@@ -280,7 +285,7 @@ def test_project_is_the_euclidean_projection(spec, monkeypatch):
 
 def test_budget_jacobian_is_constant_and_charges_zero_coefficients():
     cs = q.constraint_set(q.garch(1, 1))
-    (con,) = cs.scipy_constraints()
+    (con,) = cs.slsqp_args["constraints"]
     v = np.array([1.0, 0.0, 0.5])
     assert_allclose(np.atleast_2d(con["jac"](v)), [[0.0, -1.0, -1.0]])
     assert np.min(con["fun"](v)) == pytest.approx(0.48)
@@ -288,7 +293,7 @@ def test_budget_jacobian_is_constant_and_charges_zero_coefficients():
     # a signed budget's sign rows have sum |v_i| as their maximum
     for spec, scale in ((q.arma(3, 1), 0.5), (q.arma(1, 6), 1e4)):
         cs = q.constraint_set(spec)
-        (con,) = cs.scipy_constraints()
+        (con,) = cs.slsqp_args["constraints"]
         jac = con["jac"](np.zeros(cs.dim))
         blocks = []
         for g in cs.groups:
@@ -305,6 +310,48 @@ def test_budget_jacobian_is_constant_and_charges_zero_coefficients():
             for g, part in zip(cs.groups, np.split(values, np.cumsum([b.shape[0] for b in blocks])[:-1])):
                 assert np.min(part) == pytest.approx(g.bound - g.value(v), abs=1e-15 * max(1.0, scale))
             assert np.array_equal(con["jac"](v), jac)
+
+
+def test_one_budget_is_one_product_and_every_set_gives_slsqp_its_box():
+    # a single group's value is its rows' product, with nothing stacked
+    cs = q.constraint_set(q.arma(2, 0))
+    (con,) = cs.slsqp_args["constraints"]
+    rows = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [-1.0, -1.0, 0.0]])
+    v = np.array([0.3, -0.45, 1.2])
+    assert np.array_equal(con["fun"](v), 0.98 - rows @ v)
+    for spec in (q.wn(), q.arma(2, 1), q.garch(1, 1), q.aparch(1.5, 1, 1), q.ararch(2)):
+        cs = q.constraint_set(spec)
+        bounds = cs.slsqp_args["bounds"]
+        assert isinstance(bounds, Bounds)
+        assert np.array_equal(bounds.lb, cs.lower) and np.array_equal(bounds.ub, cs.upper)
+        assert len(cs.slsqp_args["constraints"]) == (len(cs.groups) > 0)
+
+
+def test_constraint_set_is_built_once_per_spec_and_cannot_be_written():
+    cs = q.constraint_set(q.arma(2, 1))
+    assert q.constraint_set(q.parse_spec("arma(2,1)")) is cs
+    assert cs.slsqp_args is cs.slsqp_args
+    for bound in (cs.lower, cs.upper):
+        with pytest.raises(ValueError, match="read-only"):
+            bound[0] = 0.0
+    # a set built by hand keeps copies of the arrays it was given
+    lower, upper = np.zeros(2), np.ones(2)
+    hand = q.ConstraintSet(lower, upper)
+    lower[0] = upper[0] = 5.0
+    assert hand.lower.tolist() == [0.0, 0.0] and hand.upper.tolist() == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("spec", [q.wn(), q.arma(2, 1), q.garch(1, 1), q.aparch(1.5, 1, 1)], ids=str)
+def test_project_returns_a_new_array_the_caller_may_write(spec):
+    cs = q.constraint_set(spec)
+    for point in (np.full(cs.dim, 0.7), q.ParamVector(spec, cs.project(np.zeros(cs.dim))).values):
+        before = point.copy()
+        projected = cs.project(point)
+        expected = projected.copy()
+        assert projected.flags.writeable and not np.shares_memory(projected, point)
+        projected[:] = 123.0
+        assert np.array_equal(point, before)
+        assert np.array_equal(cs.project(point), expected)
 
 
 @pytest.mark.parametrize("sigma", [0.5, 1.0, 1.3, 2.0])
@@ -637,6 +684,78 @@ def test_lag_helper():
     arr = np.array([1.0, 2.0, 3.0])
     assert_allclose(_lag(arr, 1), [0.0, 1.0, 2.0])
     assert_allclose(_lag(arr, 0), arr)
+
+
+# ---------------------------------------------------------------------------
+# linear filters
+
+# denominators of size 2-4, as the ARCH b parts, the MA residual filters and
+# the ARMA simulation's AR polynomials give them
+FILTER_DENOMINATORS = [[1.0, -0.5], [1.0, -0.3, 0.2], [1.0, -0.1, 0.2, -0.05]]
+
+
+def _filter_inputs(a):
+    """Real, complex-step and reversed-view inputs of one filter, as the
+    recursions, the complex-step Hessian and the adjoint pass them."""
+    a = np.array(a)
+    x = np.random.default_rng(len(a)).standard_normal(500)
+    ac = a + 1j * 1e-20 * np.arange(a.size)
+    xc = x + 1j * 1e-20 * np.cos(np.arange(x.size))
+    return [(a, x), (a, x[::-1]), (ac, xc), (ac, xc[::-1]), (a, xc[::-1])]
+
+
+def _core_or_skip():
+    try:
+        from scipy.signal._sigtools import _linear_filter
+    except ImportError:
+        pytest.skip("this scipy has no _sigtools._linear_filter")
+    return _linear_filter
+
+
+@pytest.mark.parametrize("a", FILTER_DENOMINATORS, ids=str)
+def test_filter_core_is_bit_equal_to_lfilter(a):
+    # the pin behind models._CORE_PINNED_ON: scipy's C core, called directly,
+    # gives exactly what lfilter gives, on every kind of input the package has
+    core = _core_or_skip()
+    for b in ([1.0], [1.0, 0.4], [1.0, -0.3, 0.25]):  # all-pole, then ARMA numerators
+        for den, x in _filter_inputs(a):
+            want = lfilter(b, den, x)
+            got = core(np.array(b), den, x, -1)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("a", [[1.0], *FILTER_DENOMINATORS], ids=str)
+def test_filter_helper_is_bit_equal_to_lfilter(a):
+    for b in (models._ONE, np.array([1.0, 0.4]), np.array([1.0, -0.3, 0.25])):
+        for den, x in _filter_inputs(a):
+            want = lfilter(b, den, x)
+            got = models._lfilter(b, den, x)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_filter_helper_uses_the_core_only_on_a_pinned_scipy():
+    assert models._LINEAR_FILTER is models._pinned_core(scipy.__version__)
+    if scipy.__version__ in models._CORE_PINNED_ON:
+        assert models._LINEAR_FILTER is _core_or_skip()
+
+
+def test_filter_guard_falls_back_to_lfilter(monkeypatch):
+    version = next(iter(models._CORE_PINNED_ON))
+    assert models._pinned_core("0.0.0") is None
+    monkeypatch.setitem(sys.modules, "scipy.signal._sigtools", None)  # the core does not import
+    assert models._pinned_core(version) is None
+    # without a core the helper is lfilter itself
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return lfilter(*args, **kwargs)
+
+    monkeypatch.setattr(models, "_LINEAR_FILTER", None)
+    monkeypatch.setattr(models, "lfilter", counted)
+    (a, x), *_ = _filter_inputs(FILTER_DENOMINATORS[1])
+    assert np.array_equal(models._lfilter(models._ONE, a, x), lfilter([1.0], a, x))
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

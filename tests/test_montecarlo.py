@@ -55,7 +55,7 @@ def test_config_validation():
         small_config(burn_in=-5)
     with pytest.raises(q.ConfigError, match="family"):
         small_config(family=())
-    with pytest.raises(ValueError, match="unknown criterion"):
+    with pytest.raises(q.ConfigError, match="criteria: unknown criterion 'aicc'"):
         small_config(criteria=("aicc",))
     with pytest.raises(q.ConfigError, match="infeasible"):
         small_config(dgp_theta=(1.2, 0.5, 1.0))  # ar budget exceeded
