@@ -375,6 +375,8 @@ class ConstraintSet:
         the same way, so it gets the same matrix and vector from one callback
         per evaluation.  The value is taken group by group: a matrix-vector
         product may sum a row in another order once the matrix has more rows.
+        ``A`` and the Jacobian are read-only, as the set's own arrays are, so
+        no caller can change a later fit of the same spec through them.
         """
         bounds = Bounds(self.lower, self.upper)
         if not self.groups:
@@ -384,13 +386,11 @@ class ConstraintSet:
             signs = list(itertools.product((1.0, -1.0), repeat=idx.size)) if signed else [(1.0,) * idx.size]
             a = np.zeros((len(signs), self.dim))
             a[:, idx] = signs
+            a.flags.writeable = False
             parts.append((bound, a))
         jac = -np.vstack([a for _, a in parts])
-        if len(parts) == 1:
-            ((b, a),) = parts
-            fun = lambda v: b - a @ v
-        else:
-            fun = lambda v: np.concatenate([b - a @ v for b, a in parts])
+        jac.flags.writeable = False
+        fun = lambda v: np.concatenate([b - a @ v for b, a in parts])
         return {"bounds": bounds,
                 "constraints": [{"type": "ineq", "fun": fun, "jac": lambda v: jac}]}
 

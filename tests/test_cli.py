@@ -5,7 +5,7 @@ import os
 import pytest
 
 import qmselect as q
-from qmselect import cli
+from qmselect import cli, montecarlo
 from qmselect.cli import (
     EXIT_CONFIG,
     EXIT_CONSTRAINT,
@@ -326,7 +326,8 @@ def test_threads_below_one_exit_2(tmp_path, capsys, threads):
 def test_an_unwritable_output_path_exits_2(command, ar2_csv, tmp_path, capsys, monkeypatch):
     # the path is checked before the work: nothing is fitted or printed
     fitted = []
-    monkeypatch.setattr(q.criteria, "fit_family", lambda *args: fitted.append(args))
+    for module in (q.criteria, montecarlo):  # each imported fit_family by name
+        monkeypatch.setattr(module, "fit_family", lambda *args: fitted.append(args))
     cfg_path = tmp_path / "demo.cfg"
     cfg_path.write_text(GOOD_CONFIG)
     blocker = tmp_path / "file"

@@ -313,7 +313,7 @@ def test_budget_jacobian_is_constant_and_charges_zero_coefficients():
 
 
 def test_one_budget_is_one_product_and_every_set_gives_slsqp_its_box():
-    # a single group's value is its rows' product, with nothing stacked
+    # a single group's value is its bound minus its rows' product
     cs = q.constraint_set(q.arma(2, 0))
     (con,) = cs.slsqp_args["constraints"]
     rows = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [-1.0, -1.0, 0.0]])
@@ -331,7 +331,8 @@ def test_constraint_set_is_built_once_per_spec_and_cannot_be_written():
     cs = q.constraint_set(q.arma(2, 1))
     assert q.constraint_set(q.parse_spec("arma(2,1)")) is cs
     assert cs.slsqp_args is cs.slsqp_args
-    for bound in (cs.lower, cs.upper):
+    (con,) = cs.slsqp_args["constraints"]
+    for bound in (cs.lower, cs.upper, con["jac"](np.zeros(cs.dim))):
         with pytest.raises(ValueError, match="read-only"):
             bound[0] = 0.0
     # a set built by hand keeps copies of the arrays it was given
