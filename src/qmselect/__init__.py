@@ -24,7 +24,6 @@ from .criteria import (
     select_from_fits,
 )
 from .errors import (
-    AllModelsFailed,
     ConfigError,
     MissingInfo,
     NonStationaryParams,
@@ -103,5 +102,5 @@ __all__ = [
     # errors
     "QmselectError", "NonStationaryParams", "NumericOverflow", "TooShortSeries",
     "OptimizerDiverged", "SingularF", "MissingInfo",
-    "AllModelsFailed", "UnsupportedFamily", "ConfigError",
+    "UnsupportedFamily", "ConfigError",
 ]

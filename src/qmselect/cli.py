@@ -14,7 +14,8 @@ replications without a pick.
 Exit codes: 0 success, 2 argument/input parse error (an unreadable input or
 unwritable output path included; an output path is checked before the work),
 3 infeasible model parameters, 4 no candidate model usable, 5 config-file
-validation error.
+validation error.  On exit 4, ``select`` prints each excluded model with its
+reason to stderr, and ``--out`` still writes the per-model table.
 
 Config files are flat INI text with a ``schema = 1`` marker::
 
@@ -51,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criteria import _KNOWN, CriterionKind, select
-from .errors import AllModelsFailed, ConfigError, NonStationaryParams, QmselectError
+from .errors import ConfigError, NonStationaryParams, QmselectError
 from .models import DEFAULT_BURN_IN, Trajectory, expand_family, parse_spec, simulate
 from .montecarlo import (
     DEFAULT_ORACLE_N,
@@ -255,27 +256,27 @@ def _cmd_select(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     _check_writable(args.out)
-    try:
-        result = select(family, traj, kind)
-    except AllModelsFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_MODEL
+    result = select(family, traj, kind)
     row = result.chosen_row
-    comp = row.report.components
-    print(f"criterion {result.kind}: chose {result.chosen.name}")
-    print(
-        f"  value = {row.report.value:.6f}  (n_gamma_bar = {comp.n_gamma_bar:.6f}, "
-        f"penalty = {comp.penalty:.6f}"
-        + (f", logdet_term = {comp.logdet_term:.6f}" if comp.logdet_term is not None else "")
-        + ")"
-    )
-    excluded = [r for r in result.rows if r.excluded]
-    if excluded:
-        print(f"  excluded: {', '.join(f'{r.spec.name} ({r.excluded})' for r in excluded)}")
+    excluded = [f"{r.fit.spec.name} ({r.excluded})" for r in result.rows if r.excluded]
+    if row is None:
+        print(f"error: {result.kind}: no candidate produced a criterion value", file=sys.stderr)
+        print(f"  excluded: {', '.join(excluded)}", file=sys.stderr)
+    else:
+        comp = row.report.components
+        print(f"criterion {result.kind}: chose {result.chosen.name}")
+        print(
+            f"  value = {row.report.value:.6f}  (n_gamma_bar = {comp.n_gamma_bar:.6f}, "
+            f"penalty = {comp.penalty:.6f}"
+            + (f", logdet_term = {comp.logdet_term:.6f}" if comp.logdet_term is not None else "")
+            + ")"
+        )
+        if excluded:
+            print(f"  excluded: {', '.join(excluded)}")
     if args.out:
         result.to_csv(args.out)
         print(f"wrote {args.out}")
-    return 0
+    return 0 if row is not None else EXIT_NO_MODEL
 
 
 def _cmd_mc(args) -> int:

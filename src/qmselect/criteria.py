@@ -20,6 +20,9 @@ it needs, whether it adds log det(-F)), which the known names, ``needs_info``,
 * custom          penalty n * pen(spec) for a user callable, checked to be
                   monotone along the nesting partial order of the family; it
                   needs neither info matrices nor mu4, whatever its name
+
+A selection holds one :class:`ModelRow` per candidate: its fit, and its report
+or why it was excluded.  When no candidate scores, no row is chosen.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import AllModelsFailed, MissingInfo, QmselectError, UnsupportedFamily
-from .fitting import FitResult, _series, fit_family
+from .errors import MissingInfo, UnsupportedFamily
+from .fitting import _FAILURES, FitResult, _series, fit_family
 from .information import InfoMatrices, closed_form_trace, info_matrices
 from .likelihood import mu4_hat, residuals
 from .models import ModelSpec, is_nested
@@ -163,12 +166,10 @@ def criterion_value(
 
 @dataclass
 class ModelRow:
-    """Per-model outcome inside a selection sweep."""
+    """One candidate in a selection sweep: its fit, and its report or why it
+    was excluded."""
 
-    spec: ModelSpec
-    converged: bool
-    grad_norm: float
-    iterations: int
+    fit: FitResult
     report: CriterionReport | None = None
     excluded: str | None = None
     chosen: bool = False
@@ -177,12 +178,15 @@ class ModelRow:
 @dataclass
 class SelectionResult:
     kind: str
-    chosen: ModelSpec
     rows: list[ModelRow]
 
     @property
-    def chosen_row(self) -> ModelRow:
-        return next(r for r in self.rows if r.chosen)
+    def chosen_row(self) -> ModelRow | None:
+        return next((r for r in self.rows if r.chosen), None)
+
+    @property
+    def chosen(self) -> ModelSpec | None:
+        return next((r.fit.spec for r in self.rows if r.chosen), None)
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -197,22 +201,18 @@ class SelectionResult:
                 comp = r.report.components if r.report else None
                 w.writerow(
                     [
-                        r.spec.name,
-                        str(r.converged).lower(),
+                        r.fit.spec.name,
+                        str(r.fit.converged).lower(),
                         repr(comp.n_gamma_bar) if comp else "",
                         repr(comp.penalty) if comp else "",
                         repr(comp.logdet_term) if comp and comp.logdet_term is not None else "",
                         repr(r.report.value) if r.report else "",
                         str(r.chosen).lower(),
                         r.excluded or "",
-                        repr(r.grad_norm),
-                        r.iterations,
+                        repr(r.fit.grad_norm),
+                        r.fit.iterations,
                     ]
                 )
-
-
-def _row(fit: FitResult, **outcome) -> ModelRow:
-    return ModelRow(fit.spec, fit.converged, fit.grad_norm, fit.iterations, **outcome)
 
 
 def classify(truth: ModelSpec, chosen: ModelSpec) -> str:
@@ -242,7 +242,8 @@ def select_from_fits(
     kind: CriterionKind,
     info_cache: dict | None = None,
 ) -> SelectionResult:
-    """Selection over already-fitted models (shared across criteria).
+    """Selection over already-fitted models (shared across criteria): one row
+    per fit, in order, and none chosen when no candidate scores.
 
     ``info_cache`` maps fit index -> InfoMatrices or Exception; it is filled
     lazily so several criteria evaluated on the same fits estimate the info
@@ -258,20 +259,20 @@ def select_from_fits(
     rows: list[ModelRow] = []
     for i, f in enumerate(fits):
         if not f.converged:
-            rows.append(_row(f, excluded=f.error or "not converged"))
+            rows.append(ModelRow(f, excluded=f.error or "not converged"))
             continue
         info = None
         if kind.needs_info:
             if i not in info_cache:
                 try:
                     info_cache[i] = info_matrices(f, x)
-                except (QmselectError, np.linalg.LinAlgError, FloatingPointError) as exc:
+                except _FAILURES as exc:
                     # without its traceback: the frames' locals would live as
                     # long as the cache
                     info_cache[i] = exc.with_traceback(None)
             info = info_cache[i]
             if isinstance(info, Exception):
-                rows.append(_row(f, excluded=f"{type(info).__name__}: {info}"))
+                rows.append(ModelRow(f, excluded=f"{type(info).__name__}: {info}"))
                 continue
         mu4 = None
         # a family the closed form cannot score is excluded by criterion_value
@@ -281,27 +282,26 @@ def select_from_fits(
             try:
                 mu4 = mu4_hat(xi)
             except ValueError as exc:  # all-zero residuals: the ratio is undefined
-                rows.append(_row(f, excluded=f"{type(exc).__name__}: {exc}"))
+                rows.append(ModelRow(f, excluded=f"{type(exc).__name__}: {exc}"))
                 continue
         try:
-            rows.append(_row(f, report=criterion_value(f, kind, info=info, mu4=mu4)))
+            rows.append(ModelRow(f, report=criterion_value(f, kind, info=info, mu4=mu4)))
         except UnsupportedFamily as exc:
-            rows.append(_row(f, excluded=f"{type(exc).__name__}: {exc}"))
+            rows.append(ModelRow(f, excluded=f"{type(exc).__name__}: {exc}"))
 
     scored = [r for r in rows if r.report is not None and np.isfinite(r.report.value)]
-    if not scored:
-        raise AllModelsFailed(f"{kind.name}: no candidate produced a criterion value")
-    best = min(scored, key=lambda r: (r.report.value, r.spec.dim, r.spec.name))
-    best.chosen = True
-    return SelectionResult(kind.name, best.spec, rows)
+    if scored:
+        best = min(scored, key=lambda r: (r.report.value, r.fit.spec.dim, r.fit.spec.name))
+        best.chosen = True
+    return SelectionResult(kind.name, rows)
 
 
 def select(family: list[ModelSpec], x, kind: CriterionKind) -> SelectionResult:
     """Fit every model in ``family`` on ``x`` and pick the criterion minimizer.
 
     Ties (exactly equal values) break toward fewer parameters, then canonical
-    name order.  Models whose info matrices cannot be estimated are recorded
-    as excluded rather than failing the sweep.
+    name order.  A model that fails to fit or to score is an excluded row, not
+    a failed sweep; when every model is excluded, the result has no pick.
     """
     fits = fit_family(family, x)
     return select_from_fits(fits, x, kind)

@@ -34,10 +34,6 @@ class MissingInfo(QmselectError):
     """Criterion requires information matrices that were not supplied."""
 
 
-class AllModelsFailed(QmselectError):
-    """No model in the candidate family produced a usable fit."""
-
-
 class UnsupportedFamily(QmselectError):
     """Operation is not defined for the requested model family."""
 

@@ -1,10 +1,10 @@
 """Contrast minimization: single-model fits and family sweeps.
 
-A fit has one or two starts, each valued first: a warm start if given, then
-the canonical start (dynamic coefficients zero, the scale parameter set from
-the sample second moment); nothing is random.  SLSQP descends from them in
-that order over the box and the coefficient budgets, all budgets handed over
-as one linear inequality with a constant Jacobian.  The constraint set and
+A fit has one or two starts: a warm start if given, then the canonical
+start (dynamic coefficients zero, the scale parameter set from the sample
+second moment); nothing is random.  SLSQP descends from them in that order
+over the box and the coefficient budgets, all budgets handed over as one
+linear inequality with a constant Jacobian.  The constraint set and
 these SLSQP arguments are built once per spec, not once per fit
 (``models.constraint_set``, ``ConstraintSet.slsqp_args``).  A fit stops after
 the first descent whose end point is certified (projected gradient at most
@@ -12,8 +12,8 @@ the first descent whose end point is certified (projected gradient at most
 and the contrast still falls, SLSQP is restarted from there, up to
 ``MAX_PASSES`` passes.  All passes minimize one ``likelihood._Objective`` per
 fit, and ``_descend`` holds the floating-point error state for all of a
-start's passes.  Every start stays in the candidate pool, so
-gamma_bar(theta_hat) <= gamma_bar(start) is structural.
+start's passes.  A start is valued just before its descent, and stays in the
+candidate pool, so gamma_bar(theta_hat) <= gamma_bar(start) is structural.
 
 :func:`fit_family` fits nested models first, in order of (dim, family
 declaration order, name), and warm-starts each model at the best nested
@@ -46,6 +46,8 @@ MAX_ITER = 500
 GRAD_TOL = 1e-6
 #: SLSQP passes per start: restarts from an uncertified end point
 MAX_PASSES = 4
+#: failures that exclude a model; any other exception is a programming error
+_FAILURES = (QmselectError, np.linalg.LinAlgError, FloatingPointError)
 
 
 @dataclass
@@ -143,10 +145,10 @@ def fit(spec: ModelSpec, x, warm=None) -> FitResult:
 
     SLSQP descends first from ``warm`` if given, then from the zero-init
     start, in up to ``MAX_PASSES`` passes per start; there is no other
-    minimizer.  The zero-init descent runs only when the warm one ends
-    uncertified.  The candidates are each start, then each descent's end
-    point in the order run.  Among those within 1e-10 of the lowest contrast,
-    the first certified one wins, and the earliest when none is certified; a
+    minimizer.  The zero-init start is valued and descended only when the
+    warm descent ends uncertified.  The candidates are each descended start,
+    then each descent's end point in the order run.  Among those within 1e-10
+    of the lowest contrast, the first certified one wins, and the earliest when none is certified; a
     start counts as uncertified.  The result's ``iterations`` sums SLSQP's
     iterations over the chosen start's passes.  A one-parameter model's start
     is its closed-form optimum: it is certified there with no pass.
@@ -177,14 +179,15 @@ def fit(spec: ModelSpec, x, warm=None) -> FitResult:
         starts.insert(0, warm)
 
     objective = _Objective(spec, x)
-    # (value, theta, iterations, certified): each start, then each descent run
-    candidates = [(gamma_bar(spec, start, x), start, 0, False) for start in starts]
-    for fv, start, _, _ in candidates[:len(starts)]:
-        candidates.append(_descend(objective, cset, start, fv))
-        if candidates[-1][3]:
+    # (value, theta, iterations, certified), each start valued as it is descended
+    valued, descents = [], []
+    for start in starts:
+        valued.append((gamma_bar(spec, start, x), start, 0, False))
+        descents.append(_descend(objective, cset, start, valued[-1][0]))
+        if descents[-1][3]:
             break
 
-    finite = [c for c in candidates if np.isfinite(c[0])]
+    finite = [c for c in valued + descents if np.isfinite(c[0])]
     if not finite:
         raise OptimizerDiverged(f"{spec.name}: no start produced a finite contrast")
     fbest = min(c[0] for c in finite)
@@ -214,9 +217,8 @@ def fit_family(family, x) -> list[FitResult]:
     the results do not depend on the caller's order.  Every nested pair is
     fitted inner first: the inner model has the smaller dim, or the same dim
     and an earlier family (garch(0,q) inside aparch(2;0,q)).  Per-model
-    failures are returned as non-converged placeholder results instead of
-    raising.  Only the package's own errors and numerical failures count as
-    failed fits; any other exception is a programming error and propagates."""
+    failures (``_FAILURES``) are returned as non-converged placeholder results
+    instead of raising; any other exception propagates."""
     x = _series(x)
     family = list(family)
     fits: dict[int, FitResult] = {}
@@ -226,7 +228,7 @@ def fit_family(family, x) -> list[FitResult]:
         spec = family[i]
         try:
             fits[i] = fit(spec, x, _warm_start(spec, fits.values()))
-        except (QmselectError, np.linalg.LinAlgError, FloatingPointError) as exc:
+        except _FAILURES as exc:
             fits[i] = FitResult(
                 spec=spec,
                 theta=ParamVector(spec, constraint_set(spec).project(np.zeros(spec.dim))),

@@ -12,9 +12,9 @@ Two experiment drivers share the same replication protocol:
 A replication is described by the payload ``(config, n, r)``, holding the
 frozen :class:`ExperimentConfig` itself, so a worker simulates and fits
 exactly the configured specs.  Both drivers map these payloads through one
-helper and read back one record: the converged true fit and each criterion's
-pick, as (spec, theta) points or None.  All held-out scoring goes through
-:func:`oracle_risk`, called once per n on every distinct point.
+helper and read back one record: the converged true fit and the fit of each
+criterion's pick, each a ``FitResult`` or None.  All held-out scoring goes
+through :func:`oracle_risk`, called once per n on every distinct point.
 
 Both tables write their CSV and text through one writer, ``_Table``, from
 one list of columns; a new driver's table is one more subclass.  A config is
@@ -40,8 +40,8 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from .criteria import CriterionKind, classify, select_from_fits
-from .errors import AllModelsFailed, ConfigError
-from .fitting import fit_family
+from .errors import ConfigError
+from .fitting import FitResult, fit_family
 from .likelihood import gamma_bar
 from .models import DEFAULT_BURN_IN, ModelSpec, _as_values, constraint_set, simulate
 from .version import __version__
@@ -90,6 +90,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must not repeat a value, got {', '.join(map(str, values))}")
         if not self.family:
             raise ConfigError("family must not be empty")
+        if not self.criteria:
+            raise ConfigError("criteria must not be empty")
         for name in self.criteria:
             try:
                 CriterionKind.named(name)
@@ -144,8 +146,8 @@ def write_metadata(path, config: ExperimentConfig, **extra) -> None:
 
 
 class _Record(NamedTuple):
-    true_fit: tuple | None  # the converged fit of the dgp spec as (spec, theta), or None
-    picks: dict  # criterion name -> (spec, theta) of its pick, or None if nothing scored
+    true_fit: FitResult | None  # the converged fit of the dgp spec, or None
+    picks: dict  # criterion name -> the fit of its pick, or None if nothing scored
 
 
 def _run_replication(payload) -> _Record:
@@ -153,18 +155,13 @@ def _run_replication(payload) -> _Record:
     seed = derive_seed(config.master_seed, n, r)
     traj = simulate(config.dgp, np.asarray(config.dgp_theta), n, seed=seed, burn_in=config.burn_in)
     fits = fit_family(config.family, traj.values)
-    # every converged fit as a (spec, theta) point, the first fit of a spec winning
-    converged = [f for f in fits if f.converged]
-    points = {f.spec: (f.spec, tuple(map(float, f.theta.values))) for f in reversed(converged)}
     info_cache: dict = {}
     picks: dict = {}
     for name in config.criteria:
-        try:
-            sel = select_from_fits(fits, traj.values, CriterionKind.named(name), info_cache)
-            picks[name] = points[sel.chosen]
-        except AllModelsFailed:
-            picks[name] = None
-    return _Record(points.get(config.dgp), picks)
+        row = select_from_fits(fits, traj.values, CriterionKind.named(name), info_cache).chosen_row
+        picks[name] = None if row is None else row.fit
+    true_fit = next((f for f in fits if f.converged and f.spec == config.dgp), None)
+    return _Record(true_fit, picks)
 
 
 def _replicate(config: ExperimentConfig, n: int, threads: int) -> list[_Record]:
@@ -272,7 +269,7 @@ def run_consistency(config: ExperimentConfig, threads: int = 1) -> ConsistencyTa
         results = _replicate(config, n, threads)
         for crit in config.criteria:
             picks = (res.picks[crit] for res in results)
-            got = [classify(config.dgp, p[0]) if p else "failed" for p in picks]
+            got = ["failed" if p is None else classify(config.dgp, p.spec) for p in picks]
             table.counts[(n, crit)] = {cls: got.count(cls) for cls in CLASSES}
     return table
 
@@ -331,23 +328,27 @@ def run_efficiency(config: ExperimentConfig, threads: int = 1) -> EfficiencyTabl
         raise ConfigError("efficiency runs need the dgp spec inside the family")
     table = EfficiencyTable.from_config(config)
     star = (config.dgp, tuple(config.dgp_theta))
+
+    def point(fit):  # a fit as a hashable (spec, theta) key
+        return fit.spec, tuple(map(float, fit.theta.values))
+
     for n in config.n_values:
         results = _replicate(config, n, threads)
         # a replication without a converged true fit has no reference loss,
         # so none of its picks is scored; it counts as failed for every criterion
         scored = [res for res in results if res.true_fit is not None]
         # distinct held-out points, first appearance first
-        picked = (p for res in scored for p in (res.true_fit, *res.picks.values()) if p is not None)
-        points = dict.fromkeys((star, *picked))
+        picked = (f for res in scored for f in (res.true_fit, *res.picks.values()) if f is not None)
+        points = dict.fromkeys((star, *map(point, picked)))
         seed = derive_seed(config.master_seed, n, ORACLE_TAG)
         values = oracle_risk(config.dgp, star[1], list(points), seed=seed,
                              oracle_n=config.oracle_n, burn_in=config.burn_in)
         risk = dict(zip(points, values))
-        loss_true = [risk[res.true_fit] - risk[star] for res in scored]
+        loss_true = [risk[point(res.true_fit)] - risk[star] for res in scored]
         mean_true = float(np.mean(loss_true)) if loss_true else float("nan")
         for c in config.criteria:
             picks = (res.picks[c] for res in scored)
-            loss_sel = [risk[p] - risk[star] for p in picks if p is not None]
+            loss_sel = [risk[point(f)] - risk[star] for f in picks if f is not None]
             mean_sel = float(np.mean(loss_sel)) if loss_sel else float("nan")
             table.rows[(n, c)] = dict(
                 me=n * (mean_sel - mean_true), mean_loss_selected=mean_sel, mean_loss_true=mean_true

@@ -153,6 +153,31 @@ def test_select_no_usable_model_exits_4(tmp_path, capsys):
     assert "error" in err
 
 
+def test_select_exit_4_names_each_excluded_model_and_writes_its_table(tmp_path, capsys):
+    # no candidate scores: each model is named with its reason, and --out
+    # still writes one row per model
+    data, out = tmp_path / "empty.csv", tmp_path / "table.csv"
+    data.write_text("x\n")
+    code, text, err = run_cli(
+        ["select", "--data", str(data), "--family", "wn+arma(1,0)", "--criterion", "bic",
+         "--out", str(out)],
+        capsys,
+    )
+    assert code == EXIT_NO_MODEL
+    assert err.startswith("error: bic: no candidate produced a criterion value\n")
+    assert "wn (TooShortSeries: wn: n = 0 < 10)" in err
+    assert "arma(1,0) (TooShortSeries: arma(1,0): n = 0 < 20)" in err
+    assert text == f"wrote {out}\n"
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["model"], r["chosen"], r["value"]) for r in rows] == [
+        ("wn", "false", ""), ("arma(1,0)", "false", "")
+    ]
+    assert [r["excluded"] for r in rows] == [
+        "TooShortSeries: wn: n = 0 < 10", "TooShortSeries: arma(1,0): n = 0 < 20"
+    ]
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_select_rejects_non_finite_data(tmp_path, capsys, bad):
     path = tmp_path / "ar1.csv"
@@ -254,6 +279,7 @@ def test_config_round_trip():
          "arma(1,1) takes 3 parameters (a1, b1, sigma), got 2"),
         (lambda t: t.replace("n_values = 200, 500", "n_values = 200, 200"), "n_values must not repeat"),
         (lambda t: t.replace("criteria = aic, bic", "criteria = aic, aic"), "criteria must not repeat"),
+        (lambda t: t.replace("criteria = aic, bic", "criteria = ,"), "criteria must not be empty"),
         (lambda t: t.replace("master_seed = 11", "master_seed = -5"), "master_seed must be >= 0, got -5"),
     ],
 )
@@ -347,18 +373,22 @@ def test_an_unwritable_output_path_exits_2(command, ar2_csv, tmp_path, capsys, m
     assert stdout == "" and fitted == []
 
 
-def test_an_output_path_check_leaves_no_file(tmp_path, capsys):
+def test_an_output_path_check_leaves_no_file(tmp_path, capsys, monkeypatch):
     # the check before the work makes no file a failed run would leave behind
+    def diverged(*args):
+        raise q.OptimizerDiverged("boom")
+
+    monkeypatch.setattr(cli, "select", diverged)
     data, out = tmp_path / "tiny.csv", tmp_path / "table.csv"
     q.simulate(q.wn(), [1.0], 30, seed=1).to_csv(data)
     argv = ["select", "--data", str(data), "--family", "arma(3,3)", "--criterion", "aic",
             "--out", str(out)]
     code, _, _ = run_cli(argv, capsys)
-    assert code == EXIT_NO_MODEL
+    assert code == 1
     assert not out.exists()
     # and an existing file is written only by the work itself
     out.write_text("kept\n")
-    assert run_cli(argv, capsys)[0] == EXIT_NO_MODEL
+    assert run_cli(argv, capsys)[0] == 1
     assert out.read_text() == "kept\n"
 
 

@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qmselect as q
 import qmselect.criteria
 from qmselect.criteria import CriterionKind, select_from_fits
+from qmselect.models import is_nested
 
 
 def fake_fit(spec, gamma_bar_min, n=100):
@@ -128,11 +131,11 @@ def test_select_matches_brute_force_and_order_invariant(dgp2_series_2000):
     fits = q.fit_family(family, x)
     for kind in (q.AIC, q.BIC, q.KC_PRIME):
         sel = select_from_fits(fits, x, kind)
-        values = {r.spec.name: r.report.value for r in sel.rows if r.report}
+        values = {r.fit.spec.name: r.report.value for r in sel.rows if r.report}
         assert sel.chosen.name == min(values, key=lambda k: values[k])
         rev = select_from_fits(list(reversed(fits)), x, kind)
         assert rev.chosen == sel.chosen
-        rev_values = {r.spec.name: r.report.value for r in rev.rows if r.report}
+        rev_values = {r.fit.spec.name: r.report.value for r in rev.rows if r.report}
         assert rev_values == values
 
 
@@ -143,7 +146,7 @@ def test_boundary_optima_compete_in_kcprime(dgp3_series_2000):
     # b2 reaches its bound 0 exactly at one BLAS thread, to rounding at more
     assert g12.converged and 0.0 <= g12.theta.named()["b2"] < 1e-15
     sel = select_from_fits(fits, x, q.KC_PRIME)
-    row = next(r for r in sel.rows if r.spec == q.garch(1, 2))
+    row = next(r for r in sel.rows if r.fit.spec == q.garch(1, 2))
     assert row.report is not None and row.excluded is None
     assert sel.chosen == q.garch(1, 1)
 
@@ -156,15 +159,22 @@ def test_unconverged_fits_become_excluded_rows():
     fits.append(bad)
     sel = select_from_fits(fits, np.zeros(100), q.AIC)
     assert sel.chosen == q.wn()
-    row = next(r for r in sel.rows if r.spec == q.arma(1, 0))
+    row = next(r for r in sel.rows if r.fit.spec == q.arma(1, 0))
     assert row.excluded == "boom" and row.report is None
 
 
 def test_all_models_failed():
+    # no candidate scores: the result has no pick, and every row keeps its
+    # fit and the reason it was excluded
     bad = fake_fit(q.wn(), np.nan)
     bad.converged = False
-    with pytest.raises(q.AllModelsFailed):
-        select_from_fits([bad], np.zeros(100), q.AIC)
+    worse = fake_fit(q.arma(1, 0), np.nan)
+    worse.converged, worse.error = False, "TooShortSeries: arma(1,0): n = 0 < 20"
+    sel = select_from_fits([bad, worse], np.zeros(100), q.AIC)
+    assert sel.chosen is None and sel.chosen_row is None
+    assert [r.fit for r in sel.rows] == [bad, worse]
+    assert [r.excluded for r in sel.rows] == ["not converged", worse.error]
+    assert not any(r.chosen or r.report for r in sel.rows)
 
 
 def test_cached_info_failures_hold_no_traceback(monkeypatch):
@@ -174,8 +184,8 @@ def test_cached_info_failures_hold_no_traceback(monkeypatch):
 
     monkeypatch.setattr(qmselect.criteria, "info_matrices", singular)
     cache = {}
-    with pytest.raises(q.AllModelsFailed):
-        select_from_fits([fake_fit(q.wn(), 1.0)], np.zeros(100), q.KC_PRIME, cache)
+    sel = select_from_fits([fake_fit(q.wn(), 1.0)], np.zeros(100), q.KC_PRIME, cache)
+    assert sel.chosen is None and sel.rows[0].excluded == "SingularF: flat"
     assert isinstance(cache[0], q.SingularF) and cache[0].__traceback__ is None
 
 
@@ -325,3 +335,42 @@ def test_smallest_spec_of_every_family_runs_end_to_end(family):
                 q.criterion_value(fit, kind, info, mu4)
             continue
         assert math.isfinite(q.criterion_value(fit, kind, info, mu4).value)
+
+
+# ---------------------------------------------------------------------------
+# irrelevant candidates
+
+
+IIA_BASE = q.expand_family("wn + arma(0..1,0..1) + garch(0..1,0..1)")
+IIA_CRITERIA = ("aic", "bic", "hq", "tracepen", "kc", "kcprime")
+
+
+@settings(max_examples=12, derandomize=True, deadline=None, database=None)
+@given(
+    data=st.sampled_from([(q.garch(1, 1), (1.0, 0.1, 0.8)), (q.arma(1, 1), (0.5, 0.6, 1.0))]),
+    seed=st.integers(0, 2**16),
+    added=st.sampled_from([q.aparch(1.5, 2, 2), q.arma(3, 3), q.garch(3, 3)]),
+    at=st.integers(0, len(IIA_BASE)),
+)
+def test_an_irrelevant_candidate_moves_no_other_fit_and_no_other_pick(data, seed, added, at):
+    # a candidate nested in no other one warm-starts none of them, so every
+    # other fit stays bit-identical; the argmin then keeps its old pick or
+    # takes the new model, and every other row keeps its value or reason
+    assert not any(is_nested(added, spec) for spec in IIA_BASE)
+    x = q.simulate(*data, 500, seed=seed).values
+    family = [*IIA_BASE[:at], added, *IIA_BASE[at:]]
+    before, after = q.fit_family(IIA_BASE, x), q.fit_family(family, x)
+    others = after[:at] + after[at + 1:]
+    for old, new in zip(before, others):
+        assert new.spec == old.spec
+        assert new.theta.values.tobytes() == old.theta.values.tobytes()
+        assert (new.gamma_bar_min, new.converged, new.grad_norm, new.iterations) == (
+            old.gamma_bar_min, old.converged, old.grad_norm, old.iterations)
+    cache_before, cache_after = {}, {}
+    for name in IIA_CRITERIA:
+        kind = CriterionKind.named(name)
+        old = select_from_fits(before, x, kind, cache_before)
+        new = select_from_fits(after, x, kind, cache_after)
+        assert new.chosen in (old.chosen, added), name
+        for r_old, r_new in zip(old.rows, new.rows[:at] + new.rows[at + 1:]):
+            assert (r_new.report, r_new.excluded) == (r_old.report, r_old.excluded), name

@@ -216,13 +216,24 @@ def _record_descents(monkeypatch):
 
 @pytest.mark.parametrize("spec,theta", RECURSION_CASES, ids=[str(s) for s, _ in RECURSION_CASES])
 def test_a_certified_warm_descent_skips_the_zero_init_descent(monkeypatch, spec, theta):
+    # the zero-init start is not descended, so it is not valued either: the
+    # one gamma_bar call values the warm start
     x = q.simulate(spec, theta, 600, seed=31).values
     base = _start_point(spec, constraint_set(spec), x)
     x0s = _record_descents(monkeypatch)
+    valued = []
+    real_gamma_bar = qmselect.fitting.gamma_bar
+
+    def gamma_bar(spec, v, x):
+        valued.append(np.array(v, copy=True))
+        return real_gamma_bar(spec, v, x)
+
+    monkeypatch.setattr(qmselect.fitting, "gamma_bar", gamma_bar)
     res = q.fit(spec, x, theta)
     assert res.converged
     assert np.array_equal(x0s[0], theta)
     assert not any(np.array_equal(x0, base) for x0 in x0s)
+    assert len(valued) == 1 and np.array_equal(valued[0], theta)
 
 
 @pytest.mark.parametrize("spec,theta", RECURSION_CASES, ids=[str(s) for s, _ in RECURSION_CASES])

@@ -5,9 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qmselect as q
-from qmselect.montecarlo import ORACLE_TAG, derive_seed
+from qmselect.montecarlo import ORACLE_TAG, _replicate, derive_seed
 
 from conftest import DGP1, DGP2
 
@@ -57,6 +59,8 @@ def test_config_validation():
         small_config(family=())
     with pytest.raises(q.ConfigError, match="criteria: unknown criterion 'aicc'"):
         small_config(criteria=("aicc",))
+    with pytest.raises(q.ConfigError, match="criteria must not be empty"):
+        small_config(criteria=())
     with pytest.raises(q.ConfigError, match="infeasible"):
         small_config(dgp_theta=(1.2, 0.5, 1.0))  # ar budget exceeded
     with pytest.raises(q.ConfigError, match="infeasible"):
@@ -404,3 +408,51 @@ def test_efficiency_text_is_pinned():
         "   400  bic               0.0000      0.007143      0.007143\n"
         "   400  tracepen_cf          nan           nan      0.007143"
     )
+
+
+# ---------------------------------------------------------------------------
+# replication prefix and per-n independence
+
+
+def _record_bits(rec):
+    """A replication record with every fit as its spec and theta's bytes."""
+    def bits(f):
+        return None if f is None else (f.spec, f.theta.values.tobytes())
+
+    return bits(rec.true_fit), {c: bits(f) for c, f in rec.picks.items()}
+
+
+PROPERTY_DATA = [(q.arma(1, 1), (0.5, 0.6, 1.0)), (q.garch(1, 1), (1.0, 0.35, 0.4))]
+PROPERTY_FAMILY = tuple(q.expand_family("wn + arma(0..1,0..1) + garch(1,1)"))
+
+
+def property_config(data, **over):
+    dgp, theta = data
+    return small_config(dgp=dgp, dgp_theta=theta, family=PROPERTY_FAMILY,
+                        criteria=("aic", "bic", "kcprime"), **over)
+
+
+@settings(max_examples=8, derandomize=True, deadline=None, database=None)
+@given(data=st.sampled_from(PROPERTY_DATA), seed=st.integers(0, 2**32), k=st.integers(1, 3),
+       n=st.sampled_from([100, 300]))
+def test_the_first_k_replications_do_not_depend_on_n_reps(data, seed, k, n):
+    # replication r's series is seeded by (master_seed, n, r) alone
+    short = _replicate(property_config(data, master_seed=seed, n_reps=k), n, threads=1)
+    long = _replicate(property_config(data, master_seed=seed, n_reps=2 * k), n, threads=1)
+    assert [_record_bits(rec) for rec in long[:k]] == [_record_bits(rec) for rec in short]
+
+
+@settings(max_examples=6, derandomize=True, deadline=None, database=None)
+@given(data=st.sampled_from(PROPERTY_DATA), seed=st.integers(0, 2**32),
+       n_values=st.lists(st.sampled_from([100, 200, 300]), min_size=2, max_size=2, unique=True))
+def test_rows_of_one_n_do_not_depend_on_the_other_n_values(data, seed, n_values):
+    # each n has its own replication seeds and its own oracle; rows are
+    # compared as the CSV writes them, so a NaN figure compares equal
+    def rows(table, n):
+        return [(tuple(map(repr, table._figures(n, c))), table._failed(n, c)) for c in table.criteria]
+
+    for run in (q.run_consistency, q.run_efficiency):
+        both = run(property_config(data, master_seed=seed, n_values=tuple(n_values), n_reps=2))
+        for n in n_values:
+            alone = run(property_config(data, master_seed=seed, n_values=(n,), n_reps=2))
+            assert rows(both, n) == rows(alone, n), (run.__name__, n)
