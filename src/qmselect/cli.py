@@ -35,7 +35,10 @@ Config files are flat INI text with a ``schema = 1`` marker::
     [family]
     models = arma(0..2,0..2) + garch(1,1)
 
-Unknown sections or keys are rejected.  ``parse_config`` and
+``_KEYS`` is the schema: each key's ``ExperimentConfig`` field, its reader
+and its writer.  A key is optional exactly when its field has a default
+(``oracle_n``, ``burn_in``).  Values are taken literally: ``%`` is not
+interpolated.  Unknown sections or keys are rejected.  ``parse_config`` and
 ``serialize_config`` round-trip: parsing the serialized form reproduces the
 same configuration.
 """
@@ -47,20 +50,15 @@ import configparser
 import hashlib
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from .criteria import _KNOWN, CriterionKind, select
 from .errors import ConfigError, NonStationaryParams, QmselectError
 from .models import DEFAULT_BURN_IN, Trajectory, expand_family, parse_spec, simulate
-from .montecarlo import (
-    DEFAULT_ORACLE_N,
-    ExperimentConfig,
-    run_consistency,
-    run_efficiency,
-    write_metadata,
-)
+from .montecarlo import ExperimentConfig, run_consistency, run_efficiency, write_metadata
 from .version import CONFIG_SCHEMA, __version__
 
 EXIT_PARSE = 2
@@ -75,155 +73,152 @@ class RunConfig:
     output_dir: str
 
 
-_EXPERIMENT_KEYS = {
-    "schema",
-    "master_seed",
-    "n_values",
-    "n_reps",
-    "criteria",
-    "oracle_n",
-    "output_dir",
-    "burn_in",
+# ---------------------------------------------------------------------------
+# config schema
+
+
+def _words(text: str) -> list[str]:
+    """A comma- or space-separated list, as ``--theta`` and the config's lists are written."""
+    return text.replace(",", " ").split()
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(w) for w in _words(text))
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(w) for w in _words(text))
+
+
+def _lowered(text: str) -> tuple[str, ...]:
+    return tuple(w.lower() for w in _words(text))
+
+
+def _family(text: str) -> tuple:
+    return tuple(expand_family(text))
+
+
+def _schema(text: str) -> int:
+    if int(text) != CONFIG_SCHEMA:
+        raise ValueError(f"unsupported schema (expected {CONFIG_SCHEMA})")
+    return CONFIG_SCHEMA
+
+
+def _path(text: str) -> str:
+    if not text:
+        raise ValueError("must not be empty")
+    return text
+
+
+def _commas(values) -> str:
+    return ", ".join(map(str, values))
+
+
+def _pluses(values) -> str:
+    return " + ".join(map(str, values))
+
+
+class _Key(NamedTuple):
+    field: str | None  # the ExperimentConfig field it sets; None for schema and output_dir
+    read: Callable[[str], Any]  # text -> value; a ValueError says what is wrong
+    write: Callable[[Any], str]  # value -> text
+
+
+#: every (section, key) of a config, in the order serialize_config writes them
+_KEYS = {
+    ("experiment", "schema"): _Key(None, _schema, str),
+    ("experiment", "master_seed"): _Key("master_seed", int, str),
+    ("experiment", "n_values"): _Key("n_values", _ints, _commas),
+    ("experiment", "n_reps"): _Key("n_reps", int, str),
+    ("experiment", "criteria"): _Key("criteria", _lowered, _commas),
+    ("experiment", "oracle_n"): _Key("oracle_n", int, str),
+    ("experiment", "burn_in"): _Key("burn_in", int, str),
+    ("experiment", "output_dir"): _Key(None, _path, str),
+    ("dgp", "model"): _Key("dgp", parse_spec, str),
+    ("dgp", "theta"): _Key("dgp_theta", _floats, _commas),
+    ("family", "models"): _Key("family", _family, _pluses),
 }
-_REQUIRED_EXPERIMENT = {"schema", "master_seed", "n_values", "n_reps", "criteria", "output_dir"}
+#: a key may be left out exactly when its field has a default
+_OPTIONAL = {f.name for f in fields(ExperimentConfig) if f.default is not MISSING}
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a config file's text; raises ConfigError naming the
     offending section/key on any problem."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config not parseable: {exc}") from exc
-    expected = {"experiment", "dgp", "family"}
-    got = set(cp.sections())
-    if got != expected:
-        missing, extra = expected - got, got - expected
-        parts = []
-        if missing:
-            parts.append(f"missing sections: {sorted(missing)}")
-        if extra:
-            parts.append(f"unknown sections: {sorted(extra)}")
-        raise ConfigError("; ".join(parts))
-
-    exp = dict(cp.items("experiment"))
-    unknown = set(exp) - _EXPERIMENT_KEYS
+    sections = list(dict.fromkeys(section for section, _ in _KEYS))
+    if sorted(cp.sections()) != sorted(sections):
+        raise ConfigError(f"expected the sections {sections}, got {cp.sections()}")
+    unknown = [f"[{s}] {name}" for s in sections for name in cp[s] if (s, name) not in _KEYS]
     if unknown:
-        raise ConfigError(f"[experiment] unknown keys: {sorted(unknown)}")
-    missing = _REQUIRED_EXPERIMENT - set(exp)
+        raise ConfigError(f"unknown keys: {', '.join(unknown)}")
+    missing = [f"[{s}] {name}" for (s, name), key in _KEYS.items()
+               if name not in cp[s] and key.field not in _OPTIONAL]
     if missing:
-        raise ConfigError(f"[experiment] missing keys: {sorted(missing)}")
-
-    def intval(section, key, raw):
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"[{section}] {key} must be an integer, got {raw!r}") from None
-
-    schema = intval("experiment", "schema", exp["schema"])
-    if schema != CONFIG_SCHEMA:
-        raise ConfigError(f"[experiment] schema {schema} unsupported (expected {CONFIG_SCHEMA})")
-    master_seed = intval("experiment", "master_seed", exp["master_seed"])
-    n_reps = intval("experiment", "n_reps", exp["n_reps"])
-    try:
-        n_values = tuple(int(t) for t in exp["n_values"].replace(",", " ").split())
-    except ValueError:
-        raise ConfigError(f"[experiment] n_values must be integers, got {exp['n_values']!r}") from None
-    criteria = tuple(t.strip().lower() for t in exp["criteria"].split(",") if t.strip())
-    oracle_n = intval("experiment", "oracle_n", exp.get("oracle_n", str(DEFAULT_ORACLE_N)))
-    burn_in = intval("experiment", "burn_in", exp.get("burn_in", str(DEFAULT_BURN_IN)))
-    output_dir = exp["output_dir"].strip()
-    if not output_dir:
-        raise ConfigError("[experiment] output_dir must not be empty")
-
-    dgp_items = dict(cp.items("dgp"))
-    if set(dgp_items) != {"model", "theta"}:
-        raise ConfigError(f"[dgp] needs exactly the keys model, theta; got {sorted(dgp_items)}")
-    try:
-        dgp = parse_spec(dgp_items["model"])
-    except ValueError as exc:
-        raise ConfigError(f"[dgp] model: {exc}") from exc
-    try:
-        theta = tuple(float(t) for t in dgp_items["theta"].replace(",", " ").split())
-    except ValueError:
-        raise ConfigError(f"[dgp] theta must be numbers, got {dgp_items['theta']!r}") from None
-
-    fam_items = dict(cp.items("family"))
-    if set(fam_items) != {"models"}:
-        raise ConfigError(f"[family] needs exactly the key models; got {sorted(fam_items)}")
-    try:
-        family = tuple(expand_family(fam_items["models"]))
-    except ValueError as exc:
-        raise ConfigError(f"[family] models: {exc}") from exc
-
-    experiment = ExperimentConfig(  # raises ConfigError on a bad field
-        dgp=dgp,
-        dgp_theta=theta,
-        family=family,
-        n_values=n_values,
-        n_reps=n_reps,
-        criteria=criteria,
-        master_seed=master_seed,
-        oracle_n=oracle_n,
-        burn_in=burn_in,
-    )
-    return RunConfig(experiment=experiment, output_dir=output_dir)
+        raise ConfigError(f"missing keys: {', '.join(missing)}")
+    values = {}
+    for (section, name), key in _KEYS.items():
+        if name in cp[section]:
+            raw = cp[section][name]
+            try:
+                values[key.field or name] = key.read(raw)
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {name} = {raw!r}: {exc}") from None
+    del values["schema"]  # checked by its reader
+    output_dir = values.pop("output_dir")
+    return RunConfig(ExperimentConfig(**values), output_dir)  # raises ConfigError on a bad field
 
 
 def parse_config_file(path: str) -> RunConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return parse_config(fh.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
 def serialize_config(cfg: RunConfig) -> str:
-    e = cfg.experiment
-    lines = [
-        "[experiment]",
-        f"schema = {CONFIG_SCHEMA}",
-        f"master_seed = {e.master_seed}",
-        "n_values = " + ", ".join(str(n) for n in e.n_values),
-        f"n_reps = {e.n_reps}",
-        "criteria = " + ", ".join(e.criteria),
-        f"oracle_n = {e.oracle_n}",
-        f"burn_in = {e.burn_in}",
-        f"output_dir = {cfg.output_dir}",
-        "",
-        "[dgp]",
-        f"model = {e.dgp.name}",
-        "theta = " + ", ".join(repr(t) for t in e.dgp_theta),
-        "",
-        "[family]",
-        "models = " + " + ".join(m.name for m in e.family),
-        "",
-    ]
-    return "\n".join(lines)
+    plain = {"schema": CONFIG_SCHEMA, "output_dir": cfg.output_dir}
+    sections: dict[str, str] = {}
+    for (section, name), key in _KEYS.items():
+        value = plain[name] if key.field is None else getattr(cfg.experiment, key.field)
+        sections[section] = sections.get(section, f"[{section}]\n") + f"{name} = {key.write(value)}\n"
+    return "\n".join(sections.values())
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _check_writable(path: str | None) -> None:
-    """Raise the OSError that writing ``path`` would raise, before the work
-    whose output it is: the path is opened for appending, which leaves an
-    existing file as it is, and a file made by this check is removed again."""
+def _check_writable(path: str | None, directory: bool = False) -> None:
+    """Raise the OSError that writing ``path``, a file or a directory made
+    with its parents, would raise, before the work whose output it is.  An
+    existing file is opened for appending, which leaves it as it is, and
+    whatever this check makes is removed again, so a refused or failed run
+    leaves nothing behind."""
     if path is None:
         return
-    existed = os.path.lexists(path)
-    with open(path, "a"):
-        pass
-    if not existed:
-        os.remove(path)
+    made = []
+    head = os.path.abspath(path)
+    while not os.path.lexists(head):
+        made.append(head)
+        head = os.path.dirname(head)
+    if directory:
+        os.makedirs(path, exist_ok=True)
+    else:
+        open(path, "a").close()
+    for made_path in made:  # the deepest first
+        (os.rmdir if os.path.isdir(made_path) else os.remove)(made_path)
 
 
 def _cmd_simulate(args) -> int:
     try:
         spec = parse_spec(args.model)
-        theta = np.array([float(t) for t in args.theta.replace(",", " ").split()])
+        theta = np.array(_floats(args.theta))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -286,9 +281,10 @@ def _cmd_mc(args) -> int:
     cfg = parse_config_file(args.config)
     if args.out_dir:
         cfg.output_dir = args.out_dir
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    _check_writable(cfg.output_dir, directory=True)
     # looked up at call time, so a replaced module attribute is the one run
     table = globals()[f"run_{stem}"](cfg.experiment, threads=args.threads)
+    os.makedirs(cfg.output_dir, exist_ok=True)
     csv_path = os.path.join(cfg.output_dir, f"{stem}.csv")
     meta_path = os.path.join(cfg.output_dir, f"{stem}.meta.json")
     table.to_csv(csv_path)

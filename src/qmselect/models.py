@@ -483,8 +483,11 @@ class Trajectory:
 
     @classmethod
     def from_csv(cls, path) -> "Trajectory":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+        try:
+            with open(path, newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
         if not rows or rows[0] != ["x"]:
             raise ValueError(f"{path}: expected a single-column CSV with header 'x'")
         values = []

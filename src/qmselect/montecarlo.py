@@ -34,7 +34,7 @@ import csv
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import ClassVar, NamedTuple
 
 import numpy as np
@@ -108,17 +108,13 @@ class ExperimentConfig:
             )
 
     def canonical_dict(self) -> dict:
-        return {
-            "dgp": self.dgp.name,
-            "dgp_theta": list(self.dgp_theta),
-            "family": [m.name for m in self.family],
-            "n_values": list(self.n_values),
-            "n_reps": self.n_reps,
-            "criteria": list(self.criteria),
-            "master_seed": self.master_seed,
-            "oracle_n": self.oracle_n,
-            "burn_in": self.burn_in,
-        }
+        """Every field, with specs written by name and tuples as lists."""
+        def plain(value):
+            if isinstance(value, ModelSpec):
+                return value.name
+            return [plain(v) for v in value] if isinstance(value, tuple) else value
+
+        return {f.name: plain(getattr(self, f.name)) for f in fields(self)}
 
     def config_hash(self) -> str:
         text = json.dumps(self.canonical_dict(), sort_keys=True)

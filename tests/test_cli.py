@@ -3,6 +3,8 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qmselect as q
 from qmselect import cli, montecarlo
@@ -11,12 +13,16 @@ from qmselect.cli import (
     EXIT_CONSTRAINT,
     EXIT_NO_MODEL,
     EXIT_PARSE,
+    RunConfig,
     main,
     parse_config,
     serialize_config,
 )
 
-CONFIGS_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+REPO_DIR = os.path.join(os.path.dirname(__file__), os.pardir)
+CONFIGS_DIR = os.path.join(REPO_DIR, "configs")
+SHIPPED_CONFIGS = ("configs/arma11_desk.cfg", "configs/full_protocol.cfg", "configs/garch11_desk.cfg",
+                   "perfbench/configs/aparch_ararch.cfg")
 
 GOOD_CONFIG = """\
 [experiment]
@@ -216,6 +222,16 @@ def test_select_rejects_non_numeric_data(tmp_path, capsys):
     assert "words.csv" in err and "line 3" in err
 
 
+def test_select_rejects_data_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(b"x\n1.0\n\xff\n2.0\n")
+    code, _, err = run_cli(
+        ["select", "--data", str(path), "--family", "wn+arma(1,0)", "--criterion", "bic"], capsys
+    )
+    assert code == EXIT_PARSE
+    assert err.startswith(f"error: {path}: 'utf-8' codec can't decode byte 0xff")
+
+
 def test_select_tracepen_cf_on_an_all_zero_series_exits_4(tmp_path, capsys):
     # the fourth-moment ratio of all-zero residuals is undefined: every model
     # is excluded with that reason, and no model is left to choose
@@ -253,7 +269,11 @@ def test_config_round_trip():
     assert cfg.experiment.criteria == ("aic", "bic")
     assert cfg.experiment.dgp == q.arma(1, 1)
     assert len(cfg.experiment.family) == 4  # wn + arma(0..1,0..1) deduplicates arma(0,0)
-    for text in (GOOD_CONFIG, APARCH_CONFIG):
+    shipped = []
+    for path in SHIPPED_CONFIGS:
+        with open(os.path.join(REPO_DIR, path)) as fh:
+            shipped.append(fh.read())
+    for text in (*shipped, GOOD_CONFIG, APARCH_CONFIG):
         cfg = parse_config(text)
         again = parse_config(serialize_config(cfg))
         assert again == cfg
@@ -261,6 +281,57 @@ def test_config_round_trip():
     assert cfg.experiment.dgp == q.aparch(1.2345678, 1, 1)
     nearby = parse_config(APARCH_CONFIG.replace("1.2345678", "1.2345679"))
     assert nearby.experiment.config_hash() != cfg.experiment.config_hash()
+
+
+POSITIVE = st.floats(1e-3, 1e3)
+COEF = st.floats(-0.98, 0.98)
+ARCH = st.floats(0.0, 0.45)  # a1 + b1 stays inside the 0.98 budget
+#: a small spec pool, each spec with a strategy for its feasible parameters
+SPEC_POOL = {
+    q.wn(): st.tuples(POSITIVE),
+    q.arma(1, 1): st.tuples(COEF, COEF, POSITIVE),
+    q.garch(1, 1): st.tuples(POSITIVE, ARCH, ARCH),
+    q.aparch(1.2345678, 1, 1): st.tuples(POSITIVE, ARCH, COEF, ARCH),
+    q.ararch(1): st.tuples(COEF, POSITIVE, ARCH),
+}
+
+
+@st.composite
+def run_configs(draw):
+    dgp = draw(st.sampled_from(list(SPEC_POOL)))
+    experiment = q.ExperimentConfig(
+        dgp=dgp,
+        dgp_theta=draw(SPEC_POOL[dgp]),
+        family=tuple(draw(st.lists(st.sampled_from(list(SPEC_POOL)), min_size=1, unique=True))),
+        n_values=tuple(draw(st.lists(st.integers(10, 10**6), min_size=1, max_size=4, unique=True))),
+        n_reps=draw(st.integers(1, 10**4)),
+        criteria=tuple(draw(st.lists(st.sampled_from(cli._KNOWN), min_size=1, unique=True))),
+        master_seed=draw(st.integers(0, 2**64)),
+        # oracle_n and burn_in away from their defaults, so a key that is not
+        # written shows
+        oracle_n=draw(st.integers(montecarlo.MIN_ORACLE_N, 10**7)
+                      .filter(lambda v: v != montecarlo.DEFAULT_ORACLE_N)),
+        burn_in=draw(st.integers(0, 10**4).filter(lambda v: v != cli.DEFAULT_BURN_IN)),
+    )
+    output_dir = draw(st.sampled_from(["results/demo", "out_100%", "out_%(master_seed)s"]))
+    return RunConfig(experiment, output_dir)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(cfg=run_configs())
+def test_serialized_configs_parse_back_to_the_same_config(cfg):
+    again = parse_config(serialize_config(cfg))
+    assert again == cfg
+    assert again.experiment.config_hash() == cfg.experiment.config_hash()
+
+
+@pytest.mark.parametrize("output_dir", ["out_100%", "out_%(master_seed)s"])
+def test_config_values_are_taken_literally(output_dir):
+    # no % interpolation: a value reads as it is written
+    cfg = parse_config(GOOD_CONFIG.replace("results/demo", output_dir))
+    assert cfg.output_dir == output_dir
+    assert f"output_dir = {output_dir}\n" in serialize_config(cfg)
+    assert parse_config(serialize_config(cfg)) == cfg
 
 
 @pytest.mark.parametrize(
@@ -297,6 +368,11 @@ def test_config_errors_exit_5(tmp_path, capsys):
     assert "schema" in err
     code, _, err = run_cli(["mc-consistency", "--config", str(tmp_path / "nope.cfg"), "--threads", "1"], capsys)
     assert code == EXIT_CONFIG
+    latin = tmp_path / "latin.cfg"  # a file that is not UTF-8 is an unreadable config
+    latin.write_bytes(GOOD_CONFIG.replace("results/demo", "r\xe9sultats").encode("latin-1"))
+    code, out, err = run_cli(["mc-consistency", "--config", str(latin), "--threads", "1"], capsys)
+    assert code == EXIT_CONFIG and out == ""
+    assert err.startswith(f"config error: cannot read config {latin}: 'utf-8' codec can't decode")
 
 
 def test_unknown_criterion_exits_5(tmp_path, capsys):
@@ -325,15 +401,21 @@ def test_negative_burn_in_exits_5(tmp_path, capsys):
 
 
 def test_negative_master_seed_exits_5_before_any_output(tmp_path, capsys):
-    bad = tmp_path / "bad.cfg"
-    out_dir = tmp_path / "out"
-    bad.write_text(GOOD_CONFIG.replace("master_seed = 11", "master_seed = -5"))
-    code, _, err = run_cli(
-        ["mc-consistency", "--config", str(bad), "--threads", "1", "--out-dir", str(out_dir)], capsys
-    )
-    assert code == EXIT_CONFIG
-    assert "master_seed" in err
-    assert not out_dir.exists()
+    cases = [
+        ("mc-consistency", "master_seed = 11", "master_seed = -5", "master_seed"),
+        # refused by the efficiency driver itself, not by ExperimentConfig
+        ("mc-efficiency", "wn + arma(0..1,0..1)", "wn + arma(1,0)", "dgp spec inside the family"),
+    ]
+    for command, old, new, needle in cases:
+        bad = tmp_path / "bad.cfg"
+        out_dir = tmp_path / "out" / "nested"
+        bad.write_text(GOOD_CONFIG.replace(old, new))
+        code, _, err = run_cli(
+            [command, "--config", str(bad), "--threads", "1", "--out-dir", str(out_dir)], capsys
+        )
+        assert code == EXIT_CONFIG
+        assert needle in err
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("threads", ["0", "-4"])
