@@ -42,7 +42,6 @@ from .likelihood import (
     contrast,
     derivatives,
     gamma_bar,
-    grad_per_t,
     gradient,
     mu4_hat,
     residuals,
@@ -86,8 +85,8 @@ __all__ = [
     "wn", "arma", "garch", "aparch", "ararch", "parse_spec", "expand_family",
     "constraint_set", "simulate", "simulate_from_noise", "cond_moments", "is_nested",
     # likelihood
-    "ContrastEval", "DerivEval", "contrast", "gamma_bar", "gradient", "grad_per_t",
-    "derivatives", "residuals", "mu4_hat",
+    "ContrastEval", "DerivEval", "contrast", "gamma_bar", "gradient", "derivatives",
+    "residuals", "mu4_hat",
     # fitting
     "FitResult", "fit", "fit_family",
     # information

@@ -48,6 +48,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import io
 import os
 import sys
 from dataclasses import MISSING, dataclass, fields
@@ -173,12 +174,20 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(ExperimentConfig(**values), output_dir)  # raises ConfigError on a bad field
 
 
-def parse_config_file(path: str) -> RunConfig:
+def _read_config(path: str) -> tuple[RunConfig, bytes]:
+    """The config in the file at ``path``, and the bytes it was parsed from."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return parse_config(fh.read())
+        with open(path, "rb") as fh:
+            data = fh.read()
+        # newlines translated, as a file opened in text mode reads them
+        text = io.StringIO(data.decode("utf-8"), newline=None).read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    return parse_config(text), data
+
+
+def parse_config_file(path: str) -> RunConfig:
+    return _read_config(path)[0]
 
 
 def serialize_config(cfg: RunConfig) -> str:
@@ -258,12 +267,12 @@ def _cmd_select(args) -> int:
         print(f"error: {result.kind}: no candidate produced a criterion value", file=sys.stderr)
         print(f"  excluded: {', '.join(excluded)}", file=sys.stderr)
     else:
-        comp = row.report.components
-        print(f"criterion {result.kind}: chose {result.chosen.name}")
+        rep = row.report
+        print(f"criterion {result.kind}: chose {row.fit.spec.name}")
         print(
-            f"  value = {row.report.value:.6f}  (n_gamma_bar = {comp.n_gamma_bar:.6f}, "
-            f"penalty = {comp.penalty:.6f}"
-            + (f", logdet_term = {comp.logdet_term:.6f}" if comp.logdet_term is not None else "")
+            f"  value = {rep.value:.6f}  (n_gamma_bar = {rep.n_gamma_bar:.6f}, "
+            f"penalty = {rep.penalty:.6f}"
+            + (f", logdet_term = {rep.logdet_term:.6f}" if rep.logdet_term is not None else "")
             + ")"
         )
         if excluded:
@@ -278,7 +287,7 @@ def _cmd_mc(args) -> int:
     """``mc-<driver>``: run ``run_<driver>`` and write ``<driver>.csv`` and
     ``<driver>.meta.json`` under the output directory."""
     stem = args.command.removeprefix("mc-")
-    cfg = parse_config_file(args.config)
+    cfg, data = _read_config(args.config)
     if args.out_dir:
         cfg.output_dir = args.out_dir
     _check_writable(cfg.output_dir, directory=True)
@@ -288,8 +297,7 @@ def _cmd_mc(args) -> int:
     csv_path = os.path.join(cfg.output_dir, f"{stem}.csv")
     meta_path = os.path.join(cfg.output_dir, f"{stem}.meta.json")
     table.to_csv(csv_path)
-    with open(args.config, "rb") as fh:
-        sha = hashlib.sha256(fh.read()).hexdigest()
+    sha = hashlib.sha256(data).hexdigest()  # of the bytes parsed, not the file as it is now
     write_metadata(meta_path, cfg.experiment, config_file_sha256=sha, failed=table.failed_counts())
     print(table.to_text())
     print(f"wrote {csv_path} and {meta_path}")

@@ -29,13 +29,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import MissingInfo, UnsupportedFamily
-from .fitting import _FAILURES, FitResult, _series, fit_family
+from .fitting import _FAILURES, FitResult, _reason, _series, fit_family
 from .information import InfoMatrices, closed_form_trace, info_matrices
 from .likelihood import mu4_hat, residuals
 from .models import ModelSpec, is_nested
@@ -116,19 +116,15 @@ KC_PRIME = CriterionKind("kcprime")
 
 
 @dataclass(frozen=True)
-class CriterionComponents:
+class CriterionReport:
+    """One model's criterion value and its parts, in the order
+    :meth:`SelectionResult.to_csv` writes them; ``logdet_term`` is None for a
+    kind without the log det(-F) term."""
+
     n_gamma_bar: float
     penalty: float
-    logdet_term: float | None = None
-    mu4_used: float | None = None
-
-
-@dataclass(frozen=True)
-class CriterionReport:
-    spec: ModelSpec
-    kind: str
+    logdet_term: float | None
     value: float
-    components: CriterionComponents
 
 
 def criterion_value(
@@ -152,16 +148,10 @@ def criterion_value(
     n_gamma_bar = fit.n_used * fit.gamma_bar_min
     penalty = rule.penalty(fit, info, mu4)
     logdet_term = info.logdet_negF if rule.logdet else None
-    mu4_used = mu4 if rule.needs_mu4 else None
     value = n_gamma_bar + penalty
     if logdet_term is not None:
-        value = value + logdet_term
-    return CriterionReport(
-        spec=fit.spec,
-        kind=kind.name,
-        value=value,
-        components=CriterionComponents(n_gamma_bar, penalty, logdet_term, mu4_used),
-    )
+        value += logdet_term
+    return CriterionReport(n_gamma_bar, penalty, logdet_term, value)
 
 
 @dataclass
@@ -186,7 +176,8 @@ class SelectionResult:
 
     @property
     def chosen(self) -> ModelSpec | None:
-        return next((r.fit.spec for r in self.rows if r.chosen), None)
+        row = self.chosen_row
+        return None if row is None else row.fit.spec
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -198,15 +189,12 @@ class SelectionResult:
                 ]
             )
             for r in self.rows:
-                comp = r.report.components if r.report else None
+                parts = astuple(r.report) if r.report else (None,) * 4
                 w.writerow(
                     [
                         r.fit.spec.name,
                         str(r.fit.converged).lower(),
-                        repr(comp.n_gamma_bar) if comp else "",
-                        repr(comp.penalty) if comp else "",
-                        repr(comp.logdet_term) if comp and comp.logdet_term is not None else "",
-                        repr(r.report.value) if r.report else "",
+                        *("" if p is None else repr(p) for p in parts),
                         str(r.chosen).lower(),
                         r.excluded or "",
                         repr(r.fit.grad_norm),
@@ -272,7 +260,7 @@ def select_from_fits(
                     info_cache[i] = exc.with_traceback(None)
             info = info_cache[i]
             if isinstance(info, Exception):
-                rows.append(ModelRow(f, excluded=f"{type(info).__name__}: {info}"))
+                rows.append(ModelRow(f, excluded=_reason(info)))
                 continue
         mu4 = None
         # a family the closed form cannot score is excluded by criterion_value
@@ -282,12 +270,12 @@ def select_from_fits(
             try:
                 mu4 = mu4_hat(xi)
             except ValueError as exc:  # all-zero residuals: the ratio is undefined
-                rows.append(ModelRow(f, excluded=f"{type(exc).__name__}: {exc}"))
+                rows.append(ModelRow(f, excluded=_reason(exc)))
                 continue
         try:
             rows.append(ModelRow(f, report=criterion_value(f, kind, info=info, mu4=mu4)))
         except UnsupportedFamily as exc:
-            rows.append(ModelRow(f, excluded=f"{type(exc).__name__}: {exc}"))
+            rows.append(ModelRow(f, excluded=_reason(exc)))
 
     scored = [r for r in rows if r.report is not None and np.isfinite(r.report.value)]
     if scored:

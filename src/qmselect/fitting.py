@@ -12,8 +12,9 @@ the first descent whose end point is certified (projected gradient at most
 and the contrast still falls, SLSQP is restarted from there, up to
 ``MAX_PASSES`` passes.  All passes minimize one ``likelihood._Objective`` per
 fit, and ``_descend`` holds the floating-point error state for all of a
-start's passes.  A start is valued just before its descent, and stays in the
-candidate pool, so gamma_bar(theta_hat) <= gamma_bar(start) is structural.
+start's passes.  A descent moves only on a strict decrease of the contrast,
+so it never ends above its start, and the fit picks among the descents' end
+points only: gamma_bar(theta_hat) <= gamma_bar(start) is structural.
 
 :func:`fit_family` fits nested models first, in order of (dim, family
 declaration order, name), and warm-starts each model at the best nested
@@ -48,6 +49,11 @@ GRAD_TOL = 1e-6
 MAX_PASSES = 4
 #: failures that exclude a model; any other exception is a programming error
 _FAILURES = (QmselectError, np.linalg.LinAlgError, FloatingPointError)
+
+
+def _reason(exc: BaseException) -> str:
+    """Why a model does not compete, as its tables write it: ``"<ErrorClass>: <message>"``."""
+    return f"{type(exc).__name__}: {exc}"
 
 
 @dataclass
@@ -145,13 +151,13 @@ def fit(spec: ModelSpec, x, warm=None) -> FitResult:
 
     SLSQP descends first from ``warm`` if given, then from the zero-init
     start, in up to ``MAX_PASSES`` passes per start; there is no other
-    minimizer.  The zero-init start is valued and descended only when the
-    warm descent ends uncertified.  The candidates are each descended start,
-    then each descent's end point in the order run.  Among those within 1e-10
-    of the lowest contrast, the first certified one wins, and the earliest when none is certified; a
-    start counts as uncertified.  The result's ``iterations`` sums SLSQP's
-    iterations over the chosen start's passes.  A one-parameter model's start
-    is its closed-form optimum: it is certified there with no pass.
+    minimizer.  The zero-init start is descended only when the warm descent
+    ends uncertified.  The fit is the lowest descent end point; among those
+    within 1e-10 of it, the certified one, else the earliest.  A descent never
+    ends above its start, so no start competes on its own.  The result's
+    ``iterations`` sums SLSQP's iterations over the chosen descent's passes.
+    A one-parameter model's start is its closed-form optimum: it is certified
+    there with no pass.
 
     Raises
     ------
@@ -179,15 +185,13 @@ def fit(spec: ModelSpec, x, warm=None) -> FitResult:
         starts.insert(0, warm)
 
     objective = _Objective(spec, x)
-    # (value, theta, iterations, certified), each start valued as it is descended
-    valued, descents = [], []
+    descents = []  # (value, theta, iterations, certified)
     for start in starts:
-        valued.append((gamma_bar(spec, start, x), start, 0, False))
-        descents.append(_descend(objective, cset, start, valued[-1][0]))
+        descents.append(_descend(objective, cset, start, gamma_bar(spec, start, x)))
         if descents[-1][3]:
             break
 
-    finite = [c for c in valued + descents if np.isfinite(c[0])]
+    finite = [c for c in descents if np.isfinite(c[0])]
     if not finite:
         raise OptimizerDiverged(f"{spec.name}: no start produced a finite contrast")
     fbest = min(c[0] for c in finite)
@@ -238,6 +242,6 @@ def fit_family(family, x) -> list[FitResult]:
                 n_used=x.size,
                 grad_norm=float("inf"),
                 iterations=0,
-                error=f"{type(exc).__name__}: {exc}",
+                error=_reason(exc),
             )
     return [fits[i] for i in range(len(family))]

@@ -125,15 +125,6 @@ def mu4_hat(xi) -> float:
 # gradients
 
 
-def grad_per_t(spec: ModelSpec, theta, x) -> np.ndarray:
-    """(n, dim) matrix of per-observation contrast gradients, the ``scores``
-    of :func:`derivatives`: complex steps of the conditional moments, so they
-    cost that whole pass, the Hessian included.  Row means equal the gradient
-    of gamma_bar, the family's one hand-derived derivative, which
-    :func:`gradient` computes without the rows."""
-    return derivatives(spec, theta, x).scores
-
-
 def _variance_ratio(h_lin: np.ndarray, resid2: np.ndarray) -> np.ndarray:
     """d gamma_t / d h_t = (h_t - resid_t^2) / h_t^2 at the clamped variance,
     and 0 where the ``H_FLOOR`` clamp holds h_t fixed.

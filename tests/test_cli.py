@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 
@@ -243,6 +244,43 @@ def test_select_tracepen_cf_on_an_all_zero_series_exits_4(tmp_path, capsys):
     )
     assert code == EXIT_NO_MODEL
     assert "no candidate produced a criterion value" in err
+
+
+#: criterion -> (sha256 of the per-model CSV, stdout before its ``wrote`` line)
+#: of ``select`` on garch(1,1) series 8, n = 300.  Most series' garch fits move
+#: in their last bits with the BLAS thread count; this one's do not, so one
+#: pin holds in both tier-1 runs.
+SELECT_PINS = {
+    "kcprime": (
+        "40fe13f0f7f76c12fbf44f4dfa0e6677093e5183eab66cd24fc8cd071fe3fa61",
+        "criterion kcprime: chose ararch(1)\n"
+        "  value = 617.247298  (n_gamma_bar = 607.083974, penalty = 13.794941, "
+        "logdet_term = -3.631617)\n",
+    ),
+    "tracepen_cf": (
+        "7c747186fe2bf03bad983416ae59f6a83d909af3a5c58aed447d82936eb1bb3a",
+        "criterion tracepen_cf: chose garch(1,1)\n"
+        "  value = 614.308196  (n_gamma_bar = 609.347378, penalty = 4.960817)\n"
+        "  excluded: ararch(1) (UnsupportedFamily: ararch(1): closed-form trace is "
+        "incomplete for this family)\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("criterion", sorted(SELECT_PINS))
+def test_select_output_is_pinned(criterion, tmp_path, capsys):
+    # kcprime fills the logdet_term column; tracepen_cf excludes ararch(1)
+    data, out = tmp_path / "garch.csv", tmp_path / "table.csv"
+    q.simulate(q.garch(1, 1), [1.0, 0.35, 0.4], 300, seed=8).to_csv(data)
+    code, text, _ = run_cli(
+        ["select", "--data", str(data), "--family", "wn + arma(1,0) + garch(0..1,1) + ararch(1)",
+         "--criterion", criterion, "--out", str(out)],
+        capsys,
+    )
+    digest, stdout = SELECT_PINS[criterion]
+    assert code == 0
+    assert text == stdout + f"wrote {out}\n"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_select_rejects_unknown_criterion(ar2_csv, capsys):
@@ -547,6 +585,37 @@ def test_mc_consistency_end_to_end(tmp_path, capsys, monkeypatch):
     # failed picks per (n, criterion), read from the 'failed' class
     (table,) = tables
     assert meta["failed"] == {"200": {c: table.count(200, c, "failed") for c in ("aic", "bic")}}
+
+
+def test_mc_meta_hashes_the_config_bytes_that_were_parsed(tmp_path, capsys, monkeypatch):
+    # the config is edited while the run is going: the meta's digest is that
+    # of the text the run parsed, not of the file as the run leaves it
+    cfg_path = tmp_path / "demo.cfg"
+    original = GOOD_CONFIG.replace("n_values = 200, 500", "n_values = 200").encode()
+    cfg_path.write_bytes(original)
+    real_run = cli.run_consistency
+
+    def editing_run(*args, **kwargs):
+        table = real_run(*args, **kwargs)
+        cfg_path.write_bytes(original.replace(b"n_reps = 4", b"n_reps = 999"))
+        return table
+
+    monkeypatch.setattr(cli, "run_consistency", editing_run)
+    out_dir = tmp_path / "out"
+    code, _, _ = run_cli(
+        ["mc-consistency", "--config", str(cfg_path), "--threads", "1", "--out-dir", str(out_dir)],
+        capsys,
+    )
+    assert code == 0
+    meta = json.loads((out_dir / "consistency.meta.json").read_text())
+    assert meta["config_file_sha256"] == hashlib.sha256(original).hexdigest()
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_config_files_read_any_line_ending(tmp_path, newline):
+    path = tmp_path / "demo.cfg"
+    path.write_bytes(GOOD_CONFIG.replace("\n", newline).encode())
+    assert cli.parse_config_file(str(path)) == parse_config(GOOD_CONFIG)
 
 
 def test_mc_efficiency_end_to_end(tmp_path, capsys, monkeypatch):

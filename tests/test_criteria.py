@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -33,32 +34,40 @@ def test_bic_value_by_hand():
     # 100 * 1.5 + 2 * log(100) = 150 + 9.21034037197618...
     rep = q.criterion_value(fake_fit(q.arma(1, 0), 1.5), q.BIC)
     assert rep.value == 159.21034037197618
-    assert rep.components.penalty == 2 * math.log(100)
+    assert rep.penalty == 2 * math.log(100)
 
 
 def test_aic_value_by_hand():
     rep = q.criterion_value(fake_fit(q.wn(), 0.0), q.AIC)
     assert rep.value == 2.0
-    assert rep.components.n_gamma_bar == 0.0
+    assert rep.n_gamma_bar == 0.0
 
 
 def test_hq_penalty():
     rep = q.criterion_value(fake_fit(q.garch(1, 1), 1.0), q.HQ)
-    assert rep.components.penalty == pytest.approx(3 * math.log(math.log(100)))
+    assert rep.penalty == pytest.approx(3 * math.log(math.log(100)))
 
 
 def test_tracepen_uses_info_rate():
     info = q.InfoMatrices(-np.eye(2), np.eye(2), 0.0, trace_pen=0.04)
     rep = q.criterion_value(fake_fit(q.arma(1, 0), 1.0), q.TRACE_PEN, info=info)
-    assert rep.components.penalty == pytest.approx(100 * 0.04)
+    assert rep.penalty == pytest.approx(100 * 0.04)
 
 
 def test_tracepen_cf_needs_complete_family():
     rep = q.criterion_value(fake_fit(q.garch(1, 1), 1.0), q.TRACE_PEN_CF, mu4=3.0)
-    assert rep.components.penalty == pytest.approx(6.0)
-    assert rep.components.mu4_used == 3.0
+    assert rep.penalty == pytest.approx(6.0)
     with pytest.raises(q.UnsupportedFamily):
         q.criterion_value(fake_fit(q.ararch(1), 1.0), q.TRACE_PEN_CF, mu4=3.0)
+
+
+def test_kc_report_is_its_parts_and_their_sum():
+    # one flat record, in the CSV's column order, summed left to right
+    info = q.InfoMatrices(-np.eye(2), np.eye(2), 0.7, trace_pen=0.04)
+    rep = q.criterion_value(fake_fit(q.arma(1, 0), 1.25), q.KC, info=info)
+    penalty = 2 * math.log(100)
+    assert dataclasses.astuple(rep) == (125.0, penalty, 0.7, 125.0 + penalty + 0.7)
+    assert q.criterion_value(fake_fit(q.arma(1, 0), 1.25), q.BIC).logdet_term is None
 
 
 def test_info_criteria_require_info():

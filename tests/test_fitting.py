@@ -288,6 +288,22 @@ def test_a_certified_candidate_wins_a_tie(monkeypatch, certified):
     assert res.iterations == outcome[expected][2]
 
 
+def test_a_start_never_beats_its_own_descent(monkeypatch):
+    # a descent that ends uncertified within 1e-10 below its start is the
+    # fit, with its iterations: the start itself is not a candidate
+    spec, theta = RECURSION_CASES[1]
+    x = q.simulate(spec, theta, 600, seed=31).values
+    end = np.array([1.1, 0.3, 0.45])
+
+    def descend(objective, cset, v, fv):
+        return fv - 5e-11, end, 7, False
+
+    monkeypatch.setattr(qmselect.fitting, "_descend", descend)
+    res = q.fit(spec, x)
+    assert res.theta.values.tolist() == end.tolist()
+    assert res.iterations == 7
+
+
 @pytest.mark.parametrize("spec,theta", RECURSION_CASES[:3], ids=[str(s) for s, _ in RECURSION_CASES[:3]])
 def test_fit_never_builds_the_score_rows(monkeypatch, spec, theta):
     # the optimizer and the certificate only need the mean score, which the

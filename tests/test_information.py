@@ -156,8 +156,8 @@ def test_cho_solve_pipeline_consistent_with_inverse(dgp2_series_2000, dgp2_fit_2
 
 
 def test_g_hat_is_the_mean_outer_product_of_the_score_rows(dgp3_series_2000, dgp3_fit_2000):
-    # the score rows come from the Hessian's complex pass, and are the public rows
+    # the score rows come from the Hessian's complex pass, the rows derivatives returns
     x = dgp3_series_2000.values
     info = q.info_matrices(dgp3_fit_2000, x)
-    scores = q.grad_per_t(dgp3_fit_2000.spec, dgp3_fit_2000.theta.values, x)
+    scores = q.derivatives(dgp3_fit_2000.spec, dgp3_fit_2000.theta.values, x).scores
     assert np.array_equal(info.g_hat, scores.T @ scores / (4.0 * x.size))

@@ -245,7 +245,7 @@ def test_grad_per_t_rows_match_finite_differences(spec):
     rng = np.random.default_rng(202)
     x = q.simulate(spec, next(_interior_points(spec, rng, 1)), 300, seed=66).values
     for theta in _interior_points(spec, rng, 3):
-        rows = q.grad_per_t(spec, theta, x)
+        rows = q.derivatives(spec, theta, x).scores
         ref = fd_rows(spec, theta, x)
         assert rows.shape == ref.shape
         scale = max(1.0, float(np.max(np.abs(ref))))
@@ -258,7 +258,7 @@ def test_aparch_gamma_score_finite_at_exact_zeros():
     spec, theta = q.aparch(0.5, 1, 1), np.array([0.3, 0.15, 0.3, 0.6])
     x = q.simulate(spec, theta, 400, seed=12).values.copy()
     x[::13] = 0.0
-    rows = q.grad_per_t(spec, theta, x)
+    rows = q.derivatives(spec, theta, x).scores
     assert np.all(np.isfinite(rows))
     gf = fd_gradient(spec, theta, x)
     assert np.max(np.abs(rows.mean(axis=0) - gf)) / max(1.0, float(np.max(np.abs(gf)))) <= 1e-5
@@ -268,8 +268,8 @@ def test_aparch_gamma_score_finite_at_exact_zeros():
 def test_aparch_power_two_score_reduces_to_garch(p, q_):
     x = np.random.default_rng(11).standard_normal(300)
     omega, a, b = 0.8, np.full(p, 0.2 / p), np.full(q_, 0.5 / max(q_, 1))
-    g = q.grad_per_t(q.garch(p, q_), np.r_[omega, a, b], x)
-    full = q.grad_per_t(q.aparch(2.0, p, q_), np.r_[omega, a, np.zeros(p), b], x)
+    g = q.derivatives(q.garch(p, q_), np.r_[omega, a, b], x).scores
+    full = q.derivatives(q.aparch(2.0, p, q_), np.r_[omega, a, np.zeros(p), b], x).scores
     keep = [0, *range(1, 1 + p), *range(1 + 2 * p, 1 + 2 * p + q_)]
     assert_allclose(full[:, keep], g, rtol=1e-12)
 
@@ -278,8 +278,8 @@ def test_aparch_power_two_score_reduces_to_garch(p, q_):
 def test_ararch_score_at_zero_phi_reduces_to_arch(p):
     x = np.random.default_rng(12).standard_normal(300)
     alpha = np.r_[0.7, np.full(p, 0.3 / p)]
-    g = q.grad_per_t(q.garch(p, 0), alpha, x)
-    full = q.grad_per_t(q.ararch(p), np.r_[0.0, alpha], x)
+    g = q.derivatives(q.garch(p, 0), alpha, x).scores
+    full = q.derivatives(q.ararch(p), np.r_[0.0, alpha], x).scores
     assert_allclose(full[:, 1:], g, rtol=1e-12)
 
 
@@ -319,7 +319,7 @@ def test_skipped_identity_filters_equal_lfilter(monkeypatch, spec, theta):
     v = np.array(theta)
     x = q.simulate(spec, v, 400, seed=5).values
     got_rec = qmselect.models._recursion(spec, v, x)
-    got_scores = q.grad_per_t(spec, v, x)
+    got_scores = q.derivatives(spec, v, x).scores
     got_grad = q.gradient(spec, v, x)
     assert got_rec.poly.tolist() == [1.0]
 
@@ -340,7 +340,7 @@ def test_skipped_identity_filters_equal_lfilter(monkeypatch, spec, theta):
     monkeypatch.setattr(qmselect.likelihood, "_recursion", lfilter_recursion)
     assert np.array_equal(got_rec.level, lfilter_recursion(spec, v, x).level)
     # the scores and the gradient, on the real and the complex recursions
-    assert np.array_equal(got_scores, q.grad_per_t(spec, v, x))
+    assert np.array_equal(got_scores, q.derivatives(spec, v, x).scores)
     assert np.array_equal(got_grad, q.gradient(spec, v, x))
 
 
@@ -399,7 +399,7 @@ def test_grad_per_t_rows_average_to_gradient():
         (q.ararch(2), [0.3, 0.5, 0.2, 0.1], x),
         (q.ararch(1), arch_floor, x),  # on the H_FLOOR clamp
     ]:
-        rows = q.grad_per_t(spec, theta, series)
+        rows = q.derivatives(spec, theta, series).scores
         assert rows.shape == (200, len(theta))
         assert_allclose(rows.mean(axis=0), q.gradient(spec, theta, series), rtol=1e-12, atol=1e-12)
 
@@ -485,7 +485,7 @@ def test_complex_step_scores_match_central_differences(spec, theta, zeros):
     # an entry near 0 carries the differences' rounding error, ~1e-10 of the
     # largest entry: the tolerance is relative to the largest one
     scale = float(np.max(np.abs(ref)))
-    assert_allclose(q.grad_per_t(spec, theta, x), ref, rtol=1e-7, atol=1e-7 * scale)
+    assert_allclose(q.derivatives(spec, theta, x).scores, ref, rtol=1e-7, atol=1e-7 * scale)
 
 
 @pytest.mark.parametrize(
