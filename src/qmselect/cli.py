@@ -179,8 +179,9 @@ def _read_config(path: str) -> tuple[RunConfig, bytes]:
     try:
         with open(path, "rb") as fh:
             data = fh.read()
-        # newlines translated, as a file opened in text mode reads them
-        text = io.StringIO(data.decode("utf-8"), newline=None).read()
+        # newlines translated, as a file opened in text mode reads them; a
+        # UTF-8 byte-order mark, which some editors write, is dropped
+        text = io.StringIO(data.decode("utf-8-sig"), newline=None).read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text), data

@@ -12,17 +12,20 @@ the first descent whose end point is certified (projected gradient at most
 and the contrast still falls, SLSQP is restarted from there, up to
 ``MAX_PASSES`` passes.  All passes minimize one ``likelihood._Objective`` per
 fit, and ``_descend`` holds the floating-point error state for all of a
-start's passes.  A descent moves only on a strict decrease of the contrast,
-so it never ends above its start, and the fit picks among the descents' end
-points only: gamma_bar(theta_hat) <= gamma_bar(start) is structural.
+start's passes.  Each descent returns the fit certified at its end point,
+and its restarts, the stop after a certified descent and the pick all read
+that fit's ``converged`` flag.  A descent moves only on a strict decrease of
+the contrast, so it never ends above its start, and the fit picks among the
+descents' fits only: gamma_bar(theta_hat) <= gamma_bar(start) is structural.
 
 :func:`fit_family` fits nested models first, in order of (dim, family
 declaration order, name), and warm-starts each model at the best nested
 optimum whose parameter names it shares, zero-padded by name.  That point
 is feasible and keeps the inner contrast, so along same-family nesting and
-garch inside the power-2 aparch the fitted contrast never rises.  Every fit
-is certified in one place (``_certified``): contrast, projected gradient
-norm and the ``converged`` flag.  The projected gradient is the step to the
+garch inside the power-2 aparch the fitted contrast never rises.  Every
+point is certified in one place (``_certified``): contrast, projected
+gradient norm and the ``converged`` flag, the one comparison with
+``GRAD_TOL``.  The projected gradient is the step to the
 Euclidean projection of ``theta - gradient``, so it is zero exactly at a
 first-order (KKT) point of the constraint set, edges and kinks of the
 budgets included.
@@ -95,16 +98,15 @@ def projected_grad_norm(cset: ConstraintSet, v: np.ndarray, g: np.ndarray) -> fl
     return float(np.max(np.abs(v - cset.project(v - g))))
 
 
-def _descend(objective: _Objective, cset: ConstraintSet, v, fv):
+def _descend(objective: _Objective, cset: ConstraintSet, v, fv) -> FitResult:
     """SLSQP from ``v`` (contrast ``fv``), restarted from its end point while
     that point is not certified and the contrast still falls, up to
-    ``MAX_PASSES`` passes; returns (gamma_bar, theta, iterations, certified),
-    where ``certified`` tells whether the end point's projected gradient is at
-    most ``GRAD_TOL``.  When no pass lowers the contrast, the end point is
-    ``v`` itself, and it is tested there: a warm start can already be a KKT
-    point."""
-    iterations = 0
-    certified = None
+    ``MAX_PASSES`` passes; returns the fit that :func:`_certified` builds at the
+    end point, with SLSQP's iterations summed over the passes.  When no pass
+    lowers the contrast, the end point is ``v`` itself, and it is certified
+    there: a warm start can already be a KKT point."""
+    spec, x = objective.spec, objective.x
+    iterations, end = 0, None
     # the objective's callbacks run in this error state, entered once here:
     # probes at explosive parameters overflow to an infinite contrast
     with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
@@ -122,16 +124,19 @@ def _descend(objective: _Objective, cset: ConstraintSet, v, fv):
             if not fw < fv:
                 break
             v, fv = w, fw
-            certified = projected_grad_norm(cset, v, objective.grad(v)) <= GRAD_TOL
-            if certified:
+            end = _certified(spec, cset, v, x)
+            if end.converged:
                 break
-        if certified is None:
-            certified = projected_grad_norm(cset, v, objective.grad(v)) <= GRAD_TOL
-    return fv, v, iterations, certified
+        if end is None:  # no pass lowered the contrast: the descent ends at its start
+            end = _certified(spec, cset, v, x)
+    end.iterations = iterations
+    return end
 
 
-def _certified(spec, cset, v, x, iterations: int) -> FitResult:
-    """The fit at ``v``: contrast, projected gradient and convergence flag."""
+def _certified(spec, cset, v, x) -> FitResult:
+    """The fit at ``v``: contrast, projected gradient and convergence flag,
+    with no SLSQP iterations.  This is the one place where a point is
+    certified."""
     ev = contrast(spec, v, x)
     gn = projected_grad_norm(cset, v, gradient(spec, v, x))
     return FitResult(
@@ -142,7 +147,7 @@ def _certified(spec, cset, v, x, iterations: int) -> FitResult:
         converged=gn <= GRAD_TOL,
         n_used=x.size,
         grad_norm=gn,
-        iterations=iterations,
+        iterations=0,
     )
 
 
@@ -151,13 +156,14 @@ def fit(spec: ModelSpec, x, warm=None) -> FitResult:
 
     SLSQP descends first from ``warm`` if given, then from the zero-init
     start, in up to ``MAX_PASSES`` passes per start; there is no other
-    minimizer.  The zero-init start is descended only when the warm descent
-    ends uncertified.  The fit is the lowest descent end point; among those
-    within 1e-10 of it, the certified one, else the earliest.  A descent never
-    ends above its start, so no start competes on its own.  The result's
-    ``iterations`` sums SLSQP's iterations over the chosen descent's passes.
-    A one-parameter model's start is its closed-form optimum: it is certified
-    there with no pass.
+    minimizer.  Each descent ends in its certified fit (:func:`_descend`).
+    The zero-init start is descended only when the warm descent's fit is not
+    converged.  The fit is the lowest descent's; among those within 1e-10 of
+    it, the converged one, else the earliest.  A descent never ends above its
+    start, so no start competes on its own.  The result's ``iterations`` sums
+    SLSQP's iterations over the chosen descent's passes.  A one-parameter
+    model's start is its closed-form optimum: it is certified there with no
+    pass.
 
     Raises
     ------
@@ -179,25 +185,24 @@ def fit(spec: ModelSpec, x, warm=None) -> FitResult:
         raise TooShortSeries(f"{spec.name}: n = {n} < {10 * spec.dim}")
     base = _start_point(spec, cset, x)
     if spec.dim == 1:
-        return _certified(spec, cset, base, x, iterations=0)
+        return _certified(spec, cset, base, x)
     starts = [base]
     if warm is not None and not np.array_equal(warm, base):
         starts.insert(0, warm)
 
     objective = _Objective(spec, x)
-    descents = []  # (value, theta, iterations, certified)
+    descents = []
     for start in starts:
         descents.append(_descend(objective, cset, start, gamma_bar(spec, start, x)))
-        if descents[-1][3]:
+        if descents[-1].converged:
             break
 
-    finite = [c for c in descents if np.isfinite(c[0])]
+    finite = [d for d in descents if np.isfinite(d.gamma_bar_min)]
     if not finite:
         raise OptimizerDiverged(f"{spec.name}: no start produced a finite contrast")
-    fbest = min(c[0] for c in finite)
-    tied = [c for c in finite if c[0] <= fbest + 1e-10]
-    _, v, iters, _ = next((c for c in tied if c[3]), tied[0])
-    return _certified(spec, cset, v, x, iters)
+    fbest = min(d.gamma_bar_min for d in finite)
+    tied = [d for d in finite if d.gamma_bar_min <= fbest + 1e-10]
+    return next((d for d in tied if d.converged), tied[0])
 
 
 def _warm_start(spec: ModelSpec, fits) -> np.ndarray | None:

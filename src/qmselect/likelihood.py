@@ -21,9 +21,10 @@ matrices.  Finite differences remain only in the tests, as oracles.
 Each family's recursion is one pass over the sample (``models._recursion``)
 that returns one named record; the conditional moments and the gradient are
 read from its fields (``models._moments_from``, :func:`_gradient_from`).  The
-three ARCH families share one variance filter, so they share one gradient
-block too: the omega, a and b entries (:func:`_mean_grad_arch`); aparch adds
-its gamma entries and ararch its phi entry.  ``_Objective`` is the
+three ARCH families share one variance filter and one score weight
+d gamma_t / d level_t (:func:`_level_ratio`; garch and ararch are its
+delta = 2 case), so they share the omega, a and b entries of the gradient;
+aparch adds its gamma entries and ararch its phi entry.  ``_Objective`` is the
 contrast and gradient that SLSQP's passes in a fit share: it keeps the
 recursion and value of the last point it valued and reuses them when that
 point is asked for again, so a step builds one recursion where
@@ -125,31 +126,21 @@ def mu4_hat(xi) -> float:
 # gradients
 
 
-def _variance_ratio(h_lin: np.ndarray, resid2: np.ndarray) -> np.ndarray:
-    """d gamma_t / d h_t = (h_t - resid_t^2) / h_t^2 at the clamped variance,
-    and 0 where the ``H_FLOOR`` clamp holds h_t fixed.
+def _level_ratio(d: float, resid2: np.ndarray, s_lin: np.ndarray, h_lin: np.ndarray) -> np.ndarray:
+    """d gamma_t / d s_t for an ARCH family's filtered level s_t, the variance
+    h_t = s_t ** (2 / delta): ``(2 / delta) (h_t - resid_t^2) / (h_t s_t)``
+    with s and h clamped at ``H_FLOOR``, and 0 where either is below the floor
+    (the clamp holds h_t fixed there).  garch and ararch are the delta = 2
+    case with h = s, where this is ``(h_t - resid_t^2) / h_t^2``.
 
-    Under the complex-step Hessian ``h_lin`` is complex.  NumPy orders complex
-    numbers by real part first, so the clamp and its test act on the real
-    part, and a clamped entry's imaginary part is 0: the derivative dies on
-    the floor there too."""
-    h = np.maximum(h_lin, H_FLOOR)
-    ratio = (h - resid2) / h**2
-    clamped = h_lin < H_FLOOR
-    if clamped.any():
-        ratio = np.where(clamped, 0.0, ratio)  # derivative dies on the floor
-    return ratio
-
-
-def _aparch_ratio(d: float, x: np.ndarray, s_lin: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """d gamma_t / d s_t for the aparch power s_t = sigma_t ** delta, and 0
-    where a clamp holds h_t fixed; ``h`` is the variance before its floor,
-    as the recursion holds it.  On complex inputs the clamps
-    act on the real part, as in :func:`_variance_ratio`."""
-    s = np.maximum(s_lin, H_FLOOR)
-    clamped = (s_lin < H_FLOOR) | (h < H_FLOOR)
-    # (h_t - x_t^2) / h_t^2 * dh_t/ds_t, with dh_t/ds_t = (2 / delta) * h_t / s_t
-    ratio = (2.0 / d) * (h - x**2) / (h * s)
+    Under the complex-step Hessian the levels are complex.  NumPy orders
+    complex numbers by real part first, so the clamps and their tests act on
+    the real part, and a clamped entry's imaginary part is 0: the derivative
+    dies on the floor there too."""
+    s, h = np.maximum(s_lin, H_FLOOR), np.maximum(h_lin, H_FLOOR)
+    # (h_t - resid_t^2) / h_t^2 * dh_t/ds_t, with dh_t/ds_t = (2 / delta) * h_t / s_t
+    ratio = (2.0 / d) * (h - resid2) / (h * s)
+    clamped = (s_lin < H_FLOOR) | (h_lin < H_FLOOR)
     if clamped.any():
         ratio = np.where(clamped, 0.0, ratio)  # derivative dies on the floor
     return ratio
@@ -181,27 +172,32 @@ def _gradient_from(spec: ModelSpec, v: np.ndarray, x: np.ndarray, rec) -> np.nda
     mean is ``<r, u_k> / n`` with ``r = L^T w`` the filter run backwards over
     ``w``: one 1-D pass, where the score rows need one pass per parameter.
     The inputs ``u_k`` are lags, so each inner product is taken on slices,
-    ``r[k:] @ u[:n - k]``.  The three ARCH families share the omega, a and b
-    entries (:func:`_mean_grad_arch`) and differ in ``w``; aparch adds its
-    gamma entries, and ararch, whose filter is the identity, its phi entry.
+    ``r[k:] @ u[:n - k]``.  The three ARCH families share one weight ``w``
+    (:func:`_level_ratio`), one filter and so the omega, a and b entries;
+    aparch adds its gamma entries, and ararch, whose filter is the identity,
+    its phi entry.
     """
-    fam, lay = spec.family, spec.layout
+    fam, lay, n = spec.family, spec.layout, x.size
     if fam is Family.ARMA:
         return _mean_grad_arma(spec, v, x, rec)
-    n = x.size
+    z = rec.resid  # x itself for garch and aparch
+    r = _adjoint(rec.poly, _level_ratio(spec.delta, z**2, rec.level, rec.h))
+    g = np.empty(spec.dim, dtype=r.dtype)
+    g[lay.omega.start] = r.sum() / n
+    a, g_a, g_b = v[lay.a], g[lay.a], g[lay.b]  # g_a, g_b are views: writes land in g
+    for i, u in enumerate(rec.inputs):
+        g_a[i] = _lagged_dot(r, u, i + 1) / n
+    for j in range(spec.q):
+        g_b[j] = _lagged_dot(r, rec.level, j + 1) / n
     if fam is Family.APARCH:
-        g, r = _mean_grad_arch(spec, rec, _aparch_ratio(spec.delta, x, rec.level, rec.h))
-        a, gamma, g_gamma = v[lay.a], v[lay.gamma], g[lay.gamma]  # g_gamma is a view of g
+        gamma, g_gamma = v[lay.gamma], g[lay.gamma]  # g_gamma is a view of g
         for i in range(spec.p):
             dpower = _aparch_gamma_slope(spec.delta, x, gamma[i])
             g_gamma[i] = a[i] * _lagged_dot(r, dpower, i + 1) / n
-        return g
-    z = rec.resid  # x itself for garch
-    g, r = _mean_grad_arch(spec, rec, _variance_ratio(rec.level, z**2))
-    if fam is Family.ARARCH:
+    elif fam is Family.ARARCH:
         # phi moves the mean and, through every lagged z, the variance
         zx1 = z * _lag(x, 1)
-        phi, a = lay.phi.start, v[lay.a]
+        phi = lay.phi.start
         g[phi] = -2.0 * _lagged_dot(z / np.maximum(rec.level, H_FLOOR), x, 1) / n
         for i in range(spec.p):
             g[phi] -= 2.0 * a[i] * _lagged_dot(r, zx1, i + 1) / n
@@ -234,22 +230,6 @@ def _mean_grad_arma(spec, v, x, rec):
         g_ma[j] = -_lagged_dot(r, eps, j + 1) / n
     g[lay.sigma.start] = -2.0 * (eps @ eps) / n / sigma**3 + 2.0 / sigma
     return g
-
-
-def _mean_grad_arch(spec, rec, w):
-    """The omega, a_i and b_j entries of an ARCH family's mean score, from
-    ``w = d gamma_t / d level_t``, and ``r = L^T w``; the family's own entries
-    are left unset."""
-    lay, n = spec.layout, w.size
-    r = _adjoint(rec.poly, w)
-    g = np.empty(spec.dim, dtype=r.dtype)
-    g[lay.omega.start] = r.sum() / n
-    g_a, g_b = g[lay.a], g[lay.b]  # views: writes land in g
-    for i, u in enumerate(rec.inputs):
-        g_a[i] = _lagged_dot(r, u, i + 1) / n
-    for j in range(spec.q):
-        g_b[j] = _lagged_dot(r, rec.level, j + 1) / n
-    return g, r
 
 
 class _Objective:

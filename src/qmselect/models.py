@@ -484,7 +484,7 @@ class Trajectory:
     @classmethod
     def from_csv(cls, path) -> "Trajectory":
         try:
-            with open(path, newline="", encoding="utf-8") as fh:
+            with open(path, newline="", encoding="utf-8-sig") as fh:  # a leading BOM is dropped
                 rows = list(csv.reader(fh))
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: {exc}") from None

@@ -618,6 +618,14 @@ def test_config_files_read_any_line_ending(tmp_path, newline):
     assert cli.parse_config_file(str(path)) == parse_config(GOOD_CONFIG)
 
 
+def test_a_config_with_a_utf8_byte_order_mark_parses_as_the_plain_file(tmp_path):
+    # some editors write a BOM; the digest still covers the bytes as read
+    path = tmp_path / "bom.cfg"
+    data = b"\xef\xbb\xbf# demo\n" + GOOD_CONFIG.encode()
+    path.write_bytes(data)
+    assert cli._read_config(str(path)) == (parse_config("# demo\n" + GOOD_CONFIG), data)
+
+
 def test_mc_efficiency_end_to_end(tmp_path, capsys, monkeypatch):
     tables = []
     real_run = cli.run_efficiency

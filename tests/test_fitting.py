@@ -251,7 +251,7 @@ def test_a_warm_start_at_the_optimum_certifies_without_moving(monkeypatch, spec,
 @pytest.mark.parametrize("spec,theta", RECURSION_CASES, ids=[str(s) for s, _ in RECURSION_CASES])
 def test_an_uncertified_warm_descent_is_followed_by_the_zero_init_one(monkeypatch, spec, theta):
     # with a zero tolerance no end point certifies, so both starts are
-    # descended, warm first, and the pool still holds both starts
+    # descended, warm first, and the fit is no higher than either start
     monkeypatch.setattr(qmselect.fitting, "GRAD_TOL", 0.0)
     x = q.simulate(spec, theta, 600, seed=31).values
     base = _start_point(spec, constraint_set(spec), x)
@@ -261,6 +261,15 @@ def test_an_uncertified_warm_descent_is_followed_by_the_zero_init_one(monkeypatc
     assert [np.array_equal(x0, base) for x0 in starts] == [False, True]
     assert res.gamma_bar_min <= q.gamma_bar(spec, theta, x)
     assert res.gamma_bar_min <= q.gamma_bar(spec, base, x)
+
+
+def _descent_fit(spec, end, value, iterations, converged):
+    """The fit a patched ``_descend`` returns: ``end`` with the given contrast,
+    iterations and flag."""
+    return qmselect.fitting.FitResult(
+        spec=spec, theta=q.ParamVector(spec, end), gamma_bar_min=value, loglik=-300.0 * value,
+        converged=converged, n_used=600, grad_norm=0.0 if converged else 1.0, iterations=iterations,
+    )
 
 
 @pytest.mark.parametrize("certified", [(False, True), (True, False), (False, False)],
@@ -275,8 +284,8 @@ def test_a_certified_candidate_wins_a_tie(monkeypatch, certified):
     base = _start_point(spec, constraint_set(spec), x)
     ends = {"warm": np.array([1.1, 0.3, 0.45]), "base": np.array([1.2, 0.32, 0.41])}
     low = min(q.gamma_bar(spec, warm, x), q.gamma_bar(spec, base, x)) - 1.0
-    outcome = {"warm": (low + 5e-11, ends["warm"], 3, certified[0]),
-               "base": (low, ends["base"], 4, certified[1])}
+    outcome = {"warm": _descent_fit(spec, ends["warm"], low + 5e-11, 3, certified[0]),
+               "base": _descent_fit(spec, ends["base"], low, 4, certified[1])}
 
     def descend(objective, cset, v, fv):
         return outcome["warm" if np.array_equal(v, warm) else "base"]
@@ -285,7 +294,7 @@ def test_a_certified_candidate_wins_a_tie(monkeypatch, certified):
     res = q.fit(spec, x, warm)
     expected = "base" if certified == (False, True) else "warm"
     assert res.theta.values.tolist() == ends[expected].tolist()
-    assert res.iterations == outcome[expected][2]
+    assert res.iterations == outcome[expected].iterations
 
 
 def test_a_start_never_beats_its_own_descent(monkeypatch):
@@ -296,12 +305,27 @@ def test_a_start_never_beats_its_own_descent(monkeypatch):
     end = np.array([1.1, 0.3, 0.45])
 
     def descend(objective, cset, v, fv):
-        return fv - 5e-11, end, 7, False
+        return _descent_fit(spec, end, fv - 5e-11, 7, False)
 
     monkeypatch.setattr(qmselect.fitting, "_descend", descend)
     res = q.fit(spec, x)
     assert res.theta.values.tolist() == end.tolist()
     assert res.iterations == 7
+
+
+def test_an_uncertified_end_point_is_followed_by_the_zero_init_descent(monkeypatch):
+    # the certificate has one site: with a gradient that no point can
+    # certify, the warm descent's fit is not converged, so the zero-init
+    # start is descended too, and the fit reports converged False
+    spec, theta = RECURSION_CASES[1]
+    x = q.simulate(spec, theta, 600, seed=31).values
+    base = _start_point(spec, constraint_set(spec), x)
+    x0s = _record_descents(monkeypatch)
+    monkeypatch.setattr(qmselect.fitting, "gradient", lambda spec, v, x: np.full(spec.dim, np.nan))
+    res = q.fit(spec, x, theta)
+    assert np.array_equal(x0s[0], theta)
+    assert any(np.array_equal(x0, base) for x0 in x0s)
+    assert not res.converged
 
 
 @pytest.mark.parametrize("spec,theta", RECURSION_CASES[:3], ids=[str(s) for s, _ in RECURSION_CASES[:3]])

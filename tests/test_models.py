@@ -813,6 +813,15 @@ def test_trajectory_csv_round_trip(tmp_path):
     assert np.array_equal(back.values, traj.values)
 
 
+def test_trajectory_csv_with_a_utf8_byte_order_mark_reads_the_same_values(tmp_path):
+    traj = q.simulate(q.wn(), [1.0], 25, seed=2)
+    path = tmp_path / "x.csv"
+    traj.to_csv(path)
+    bom = tmp_path / "bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert np.array_equal(q.Trajectory.from_csv(bom).values, traj.values)
+
+
 def test_trajectory_csv_rejects_wrong_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("y\n1.0\n")
