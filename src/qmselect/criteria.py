@@ -21,13 +21,16 @@ it needs, whether it adds log det(-F)), which the known names, ``needs_info``,
                   monotone along the nesting partial order of the family; it
                   needs neither info matrices nor mu4, whatever its name
 
+On this scale, -2 log L, Hannan & Quinn (1979) write their criterion as
+2c |m| log log n and need c > 1 for strong consistency; ``hq`` here is
+c = 1/2, and it charges less than ``aic`` for n < e^(e^2) ~ 1,618.
+
 A selection holds one :class:`ModelRow` per candidate: its fit, and its report
 or why it was excluded.  When no candidate scores, no row is chosen.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import astuple, dataclass
 from typing import Callable, NamedTuple
@@ -35,10 +38,10 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import MissingInfo, UnsupportedFamily
-from .fitting import _FAILURES, FitResult, _reason, _series, fit_family
+from .fitting import _FAILURES, FitResult, _reason, fit_family
 from .information import InfoMatrices, closed_form_trace, info_matrices
 from .likelihood import mu4_hat, residuals
-from .models import ModelSpec, is_nested
+from .models import ModelSpec, _write_csv, is_nested
 
 
 class _Rule(NamedTuple):
@@ -180,27 +183,21 @@ class SelectionResult:
         return None if row is None else row.fit.spec
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(
-                [
-                    "model", "converged", "n_gamma_bar", "penalty", "logdet_term", "value",
-                    "chosen", "excluded", "grad_norm", "iterations",
-                ]
-            )
-            for r in self.rows:
-                parts = astuple(r.report) if r.report else (None,) * 4
-                w.writerow(
-                    [
-                        r.fit.spec.name,
-                        str(r.fit.converged).lower(),
-                        *("" if p is None else repr(p) for p in parts),
-                        str(r.chosen).lower(),
-                        r.excluded or "",
-                        repr(r.fit.grad_norm),
-                        r.fit.iterations,
-                    ]
-                )
+        def line(r: ModelRow) -> list:
+            parts = astuple(r.report) if r.report else (None,) * 4
+            return [
+                r.fit.spec.name,
+                str(r.fit.converged).lower(),
+                *("" if p is None else repr(p) for p in parts),
+                str(r.chosen).lower(),
+                r.excluded or "",
+                repr(r.fit.grad_norm),
+                r.fit.iterations,
+            ]
+
+        header = ["model", "converged", "n_gamma_bar", "penalty", "logdet_term", "value",
+                  "chosen", "excluded", "grad_norm", "iterations"]
+        _write_csv(path, header, map(line, self.rows))
 
 
 def classify(truth: ModelSpec, chosen: ModelSpec) -> str:
@@ -239,7 +236,7 @@ def select_from_fits(
     failures exclude a model; any other exception propagates, and so does
     MissingInfo, since the sweep always supplies what a rule needs.
     """
-    x = _series(x)
+    x = np.asarray(x, dtype=float)
     if kind.custom_pen is not None:
         _check_custom_monotone(kind, [f.spec for f in fits])
     if info_cache is None:

@@ -41,7 +41,7 @@ from scipy.optimize import minimize
 
 from .errors import OptimizerDiverged, QmselectError, TooShortSeries
 from .likelihood import _Objective, contrast, gamma_bar, gradient
-from .models import ConstraintSet, Family, ModelSpec, ParamVector, Trajectory
+from .models import ConstraintSet, Family, ModelSpec, ParamVector
 from .models import _as_values, constraint_set, is_nested
 
 #: SLSQP iteration cap per pass
@@ -70,16 +70,6 @@ class FitResult:
     grad_norm: float
     iterations: int
     error: str | None = None
-
-    @property
-    def dim(self) -> int:
-        return self.spec.dim
-
-
-def _series(x) -> np.ndarray:
-    if isinstance(x, Trajectory):
-        return x.values
-    return np.asarray(x, dtype=float)
 
 
 def _start_point(spec: ModelSpec, cset: ConstraintSet, x: np.ndarray) -> np.ndarray:
@@ -174,7 +164,7 @@ def fit(spec: ModelSpec, x, warm=None) -> FitResult:
     OptimizerDiverged
         if no start produces a finite contrast value.
     """
-    x = _series(x)
+    x = np.asarray(x, dtype=float)
     cset = constraint_set(spec)
     if warm is not None:
         warm = _as_values(spec, warm)
@@ -228,7 +218,7 @@ def fit_family(family, x) -> list[FitResult]:
     and an earlier family (garch(0,q) inside aparch(2;0,q)).  Per-model
     failures (``_FAILURES``) are returned as non-converged placeholder results
     instead of raising; any other exception propagates."""
-    x = _series(x)
+    x = np.asarray(x, dtype=float)
     family = list(family)
     fits: dict[int, FitResult] = {}
     order = list(Family)

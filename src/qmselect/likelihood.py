@@ -270,7 +270,7 @@ class _Objective:
         return _gradient_from(self.spec, v, self.x, rec)
 
 
-def derivatives(spec: ModelSpec, theta, x, *, check_boundary: bool = True) -> DerivEval:
+def derivatives(spec: ModelSpec, theta, x) -> DerivEval:
     """Hessian and per-observation scores of gamma_bar at ``theta``, both by
     complex steps (Squire & Trapp 1998; Martins, Sturdza & Alonso 2003).
 
@@ -286,9 +286,6 @@ def derivatives(spec: ModelSpec, theta, x, *, check_boundary: bool = True) -> De
     are the derivatives of the smooth extension of the recursions across the
     boundary.  No difference is taken, so there is no cancellation and no step
     to tune.
-
-    ``check_boundary`` is accepted for compatibility and has no effect: no
-    step leaves the point, so there is no boundary to check.
     """
     v = _as_values(spec, theta)
     x = np.asarray(x, dtype=float)

@@ -29,10 +29,11 @@ calls scipy's C filter ``scipy.signal._sigtools._linear_filter`` directly, as
 ``lfilter`` itself does, without ``lfilter``'s per-call wrapper.  That private
 core is used only on the scipy versions in ``_CORE_PINNED_ON``, on which the
 tests pin it bit-equal to ``lfilter``; on any other version, or when it does
-not import, the helper calls ``lfilter``.  A filter whose denominator is 1 is
-skipped before the helper: it is the identity, or a plain ``np.convolve`` for
-the arma(p,0) residuals, which is what ``lfilter`` would compute there one row
-at a time.
+not import, the helper calls ``lfilter``.  A one-coefficient denominator is
+handled there too, as one ``np.convolve``, which is what ``lfilter`` computes
+in that case (the arma(p,0) residuals and the arma(0,q) paths).  Only the
+all-pole filter with denominator 1 is skipped before the helper
+(:func:`_ar_filter`): it is the identity.
 Each family's recursion is one pass over the sample that returns one named
 record (:func:`_recursion`); the conditional moments and the mean gradient
 of :mod:`.likelihood` are read from its fields.
@@ -40,6 +41,11 @@ of :mod:`.likelihood` are read from its fields.
 Simulation starts from the same zero pre-sample.  arma paths go through
 :func:`_lfilter`; each variance-driven path (garch, aparch and the ARCH residual of
 ararch) is one loop per order, generated once, with every lag a local float.
+
+A :class:`Trajectory` is an array to numpy (``np.asarray(traj)`` is its
+``values``), so every function that takes a series takes one.  Every CSV the
+package writes, a trajectory, a selection or an experiment table, goes
+through one writer (:func:`_write_csv`), next to the trajectory reader.
 """
 
 from __future__ import annotations
@@ -470,16 +476,17 @@ class Trajectory:
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
 
+    def __array__(self, dtype=None, copy=None):
+        """``values`` to numpy: ``np.asarray(traj, dtype=float)`` is ``values``
+        itself, with no copy."""
+        return np.array(self.values, dtype=dtype, copy=copy)
+
     @property
     def n(self) -> int:
         return self.values.size
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["x"])
-            for v in self.values:
-                w.writerow([repr(float(v))])
+        _write_csv(path, ["x"], ([repr(float(v))] for v in self.values))
 
     @classmethod
     def from_csv(cls, path) -> "Trajectory":
@@ -503,6 +510,15 @@ class Trajectory:
         if bad.size:
             raise ValueError(f"{path}: line {bad[0] + 2}: non-finite value {float(x[bad[0]])}")
         return cls(x)
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write ``header`` and then ``rows`` to ``path`` as CSV, lines ending in
+    ``\\n``: the one CSV writer of the package."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def _lag(arr: np.ndarray, k: int) -> np.ndarray:
@@ -690,9 +706,13 @@ def _lfilter(b: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
     coefficient, the core is called directly with the arguments ``lfilter``
     would pass it (``b`` and ``a`` are arrays already); ``lfilter``'s
     per-call wrapper costs more than the filter on short samples.  Without a
-    pinned core (see :func:`_pinned_core`), and for a one-coefficient
-    denominator, ``lfilter`` itself runs."""
-    if a.size == 1 or _LINEAR_FILTER is None:
+    pinned core (see :func:`_pinned_core`), ``lfilter`` itself runs.  A
+    one-coefficient denominator, always ``[1.0]`` here, on a 1-D ``x`` is
+    ``np.convolve(b, x)`` cut to the sample, which is what ``lfilter``
+    computes in that case, one row at a time."""
+    if a.size == 1:
+        return np.convolve(b, x)[: x.size]
+    if _LINEAR_FILTER is None:
         return lfilter(b, a, x, axis=-1)
     return _LINEAR_FILTER(b, a, x, -1)
 
@@ -730,10 +750,7 @@ def _arma_residuals(spec: ModelSpec, v: np.ndarray, x: np.ndarray) -> _Recursion
     lay = spec.layout
     ar = np.concatenate(([1.0], -v[lay.ar]))
     ma = np.concatenate(([1.0], v[lay.ma]))
-    if ma.size == 1:  # what lfilter computes here, without its apply_along_axis
-        eps = np.convolve(ar, x)[: x.size]
-    else:
-        eps = _lfilter(ar, ma, x)
+    eps = _lfilter(ar, ma, x)
     return _Recursion(x - eps, v[lay.sigma.start] ** 2, eps, ma, eps, [])
 
 

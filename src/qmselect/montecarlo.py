@@ -30,7 +30,6 @@ byte-identical tables.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
@@ -43,7 +42,7 @@ from .criteria import CriterionKind, classify, select_from_fits
 from .errors import ConfigError
 from .fitting import FitResult, fit_family
 from .likelihood import gamma_bar
-from .models import DEFAULT_BURN_IN, ModelSpec, _as_values, constraint_set, simulate
+from .models import DEFAULT_BURN_IN, ModelSpec, _as_values, _write_csv, constraint_set, simulate
 from .version import __version__
 
 #: replication-index stand-in for oracle trajectory seeds
@@ -214,11 +213,8 @@ class _Table:
         return {str(n): {c: self._failed(n, c) for c in self.criteria} for n in self.n_values}
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["dgp", "n", "criterion", *(col.csv for col in self.columns)])
-            for n, crit, figures in self._rows():
-                w.writerow([self.dgp, n, crit, *map(repr, figures)])
+        _write_csv(path, ["dgp", "n", "criterion", *(col.csv for col in self.columns)],
+                   ([self.dgp, n, crit, *map(repr, figures)] for n, crit, figures in self._rows()))
 
     def to_text(self) -> str:
         lines = [self.title.format(n_reps=self.n_reps, dgp=self.dgp)]

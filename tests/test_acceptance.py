@@ -100,7 +100,7 @@ def test_criterion_2_gradients_and_hessians():
             gf = fd(spec, theta, x)
             worst_g = max(worst_g, float(np.max(np.abs(ga - gf)) / max(1.0, np.max(np.abs(gf)))))
             if i < 5:
-                hess = q.derivatives(spec, theta, x, check_boundary=False).hessian
+                hess = q.derivatives(spec, theta, x).hessian
                 asym = float(np.max(np.abs(hess - hess.T)) / max(1.0, np.max(np.abs(hess))))
                 worst_h = max(worst_h, asym)
     ok = worst_g <= 1e-5 and worst_h <= 1e-10

@@ -523,6 +523,12 @@ def test_residuals_for_wn_are_scaled_data():
     assert_allclose(q.residuals(q.wn(), [2.0], x), x / 2.0)
 
 
+def test_derivatives_takes_no_boundary_keyword():
+    # check_boundary had no effect and is gone
+    with pytest.raises(TypeError):
+        q.derivatives(q.wn(), [1.0], np.ones(20), check_boundary=False)
+
+
 def test_mu4_alternating_signs_is_one():
     assert q.mu4_hat(np.array([1.0, -1.0, 1.0, -1.0])) == pytest.approx(1.0)
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import pickle
 import sys
 
 import numpy as np
@@ -827,3 +828,46 @@ def test_trajectory_csv_rejects_wrong_header(tmp_path):
     path.write_text("y\n1.0\n")
     with pytest.raises(ValueError):
         q.Trajectory.from_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# a trajectory is an array to numpy
+
+
+def test_a_trajectory_is_its_values_to_numpy():
+    traj = q.simulate(q.wn(), [1.0], 25, seed=2)
+    assert np.asarray(traj, dtype=float) is traj.values
+    copied = np.array(traj)
+    assert copied is not traj.values and np.array_equal(copied, traj.values)
+
+
+#: every public function that takes a series, called on the series ``x`` of
+#: a garch(1,1) fit ``fit`` at its optimum ``v``
+_SERIES_CALLS = {
+    "fit": lambda x, fit, v: q.fit(fit.spec, x),
+    "fit_family": lambda x, fit, v: q.fit_family([q.wn(), fit.spec], x),
+    "select": lambda x, fit, v: q.select([q.wn(), fit.spec], x, q.BIC),
+    "select_from_fits": lambda x, fit, v: q.select_from_fits([fit], x, q.KC),
+    "contrast": lambda x, fit, v: q.contrast(fit.spec, v, x),
+    "gamma_bar": lambda x, fit, v: q.gamma_bar(fit.spec, v, x),
+    "gradient": lambda x, fit, v: q.gradient(fit.spec, v, x),
+    "cond_moments": lambda x, fit, v: q.cond_moments(fit.spec, v, x),
+    "residuals": lambda x, fit, v: q.residuals(fit.spec, v, x),
+    "derivatives": lambda x, fit, v: q.derivatives(fit.spec, v, x),
+    "info_matrices": lambda x, fit, v: q.info_matrices(fit, x),
+    "mu4_hat": lambda x, fit, v: q.mu4_hat(x),
+}
+
+
+@pytest.fixture(scope="module")
+def garch_sample():
+    traj = q.simulate(q.garch(1, 1), [1.0, 0.35, 0.4], 300, seed=4)
+    return traj, q.fit(q.garch(1, 1), traj.values)
+
+
+@pytest.mark.parametrize("name", list(_SERIES_CALLS))
+def test_every_series_taking_function_accepts_a_trajectory(garch_sample, name):
+    # what simulate returns goes wherever its values go, with the same result
+    traj, fit = garch_sample
+    call, v = _SERIES_CALLS[name], fit.theta.values
+    assert pickle.dumps(call(traj, fit, v)) == pickle.dumps(call(traj.values, fit, v))
