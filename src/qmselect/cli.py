@@ -9,7 +9,8 @@ mc-efficiency   replicated held-out-risk experiment from a config file
 
 ``mc-<driver>`` runs ``montecarlo.run_<driver>`` and writes ``<driver>.csv``
 and ``<driver>.meta.json``, whose ``failed`` counts per (n, criterion) the
-replications without a pick.
+replications without a pick; mc-efficiency also counts, for every criterion,
+each replication whose true-model fit did not converge.
 
 Exit codes: 0 success, 2 argument/input parse error (an unreadable input or
 unwritable output path included; an output path is checked before the work),

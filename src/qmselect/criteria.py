@@ -6,9 +6,10 @@ Every criterion value has the shape
 
 summed in exactly that order, so values are bit-reproducible and two
 criteria sharing a fit differ only through their penalty/logdet parts.
-Each named kind is one row of the private table ``_RULES`` (its penalty, what
-it needs, whether it adds log det(-F)), which the known names, ``needs_info``,
-``needs_mu4`` and :func:`criterion_value` all read:
+Each :class:`CriterionKind` carries its rule: its penalty, what it needs
+(``needs_info``, ``needs_mu4``) and whether it adds log det(-F) (``logdet``),
+which :func:`criterion_value` reads.  The seven named kinds are module
+constants, and the private table ``_RULES`` maps each name to its kind:
 
 * ``aic``         penalty 2|m|
 * ``bic``         penalty |m| log n
@@ -44,15 +45,24 @@ from .likelihood import mu4_hat, residuals
 from .models import ModelSpec, _write_csv, is_nested
 
 
-class _Rule(NamedTuple):
-    penalty: Callable[[FitResult, InfoMatrices | None, float | None], float]
-    needs_info: bool = False
-    needs_mu4: bool = False
-    logdet: bool = False  # adds log det(-F) after the penalty
+def _aic(fit: FitResult, info, mu4) -> float:
+    return 2.0 * fit.spec.dim
 
 
 def _bic(fit: FitResult, info, mu4) -> float:
     return fit.spec.dim * math.log(fit.n_used)
+
+
+def _hq(fit: FitResult, info, mu4) -> float:
+    return fit.spec.dim * math.log(math.log(fit.n_used))
+
+
+def _tracepen(fit: FitResult, info, mu4) -> float:
+    return fit.n_used * info.trace_pen
+
+
+def _tracepen_cf(fit: FitResult, info, mu4) -> float:
+    return closed_form_trace(fit.spec, mu4=mu4).value
 
 
 def _kcprime(fit: FitResult, info, mu4) -> float:
@@ -60,62 +70,48 @@ def _kcprime(fit: FitResult, info, mu4) -> float:
     return m * math.log(n) - m * math.log(2.0 * math.pi) + 2.0 * math.log(m)
 
 
-_RULES = {
-    "aic": _Rule(lambda fit, info, mu4: 2.0 * fit.spec.dim),
-    "bic": _Rule(_bic),
-    "hq": _Rule(lambda fit, info, mu4: fit.spec.dim * math.log(math.log(fit.n_used))),
-    "tracepen": _Rule(lambda fit, info, mu4: fit.n_used * info.trace_pen, needs_info=True),
-    "tracepen_cf": _Rule(
-        lambda fit, info, mu4: closed_form_trace(fit.spec, mu4=mu4).value, needs_mu4=True
-    ),
-    "kc": _Rule(_bic, needs_info=True, logdet=True),
-    "kcprime": _Rule(_kcprime, needs_info=True, logdet=True),
-}
-_KNOWN = tuple(_RULES)
+class _Rate(NamedTuple):
+    """A custom kind's penalty n * pen(spec); two built from one pen are equal."""
+
+    pen: Callable[[ModelSpec], float]
+
+    def __call__(self, fit: FitResult, info, mu4) -> float:
+        return fit.n_used * float(self.pen(fit.spec))
 
 
 @dataclass(frozen=True)
 class CriterionKind:
-    """A selection criterion; use the module-level singletons or
-    :func:`CriterionKind.custom` for a user-supplied penalty rate."""
+    """A selection criterion and the rule it carries: a module constant (found
+    by :meth:`named`), or one :meth:`custom` builds from a penalty rate."""
 
     name: str
+    penalty: Callable[[FitResult, InfoMatrices | None, float | None], float]
+    needs_info: bool = False
+    needs_mu4: bool = False
+    logdet: bool = False
     custom_pen: Callable[[ModelSpec], float] | None = None
-
-    def __post_init__(self):
-        if self.custom_pen is None and self.name not in _RULES:
-            raise ValueError(f"unknown criterion {self.name!r}; expected one of {_KNOWN}")
 
     @classmethod
     def named(cls, name: str) -> "CriterionKind":
-        return cls(name.strip().lower())
+        key = name.strip().lower()
+        if key not in _RULES:
+            raise ValueError(f"unknown criterion {key!r}; expected one of {_KNOWN}")
+        return _RULES[key]
 
     @classmethod
     def custom(cls, pen: Callable[[ModelSpec], float], name: str = "custom") -> "CriterionKind":
-        return cls(name, custom_pen=pen)
-
-    @property
-    def _rule(self) -> _Rule:
-        if self.custom_pen is None:
-            return _RULES[self.name]
-        return _Rule(lambda fit, info, mu4: fit.n_used * float(self.custom_pen(fit.spec)))
-
-    @property
-    def needs_info(self) -> bool:
-        return self._rule.needs_info
-
-    @property
-    def needs_mu4(self) -> bool:
-        return self._rule.needs_mu4
+        return cls(name, _Rate(pen), custom_pen=pen)
 
 
-AIC = CriterionKind("aic")
-BIC = CriterionKind("bic")
-HQ = CriterionKind("hq")
-TRACE_PEN = CriterionKind("tracepen")
-TRACE_PEN_CF = CriterionKind("tracepen_cf")
-KC = CriterionKind("kc")
-KC_PRIME = CriterionKind("kcprime")
+AIC = CriterionKind("aic", _aic)
+BIC = CriterionKind("bic", _bic)
+HQ = CriterionKind("hq", _hq)
+TRACE_PEN = CriterionKind("tracepen", _tracepen, needs_info=True)
+TRACE_PEN_CF = CriterionKind("tracepen_cf", _tracepen_cf, needs_mu4=True)
+KC = CriterionKind("kc", _bic, needs_info=True, logdet=True)
+KC_PRIME = CriterionKind("kcprime", _kcprime, needs_info=True, logdet=True)
+_RULES = {k.name: k for k in (AIC, BIC, HQ, TRACE_PEN, TRACE_PEN_CF, KC, KC_PRIME)}
+_KNOWN = tuple(_RULES)
 
 
 @dataclass(frozen=True)
@@ -137,11 +133,10 @@ def criterion_value(
     mu4: float | None = None,
 ) -> CriterionReport:
     """Canonical criterion value for one fitted model; MissingInfo if the
-    kind's rule needs ``info`` or ``mu4`` and it is None."""
-    rule = kind._rule
-    if rule.needs_info and info is None:
+    kind needs ``info`` or ``mu4`` and it is None."""
+    if kind.needs_info and info is None:
         raise MissingInfo(f"{kind.name} needs estimated info matrices")
-    if rule.needs_mu4:
+    if kind.needs_mu4:
         if not closed_form_trace(fit.spec).complete:
             raise UnsupportedFamily(
                 f"{fit.spec.name}: closed-form trace is incomplete for this family"
@@ -149,8 +144,8 @@ def criterion_value(
         if mu4 is None:
             raise MissingInfo("closed-form tracepen needs a mu4 estimate")
     n_gamma_bar = fit.n_used * fit.gamma_bar_min
-    penalty = rule.penalty(fit, info, mu4)
-    logdet_term = info.logdet_negF if rule.logdet else None
+    penalty = kind.penalty(fit, info, mu4)
+    logdet_term = info.logdet_negF if kind.logdet else None
     value = n_gamma_bar + penalty
     if logdet_term is not None:
         value += logdet_term
@@ -230,9 +225,9 @@ def select_from_fits(
     """Selection over already-fitted models (shared across criteria): one row
     per fit, in order, and none chosen when no candidate scores.
 
-    ``info_cache`` maps fit index -> InfoMatrices or Exception; it is filled
-    lazily so several criteria evaluated on the same fits estimate the info
-    matrices only once per model.  Only the package's own errors and numerical
+    ``info_cache`` maps fit index -> InfoMatrices or why they failed; it is
+    filled lazily so several criteria evaluated on the same fits estimate the
+    info matrices only once per model.  Only the package's own errors and numerical
     failures exclude a model; any other exception propagates, and so does
     MissingInfo, since the sweep always supplies what a rule needs.
     """
@@ -252,12 +247,10 @@ def select_from_fits(
                 try:
                     info_cache[i] = info_matrices(f, x)
                 except _FAILURES as exc:
-                    # without its traceback: the frames' locals would live as
-                    # long as the cache
-                    info_cache[i] = exc.with_traceback(None)
+                    info_cache[i] = _reason(exc)
             info = info_cache[i]
-            if isinstance(info, Exception):
-                rows.append(ModelRow(f, excluded=_reason(info)))
+            if isinstance(info, str):
+                rows.append(ModelRow(f, excluded=info))
                 continue
         mu4 = None
         # a family the closed form cannot score is excluded by criterion_value

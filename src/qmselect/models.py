@@ -41,6 +41,8 @@ of :mod:`.likelihood` are read from its fields.
 Simulation starts from the same zero pre-sample.  arma paths go through
 :func:`_lfilter`; each variance-driven path (garch, aparch and the ARCH residual of
 ararch) is one loop per order, generated once, with every lag a local float.
+One overflow rule holds for every family: :func:`simulate_from_noise` refuses
+a built path with a value beyond ``OVERFLOW_LIMIT`` or not finite.
 
 A :class:`Trajectory` is an array to numpy (``np.asarray(traj)`` is its
 ``values``), so every function that takes a series takes one.  Every CSV the
@@ -425,7 +427,8 @@ def constraint_set(spec: ModelSpec) -> ConstraintSet:
 
 @dataclass(frozen=True)
 class ParamVector:
-    """Parameter values bound to a model spec, in canonical order."""
+    """Parameter values bound to a model spec, in canonical order; read-only,
+    and rebuilt read-only when unpickled (pickle restores an array writable)."""
 
     spec: ModelSpec
     values: np.ndarray
@@ -434,6 +437,9 @@ class ParamVector:
         v = _as_values(self.spec, self.values).copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
+
+    def __reduce__(self):
+        return ParamVector, (self.spec, self.values)
 
     def named(self) -> dict[str, float]:
         return dict(zip(self.spec.param_names(), map(float, self.values)))
@@ -551,7 +557,7 @@ def simulate(
     NonStationaryParams
         if ``theta`` is outside :func:`constraint_set`.
     NumericOverflow
-        if any |X_t| exceeds 1e10 during the recursion.
+        if any |X_t|, burn-in included, exceeds 1e10 or is not finite.
     """
     values = ParamVector(spec, theta).validate().values
     if n <= 0:
@@ -624,17 +630,18 @@ def _kernel(family: Family, p: int, q: int):
     # rounds like numpy's scalar square, ``x * x`` does not.  Only names built
     # from range(p) and range(q) and fixed text enter the source:
     # coefficients, omega and delta are arguments, so no value reaches exec.
+    # No bound is checked here: simulate_from_noise checks the whole path.
     xs = [f"x{i}" for i in range(1, p + 1)]
     ss = [f"s{j}" for j in range(1, q + 1)]
     a = [f"a{i}" for i in range(1, p + 1)]
     b = [f"b{j}" for j in range(1, q + 1)]
     if family is Family.GARCH:
-        args, label = [*a, *b], "(G)ARCH"
+        args = [*a, *b]
         arch = [f"{ai} * {x}" for ai, x in zip(a, xs)]
         level, new_x, inverse = "sqrt(st)", "xt ** 2", ""
     else:
         g = [f"g{i}" for i in range(1, p + 1)]
-        args, label = [*a, *g, *b, "delta"], "aparch"
+        args = [*a, *g, *b, "delta"]
         arch = [f"{ai} * power(abs({x}) - {gi} * {x}, delta)" for ai, gi, x in zip(a, g, xs)]
         level, new_x, inverse = "power(st, pow_inv)", "xt", "pow_inv = 1.0 / delta"
 
@@ -644,18 +651,16 @@ def _kernel(family: Family, p: int, q: int):
     step = " + ".join(["omega", *arch, *(f"{bj} * {sj}" for bj, sj in zip(b, ss))])
     source = f"""
 def kernel({", ".join(["out", "xi", "omega", *args])}):
-    path, sqrt, power, limit = memoryview(out), math.sqrt, math.pow, OVERFLOW_LIMIT
+    path, sqrt, power = memoryview(out), math.sqrt, math.pow
     {inverse}
     {assign(xs + ss, ["0.0"] * (p + q))}
     for t, e in enumerate(memoryview(xi)):
         st = {step}
         path[t] = xt = {level} * e
-        if abs(xt) > limit:
-            raise NumericOverflow("{label} simulation overflow")
         {assign(ss, ["st", *ss[:-1]])}
         {assign(xs, [new_x, *xs[:-1]])}
 """
-    namespace = {"math": math, "NumericOverflow": NumericOverflow, "OVERFLOW_LIMIT": OVERFLOW_LIMIT}
+    namespace = {"math": math}
     exec(source, namespace)
     return namespace["kernel"]
 

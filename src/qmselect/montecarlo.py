@@ -188,7 +188,7 @@ class _Table:
 
     A subclass names its ``title`` (formatted with ``n_reps`` and ``dgp``) and
     its ``columns``, and defines ``_figures(n, criterion)``, one value per
-    column, and ``_failed(n, criterion)``, the replications without a pick.
+    column, and ``_failed(n, criterion)``, its failed replications.
     """
 
     dgp: str
@@ -209,7 +209,7 @@ class _Table:
                 yield n, crit, self._figures(n, crit)
 
     def failed_counts(self) -> dict:
-        """Replications without a pick, as {str(n): {criterion: count}}."""
+        """Failed replications, as {str(n): {criterion: count}}."""
         return {str(n): {c: self._failed(n, c) for c in self.criteria} for n in self.n_values}
 
     def to_csv(self, path) -> None:

@@ -413,6 +413,18 @@ def test_param_vector_validation():
         q.ParamVector(q.garch(1, 1), [1.0, 0.9, 0.4]).validate()
 
 
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_a_param_vector_stays_read_only_through_pickle(protocol):
+    # protocols 2 to 4 restore a plain array writable; a replication pool
+    # pickles its fits with protocol 4
+    pv = q.ParamVector(q.garch(1, 1), [1.0, 0.35, 0.4])
+    back = pickle.loads(pickle.dumps(pv, protocol=protocol))
+    assert back.spec == pv.spec and np.array_equal(back.values, pv.values)
+    assert not back.values.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        back.values[0] = 9.0
+
+
 # ---------------------------------------------------------------------------
 # simulation
 
@@ -580,9 +592,9 @@ def test_infeasible_ararch_noise_paths_overflow(theta):
 
 
 def test_explosive_garch_noise_path_overflows():
-    # the in-loop guard of the garch kernel, not the isfinite check after it
+    # the kernel checks no bound: the one check after the path refuses it
     xi = np.random.default_rng(4).standard_normal(2000)
-    with pytest.raises(q.NumericOverflow, match="simulation overflow"):
+    with pytest.raises(q.NumericOverflow, match=r"simulated garch\(1,0\) path exceeded \|x\| = 1e\+10"):
         q.simulate_from_noise(q.garch(1, 0), [1.0, 5.0], xi)
 
 

@@ -125,6 +125,16 @@ def test_consistency_threads_do_not_change_results(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_pooled_fits_keep_their_parameters_read_only():
+    cfg = small_config(family=(q.wn(), DGP2[0]), n_reps=2, criteria=("aic",))
+    records = _replicate(cfg, 200, threads=2)
+    fits = [f for rec in records for f in (rec.true_fit, *rec.picks.values())]
+    assert len(fits) == 4 and all(f is not None for f in fits)
+    for fit in fits:
+        with pytest.raises(ValueError, match="read-only"):
+            fit.theta.values[0] = 9.0
+
+
 def test_replication_pool_has_no_more_workers_than_replications(tmp_path, monkeypatch):
     import qmselect.montecarlo as mc
 
@@ -272,6 +282,30 @@ def test_efficiency_with_overfit_candidate_runs():
         assert np.isfinite(row["me"])
         assert row["mean_loss_selected"] >= 0.0  # fitted loss above theta-star risk on average
         assert table.failed[(300, crit)] == 0
+
+
+def test_efficiency_counts_a_replication_without_a_true_fit_as_failed(monkeypatch):
+    # every criterion picks in replication 0, but with its true-model fit
+    # unconverged the replication has no reference loss: efficiency counts it
+    # failed for every criterion, consistency counts only missing picks
+    import qmselect.montecarlo as mc
+
+    real_fit_family, calls = mc.fit_family, []
+
+    def first_dgp_fit_unconverged(family, x):
+        fits = real_fit_family(family, x)
+        if not calls:
+            fits[0].converged = False
+        calls.append(family)
+        return fits
+
+    monkeypatch.setattr(mc, "fit_family", first_dgp_fit_unconverged)
+    cfg = small_config(family=(DGP2[0], q.arma(2, 2)), n_reps=2, criteria=("aic", "bic"))
+    eff = q.run_efficiency(cfg)
+    assert {c: eff.failed[(200, c)] for c in cfg.criteria} == {"aic": 1, "bic": 1}
+    calls.clear()
+    cons = q.run_consistency(cfg)
+    assert {c: cons.count(200, c, "failed") for c in cfg.criteria} == {"aic": 0, "bic": 0}
 
 
 def test_efficiency_requires_dgp_in_family():
