@@ -20,7 +20,8 @@ constants, and the private table ``_RULES`` maps each name to its kind:
 * ``kcprime``     penalty |m| log n - |m| log 2pi + 2 log|m|, plus log det(-F)
 * custom          penalty n * pen(spec) for a user callable, checked to be
                   monotone along the nesting partial order of the family; it
-                  needs neither info matrices nor mu4, whatever its name
+                  needs neither info matrices nor mu4, whatever its name, and
+                  its penalty (a ``_Rate``) is the one place its rate is held
 
 On this scale, -2 log L, Hannan & Quinn (1979) write their criterion as
 2c |m| log log n and need c > 1 for strong consistency; ``hq`` here is
@@ -89,7 +90,6 @@ class CriterionKind:
     needs_info: bool = False
     needs_mu4: bool = False
     logdet: bool = False
-    custom_pen: Callable[[ModelSpec], float] | None = None
 
     @classmethod
     def named(cls, name: str) -> "CriterionKind":
@@ -100,7 +100,7 @@ class CriterionKind:
 
     @classmethod
     def custom(cls, pen: Callable[[ModelSpec], float], name: str = "custom") -> "CriterionKind":
-        return cls(name, _Rate(pen), custom_pen=pen)
+        return cls(name, _Rate(pen))
 
 
 AIC = CriterionKind("aic", _aic)
@@ -204,12 +204,12 @@ def classify(truth: ModelSpec, chosen: ModelSpec) -> str:
     return "misspecified"
 
 
-def _check_custom_monotone(kind: CriterionKind, family: list[ModelSpec]) -> None:
+def _check_custom_monotone(pen: Callable[[ModelSpec], float], family: list[ModelSpec]) -> None:
     for inner in family:
         for outer in family:
             if inner is outer or not is_nested(inner, outer):
                 continue
-            if kind.custom_pen(inner) > kind.custom_pen(outer) + 1e-12:
+            if pen(inner) > pen(outer) + 1e-12:
                 raise ValueError(
                     f"custom penalty not monotone under nesting: "
                     f"pen({inner.name}) > pen({outer.name})"
@@ -232,8 +232,8 @@ def select_from_fits(
     MissingInfo, since the sweep always supplies what a rule needs.
     """
     x = np.asarray(x, dtype=float)
-    if kind.custom_pen is not None:
-        _check_custom_monotone(kind, [f.spec for f in fits])
+    if isinstance(kind.penalty, _Rate):
+        _check_custom_monotone(kind.penalty.pen, [f.spec for f in fits])
     if info_cache is None:
         info_cache = {}
     rows: list[ModelRow] = []

@@ -133,7 +133,7 @@ def _certified(spec, cset, v, x) -> FitResult:
         spec=spec,
         theta=ParamVector(spec, v),
         gamma_bar_min=ev.gamma_bar,
-        loglik=ev.loglik,
+        loglik=-0.5 * x.size * ev.gamma_bar,
         converged=gn <= GRAD_TOL,
         n_used=x.size,
         grad_norm=gn,

@@ -62,11 +62,12 @@ CS_STEP = 1e-20
 
 @dataclass(frozen=True)
 class ContrastEval:
-    """Value of the contrast at one parameter point."""
+    """Value of the contrast at one parameter point: its terms ``per_t`` and
+    their mean ``gamma_bar``; the quasi-log-likelihood is
+    ``-0.5 * n * gamma_bar``."""
 
     gamma_bar: float
     per_t: np.ndarray
-    loglik: float
 
 
 @dataclass(frozen=True)
@@ -80,14 +81,14 @@ class DerivEval:
 
 
 def contrast(spec: ModelSpec, theta, x) -> ContrastEval:
-    """Evaluate the contrast; ``loglik`` is -(n/2)*gamma_bar by construction."""
+    """Evaluate the contrast: its per-observation terms and their mean."""
     x = np.asarray(x, dtype=float)
     cm = cond_moments(spec, theta, x)
     # optimizer probes at explosive parameters can overflow; an infinite
     # contrast is the correct "move away" signal there
     with np.errstate(over="ignore", invalid="ignore"):
         per_t, gamma_bar = _contrast_from(x, cm)
-    return ContrastEval(gamma_bar, per_t, -0.5 * x.size * gamma_bar)
+    return ContrastEval(gamma_bar, per_t)
 
 
 def _contrast_from(x: np.ndarray, cm) -> tuple[np.ndarray, float]:

@@ -44,10 +44,11 @@ ararch) is one loop per order, generated once, with every lag a local float.
 One overflow rule holds for every family: :func:`simulate_from_noise` refuses
 a built path with a value beyond ``OVERFLOW_LIMIT`` or not finite.
 
-A :class:`Trajectory` is an array to numpy (``np.asarray(traj)`` is its
-``values``), so every function that takes a series takes one.  Every CSV the
-package writes, a trajectory, a selection or an experiment table, goes
-through one writer (:func:`_write_csv`), next to the trajectory reader.
+A :class:`Trajectory` is its ``values``, and an array to numpy
+(``np.asarray(traj)`` is ``values``), so every function that takes a series
+takes one.  Every CSV the package writes, a trajectory, a selection or an
+experiment table, goes through one writer (:func:`_write_csv`), next to the
+trajectory reader.
 """
 
 from __future__ import annotations
@@ -232,7 +233,7 @@ _NAMES = {
 _ORDER = r"\d+(?:\.\.\d+)?"
 _TERM_RE = re.compile(
     rf"""\s*(?P<name>[a-z]+)\s*
-        (?:\(\s*(?:(?P<power>[0-9.]+)\s*;)?\s*(?P<orders>{_ORDER}(?:\s*,\s*{_ORDER})*)\s*\))?\s*""",
+        (?:\(\s*(?:(?P<power>\d+(?:\.\d*)?|\.\d+)\s*;)?\s*(?P<orders>{_ORDER}(?:\s*,\s*{_ORDER})*)\s*\))?\s*""",
     re.IGNORECASE | re.VERBOSE,
 )
 
@@ -300,9 +301,6 @@ class GroupBound:
     indices: tuple[int, ...]
     bound: float
 
-    def value(self, values: np.ndarray) -> float:
-        return float(np.sum(np.abs(values[list(self.indices)])))
-
 
 @dataclass(frozen=True)
 class ConstraintSet:
@@ -311,8 +309,9 @@ class ConstraintSet:
     ``lower`` and ``upper`` are read-only copies of the arrays given, so one
     set can serve every caller (:func:`constraint_set` builds one per spec).
     What the fits read on every call is built once per set, on first use:
-    each group's index array and sign for :meth:`project`, and SLSQP's
-    arguments (:attr:`slsqp_args`).
+    each group's index array and sign, which :meth:`contains` and
+    :meth:`project` read, and SLSQP's arguments (:attr:`slsqp_args`).  An
+    unpickled set is rebuilt read-only (pickle restores an array writable).
     """
 
     lower: np.ndarray
@@ -325,6 +324,9 @@ class ConstraintSet:
             bound.flags.writeable = False
             object.__setattr__(self, name, bound)
 
+    def __reduce__(self):
+        return ConstraintSet, (self.lower, self.upper, self.groups)
+
     @property
     def dim(self) -> int:
         return self.lower.size
@@ -336,7 +338,7 @@ class ConstraintSet:
         tol = FEASIBILITY_TOL
         if np.any(v < self.lower - tol) or np.any(v > self.upper + tol):
             return False
-        return all(g.value(v) <= g.bound + tol for g in self.groups)
+        return all(np.sum(np.abs(v[idx])) <= bound + tol for idx, _, bound in self._members)
 
     @functools.cached_property
     def _members(self) -> tuple[tuple[np.ndarray, bool, float], ...]:
@@ -471,13 +473,10 @@ def _as_values(spec: ModelSpec, theta) -> np.ndarray:
 
 @dataclass
 class Trajectory:
-    """An observed or simulated series plus (optional) provenance fields."""
+    """An observed or simulated series: its ``values``, and nothing else (the
+    spec, parameters, seed and burn-in of a simulated one are the caller's)."""
 
     values: np.ndarray
-    spec: ModelSpec | None = None
-    theta: tuple[float, ...] | None = None
-    seed: int | None = None
-    burn_in: int | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -528,9 +527,7 @@ def _write_csv(path, header, rows) -> None:
 
 
 def _lag(arr: np.ndarray, k: int) -> np.ndarray:
-    """Shift ``arr`` forward by k steps, zero-padding the start."""
-    if k == 0:
-        return arr
+    """Shift ``arr`` forward by k >= 1 steps, zero-padding the start."""
     out = np.zeros_like(arr)
     out[k:] = arr[:-k]
     return out
@@ -550,7 +547,9 @@ def simulate(
     """Simulate ``n`` observations after a zero-initialized burn-in.
 
     The innovation stream is standard normal from numpy's PCG64 generator
-    seeded with ``seed``, so trajectories are reproducible bit-for-bit.
+    seeded with ``seed``, so trajectories are reproducible bit-for-bit.  The
+    result is :func:`simulate_from_noise` on that stream: only the values of
+    the last ``n`` steps.
 
     Raises
     ------
@@ -565,23 +564,19 @@ def simulate(
     if burn_in < 0:
         raise ValueError("burn_in must be >= 0")
     rng = np.random.default_rng(seed)
-    noise = rng.standard_normal(n + burn_in)
-    traj = simulate_from_noise(spec, values, noise, burn_in=burn_in)
-    traj.seed = seed
-    return traj
+    return simulate_from_noise(spec, values, rng.standard_normal(n + burn_in), burn_in=burn_in)
 
 
 def simulate_from_noise(spec: ModelSpec, theta, noise, burn_in: int = 0) -> Trajectory:
     """Deterministic counterpart of :func:`simulate` with a caller-supplied
-    innovation stream (used heavily by tests to pin exact paths)."""
+    innovation stream (used heavily by tests to pin exact paths): the path
+    after its first ``burn_in`` steps."""
     values = _as_values(spec, theta)
     xi = np.asarray(noise, dtype=float)
     x = _path_from_noise(spec, values, xi)
     if not np.all(np.isfinite(x)) or np.max(np.abs(x), initial=0.0) > OVERFLOW_LIMIT:
         raise NumericOverflow(f"simulated {spec.name} path exceeded |x| = {OVERFLOW_LIMIT:g}")
-    return Trajectory(
-        x[burn_in:], spec=spec, theta=tuple(map(float, values)), burn_in=burn_in
-    )
+    return Trajectory(x[burn_in:])
 
 
 def _path_from_noise(spec: ModelSpec, v: np.ndarray, xi: np.ndarray) -> np.ndarray:

@@ -96,6 +96,16 @@ def test_simulate_rejects_bad_model(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("power", [".", "1.2.3"])
+def test_simulate_names_a_term_with_a_malformed_power(capsys, power):
+    code, _, err = run_cli(
+        ["simulate", "--model", f"aparch({power};1,1)", "--theta", "0.3,0.1,0.3,0.6", "--n", "10",
+         "--seed", "0"], capsys
+    )
+    assert code == EXIT_PARSE
+    assert f"cannot parse model term 'aparch({power};1,1)'" in err
+
+
 def test_simulate_rejects_infeasible_theta(capsys):
     code, _, err = run_cli(
         ["simulate", "--model", "arma(1,0)", "--theta", "1.5,1", "--n", "10", "--seed", "0"], capsys

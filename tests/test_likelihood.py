@@ -56,8 +56,9 @@ def test_loglik_identity_is_exact():
         (q.garch(1, 1), [0.5, 0.2, 0.3]),
     ]:
         ev = q.contrast(spec, theta, x)
-        assert ev.loglik == -0.5 * x.size * ev.gamma_bar
         assert ev.gamma_bar == float(np.mean(ev.per_t))
+        fit = q.fit(spec, x)
+        assert fit.loglik == -0.5 * x.size * fit.gamma_bar_min
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import itertools
 import math
 import pickle
+import re
 import sys
 
 import numpy as np
@@ -79,6 +80,22 @@ def test_white_noise_is_arma00():
 def test_parse_rejects_garbage(bad):
     with pytest.raises(ValueError):
         q.parse_spec(bad)
+
+
+@pytest.mark.parametrize("power", [".", "1.2.3", "1.5.", "1.5.0"])
+def test_a_malformed_power_names_its_term(power):
+    # the power is a decimal: anything else is a term that does not parse
+    term = f"aparch({power};1,1)"
+    for read in (q.parse_spec, q.expand_family):
+        with pytest.raises(ValueError, match=r"cannot parse model term 'aparch\(" + re.escape(power)):
+            read(term)
+
+
+@pytest.mark.parametrize("power, delta", [("1.5", 1.5), ("2", 2.0), ("2.", 2.0), (".5", 0.5), (" 1.5 ", 1.5)])
+def test_every_decimal_power_parses(power, delta):
+    spec = q.parse_spec(f"aparch({power};1,1)")
+    assert spec == q.aparch(delta, 1, 1)
+    assert q.expand_family(f"aparch({power};1..1,1)") == [spec]
 
 
 def test_dims():
@@ -309,7 +326,7 @@ def test_budget_jacobian_is_constant_and_charges_zero_coefficients():
             # each row exactly as its group alone would give it
             assert np.array_equal(values, np.concatenate([g.bound - b @ v for g, b in zip(cs.groups, blocks)]))
             for g, part in zip(cs.groups, np.split(values, np.cumsum([b.shape[0] for b in blocks])[:-1])):
-                assert np.min(part) == pytest.approx(g.bound - g.value(v), abs=1e-15 * max(1.0, scale))
+                assert np.min(part) == pytest.approx(g.bound - np.sum(np.abs(v[list(g.indices)])), abs=1e-15 * max(1.0, scale))
             assert np.array_equal(con["jac"](v), jac)
 
 
@@ -423,6 +440,19 @@ def test_a_param_vector_stays_read_only_through_pickle(protocol):
     assert not back.values.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         back.values[0] = 9.0
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_a_constraint_set_stays_read_only_through_pickle(protocol):
+    # protocols 0 to 4 restore a plain array writable
+    cs = q.constraint_set(q.arma(2, 1))
+    back = pickle.loads(pickle.dumps(cs, protocol=protocol))
+    assert np.array_equal(back.lower, cs.lower) and np.array_equal(back.upper, cs.upper)
+    assert back.groups == cs.groups
+    for bound in (back.lower, back.upper):
+        assert not bound.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            bound[0] = 9.0
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +638,9 @@ def test_negative_garch_intercept_noise_path_overflows():
 def test_burn_in_dropped():
     traj = q.simulate(q.arma(1, 0), [0.5, 1.0], 100, seed=1, burn_in=250)
     assert traj.n == 100
-    assert traj.burn_in == 250
+    xi = np.random.default_rng(1).standard_normal(350)
+    full = q.simulate_from_noise(q.arma(1, 0), [0.5, 1.0], xi)
+    assert np.array_equal(traj.values, full.values[-100:])
 
 
 def test_dgp1_variance_matches_closed_form(dgp1):
@@ -697,7 +729,6 @@ def test_h_floor_holds_at_scale_floor():
 def test_lag_helper():
     arr = np.array([1.0, 2.0, 3.0])
     assert_allclose(_lag(arr, 1), [0.0, 1.0, 2.0])
-    assert_allclose(_lag(arr, 0), arr)
 
 
 # ---------------------------------------------------------------------------
