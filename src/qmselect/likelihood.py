@@ -9,7 +9,7 @@ and ``gamma_bar`` is its sample mean; the quasi-log-likelihood is exactly
 ``-(n/2) * gamma_bar``.  Minimizing gamma_bar is the estimation principle
 used everywhere in this package.
 
-Each family has one hand-derived derivative, the gradient of gamma_bar
+One hand-derived derivative serves every family, the gradient of gamma_bar
 (:func:`_gradient_from`), which differentiates the truncated recursions of
 :mod:`.models`.  Where the ``H_FLOOR`` clamp is active the variance no longer
 depends on the parameters, so its share of the gradient is zero there.  The
@@ -20,10 +20,11 @@ matrices.  Finite differences remain only in the tests, as oracles.
 
 Each family's recursion is one pass over the sample (``models._recursion``)
 that returns one named record; the conditional moments and the gradient are
-read from its fields (``models._moments_from``, :func:`_gradient_from`).  The
-three ARCH families share one variance filter and one score weight
-d gamma_t / d level_t (:func:`_level_ratio`; garch and ararch are its
-delta = 2 case), so they share the omega, a and b entries of the gradient;
+read from its fields (``models._moments_from``, :func:`_gradient_from`).  Every
+family has one score weight d gamma_t / d level_t, arma's linear in its
+residuals and the three ARCH families' :func:`_level_ratio` of their one
+variance filter (garch and ararch are its delta = 2 case), so all four share
+one adjoint pass and the a and b entries; sigma or omega is per family, and
 aparch adds its gamma entries and ararch its phi entry.  ``_Objective`` is the
 contrast and gradient that SLSQP's passes in a fit share: it keeps the
 recursion and value of the last point it valued and reuses them when that
@@ -165,31 +166,39 @@ def gradient(spec: ModelSpec, theta, x) -> np.ndarray:
 
 
 def _gradient_from(spec: ModelSpec, v: np.ndarray, x: np.ndarray, rec) -> np.ndarray:
-    """Mean score from the recursion ``models._recursion`` built at ``v``;
-    callers hold the floating-point error state.  This is each family's one
-    hand-derived derivative; it also runs on complex ``v``, for the Hessian.
+    """Mean score from the recursion ``models._recursion`` built at ``v``: the
+    one hand-derived derivative of every family, which also runs on complex
+    ``v``, for the Hessian.  Callers hold the floating-point error state.
 
     Every score is ``w_t (L u_k)_t`` with ``L`` the family's filter, so its
     mean is ``<r, u_k> / n`` with ``r = L^T w`` the filter run backwards over
     ``w``: one 1-D pass, where the score rows need one pass per parameter.
     The inputs ``u_k`` are lags, so each inner product is taken on slices,
-    ``r[k:] @ u[:n - k]``.  The three ARCH families share one weight ``w``
-    (:func:`_level_ratio`), one filter and so the omega, a and b entries;
-    aparch adds its gamma entries, and ararch, whose filter is the identity,
-    its phi entry.
+    ``r[k:] @ u[:n - k]``.  The weight is arma's ``(2 / sigma^2) eps_t``, with
+    sign -1 as eps falls when its coefficients rise, or :func:`_level_ratio`;
+    the a entries read ``rec.inputs`` and the b entries ``rec.level``.  Only
+    sigma or omega, aparch's gamma and ararch's phi (whose filter is the
+    identity) are per family.
     """
     fam, lay, n = spec.family, spec.layout, x.size
-    if fam is Family.ARMA:
-        return _mean_grad_arma(spec, v, x, rec)
     z = rec.resid  # x itself for garch and aparch
-    r = _adjoint(rec.poly, _level_ratio(spec.delta, z**2, rec.level, rec.h))
+    if fam is Family.ARMA:
+        sigma = v[lay.sigma.start]
+        w, sign, block_a, block_b = (2.0 / sigma**2) * z, -1.0, lay.ar, lay.ma
+    else:
+        w, sign, block_a, block_b = _level_ratio(spec.delta, z**2, rec.level, rec.h), 1.0, lay.a, lay.b
+    r = _adjoint(rec.poly, w)
     g = np.empty(spec.dim, dtype=r.dtype)
-    g[lay.omega.start] = r.sum() / n
-    a, g_a, g_b = v[lay.a], g[lay.a], g[lay.b]  # g_a, g_b are views: writes land in g
+    g_a, g_b = g[block_a], g[block_b]  # views: writes land in g
     for i, u in enumerate(rec.inputs):
-        g_a[i] = _lagged_dot(r, u, i + 1) / n
+        g_a[i] = sign * _lagged_dot(r, u, i + 1) / n
     for j in range(spec.q):
-        g_b[j] = _lagged_dot(r, rec.level, j + 1) / n
+        g_b[j] = sign * _lagged_dot(r, rec.level, j + 1) / n
+    if fam is Family.ARMA:
+        g[lay.sigma.start] = -2.0 * (z @ z) / n / sigma**3 + 2.0 / sigma
+        return g
+    g[lay.omega.start] = r.sum() / n
+    a = v[lay.a]
     if fam is Family.APARCH:
         gamma, g_gamma = v[lay.gamma], g[lay.gamma]  # g_gamma is a view of g
         for i in range(spec.p):
@@ -216,21 +225,6 @@ def _adjoint(poly: np.ndarray, w: np.ndarray) -> np.ndarray:
 def _lagged_dot(r: np.ndarray, u: np.ndarray, k: int) -> float:
     """``r @ _lag(u, k)`` without the lagged copy."""
     return r[k:] @ u[: u.size - k]
-
-
-def _mean_grad_arma(spec, v, x, rec):
-    lay, n = spec.layout, x.size
-    sigma = v[lay.sigma.start]
-    eps = rec.resid
-    r = _adjoint(rec.poly, (2.0 / sigma**2) * eps)
-    g = np.empty(spec.dim, dtype=r.dtype)
-    g_ar, g_ma = g[lay.ar], g[lay.ma]  # views: writes land in g
-    for i in range(spec.p):
-        g_ar[i] = -_lagged_dot(r, x, i + 1) / n
-    for j in range(spec.q):
-        g_ma[j] = -_lagged_dot(r, eps, j + 1) / n
-    g[lay.sigma.start] = -2.0 * (eps @ eps) / n / sigma**3 + 2.0 / sigma
-    return g
 
 
 class _Objective:

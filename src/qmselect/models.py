@@ -254,7 +254,10 @@ def _parse_term(term: str) -> list[ModelSpec]:
     if len(ranges) != count:
         raise ValueError(f"{name} takes {count} order(s): {term!r}")
     head = (float(power or 2.0),) if name == "aparch" else ()
-    return [make(*head, *orders) for orders in itertools.product(*ranges)]
+    try:  # the constructor's rule, with the term it refuses
+        return [make(*head, *orders) for orders in itertools.product(*ranges)]
+    except ValueError as err:
+        raise ValueError(f"cannot parse model term {term!r}: {err}") from None
 
 
 def _order_range(tok: str, term: str) -> range:
@@ -573,6 +576,8 @@ def simulate_from_noise(spec: ModelSpec, theta, noise, burn_in: int = 0) -> Traj
     after its first ``burn_in`` steps."""
     values = _as_values(spec, theta)
     xi = np.asarray(noise, dtype=float)
+    if not 0 <= burn_in < xi.size:
+        raise ValueError(f"burn_in must be >= 0 and less than the {xi.size} steps of noise")
     x = _path_from_noise(spec, values, xi)
     if not np.all(np.isfinite(x)) or np.max(np.abs(x), initial=0.0) > OVERFLOW_LIMIT:
         raise NumericOverflow(f"simulated {spec.name} path exceeded |x| = {OVERFLOW_LIMIT:g}")
@@ -732,9 +737,9 @@ class _Recursion:
     ``level`` is the output of the family's filter and ``poly`` that filter's
     AR polynomial: the arma residuals and the MA polynomial, or an ARCH
     family's unclamped variance (aparch: power sigma ** delta) and
-    ``[1, -b]``.  ``inputs`` holds the unlagged input of each a_i of an ARCH
-    family (none for arma), ``resid`` the mean residual x - f (x itself for
-    garch and aparch).  ``f`` and ``h`` are the conditional mean and the variance before
+    ``[1, -b]``.  ``inputs`` holds the unlagged input of each a-block
+    coefficient (x for arma's AR), ``resid`` the mean residual x - f (x itself
+    for garch and aparch).  ``f`` and ``h`` are the conditional mean and the variance before
     its floor; a constant one is a scalar (see :func:`_moments_from`)."""
 
     f: np.ndarray | float
@@ -751,7 +756,7 @@ def _arma_residuals(spec: ModelSpec, v: np.ndarray, x: np.ndarray) -> _Recursion
     ar = np.concatenate(([1.0], -v[lay.ar]))
     ma = np.concatenate(([1.0], v[lay.ma]))
     eps = _lfilter(ar, ma, x)
-    return _Recursion(x - eps, v[lay.sigma.start] ** 2, eps, ma, eps, [])
+    return _Recursion(x - eps, v[lay.sigma.start] ** 2, eps, ma, eps, [x] * spec.p)
 
 
 def _arch_filter(v: np.ndarray, layout: _Layout, inputs, n: int):

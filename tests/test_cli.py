@@ -96,7 +96,7 @@ def test_simulate_rejects_bad_model(capsys):
     assert "error" in err
 
 
-@pytest.mark.parametrize("power", [".", "1.2.3"])
+@pytest.mark.parametrize("power", [".", "1.2.3", "0", "0.0", "00", pytest.param("9" * 400, id="400-digits")])
 def test_simulate_names_a_term_with_a_malformed_power(capsys, power):
     code, _, err = run_cli(
         ["simulate", "--model", f"aparch({power};1,1)", "--theta", "0.3,0.1,0.3,0.6", "--n", "10",

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -513,6 +514,47 @@ def test_hessian_is_the_complex_step_of_the_mean_gradient(spec, theta):
             cols.append(qmselect.likelihood._gradient_from(spec, vc, x, rec).imag)
     hess = np.column_stack(cols) / qmselect.likelihood.CS_STEP
     assert np.array_equal(q.derivatives(spec, v, x).hessian, 0.5 * (hess + hess.T))
+
+
+def _pin_points(spec, rng):
+    """Four feasible points of ``spec``: two inside its budgets, one on their
+    faces (the coefficients pushed out, then projected), and one with the
+    scale entry under its lower bound by the feasibility tolerance and no b
+    coefficients, where aparch's ``H_FLOOR`` clamp bites on a tiny series."""
+    cs = q.constraint_set(spec)
+    lo, hi = cs.lower, np.minimum(cs.upper, 2.0)
+    coef = lo <= 0.0  # every entry but sigma or omega
+    inside = [cs.project(rng.uniform(lo, hi)) * np.where(coef, 0.8, 1.0) for _ in range(2)]
+    u = rng.uniform(lo, hi)
+    face = cs.project(u + np.where(coef, np.copysign(2.0, u), 0.0))
+    low = cs.project(rng.uniform(lo, hi))
+    low[~coef] = lo[~coef] - qmselect.models.FEASIBILITY_TOL
+    low[spec.layout.b] = 0.0
+    return inside + [face, low]
+
+
+#: sha256 of the gradient, Hessian and score bytes at the points of
+#: _pin_points, the last on the series scaled by 1e-5
+PINNED_SPECS = [q.wn(), q.arma(1, 1), q.arma(2, 2), q.arma(0, 3), q.garch(2, 1),
+                q.aparch(1.5, 1, 1), q.ararch(2)]
+DERIVATIVES_SHA256 = "7c707522792f5cc01506ed044f5f07536b7e7a0c31c9718f6c14c908a07f9b49"
+
+
+def test_derivatives_are_pinned_to_the_bit():
+    # the fit pins reach these bits only through the few specs they fit; this
+    # one holds every family's gradient and both complex steps at full precision
+    rng = np.random.default_rng(29)
+    x = rng.standard_normal(300)
+    digest = hashlib.sha256()
+    for spec in PINNED_SPECS:
+        for k, v in enumerate(_pin_points(spec, rng)):
+            assert q.constraint_set(spec).contains(v)
+            xk = x if k < 3 else 1e-5 * x
+            if spec.family is q.Family.APARCH and k == 3:
+                assert (qmselect.models._recursion(spec, v, xk).h < qmselect.models.H_FLOOR).any()
+            d = q.derivatives(spec, v, xk)
+            digest.update(q.gradient(spec, v, xk).tobytes() + d.hessian.tobytes() + d.scores.tobytes())
+    assert digest.hexdigest() == DERIVATIVES_SHA256
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,8 @@ def test_parse_rejects_garbage(bad):
         q.parse_spec(bad)
 
 
-@pytest.mark.parametrize("power", [".", "1.2.3", "1.5.", "1.5.0"])
+@pytest.mark.parametrize("power", [".", "1.2.3", "1.5.", "1.5.0", "0", "0.0", "00",
+                                   pytest.param("9" * 400, id="400-digits")])
 def test_a_malformed_power_names_its_term(power):
     # the power is a decimal: anything else is a term that does not parse
     term = f"aparch({power};1,1)"
@@ -641,6 +642,13 @@ def test_burn_in_dropped():
     xi = np.random.default_rng(1).standard_normal(350)
     full = q.simulate_from_noise(q.arma(1, 0), [0.5, 1.0], xi)
     assert np.array_equal(traj.values, full.values[-100:])
+
+
+@pytest.mark.parametrize("burn_in", [-3, 10, 12])
+def test_simulate_from_noise_refuses_a_burn_in_outside_the_noise(burn_in):
+    # a negative burn_in would keep the last steps, one past the noise none
+    with pytest.raises(ValueError, match=r"burn_in must be >= 0 and less than the 10 steps of noise"):
+        q.simulate_from_noise(q.arma(1, 0), (0.5, 1.0), np.ones(10), burn_in=burn_in)
 
 
 def test_dgp1_variance_matches_closed_form(dgp1):
