@@ -227,18 +227,11 @@ def _check_writable(path: str | None, directory: bool = False) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    try:
+    try:  # parse, then writability, then simulation
         spec = parse_spec(args.model)
         theta = np.array(_floats(args.theta))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    _check_writable(args.out)
-    try:
+        _check_writable(args.out)
         traj = simulate(spec, theta, args.n, seed=args.seed, burn_in=args.burn_in)
-    except NonStationaryParams as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONSTRAINT
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -360,6 +353,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except NonStationaryParams as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONSTRAINT
     except QmselectError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

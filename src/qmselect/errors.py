@@ -15,7 +15,7 @@ class NonStationaryParams(QmselectError):
 
 
 class NumericOverflow(QmselectError):
-    """A simulated trajectory exceeded the overflow guard (|X_t| > 1e10)."""
+    """A simulated trajectory exceeded the overflow guard (|X_t| > 1e10) or is not finite."""
 
 
 class TooShortSeries(QmselectError):

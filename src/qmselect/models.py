@@ -38,11 +38,12 @@ Each family's recursion is one pass over the sample that returns one named
 record (:func:`_recursion`); the conditional moments and the mean gradient
 of :mod:`.likelihood` are read from its fields.
 
-Simulation starts from the same zero pre-sample.  arma paths go through
-:func:`_lfilter`; each variance-driven path (garch, aparch and the ARCH residual of
-ararch) is one loop per order, generated once, with every lag a local float.
-One overflow rule holds for every family: :func:`simulate_from_noise` refuses
-a built path with a value beyond ``OVERFLOW_LIMIT`` or not finite.
+Simulation starts from the same zero pre-sample and takes the causal form's
+two steps for every family (:func:`_path_from_noise`): the scale path z = M xi
+(arma: sigma xi; garch, aparch and ararch's ARCH residual: one loop per order,
+generated once, with every lag a local float), then one mean filter read from
+the layout.  One check refuses a path, for every family: :func:`simulate_from_noise`
+raises ``NumericOverflow`` for a value beyond ``OVERFLOW_LIMIT`` or not finite.
 
 A :class:`Trajectory` is its ``values``, and an array to numpy
 (``np.asarray(traj)`` is ``values``), so every function that takes a series
@@ -67,7 +68,7 @@ import scipy
 from scipy.optimize import Bounds
 from scipy.signal import lfilter
 
-from .errors import NonStationaryParams, NumericOverflow
+from .errors import NonStationaryParams, NumericOverflow, UnsupportedFamily
 
 #: stationarity margin: sums of dynamic coefficients stay below 1 - COEF_MARGIN
 COEF_MARGIN = 0.02
@@ -81,6 +82,8 @@ H_FLOOR = 1e-8
 FEASIBILITY_TOL = 1e-9
 #: simulation overflow guard
 OVERFLOW_LIMIT = 1e10
+#: largest signed budget SLSQP is given: its 2^k sign rows (65,536 at 16)
+MAX_SIGNED_GROUP = 16
 DEFAULT_BURN_IN = 1000
 
 
@@ -186,12 +189,8 @@ class ModelSpec:
 
 
 def _power_text(delta: float) -> str:
-    """Shortest plain decimal that parses back to ``delta`` exactly; the short
-    ``:g`` form whenever that form already does."""
-    text = f"{delta:g}"
-    if "e" in text or float(text) != delta:
-        text = np.format_float_positional(delta, trim="-")
-    return text
+    """Shortest plain decimal that parses back to ``delta`` exactly."""
+    return np.format_float_positional(delta, trim="-")
 
 
 _WN = ModelSpec(Family.ARMA)
@@ -389,8 +388,14 @@ class ConstraintSet:
         per evaluation.  The value is taken group by group: a matrix-vector
         product may sum a row in another order once the matrix has more rows.
         ``A`` and the Jacobian are read-only, as the set's own arrays are, so
-        no caller can change a later fit of the same spec through them.
+        no caller can change a later fit of the same spec through them.  A
+        signed group of more than ``MAX_SIGNED_GROUP`` members raises
+        :class:`UnsupportedFamily` before any row is built.
         """
+        for idx, signed, _ in self._members:
+            if signed and idx.size > MAX_SIGNED_GROUP:
+                raise UnsupportedFamily(f"a signed budget of {idx.size} coefficients takes 2^{idx.size} "
+                                        f"SLSQP rows; at most {MAX_SIGNED_GROUP} are supported")
         bounds = Bounds(self.lower, self.upper)
         if not self.groups:
             return {"bounds": bounds, "constraints": []}
@@ -580,39 +585,30 @@ def simulate_from_noise(spec: ModelSpec, theta, noise, burn_in: int = 0) -> Traj
         raise ValueError(f"burn_in must be >= 0 and less than the {xi.size} steps of noise")
     x = _path_from_noise(spec, values, xi)
     if not np.all(np.isfinite(x)) or np.max(np.abs(x), initial=0.0) > OVERFLOW_LIMIT:
-        raise NumericOverflow(f"simulated {spec.name} path exceeded |x| = {OVERFLOW_LIMIT:g}")
+        raise NumericOverflow(f"simulated {spec.name} path exceeded |x| = {OVERFLOW_LIMIT:g} or is not finite")
     return Trajectory(x[burn_in:])
 
 
 def _path_from_noise(spec: ModelSpec, v: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """The causal form's two steps, the same for every family: the scale path
+    z = M * xi (arma: sigma * xi; garch, aparch and ararch: the variance
+    kernel's path, ararch's being its garch(p, 0) residual), then one mean
+    filter, ``[1, b...]`` over ``[1, -a..., -phi]``, read from the layout."""
     lay = spec.layout
     if spec.family is Family.ARMA:
-        eps = v[lay.sigma.start] * xi
-        ma = np.concatenate(([1.0], v[lay.ma]))
-        return _lfilter(ma, np.concatenate(([1.0], -v[lay.ar])), eps)
-    # the variance blocks omega, a, gamma and b, in order, are the kernel's arguments
-    arch = v[lay.omega.start : lay.b.stop]
-    if spec.family is Family.APARCH:
-        return _sim_arch(Family.APARCH, spec.p, spec.q, [*arch, spec.delta], xi)
-    # ararch's AR(1) residual z is an ARCH(p) path, i.e. a garch(p, 0) one
-    path = _sim_arch(Family.GARCH, spec.p, spec.q, arch, xi)
-    return _ar_filter(np.concatenate(([1.0], -v[lay.phi])), path)
-
-
-def _sim_arch(family: Family, p: int, q: int, coefs, xi):
-    """The garch or aparch path of order (p, q) that ``_kernel`` writes, with
-    ``coefs`` in the kernel's argument order."""
-    out = np.zeros(xi.size)
-    try:
-        _kernel(family, p, q)(out, xi, *map(float, coefs))
-    except (ValueError, OverflowError):
-        # math.sqrt and math.pow raise where numpy would warn and return nan
-        # or inf: a negative variance or base (infeasible parameters), or an
-        # overflowing power; that maps to the package's overflow error
-        raise NumericOverflow(
-            "simulation reached a negative variance or base, or an overflowing power"
-        ) from None
-    return out
+        z = v[lay.sigma.start] * xi
+    else:
+        # the kernel's arguments: the variance blocks omega, a, gamma and b, and aparch's power
+        kind = Family.APARCH if spec.family is Family.APARCH else Family.GARCH
+        args = v[lay.omega.start : lay.b.stop].tolist() + [spec.delta] * (kind is Family.APARCH)
+        z = np.zeros(xi.size)
+        try:
+            _kernel(kind, spec.p, spec.q)(z, xi, *args)
+        except (ValueError, OverflowError):
+            z[:] = np.nan  # a math error (see _kernel) is a non-finite path
+    ma = np.concatenate(([1.0], v[lay.ma]))
+    ar = np.concatenate(([1.0], -v[lay.ar], -v[lay.phi]))
+    return _ar_filter(ar, z) if ma.size == 1 else _lfilter(ma, ar, z)
 
 
 @functools.cache
@@ -630,7 +626,9 @@ def _kernel(family: Family, p: int, q: int):
     # rounds like numpy's scalar square, ``x * x`` does not.  Only names built
     # from range(p) and range(q) and fixed text enter the source:
     # coefficients, omega and delta are arguments, so no value reaches exec.
-    # No bound is checked here: simulate_from_noise checks the whole path.
+    # No bound is checked here: simulate_from_noise checks the whole path.  A
+    # math error here (math.sqrt and math.pow raise where numpy returns nan or
+    # inf) becomes a non-finite path in _path_from_noise, refused by that check.
     xs = [f"x{i}" for i in range(1, p + 1)]
     ss = [f"s{j}" for j in range(1, q + 1)]
     a = [f"a{i}" for i in range(1, p + 1)]

@@ -256,6 +256,19 @@ def test_select_tracepen_cf_on_an_all_zero_series_exits_4(tmp_path, capsys):
     assert "no candidate produced a criterion value" in err
 
 
+def test_select_excludes_an_order_above_the_budget_cap(tmp_path, capsys):
+    # arma(17,0) would give SLSQP 2^17 sign rows: it is excluded, and wn picked
+    path = tmp_path / "ar.csv"
+    q.simulate(q.arma(1, 0), [0.5, 1.0], 200, seed=2).to_csv(path)
+    code, out, _ = run_cli(
+        ["select", "--data", str(path), "--family", "wn + arma(17,0)", "--criterion", "bic"], capsys
+    )
+    assert code == 0
+    assert out.startswith("criterion bic: chose wn\n")
+    assert ("  excluded: arma(17,0) (UnsupportedFamily: a signed budget of 17 coefficients takes "
+            "2^17 SLSQP rows; at most 16 are supported)\n") in out
+
+
 #: criterion -> (sha256 of the per-model CSV, stdout before its ``wrote`` line)
 #: of ``select`` on garch(1,1) series 8, n = 300.  Most series' garch fits move
 #: in their last bits with the BLAS thread count; this one's do not, so one
@@ -382,6 +395,16 @@ def test_config_values_are_taken_literally(output_dir):
     assert parse_config(serialize_config(cfg)) == cfg
 
 
+#: (mutation of GOOD_CONFIG, message) for config checks no other test reaches
+UNREACHED_CONFIG_CHECKS = [
+    (lambda t: t.replace("n_values = 200, 500", "n_values = "), "n_values must not be empty"),
+    (lambda t: "a line before any section\n" + t, "config not parseable"),
+    (lambda t: t.replace("theta = 0.5, 0.6, 1.0\n", ""), "missing keys: [dgp] theta"),
+    (lambda t: t.replace("output_dir = results/demo", "output_dir = "),
+     "[experiment] output_dir = '': must not be empty"),
+]
+
+
 @pytest.mark.parametrize(
     "mutate,needle",
     [
@@ -400,6 +423,7 @@ def test_config_values_are_taken_literally(output_dir):
         (lambda t: t.replace("criteria = aic, bic", "criteria = aic, aic"), "criteria must not repeat"),
         (lambda t: t.replace("criteria = aic, bic", "criteria = ,"), "criteria must not be empty"),
         (lambda t: t.replace("master_seed = 11", "master_seed = -5"), "master_seed must be >= 0, got -5"),
+        *UNREACHED_CONFIG_CHECKS,
     ],
 )
 def test_config_errors_name_the_field(mutate, needle):
@@ -421,6 +445,28 @@ def test_config_errors_exit_5(tmp_path, capsys):
     code, out, err = run_cli(["mc-consistency", "--config", str(latin), "--threads", "1"], capsys)
     assert code == EXIT_CONFIG and out == ""
     assert err.startswith(f"config error: cannot read config {latin}: 'utf-8' codec can't decode")
+
+
+@pytest.mark.parametrize(
+    "argv, mutate, code, needle",
+    [
+        (["simulate", "--n", "0"], None, EXIT_PARSE, "error: n must be positive"),
+        (["simulate", "--n", "10", "--burn-in", "-1"], None, EXIT_PARSE, "error: burn_in must be >= 0"),
+        *((["mc-consistency"], mutate, EXIT_CONFIG, f"config error: {needle}")
+          for mutate, needle in UNREACHED_CONFIG_CHECKS),
+    ],
+    ids=["n-zero", "burn-in-negative", "n-values-empty", "unparseable", "theta-missing", "output-dir-empty"],
+)
+def test_an_invalid_input_exits_with_its_code_and_message(tmp_path, capsys, argv, mutate, code, needle):
+    if mutate is None:
+        argv = [*argv, "--model", "arma(1,0)", "--theta", "0.5, 1.0", "--seed", "0"]
+    else:
+        config = tmp_path / "bad.cfg"
+        config.write_text(mutate(GOOD_CONFIG))
+        argv = [*argv, "--config", str(config), "--threads", "1"]
+    got, out, err = run_cli(argv, capsys)
+    assert (got, out) == (code, "")
+    assert err.startswith(needle)
 
 
 def test_unknown_criterion_exits_5(tmp_path, capsys):

@@ -377,6 +377,19 @@ def test_fit_family_results_do_not_depend_on_the_callers_order(garch_grid):
         assert a.gamma_bar_min == b.gamma_bar_min
 
 
+def test_an_order_above_the_budget_cap_is_an_excluded_model():
+    # arma(17,0)'s AR budget would give SLSQP 2^17 sign rows: the fit raises,
+    # and the sweep records the model as excluded, with its reason
+    x = q.simulate(q.arma(1, 0), [0.5, 1.0], 200, seed=3).values
+    with pytest.raises(q.UnsupportedFamily):
+        q.fit(q.arma(17, 0), x)
+    white, wide = q.fit_family([q.wn(), q.arma(17, 0)], x)
+    assert white.error is None and white.converged
+    assert wide.spec == q.arma(17, 0) and not wide.converged and np.isnan(wide.gamma_bar_min)
+    assert wide.error == ("UnsupportedFamily: a signed budget of 17 coefficients takes 2^17 SLSQP rows; "
+                          "at most 16 are supported")
+
+
 SIGN_FLIP_FAMILY = "wn + arma(0..2,0..2) + garch(0..2,0..2) + aparch(1.5;1,1) + ararch(1..2)"
 
 

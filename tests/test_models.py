@@ -361,6 +361,23 @@ def test_constraint_set_is_built_once_per_spec_and_cannot_be_written():
     assert hand.lower.tolist() == [0.0, 0.0] and hand.upper.tolist() == [1.0, 1.0]
 
 
+@pytest.mark.parametrize("spec", [q.arma(17, 0), q.arma(0, 17), q.arma(17, 17)], ids=str)
+def test_a_signed_budget_above_the_cap_is_refused_before_its_rows_are_built(spec):
+    # 2^17 sign rows would be built three times over; an order of 24 would
+    # need about 3.4 GB for the matrix alone
+    cs = q.constraint_set(spec)
+    with pytest.raises(q.UnsupportedFamily, match=r"signed budget of 17 coefficients takes 2\^17 SLSQP rows"):
+        cs.slsqp_args
+    assert cs.contains(cs.project(np.zeros(cs.dim)))  # the set itself still works
+
+
+def test_a_signed_budget_at_the_cap_is_built():
+    # on a copy of the cached set, so its 2^16 rows are not kept
+    at_cap = q.constraint_set(q.arma(16, 0))
+    (con,) = q.ConstraintSet(at_cap.lower, at_cap.upper, at_cap.groups).slsqp_args["constraints"]
+    assert con["jac"](None).shape == (2**16, 17)
+
+
 @pytest.mark.parametrize("spec", [q.wn(), q.arma(2, 1), q.garch(1, 1), q.aparch(1.5, 1, 1)], ids=str)
 def test_project_returns_a_new_array_the_caller_may_write(spec):
     cs = q.constraint_set(spec)
@@ -642,6 +659,23 @@ def test_burn_in_dropped():
     xi = np.random.default_rng(1).standard_normal(350)
     full = q.simulate_from_noise(q.arma(1, 0), [0.5, 1.0], xi)
     assert np.array_equal(traj.values, full.values[-100:])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: q.ModelSpec(q.Family.ARARCH, 1, 1), "ararch takes a single order p"),
+        (lambda: q.parse_spec("arma(0..1,0)"), "a single model spec has no order ranges"),
+        (lambda: q.cond_moments(q.arma(1, 1), q.ParamVector(q.garch(1, 1), [1.0, 0.1, 0.2]), np.ones(5)),
+         "parameter vector bound to a different spec"),
+        (lambda: q.simulate(q.arma(1, 0), [0.5, 1.0], 0, seed=0), "n must be positive"),
+        (lambda: q.simulate(q.arma(1, 0), [0.5, 1.0], 10, seed=0, burn_in=-1), "burn_in must be >= 0"),
+    ],
+    ids=["ararch-q", "spec-range", "foreign-theta", "n-zero", "burn-in-negative"],
+)
+def test_an_invalid_argument_says_what_is_wrong(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 @pytest.mark.parametrize("burn_in", [-3, 10, 12])
