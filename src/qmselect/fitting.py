@@ -6,7 +6,11 @@ second moment); nothing is random.  SLSQP descends from them in that order
 over the box and the coefficient budgets, all budgets handed over as one
 linear inequality with a constant Jacobian.  The constraint set and
 these SLSQP arguments are built once per spec, not once per fit
-(``models.constraint_set``, ``ConstraintSet.slsqp_args``).  A fit stops after
+(``models.constraint_set``, ``ConstraintSet.slsqp_args``).  Each SLSQP pass is
+one call of :func:`minimize`: on the scipy versions in
+``models._CORE_PINNED_ON`` it drives SLSQP's C core directly, without
+``scipy.optimize.minimize``'s per-call wrapper, and elsewhere it calls
+``minimize``; the tests pin both to the same iterates.  A fit stops after
 the first descent whose end point is certified (projected gradient at most
 ``GRAD_TOL``).  Within a descent, while SLSQP's end point is not certified
 and the contrast still falls, SLSQP is restarted from there, up to
@@ -37,15 +41,19 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+import scipy
+from scipy import optimize
+from scipy.optimize import OptimizeResult
 
 from .errors import OptimizerDiverged, QmselectError, TooShortSeries
 from .likelihood import _Objective, contrast, gamma_bar, gradient
 from .models import ConstraintSet, Family, ModelSpec, ParamVector
-from .models import _as_values, constraint_set, is_nested
+from .models import _as_values, _pinned_core, constraint_set, is_nested
 
 #: SLSQP iteration cap per pass
 MAX_ITER = 500
+#: SLSQP's accuracy, its ``ftol``
+FTOL = 1e-12
 #: a fit is converged when its projected gradient sup-norm is at most this
 GRAD_TOL = 1e-6
 #: SLSQP passes per start: restarts from an uncertified end point
@@ -88,24 +96,94 @@ def projected_grad_norm(cset: ConstraintSet, v: np.ndarray, g: np.ndarray) -> fl
     return float(np.max(np.abs(v - cset.project(v - g))))
 
 
+#: SLSQP's reverse-communication C core, what ``scipy.optimize.minimize``
+#: drives for ``method="SLSQP"``; None off the pinned scipy versions
+_SLSQP = _pinned_core(scipy.__version__, "scipy.optimize._slsqplib", "slsqp")
+
+
+def minimize(objective: _Objective, v: np.ndarray, cset: ConstraintSet) -> OptimizeResult:
+    """One SLSQP pass from ``v`` over ``cset``: what
+    ``scipy.optimize.minimize(objective.value, v, jac=objective.grad,
+    method="SLSQP", **cset.slsqp_args, options={"maxiter": MAX_ITER, "ftol":
+    FTOL})`` returns, with the same iterates and the same ``x``, ``fun``,
+    ``nit``, ``nfev``, ``njev`` and ``status``.
+
+    With a pinned core (``_SLSQP``, see ``models._pinned_core``) the core is
+    driven directly, on the inputs ``minimize`` builds for it and without
+    ``minimize``'s per-callback wrappers: the start is clipped to the box,
+    mode 1 is answered with the value and the budget values, mode -1 with the
+    gradient and the budget Jacobian.  The counts are ``minimize``'s: the
+    start's value and gradient count one each, and either is evaluated again
+    only at a point that differs from the last one evaluated.  Without a
+    pinned core ``minimize`` itself runs; its warning that it clipped a point
+    just outside the box is ignored, since the contrast is clamped there.
+    """
+    if _SLSQP is None:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", message=".*outside bounds.*")
+            return optimize.minimize(objective.value, v, jac=objective.grad, method="SLSQP",
+                                     **cset.slsqp_args, options={"maxiter": MAX_ITER, "ftol": FTOL})
+    x = np.clip(v, cset.lower, cset.upper)
+    n = x.size
+    # the budgets are one inequality or none (ConstraintSet.slsqp_args)
+    budgets = cset.slsqp_args["constraints"]
+    if budgets:
+        ((budget, normals),) = [(c["fun"], c["jac"]) for c in budgets]
+        d, C = budget(x), np.array(normals(x), order="F")
+    else:
+        d, C = np.zeros(1), np.zeros((1, n), order="F")
+    m = d.size if budgets else 0
+    state = {"acc": FTOL, "alpha": 0.0, "f0": 0.0, "gs": 0.0, "h1": 0.0, "h2": 0.0, "h3": 0.0,
+             "h4": 0.0, "t": 0.0, "t0": 0.0, "tol": 10.0 * FTOL, "exact": 0, "inconsistent": 0,
+             "reset": 0, "iter": 0, "itermax": MAX_ITER, "line": 0, "m": m, "meq": 0, "mode": 0,
+             "n": n}
+    # scipy's workspace for m inequalities, topped up when there are none
+    size = n * (n + 1) // 2 + 3 * m * n + 9 * m + 8 * n * n + 35 * n + 28 + (0 if m else 2 * n * (n + 1))
+    buffer = np.zeros(size)
+    indices = np.zeros(m + 2 * n + 2, dtype=np.int32)
+    mult = np.zeros(m + 2 * n + 2)
+    # the core marks an infinite bound by nan
+    xl = np.where(np.isfinite(cset.lower), cset.lower, np.nan)
+    xu = np.where(np.isfinite(cset.upper), cset.upper, np.nan)
+    fx, g = objective.value(x), objective.grad(x)
+    nfev = njev = 1
+    at, valued, graded = x.copy(), True, True  # the last point evaluated, and what is known there
+    while True:
+        _SLSQP(state, fx, g, C, d, x, mult, xl, xu, buffer, indices)
+        mode = state["mode"]
+        if abs(mode) != 1:
+            break
+        if not (x == at).all():
+            at, valued, graded = x.copy(), False, False
+        if mode == 1:
+            if not valued:
+                fx, nfev, valued = objective.value(x), nfev + 1, True
+            if budgets:
+                d[:] = budget(x)
+        else:
+            if not graded:
+                g, njev, graded = objective.grad(x), njev + 1, True
+            if budgets:
+                C[:] = normals(x)
+    return OptimizeResult(x=x, fun=fx, nit=state["iter"], nfev=nfev, njev=njev, status=mode)
+
+
 def _descend(objective: _Objective, cset: ConstraintSet, v, fv) -> FitResult:
     """SLSQP from ``v`` (contrast ``fv``), restarted from its end point while
     that point is not certified and the contrast still falls, up to
-    ``MAX_PASSES`` passes; returns the fit that :func:`_certified` builds at the
-    end point, with SLSQP's iterations summed over the passes.  When no pass
-    lowers the contrast, the end point is ``v`` itself, and it is certified
-    there: a warm start can already be a KKT point."""
+    ``MAX_PASSES`` passes, each one :func:`minimize` call; returns the fit that
+    :func:`_certified` builds at the end point, with SLSQP's iterations summed
+    over the passes.  When no pass lowers the contrast, the end point is ``v``
+    itself, and it is certified there: a warm start can already be a KKT
+    point.  The floating-point error state is entered once here for all the
+    passes; :func:`minimize` filters the one warning of its fallback."""
     spec, x = objective.spec, objective.x
     iterations, end = 0, None
     # the objective's callbacks run in this error state, entered once here:
     # probes at explosive parameters overflow to an infinite contrast
-    with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
-        # SLSQP line searches may poke just outside the box; the contrast
-        # is clamped there, so the probe values are finite and harmless
-        warnings.filterwarnings("ignore", message=".*outside bounds.*")
+    with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(MAX_PASSES):
-            res = minimize(objective.value, v, jac=objective.grad, method="SLSQP",
-                           **cset.slsqp_args, options={"maxiter": MAX_ITER, "ftol": 1e-12})
+            res = minimize(objective, v, cset)
             iterations += int(res.nit)
             if not np.all(np.isfinite(res.x)) or not np.isfinite(res.fun):
                 break

@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import importlib
 import itertools
 import math
 import re
@@ -376,7 +377,11 @@ class ConstraintSet:
     @functools.cached_property
     def slsqp_args(self) -> dict:
         """The ``bounds`` and ``constraints`` arguments of SLSQP's
-        ``scipy.optimize.minimize`` call, built once per set.
+        ``scipy.optimize.minimize`` call, built once per set.  ``fitting.minimize``
+        passes them to that call where it falls back to it, and otherwise
+        reads its constraint rows from them for SLSQP's C core: the matrix
+        from the Jacobian, refreshed when the core asks for gradients, and the
+        vector from the function, refreshed when it asks for values.
 
         The box is one :class:`scipy.optimize.Bounds`.  The budgets are one
         linear inequality ``b - A v >= 0`` with a constant Jacobian, or no
@@ -678,22 +683,25 @@ class CondMoments:
     h_hat: np.ndarray
 
 
-#: the scipy versions on which the tests have pinned scipy's C filter
-#: ``_sigtools._linear_filter`` bit-equal to ``lfilter`` (tests/test_models.py)
+#: the scipy versions on which the tests pin both private cores the package
+#: calls directly: the C filter ``_sigtools._linear_filter`` bit-equal to
+#: ``lfilter`` (tests/test_models.py), and SLSQP's C core ``_slsqplib.slsqp``,
+#: driven by ``fitting.minimize``, to the same iterates and counts as
+#: ``scipy.optimize.minimize`` (tests/test_fitting.py)
 _CORE_PINNED_ON = frozenset({"1.17.1"})
 
 
-def _pinned_core(version: str):
-    """scipy's C filter ``_sigtools._linear_filter``, what ``lfilter`` calls
-    for a denominator of more than one coefficient, if ``version`` is in
-    ``_CORE_PINNED_ON`` and the core imports; None otherwise."""
+def _pinned_core(version: str, module: str = "scipy.signal._sigtools", name: str = "_linear_filter"):
+    """scipy's private core ``module.name`` if ``version`` is in
+    ``_CORE_PINNED_ON`` and the core imports; None otherwise.  The default is
+    the C filter, what ``lfilter`` calls for a denominator of more than one
+    coefficient."""
     if version not in _CORE_PINNED_ON:
         return None
     try:
-        from scipy.signal._sigtools import _linear_filter
-    except ImportError:
+        return getattr(importlib.import_module(module), name)
+    except (ImportError, AttributeError):
         return None
-    return _linear_filter
 
 
 _LINEAR_FILTER = _pinned_core(scipy.__version__)

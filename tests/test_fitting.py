@@ -1,9 +1,11 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+import scipy.optimize
 from numpy.testing import assert_allclose
 
 import qmselect as q
@@ -138,6 +140,73 @@ def test_nested_models_do_not_fit_worse():
         values = [q.fit(s, x).gamma_bar_min for s in chain]
         for small, big in zip(values, values[1:]):
             assert big <= small + 1e-6
+
+
+def _slsqp_core_or_skip():
+    try:
+        from scipy.optimize._slsqplib import slsqp
+    except ImportError:
+        pytest.skip("this scipy has no _slsqplib.slsqp")
+    return slsqp
+
+
+SLSQP_PIN_SPECS = [q.arma(1, 1), q.arma(2, 2), q.arma(3, 1), q.garch(1, 1), q.garch(0, 2),
+                   q.aparch(1.5, 1, 1), q.ararch(2)]
+
+
+def _slsqp_pin_starts(spec, cset, x):
+    """The zero-init start, a start on a budget face (every dynamic
+    coefficient pushed out, alternating in sign where its box allows, then
+    projected) and a fit's certified end point, a KKT point."""
+    base = _start_point(spec, cset, x)
+    dynamic = cset.upper < 1.0
+    push = np.where(cset.lower < 0.0, (-1.0) ** np.arange(spec.dim), 1.0) * 1.5
+    face = cset.project(np.where(dynamic, push, base))
+    kkt = q.fit(spec, x).theta.values
+    return {"zero-init": base, "budget face": face, "kkt": kkt}
+
+
+def _assert_pass_is_scipys(monkeypatch, spec, cset, x, v):
+    """fitting.minimize from ``v`` on the core gives what scipy.optimize.minimize
+    gives, bit for bit, counts and exit mode included, each on a fresh objective."""
+    monkeypatch.setattr(qmselect.fitting, "_SLSQP", _slsqp_core_or_skip())
+    with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message=".*outside bounds.*")
+        objective = qmselect.likelihood._Objective(spec, x)
+        want = scipy.optimize.minimize(objective.value, v, jac=objective.grad, method="SLSQP",
+                                       **cset.slsqp_args,
+                                       options={"maxiter": qmselect.fitting.MAX_ITER, "ftol": 1e-12})
+        got = qmselect.fitting.minimize(qmselect.likelihood._Objective(spec, x), v, cset)
+    assert got.x.dtype == want.x.dtype and got.x.tobytes() == want.x.tobytes()
+    assert (got.fun, got.nit, got.nfev, got.njev, got.status) == \
+        (want.fun, want.nit, want.nfev, want.njev, want.status)
+
+
+@pytest.mark.parametrize("spec", SLSQP_PIN_SPECS, ids=str)
+def test_slsqp_core_pass_is_bit_equal_to_minimize(monkeypatch, spec):
+    # the pin behind models._CORE_PINNED_ON for SLSQP: the core, driven by
+    # fitting.minimize, takes the iterates scipy.optimize.minimize takes
+    dgp, theta = DGP2 if spec.family is q.Family.ARMA else DGP3
+    x = q.simulate(dgp, theta, 500, seed=41).values
+    cset = constraint_set(spec)
+    starts = _slsqp_pin_starts(spec, cset, x)
+    assert not cset.contains(starts["budget face"] * 1.01)  # on the face, not inside
+    for name, v in starts.items():
+        v0 = v.copy()
+        _assert_pass_is_scipys(monkeypatch, spec, cset, x, v)
+        assert np.array_equal(v, v0), name  # the start is not written to
+
+
+def test_slsqp_core_pass_without_budgets_is_bit_equal_to_minimize(monkeypatch):
+    # no group, so no constraint row (m = 0) and scipy's workspace top-up;
+    # an infinite upper bound goes to the core as nan
+    spec, theta = DGP3
+    x = q.simulate(spec, theta, 500, seed=42).values
+    box = constraint_set(spec)
+    cset = q.ConstraintSet(box.lower, np.where(box.upper < 1.0, box.upper, np.inf))
+    assert not cset.groups and cset.slsqp_args["constraints"] == []
+    for v in (_start_point(spec, cset, x), np.array([1.0, 0.9, 0.9])):
+        _assert_pass_is_scipys(monkeypatch, spec, cset, x, v)
 
 
 BUILDERS = ("_arma_residuals", "_arch_filter")

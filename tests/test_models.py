@@ -12,7 +12,7 @@ from scipy.optimize import Bounds
 from scipy.signal import lfilter
 
 import qmselect as q
-from qmselect import models
+from qmselect import fitting, models
 from qmselect.models import H_FLOOR, _lag
 
 
@@ -843,6 +843,47 @@ def test_filter_guard_falls_back_to_lfilter(monkeypatch):
     (a, x), *_ = _filter_inputs(FILTER_DENOMINATORS[1])
     assert np.array_equal(models._lfilter(models._ONE, a, x), lfilter([1.0], a, x))
     assert len(calls) == 1
+
+
+#: SLSQP's C core, driven by fitting.minimize (pinned in tests/test_fitting.py)
+SLSQP_CORE = ("scipy.optimize._slsqplib", "slsqp")
+
+
+def test_slsqp_uses_the_core_only_on_a_pinned_scipy():
+    assert fitting._SLSQP is models._pinned_core(scipy.__version__, *SLSQP_CORE)
+    if scipy.__version__ in models._CORE_PINNED_ON:
+        from scipy.optimize._slsqplib import slsqp
+
+        assert fitting._SLSQP is slsqp
+
+
+def test_slsqp_guard_falls_back_to_minimize(monkeypatch):
+    version = next(iter(models._CORE_PINNED_ON))
+    assert models._pinned_core("0.0.0", *SLSQP_CORE) is None
+    monkeypatch.setitem(sys.modules, SLSQP_CORE[0], None)  # the core does not import
+    assert models._pinned_core(version, *SLSQP_CORE) is None
+    # without a core each pass is one scipy.optimize.minimize call, and the
+    # fit is the same to the bit
+    series = [(spec, q.simulate(spec, theta, 500, seed=43).values)
+              for spec, theta in ((q.arma(1, 1), (0.5, 0.6, 1.0)), (q.garch(1, 1), (1.0, 0.35, 0.4)))]
+    on_core = [q.fit(spec, x) for spec, x in series]
+    passes, calls = [], []
+    real_pass, real_minimize = fitting.minimize, scipy.optimize.minimize
+
+    def counted_pass(*args, **kwargs):
+        passes.append(args)
+        return real_pass(*args, **kwargs)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real_minimize(*args, **kwargs)
+
+    monkeypatch.setattr(fitting, "_SLSQP", None)
+    monkeypatch.setattr(fitting, "minimize", counted_pass)
+    monkeypatch.setattr(scipy.optimize, "minimize", counted)
+    fallback = [q.fit(spec, x) for spec, x in series]
+    assert len(calls) == len(passes) >= len(series)
+    assert pickle.dumps(fallback) == pickle.dumps(on_core)
 
 
 # ---------------------------------------------------------------------------
