@@ -280,6 +280,7 @@ def select(family: list[ModelSpec], x, kind: CriterionKind) -> SelectionResult:
     Ties (exactly equal values) break toward fewer parameters, then canonical
     name order.  A model that fails to fit or to score is an excluded row, not
     a failed sweep; when every model is excluded, the result has no pick.
+    A series that is not 1-D and finite is a ValueError (``fitting.fit``).
     """
     fits = fit_family(family, x)
     return select_from_fits(fits, x, kind)

@@ -236,13 +236,20 @@ def fit(spec: ModelSpec, x, warm=None) -> FitResult:
     Raises
     ------
     ValueError
-        if ``warm`` is not ``spec.dim`` values inside ``constraint_set(spec)``.
+        if ``x`` is not a 1-D series of finite values (a bad input, not a
+        failed model, so :func:`fit_family` does not catch it), or ``warm``
+        is not ``spec.dim`` values inside ``constraint_set(spec)``.
     TooShortSeries
         if the sample has fewer than ``10 * spec.dim`` observations.
     OptimizerDiverged
         if no start produces a finite contrast value.
     """
     x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"the series must be 1-D, got an array of shape {x.shape}")
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise ValueError(f"the series is not finite at index {bad[0]}: {x[bad[0]]}")
     cset = constraint_set(spec)
     if warm is not None:
         warm = _as_values(spec, warm)
@@ -295,7 +302,8 @@ def fit_family(family, x) -> list[FitResult]:
     fitted inner first: the inner model has the smaller dim, or the same dim
     and an earlier family (garch(0,q) inside aparch(2;0,q)).  Per-model
     failures (``_FAILURES``) are returned as non-converged placeholder results
-    instead of raising; any other exception propagates."""
+    instead of raising; any other exception propagates, the ValueError of
+    :func:`fit` for a series that is not 1-D and finite included."""
     x = np.asarray(x, dtype=float)
     family = list(family)
     fits: dict[int, FitResult] = {}

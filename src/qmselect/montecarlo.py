@@ -11,10 +11,11 @@ Two experiment drivers share the same replication protocol:
 
 A replication is described by the payload ``(config, n, r)``, holding the
 frozen :class:`ExperimentConfig` itself, so a worker simulates and fits
-exactly the configured specs.  Both drivers map these payloads through one
-helper and read back one record: the converged true fit and the fit of each
-criterion's pick, each a ``FitResult`` or None.  All held-out scoring goes
-through :func:`oracle_risk`, called once per n on every distinct point.
+exactly the configured specs.  Its record is every criterion's
+``SelectionResult``: a row per candidate, in family order, with its fit and
+its report or why it was excluded.  Both drivers fold records as they arrive,
+in replication order.  All held-out scoring goes through :func:`oracle_risk`,
+called once per n on every distinct point.
 
 Both tables write their CSV and text through one writer, ``_Table``, from
 one list of columns; a new driver's table is one more subclass.  A config is
@@ -40,7 +41,7 @@ import numpy as np
 
 from .criteria import CriterionKind, classify, select_from_fits
 from .errors import ConfigError
-from .fitting import FitResult, fit_family
+from .fitting import fit_family
 from .likelihood import gamma_bar
 from .models import DEFAULT_BURN_IN, ModelSpec, _as_values, _write_csv, constraint_set, simulate
 from .version import __version__
@@ -93,9 +94,12 @@ class ExperimentConfig:
             raise ConfigError("criteria must not be empty")
         for name in self.criteria:
             try:
-                CriterionKind.named(name)
+                canonical = CriterionKind.named(name).name
             except ValueError as exc:
                 raise ConfigError(f"criteria: {exc}") from None
+            # one criterion, one spelling: "BIC" would be a second bic row
+            if name != canonical:
+                raise ConfigError(f"criteria: {name!r} is not a canonical name; write {canonical!r}")
         # fail early on a data-generating parameter of the wrong length or infeasible
         try:
             theta = _as_values(self.dgp, self.dgp_theta)
@@ -140,35 +144,29 @@ def write_metadata(path, config: ExperimentConfig, **extra) -> None:
 # replication worker (top level so process pools can pickle it)
 
 
-class _Record(NamedTuple):
-    true_fit: FitResult | None  # the converged fit of the dgp spec, or None
-    picks: dict  # criterion name -> the fit of its pick, or None if nothing scored
-
-
-def _run_replication(payload) -> _Record:
+def _run_replication(payload) -> dict:
+    """Replication r at sample size n: {criterion name: its SelectionResult},
+    every criterion selecting from one fit of the family."""
     config, n, r = payload
     seed = derive_seed(config.master_seed, n, r)
     traj = simulate(config.dgp, np.asarray(config.dgp_theta), n, seed=seed, burn_in=config.burn_in)
     fits = fit_family(config.family, traj.values)
     info_cache: dict = {}
-    picks: dict = {}
-    for name in config.criteria:
-        row = select_from_fits(fits, traj.values, CriterionKind.named(name), info_cache).chosen_row
-        picks[name] = None if row is None else row.fit
-    true_fit = next((f for f in fits if f.converged and f.spec == config.dgp), None)
-    return _Record(true_fit, picks)
+    return {name: select_from_fits(fits, traj.values, CriterionKind.named(name), info_cache)
+            for name in config.criteria}
 
 
-def _replicate(config: ExperimentConfig, n: int, threads: int) -> list[_Record]:
-    """Every replication at sample size n, results in replication order."""
+def _replicate(config: ExperimentConfig, n: int, threads: int):
+    """Every replication's record at sample size n, yielded in replication order."""
     payloads = [(config, n, r) for r in range(config.n_reps)]
     # a fork pool starts every worker at once, so no more than there is work for
     workers = min(threads, len(payloads))
     if workers <= 1:
-        return [_run_replication(p) for p in payloads]
+        yield from map(_run_replication, payloads)
+        return
     with ProcessPoolExecutor(max_workers=workers) as ex:
         chunk = max(1, len(payloads) // (workers * 4))
-        return list(ex.map(_run_replication, payloads, chunksize=chunk))
+        yield from ex.map(_run_replication, payloads, chunksize=chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -258,11 +256,12 @@ def run_consistency(config: ExperimentConfig, threads: int = 1) -> ConsistencyTa
     had no usable candidate at all."""
     table = ConsistencyTable.from_config(config)
     for n in config.n_values:
-        results = _replicate(config, n, threads)
         for crit in config.criteria:
-            picks = (res.picks[crit] for res in results)
-            got = ["failed" if p is None else classify(config.dgp, p.spec) for p in picks]
-            table.counts[(n, crit)] = {cls: got.count(cls) for cls in CLASSES}
+            table.counts[(n, crit)] = dict.fromkeys(CLASSES, 0)
+        for rec in _replicate(config, n, threads):
+            for crit, sel in rec.items():
+                got = "failed" if sel.chosen is None else classify(config.dgp, sel.chosen)
+                table.counts[(n, crit)][got] += 1
     return table
 
 
@@ -325,22 +324,26 @@ def run_efficiency(config: ExperimentConfig, threads: int = 1) -> EfficiencyTabl
         return fit.spec, tuple(map(float, fit.theta.values))
 
     for n in config.n_values:
-        results = _replicate(config, n, threads)
-        # a replication without a converged true fit has no reference loss,
-        # so none of its picks is scored; it counts as failed for every criterion
-        scored = [res for res in results if res.true_fit is not None]
+        # a replication whose true fit (the dgp's row) did not converge has no
+        # reference loss: none of its picks is scored, and it fails every criterion
+        scored = []  # (true fit, {criterion: its pick's row, or None})
+        for rec in _replicate(config, n, threads):
+            true_fit = rec[config.criteria[0]].rows[config.family.index(config.dgp)].fit
+            if true_fit.converged:
+                scored.append((true_fit, {c: sel.chosen_row for c, sel in rec.items()}))
         # distinct held-out points, first appearance first
-        picked = (f for res in scored for f in (res.true_fit, *res.picks.values()) if f is not None)
+        picked = (f for true_fit, picks in scored
+                  for f in (true_fit, *(row.fit for row in picks.values() if row is not None)))
         points = dict.fromkeys((star, *map(point, picked)))
         seed = derive_seed(config.master_seed, n, ORACLE_TAG)
         values = oracle_risk(config.dgp, star[1], list(points), seed=seed,
                              oracle_n=config.oracle_n, burn_in=config.burn_in)
         risk = dict(zip(points, values))
-        loss_true = [risk[point(res.true_fit)] - risk[star] for res in scored]
+        loss_true = [risk[point(true_fit)] - risk[star] for true_fit, _ in scored]
         mean_true = float(np.mean(loss_true)) if loss_true else float("nan")
         for c in config.criteria:
-            picks = (res.picks[c] for res in scored)
-            loss_sel = [risk[point(f)] - risk[star] for f in picks if f is not None]
+            rows = (picks[c] for _, picks in scored)
+            loss_sel = [risk[point(row.fit)] - risk[star] for row in rows if row is not None]
             mean_sel = float(np.mean(loss_sel)) if loss_sel else float("nan")
             table.rows[(n, c)] = dict(
                 me=n * (mean_sel - mean_true), mean_loss_selected=mean_sel, mean_loss_true=mean_true

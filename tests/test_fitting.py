@@ -578,6 +578,27 @@ def test_fit_family_propagates_a_bad_warm_start(monkeypatch, dgp3_series_2000):
         q.fit_family([q.garch(1, 1)], dgp3_series_2000.values)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "2-D"], ids=str)
+def test_a_bad_series_is_a_value_error_not_a_failed_model(bad):
+    # a non-finite or non-1-D series is a bad input: fit refuses it, and the
+    # sweep and the selection propagate that, rather than report every
+    # candidate as failed to fit
+    x = q.simulate(q.arma(1, 0), [0.5, 1.0], 200, seed=1).values.copy()
+    if bad == "2-D":
+        x, message = x.reshape(20, 10), r"must be 1-D, got an array of shape \(20, 10\)"
+    else:
+        x[50], message = bad, f"not finite at index 50: {bad}"
+    family = q.expand_family("wn + arma(1,0) + garch(1,1)")
+    for spec in family:
+        with pytest.raises(ValueError, match=message) as info:
+            q.fit(spec, x)
+        assert not isinstance(info.value, q.QmselectError)
+    with pytest.raises(ValueError, match=message):
+        q.fit_family(family, x)
+    with pytest.raises(ValueError, match=message):
+        q.select(family, x, q.BIC)
+
+
 def test_fit_family_keeps_order_and_flags_failures(dgp2_series_2000):
     specs = q.expand_family("wn+arma(1,1)+garch(1,1)")
     fits = q.fit_family(specs, dgp2_series_2000.values)

@@ -2,6 +2,8 @@ import csv
 import hashlib
 import json
 import math
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -76,6 +78,16 @@ def test_config_validation():
         small_config(dgp_theta=(0.5, 0.6))
 
 
+@pytest.mark.parametrize("criteria", [("bic", "BIC", " Bic"), ("AIC",), ("aic", "kc ")], ids=repr)
+def test_config_refuses_a_criterion_name_that_is_not_canonical(criteria):
+    # "BIC" and "bic" are one criterion: a second spelling would add a second,
+    # identical row to every table
+    bad = next(c for c in criteria if c != c.strip().lower())
+    message = f"criteria: {bad!r} is not a canonical name; write {bad.strip().lower()!r}"
+    with pytest.raises(q.ConfigError, match=re.escape(message)):
+        small_config(criteria=criteria)
+
+
 def test_config_hash_tracks_content():
     a = small_config()
     b = small_config()
@@ -126,13 +138,35 @@ def test_consistency_threads_do_not_change_results(tmp_path):
 
 
 def test_pooled_fits_keep_their_parameters_read_only():
+    # every row of every selection crosses the pool, not only the picks
     cfg = small_config(family=(q.wn(), DGP2[0]), n_reps=2, criteria=("aic",))
-    records = _replicate(cfg, 200, threads=2)
-    fits = [f for rec in records for f in (rec.true_fit, *rec.picks.values())]
-    assert len(fits) == 4 and all(f is not None for f in fits)
-    for fit in fits:
+    records = list(_replicate(cfg, 200, threads=2))
+    assert len(records) == 2 and all(rec["aic"].chosen is not None for rec in records)
+    rows = [row for rec in records for sel in rec.values() for row in sel.rows]
+    assert len(rows) == 4 and all(row.fit.converged for row in rows)
+    for row in rows:
         with pytest.raises(ValueError, match="read-only"):
-            fit.theta.values[0] = 9.0
+            row.fit.theta.values[0] = 9.0
+
+
+def test_an_order_above_the_budget_cap_is_recorded_with_its_reason():
+    # arma(17,0) never competes: every criterion's record keeps its row and
+    # the reason, and the table is the one without it
+    family = (q.wn(), DGP2[0])
+    criteria = ("aic", "bic", "kcprime")
+    wide = small_config(family=(*family, q.arma(17, 0)), n_reps=2, criteria=criteria)
+    records = list(_replicate(wide, 200, threads=1))
+    assert len(records) == 2
+    for rec in records:
+        assert list(rec) == list(criteria)
+        for sel in rec.values():
+            row = sel.rows[2]
+            assert row.fit.spec == q.arma(17, 0) and row.report is None and not row.chosen
+            assert row.excluded.startswith("UnsupportedFamily: a signed budget of 17 coefficients")
+            assert sel.chosen in family
+    narrow = small_config(family=family, n_reps=2, criteria=criteria)
+    with_cap, without = q.run_consistency(wide), q.run_consistency(narrow)
+    assert with_cap.counts == without.counts and with_cap.to_text() == without.to_text()
 
 
 def test_replication_pool_has_no_more_workers_than_replications(tmp_path, monkeypatch):
@@ -449,11 +483,16 @@ def test_efficiency_text_is_pinned():
 
 
 def _record_bits(rec):
-    """A replication record with every fit as its spec and theta's bytes."""
-    def bits(f):
-        return None if f is None else (f.spec, f.theta.values.tobytes())
+    """A replication record as comparable values: for every criterion, each
+    row's fit (theta as its bytes), report, exclusion and pick; repr keeps
+    every float exact, a NaN included."""
+    def bits(row):
+        f = row.fit
+        fit = (f.spec, f.theta.values.tobytes(), repr((f.gamma_bar_min, f.loglik, f.grad_norm)),
+               f.converged, f.n_used, f.iterations, f.error)
+        return fit, repr(row.report), row.excluded, row.chosen
 
-    return bits(rec.true_fit), {c: bits(f) for c, f in rec.picks.items()}
+    return {c: (sel.kind, [bits(row) for row in sel.rows]) for c, sel in rec.items()}
 
 
 PROPERTY_DATA = [(q.arma(1, 1), (0.5, 0.6, 1.0)), (q.garch(1, 1), (1.0, 0.35, 0.4))]
@@ -471,8 +510,8 @@ def property_config(data, **over):
        n=st.sampled_from([100, 300]))
 def test_the_first_k_replications_do_not_depend_on_n_reps(data, seed, k, n):
     # replication r's series is seeded by (master_seed, n, r) alone
-    short = _replicate(property_config(data, master_seed=seed, n_reps=k), n, threads=1)
-    long = _replicate(property_config(data, master_seed=seed, n_reps=2 * k), n, threads=1)
+    short = list(_replicate(property_config(data, master_seed=seed, n_reps=k), n, threads=1))
+    long = list(_replicate(property_config(data, master_seed=seed, n_reps=2 * k), n, threads=1))
     assert [_record_bits(rec) for rec in long[:k]] == [_record_bits(rec) for rec in short]
 
 
@@ -481,12 +520,26 @@ def test_the_first_k_replications_do_not_depend_on_n_reps(data, seed, k, n):
        n_values=st.lists(st.sampled_from([100, 200, 300]), min_size=2, max_size=2, unique=True))
 def test_rows_of_one_n_do_not_depend_on_the_other_n_values(data, seed, n_values):
     # each n has its own replication seeds and its own oracle; rows are
-    # compared as the CSV writes them, so a NaN figure compares equal
+    # compared as the CSV writes them, so a NaN figure compares equal, and so
+    # are the whole records each driver folded at that n
     def rows(table, n):
         return [(tuple(map(repr, table._figures(n, c))), table._failed(n, c)) for c in table.criteria]
 
+    def traced(run, config):
+        records: dict = {}
+
+        def tee(config, n, threads):
+            for rec in _replicate(config, n, threads):
+                records.setdefault(n, []).append(_record_bits(rec))
+                yield rec
+
+        with mock.patch.object(q.montecarlo, "_replicate", tee):
+            return run(config), records
+
     for run in (q.run_consistency, q.run_efficiency):
-        both = run(property_config(data, master_seed=seed, n_values=tuple(n_values), n_reps=2))
+        both, both_records = traced(run, property_config(data, master_seed=seed, n_values=tuple(n_values),
+                                                         n_reps=2))
         for n in n_values:
-            alone = run(property_config(data, master_seed=seed, n_values=(n,), n_reps=2))
+            alone, alone_records = traced(run, property_config(data, master_seed=seed, n_values=(n,), n_reps=2))
             assert rows(both, n) == rows(alone, n), (run.__name__, n)
+            assert both_records[n] == alone_records[n], (run.__name__, n)
