@@ -40,7 +40,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import MissingInfo, UnsupportedFamily
-from .fitting import _FAILURES, FitResult, _reason, fit_family
+from .fitting import _FAILURES, FitResult, _reason, _series, fit_family
 from .information import InfoMatrices, closed_form_trace, info_matrices
 from .likelihood import mu4_hat, residuals
 from .models import ModelSpec, _write_csv, is_nested
@@ -230,8 +230,19 @@ def select_from_fits(
     info matrices only once per model.  Only the package's own errors and numerical
     failures exclude a model; any other exception propagates, and so does
     MissingInfo, since the sweep always supplies what a rule needs.
+
+    Raises
+    ------
+    ValueError
+        if ``x`` is not a 1-D series of finite values (as :func:`.fitting.fit`
+        checks it), or its length is not a fit's ``n_used``: the fits were
+        made on another series.
     """
-    x = np.asarray(x, dtype=float)
+    x = _series(x)
+    for f in fits:
+        if f.n_used != x.size:
+            raise ValueError(f"{f.spec.name} was fitted on {f.n_used} observations, "
+                             f"the series has {x.size}")
     if isinstance(kind.penalty, _Rate):
         _check_custom_monotone(kind.penalty.pen, [f.spec for f in fits])
     if info_cache is None:

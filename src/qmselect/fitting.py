@@ -4,13 +4,15 @@ A fit has one or two starts: a warm start if given, then the canonical
 start (dynamic coefficients zero, the scale parameter set from the sample
 second moment); nothing is random.  SLSQP descends from them in that order
 over the box and the coefficient budgets, all budgets handed over as one
-linear inequality with a constant Jacobian.  The constraint set and
-these SLSQP arguments are built once per spec, not once per fit
-(``models.constraint_set``, ``ConstraintSet.slsqp_args``).  Each SLSQP pass is
-one call of :func:`minimize`: on the scipy versions in
-``models._CORE_PINNED_ON`` it drives SLSQP's C core directly, without
-``scipy.optimize.minimize``'s per-call wrapper, and elsewhere it calls
-``minimize``; the tests pin both to the same iterates.  A fit stops after
+linear inequality with a constant Jacobian.  The constraint set, these
+SLSQP arguments and the C core's read-only inputs are built once per spec,
+not once per fit (``models.constraint_set``, ``ConstraintSet.slsqp_args``,
+``ConstraintSet._slsqp_core``).  Each SLSQP pass is one call of
+:func:`minimize`: on the scipy versions in ``models._CORE_PINNED_ON`` it
+drives SLSQP's C core directly, without ``scipy.optimize.minimize``'s
+per-call wrapper, tests each point the core asks for once, and writes the
+budget values in place; elsewhere it calls ``minimize``.  The tests pin
+both to the same iterates.  A fit stops after
 the first descent whose end point is certified (projected gradient at most
 ``GRAD_TOL``).  Within a descent, while SLSQP's end point is not certified
 and the contrast still falls, SLSQP is restarted from there, up to
@@ -80,6 +82,18 @@ class FitResult:
     error: str | None = None
 
 
+def _series(x) -> np.ndarray:
+    """``x`` as a float array, checked to be a 1-D series of finite values;
+    a ValueError otherwise, a bad input rather than a failed model."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"the series must be 1-D, got an array of shape {x.shape}")
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise ValueError(f"the series is not finite at index {bad[0]}: {x[bad[0]]}")
+    return x
+
+
 def _start_point(spec: ModelSpec, cset: ConstraintSet, x: np.ndarray) -> np.ndarray:
     """Zero dynamic coefficients; the family's one scale block, sigma or omega
     (a variance, or aparch's sigma ** delta), from the uncentered second moment."""
@@ -110,46 +124,46 @@ def minimize(objective: _Objective, v: np.ndarray, cset: ConstraintSet) -> Optim
 
     With a pinned core (``_SLSQP``, see ``models._pinned_core``) the core is
     driven directly, on the inputs ``minimize`` builds for it and without
-    ``minimize``'s per-callback wrappers: the start is clipped to the box,
-    mode 1 is answered with the value and the budget values, mode -1 with the
-    gradient and the budget Jacobian.  The counts are ``minimize``'s: the
-    start's value and gradient count one each, and either is evaluated again
-    only at a point that differs from the last one evaluated.  Without a
-    pinned core ``minimize`` itself runs; its warning that it clipped a point
-    just outside the box is ignored, since the contrast is clamped there.
+    ``minimize``'s per-callback wrappers.  Its read-only inputs are the set's,
+    built once (``ConstraintSet._slsqp_core``); only the point, the
+    constraint vector and matrix, the multipliers and the workspace are new
+    each pass.  The start is clipped to the box, mode 1 is answered with the
+    value and the budget values, written group by group into the constraint
+    vector, and mode -1 with the gradient and the budget Jacobian.  The
+    counts are ``minimize``'s: the start's value and gradient count one each,
+    and either is evaluated again only at a point that differs from the last
+    one evaluated.  Each point the core asks for is tested against that last
+    point once, here; the objective then values the new point, or reads the
+    gradient from the recursion it holds or builds one, without a test of its
+    own.  Without a pinned core ``minimize`` itself runs; its warning that it
+    clipped a point just outside the box is ignored, since the contrast is
+    clamped there.
     """
     if _SLSQP is None:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", message=".*outside bounds.*")
             return optimize.minimize(objective.value, v, jac=objective.grad, method="SLSQP",
                                      **cset.slsqp_args, options={"maxiter": MAX_ITER, "ftol": FTOL})
+    core = cset._slsqp_core
     x = np.clip(v, cset.lower, cset.upper)
-    n = x.size
-    # the budgets are one inequality or none (ConstraintSet.slsqp_args)
-    budgets = cset.slsqp_args["constraints"]
-    if budgets:
-        ((budget, normals),) = [(c["fun"], c["jac"]) for c in budgets]
-        d, C = budget(x), np.array(normals(x), order="F")
-    else:
-        d, C = np.zeros(1), np.zeros((1, n), order="F")
-    m = d.size if budgets else 0
+    n, m = x.size, core.m
+    d, C = np.zeros(max(m, 1)), np.array(core.jac, order="F")
+    for rows, a, bound in core.budgets:
+        np.subtract(bound, a @ x, out=d[rows])
     state = {"acc": FTOL, "alpha": 0.0, "f0": 0.0, "gs": 0.0, "h1": 0.0, "h2": 0.0, "h3": 0.0,
              "h4": 0.0, "t": 0.0, "t0": 0.0, "tol": 10.0 * FTOL, "exact": 0, "inconsistent": 0,
              "reset": 0, "iter": 0, "itermax": MAX_ITER, "line": 0, "m": m, "meq": 0, "mode": 0,
              "n": n}
-    # scipy's workspace for m inequalities, topped up when there are none
-    size = n * (n + 1) // 2 + 3 * m * n + 9 * m + 8 * n * n + 35 * n + 28 + (0 if m else 2 * n * (n + 1))
-    buffer = np.zeros(size)
+    buffer = np.zeros(core.size)
     indices = np.zeros(m + 2 * n + 2, dtype=np.int32)
     mult = np.zeros(m + 2 * n + 2)
-    # the core marks an infinite bound by nan
-    xl = np.where(np.isfinite(cset.lower), cset.lower, np.nan)
-    xu = np.where(np.isfinite(cset.upper), cset.upper, np.nan)
-    fx, g = objective.value(x), objective.grad(x)
+    # a restarted pass starts at the point the objective holds
+    fx = objective.value(x)
+    g = objective.held_grad(x)
     nfev = njev = 1
     at, valued, graded = x.copy(), True, True  # the last point evaluated, and what is known there
     while True:
-        _SLSQP(state, fx, g, C, d, x, mult, xl, xu, buffer, indices)
+        _SLSQP(state, fx, g, C, d, x, mult, core.xl, core.xu, buffer, indices)
         mode = state["mode"]
         if abs(mode) != 1:
             break
@@ -157,14 +171,16 @@ def minimize(objective: _Objective, v: np.ndarray, cset: ConstraintSet) -> Optim
             at, valued, graded = x.copy(), False, False
         if mode == 1:
             if not valued:
-                fx, nfev, valued = objective.value(x), nfev + 1, True
-            if budgets:
-                d[:] = budget(x)
+                fx, nfev, valued = objective.evaluate(x), nfev + 1, True
+            for rows, a, bound in core.budgets:
+                np.subtract(bound, a @ x, out=d[rows])
         else:
             if not graded:
-                g, njev, graded = objective.grad(x), njev + 1, True
-            if budgets:
-                C[:] = normals(x)
+                # the objective holds this point exactly when it was valued here
+                g = objective.held_grad(x) if valued else objective.grad_at(x)
+                njev, graded = njev + 1, True
+            if m:
+                C[:] = core.jac
     return OptimizeResult(x=x, fun=fx, nit=state["iter"], nfev=nfev, njev=njev, status=mode)
 
 
@@ -244,12 +260,7 @@ def fit(spec: ModelSpec, x, warm=None) -> FitResult:
     OptimizerDiverged
         if no start produces a finite contrast value.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"the series must be 1-D, got an array of shape {x.shape}")
-    bad = np.flatnonzero(~np.isfinite(x))
-    if bad.size:
-        raise ValueError(f"the series is not finite at index {bad[0]}: {x[bad[0]]}")
+    x = _series(x)
     cset = constraint_set(spec)
     if warm is not None:
         warm = _as_values(spec, warm)

@@ -9,7 +9,10 @@ Conventions (all per observation, on the contrast scale):
   moments, taken in the same pass of :func:`.likelihood.derivatives` as the
   Hessian;
 * ``logdet_negF`` is log det(-f_hat), computed through a Cholesky
-  factorization (the matrix is screened for numerical rank first);
+  factorization (the matrix is screened for numerical rank first), which
+  LAPACK's ``potrf`` computes and ``potrs`` solves with; they are called
+  directly, as ``scipy.linalg.cho_factor`` and ``cho_solve`` call them, and
+  raise what those raise;
 * ``trace_pen`` is -(2/n) * Tr(f_hat^-1 g_hat), a non-negative penalty rate
   whose n-multiple matches the closed forms in :func:`closed_form_trace`
   for well-specified models.
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import get_lapack_funcs
 
 from .errors import SingularF
 from .likelihood import derivatives
@@ -46,6 +49,26 @@ class InfoMatrices:
     trace_pen: float
 
 
+def _check_finite(a: np.ndarray) -> None:
+    """The finiteness check of ``cho_factor`` and ``cho_solve``, with their message."""
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+
+
+def _cho_factor_lower(a: np.ndarray) -> tuple[np.ndarray, bool]:
+    """``scipy.linalg.cho_factor(a, lower=True)``: the same LAPACK call on
+    the same arguments, with the same bytes returned and the same errors
+    raised, without the wrapper's per-call cost."""
+    _check_finite(a)
+    (potrf,) = get_lapack_funcs(("potrf",), (a,))
+    c, info = potrf(a, lower=True, overwrite_a=False, clean=False)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{info}-th leading minor of the array is not positive definite")
+    if info < 0:
+        raise ValueError(f'LAPACK reported an illegal value in {-info}-th argument on entry to "POTRF".')
+    return c, True
+
+
 def _logdet_spd(chol) -> float:
     """log det of a symmetric positive definite matrix from its ``cho_factor``."""
     return float(2.0 * np.sum(np.log(np.diag(chol[0]))))
@@ -60,8 +83,15 @@ def _screen_neg_f(neg_f: np.ndarray) -> None:
 
 
 def _trace_pen_from(chol, g_hat: np.ndarray, n: int) -> float:
-    """-(2/n) Tr(f_hat^-1 g_hat) from the ``cho_factor`` of -f_hat."""
-    return float((2.0 / n) * np.trace(cho_solve(chol, g_hat)))
+    """-(2/n) Tr(f_hat^-1 g_hat) from the ``cho_factor`` of -f_hat; the
+    solve is LAPACK's ``potrs`` on the arguments ``cho_solve`` gives it."""
+    c, lower = chol
+    _check_finite(g_hat)
+    (potrs,) = get_lapack_funcs(("potrs",), (c, g_hat))
+    solved, info = potrs(c, g_hat, lower=lower, overwrite_b=False)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+    return float((2.0 / n) * np.trace(solved))
 
 
 def info_matrices(fit_result, x) -> InfoMatrices:
@@ -84,7 +114,7 @@ def info_matrices(fit_result, x) -> InfoMatrices:
     f_hat = -0.5 * deriv.hessian
     neg_f = -f_hat
     _screen_neg_f(neg_f)
-    chol = cho_factor(neg_f, lower=True)
+    chol = _cho_factor_lower(neg_f)
     g_hat = deriv.scores.T @ deriv.scores / (4.0 * n)
     return InfoMatrices(
         f_hat=f_hat,

@@ -27,14 +27,16 @@ variance filter (garch and ararch are its delta = 2 case), so all four share
 one adjoint pass and the a and b entries; sigma or omega is per family, and
 aparch adds its gamma entries and ararch its phi entry.  ``_Objective`` is the
 contrast and gradient that SLSQP's passes in a fit share: it keeps the
-recursion and value of the last point it valued and reuses them when that
-point is asked for again, so a step builds one recursion where
+recursion and value of the last point it valued, and the gradient at that
+point is read from the kept recursion, so a step builds one recursion where
 :func:`gamma_bar` then :func:`gradient` would build two.  Its values are
-exactly theirs.  A point costs SLSQP one recursion and one reduction for the
-value (constant moments stay scalars inside, see ``models._moments_from``)
-and one backward pass for the gradient.  The public functions enter
-``np.errstate`` themselves; the objective's callbacks run in the error state
-that ``fitting._descend`` enters once per descent.
+exactly theirs.  ``fitting.minimize`` tests each point SLSQP asks for once
+and tells the objective whether the point is new, so the objective tests no
+point again.  A point costs SLSQP one recursion and one reduction for the
+value, read from the recursion's fields (constant moments stay scalars,
+see ``models._moments_from``), and one backward pass for the gradient.  The
+public functions enter ``np.errstate`` themselves; the objective's callbacks
+run in the error state that ``fitting._descend`` enters once per descent.
 """
 
 from __future__ import annotations
@@ -88,16 +90,16 @@ def contrast(spec: ModelSpec, theta, x) -> ContrastEval:
     # optimizer probes at explosive parameters can overflow; an infinite
     # contrast is the correct "move away" signal there
     with np.errstate(over="ignore", invalid="ignore"):
-        per_t, gamma_bar = _contrast_from(x, cm)
+        per_t, gamma_bar = _contrast_from(x, cm.f_hat, cm.h_hat)
     return ContrastEval(gamma_bar, per_t)
 
 
-def _contrast_from(x: np.ndarray, cm) -> tuple[np.ndarray, float]:
+def _contrast_from(x: np.ndarray, f_hat, h_hat) -> tuple[np.ndarray, float]:
     """Per-observation contrast and its mean (``inf`` if not finite) from the
-    conditional moments, whose constant parts may be scalars; callers hold
-    the floating-point error state.  The mean is ``sum / n``, what
+    conditional mean and variance, either of which may be a scalar; callers
+    hold the floating-point error state.  The mean is ``sum / n``, what
     ``np.mean`` computes, without its Python wrapper."""
-    per_t = (x - cm.f_hat) ** 2 / cm.h_hat + np.log(cm.h_hat)
+    per_t = (x - f_hat) ** 2 / h_hat + np.log(h_hat)
     gamma_bar = float(per_t.sum() / x.size)
     if not math.isfinite(gamma_bar):
         gamma_bar = float("inf")
@@ -231,13 +233,20 @@ class _Objective:
     """gamma_bar and its gradient for the minimizers, one recursion per point.
 
     SLSQP asks for the gradient at the point it has just valued, and a
-    restarted pass starts at the point the objective already holds.  ``value``
-    keeps the recursion it built and the value, together with a copy of the
-    point; asked again at that point, ``value`` returns the kept value and
-    ``grad`` reads the gradient from the kept recursion.  At any other point
-    ``grad`` builds its own.  Both return exactly what :func:`gamma_bar` and
-    :func:`gradient` return.  So a new point costs one recursion and one
-    reduction for its value, and one backward pass for its gradient.
+    restarted pass starts at the point the objective already holds.
+    :meth:`evaluate` values a new point: it keeps the recursion it built and
+    the value, together with a copy of the point, the held point.
+    :meth:`held_grad` reads the gradient at that point from the kept
+    recursion, and :meth:`grad_at` builds a recursion of its own.  These three
+    test no point: ``fitting.minimize`` tests each point the core asks for
+    once, and calls the one that applies.  :meth:`value` and :meth:`grad` test
+    the point against the held one themselves, for
+    ``scipy.optimize.minimize`` and for the start of each pass.
+    All return exactly what :func:`gamma_bar` and :func:`gradient` return; the
+    value is read from the recursion's fields, the variance clamped at
+    ``H_FLOOR`` as ``models._moments_from`` clamps it.  So a new point costs
+    one recursion and one reduction for its value, and one backward pass for
+    its gradient.
 
     Callers hold the floating-point error state, ``np.errstate(over="ignore",
     invalid="ignore")`` as the public functions do; ``fitting._descend``
@@ -253,16 +262,26 @@ class _Objective:
     def _holds(self, v: np.ndarray) -> bool:
         return self._point is not None and bool((v == self._point).all())
 
-    def value(self, v: np.ndarray) -> float:
-        if not self._holds(v):
-            rec = _recursion(self.spec, v, self.x)
-            self._point, self._rec = v.copy(), rec
-            self._value = _contrast_from(self.x, _moments_from(rec))[1]
+    def evaluate(self, v: np.ndarray) -> float:
+        """gamma_bar at ``v``, which becomes the held point."""
+        rec = _recursion(self.spec, v, self.x)
+        self._point, self._rec = v.copy(), rec
+        self._value = _contrast_from(self.x, rec.f, np.maximum(rec.h, H_FLOOR))[1]
         return self._value
 
+    def held_grad(self, v: np.ndarray) -> np.ndarray:
+        """The gradient at ``v``, a point equal to the held one, from its recursion."""
+        return _gradient_from(self.spec, v, self.x, self._rec)
+
+    def grad_at(self, v: np.ndarray) -> np.ndarray:
+        """The gradient at ``v`` from a recursion of its own; the held point stays."""
+        return _gradient_from(self.spec, v, self.x, _recursion(self.spec, v, self.x))
+
+    def value(self, v: np.ndarray) -> float:
+        return self._value if self._holds(v) else self.evaluate(v)
+
     def grad(self, v: np.ndarray) -> np.ndarray:
-        rec = self._rec if self._holds(v) else _recursion(self.spec, v, self.x)
-        return _gradient_from(self.spec, v, self.x, rec)
+        return self.held_grad(v) if self._holds(v) else self.grad_at(v)
 
 
 def derivatives(spec: ModelSpec, theta, x) -> DerivEval:
@@ -291,8 +310,9 @@ def derivatives(spec: ModelSpec, theta, x) -> DerivEval:
         resid = x - cm.f_hat
         w_f = (-2.0 / CS_STEP) * resid / cm.h_hat
         w_h = (cm.h_hat - resid**2) / (CS_STEP * cm.h_hat**2)
+        v_complex = v.astype(complex)
         for k in range(v.size):
-            vc = v.astype(complex)
+            vc = v_complex.copy()
             vc[k] += 1j * CS_STEP
             rec = _recursion(spec, vc, x)
             hess[:, k] = _gradient_from(spec, vc, x, rec).imag / CS_STEP

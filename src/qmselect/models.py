@@ -305,6 +305,22 @@ class GroupBound:
     bound: float
 
 
+class _SlsqpCore(NamedTuple):
+    """The read-only inputs of SLSQP's C core for one :class:`ConstraintSet`
+    (``ConstraintSet._slsqp_core``): the box with nan for an infinite bound,
+    each budget group's rows of the constraint vector, its block of ``A`` and
+    its bound, the number of constraint rows ``m``, the workspace size, and
+    the constraint Jacobian ``-A`` in Fortran order (one row of zeros when
+    there is no budget)."""
+
+    xl: np.ndarray
+    xu: np.ndarray
+    budgets: tuple[tuple[slice, np.ndarray, float], ...]
+    m: int
+    size: int
+    jac: np.ndarray
+
+
 @dataclass(frozen=True)
 class ConstraintSet:
     """Box bounds plus group absolute-sum bounds.
@@ -313,8 +329,10 @@ class ConstraintSet:
     set can serve every caller (:func:`constraint_set` builds one per spec).
     What the fits read on every call is built once per set, on first use:
     each group's index array and sign, which :meth:`contains` and
-    :meth:`project` read, and SLSQP's arguments (:attr:`slsqp_args`).  An
-    unpickled set is rebuilt read-only (pickle restores an array writable).
+    :meth:`project` read, and SLSQP's arguments (:attr:`slsqp_args`) and the
+    read-only inputs of its C core (``_slsqp_core``), both from one set of
+    budget rows.  An unpickled set is rebuilt read-only (pickle restores an
+    array writable).
     """
 
     lower: np.ndarray
@@ -375,13 +393,29 @@ class ConstraintSet:
         return v
 
     @functools.cached_property
+    def _budget_rows(self) -> tuple[tuple[float, np.ndarray], ...]:
+        """Each group's bound and its rows of the budget matrix ``A`` (see
+        :attr:`slsqp_args`), read-only, in group order.  A signed group of
+        more than ``MAX_SIGNED_GROUP`` members raises
+        :class:`UnsupportedFamily` before any row is built."""
+        for idx, signed, _ in self._members:
+            if signed and idx.size > MAX_SIGNED_GROUP:
+                raise UnsupportedFamily(f"a signed budget of {idx.size} coefficients takes 2^{idx.size} "
+                                        f"SLSQP rows; at most {MAX_SIGNED_GROUP} are supported")
+        parts = []
+        for idx, signed, bound in self._members:
+            signs = list(itertools.product((1.0, -1.0), repeat=idx.size)) if signed else [(1.0,) * idx.size]
+            a = np.zeros((len(signs), self.dim))
+            a[:, idx] = signs
+            a.flags.writeable = False
+            parts.append((bound, a))
+        return tuple(parts)
+
+    @functools.cached_property
     def slsqp_args(self) -> dict:
         """The ``bounds`` and ``constraints`` arguments of SLSQP's
-        ``scipy.optimize.minimize`` call, built once per set.  ``fitting.minimize``
-        passes them to that call where it falls back to it, and otherwise
-        reads its constraint rows from them for SLSQP's C core: the matrix
-        from the Jacobian, refreshed when the core asks for gradients, and the
-        vector from the function, refreshed when it asks for values.
+        ``scipy.optimize.minimize`` call, built once per set, which
+        ``fitting.minimize`` passes to that call where it falls back to it.
 
         The box is one :class:`scipy.optimize.Bounds`.  The budgets are one
         linear inequality ``b - A v >= 0`` with a constant Jacobian, or no
@@ -397,25 +431,36 @@ class ConstraintSet:
         signed group of more than ``MAX_SIGNED_GROUP`` members raises
         :class:`UnsupportedFamily` before any row is built.
         """
-        for idx, signed, _ in self._members:
-            if signed and idx.size > MAX_SIGNED_GROUP:
-                raise UnsupportedFamily(f"a signed budget of {idx.size} coefficients takes 2^{idx.size} "
-                                        f"SLSQP rows; at most {MAX_SIGNED_GROUP} are supported")
+        parts = self._budget_rows
         bounds = Bounds(self.lower, self.upper)
-        if not self.groups:
+        if not parts:
             return {"bounds": bounds, "constraints": []}
-        parts = []
-        for idx, signed, bound in self._members:
-            signs = list(itertools.product((1.0, -1.0), repeat=idx.size)) if signed else [(1.0,) * idx.size]
-            a = np.zeros((len(signs), self.dim))
-            a[:, idx] = signs
-            a.flags.writeable = False
-            parts.append((bound, a))
         jac = -np.vstack([a for _, a in parts])
         jac.flags.writeable = False
         fun = lambda v: np.concatenate([b - a @ v for b, a in parts])
         return {"bounds": bounds,
                 "constraints": [{"type": "ineq", "fun": fun, "jac": lambda v: jac}]}
+
+    @functools.cached_property
+    def _slsqp_core(self) -> _SlsqpCore:
+        """The read-only inputs of SLSQP's C core for this set, built once
+        from the rows :attr:`slsqp_args` is built from; ``fitting.minimize``
+        reads them on each pass where it drives the core."""
+        parts, n = self._budget_rows, self.dim
+        m = sum(a.shape[0] for _, a in parts)
+        budgets, start = [], 0
+        for bound, a in parts:
+            budgets.append((slice(start, start + a.shape[0]), a, bound))
+            start += a.shape[0]
+        jac = np.array(-np.vstack([a for _, a in parts]) if parts else np.zeros((1, n)), order="F")
+        jac.flags.writeable = False
+        # the core marks an infinite bound by nan
+        xl = np.where(np.isfinite(self.lower), self.lower, np.nan)
+        xu = np.where(np.isfinite(self.upper), self.upper, np.nan)
+        xl.flags.writeable = xu.flags.writeable = False
+        # scipy's workspace for m inequalities, topped up when there are none
+        size = n * (n + 1) // 2 + 3 * m * n + 9 * m + 8 * n * n + 35 * n + 28 + (0 if m else 2 * n * (n + 1))
+        return _SlsqpCore(xl, xu, tuple(budgets), m, size, jac)
 
 
 @functools.cache
@@ -611,8 +656,8 @@ def _path_from_noise(spec: ModelSpec, v: np.ndarray, xi: np.ndarray) -> np.ndarr
             _kernel(kind, spec.p, spec.q)(z, xi, *args)
         except (ValueError, OverflowError):
             z[:] = np.nan  # a math error (see _kernel) is a non-finite path
-    ma = np.concatenate(([1.0], v[lay.ma]))
-    ar = np.concatenate(([1.0], -v[lay.ar], -v[lay.phi]))
+    ma = np.concatenate((_ONE, v[lay.ma]))
+    ar = np.concatenate((_ONE, -v[lay.ar], -v[lay.phi]))
     return _ar_filter(ar, z) if ma.size == 1 else _lfilter(ma, ar, z)
 
 
@@ -705,7 +750,8 @@ def _pinned_core(version: str, module: str = "scipy.signal._sigtools", name: str
 
 
 _LINEAR_FILTER = _pinned_core(scipy.__version__)
-#: the numerator of an all-pole filter, as ``lfilter`` converts ``[1.0]``
+#: the numerator of an all-pole filter, as ``lfilter`` converts ``[1.0]``,
+#: and the leading coefficient of every filter polynomial
 _ONE = np.ones(1)
 _ONE.flags.writeable = False
 
@@ -759,8 +805,8 @@ class _Recursion:
 def _arma_residuals(spec: ModelSpec, v: np.ndarray, x: np.ndarray) -> _Recursion:
     """Truncated ARMA residuals eps, filtered by the MA polynomial."""
     lay = spec.layout
-    ar = np.concatenate(([1.0], -v[lay.ar]))
-    ma = np.concatenate(([1.0], v[lay.ma]))
+    ar = np.concatenate((_ONE, -v[lay.ar]))
+    ma = np.concatenate((_ONE, v[lay.ma]))
     eps = _lfilter(ar, ma, x)
     return _Recursion(x - eps, v[lay.sigma.start] ** 2, eps, ma, eps, [x] * spec.p)
 
@@ -770,12 +816,13 @@ def _arch_filter(v: np.ndarray, layout: _Layout, inputs, n: int):
     truncated level s_t = omega + sum_i a_i input_i[t - i] + sum_j b_j s_{t-j}
     and the polynomial ``[1, -b]`` that filters it, with omega, the a_i and
     the b_j read from ``v`` at their ``layout`` blocks; ``inputs`` holds one
-    unlagged series per a_i."""
+    unlagged series per a_i.  Each lagged input is added into its slice: the
+    truncated pre-sample would only add exact zeros."""
     u = np.full(n, v[layout.omega.start])
     a = v[layout.a]
     for i, w in enumerate(inputs):
-        u += a[i] * _lag(w, i + 1)
-    poly = np.concatenate(([1.0], -v[layout.b]))
+        u[i + 1 :] += a[i] * w[: max(n - i - 1, 0)]
+    poly = np.concatenate((_ONE, -v[layout.b]))
     return _ar_filter(poly, u), poly
 
 

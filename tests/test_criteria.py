@@ -406,3 +406,22 @@ def test_an_irrelevant_candidate_moves_no_other_fit_and_no_other_pick(data, seed
         assert new.chosen in (old.chosen, added), name
         for r_old, r_new in zip(old.rows, new.rows[:at] + new.rows[at + 1:]):
             assert (r_new.report, r_new.excluded) == (r_old.report, r_old.excluded), name
+
+
+@pytest.mark.parametrize("kind", [q.BIC, q.TRACE_PEN_CF, q.KC_PRIME], ids=lambda k: k.name)
+@pytest.mark.parametrize("bad", ["nan", "2-D", "truncated"])
+def test_select_from_fits_refuses_a_series_the_fits_were_not_made_on(kind, bad):
+    # a bad series is a ValueError, as in fit, not a pick, excluded models
+    # or info matrices taken on another series
+    x = q.simulate(q.arma(1, 0), [0.5, 1.0], 200, seed=1).values
+    fits = q.fit_family(q.expand_family("wn + arma(1,0) + garch(1,1)"), x)
+    assert select_from_fits(fits, x, kind).chosen is not None
+    y = x.copy()
+    if bad == "nan":
+        y[50], message = np.nan, "not finite at index 50: nan"
+    elif bad == "2-D":
+        y, message = y.reshape(20, 10), r"must be 1-D, got an array of shape \(20, 10\)"
+    else:
+        y, message = y[:100], "wn was fitted on 200 observations, the series has 100"
+    with pytest.raises(ValueError, match=message):
+        select_from_fits(fits, y, kind)

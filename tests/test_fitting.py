@@ -209,6 +209,59 @@ def test_slsqp_core_pass_without_budgets_is_bit_equal_to_minimize(monkeypatch):
         _assert_pass_is_scipys(monkeypatch, spec, cset, x, v)
 
 
+def test_minimize_answers_each_core_request_once_per_point(monkeypatch):
+    # a scripted core asks for values (mode 1) and gradients (mode -1) at a
+    # fixed sequence of points, scrambling the constraint vector and matrix
+    # after each call as a core may; minimize must evaluate a point only when
+    # it moves, count only those evaluations, rewrite the budget values on
+    # every mode-1 request and hand back an intact Jacobian on every mode -1
+    spec = q.arma(1, 1)
+    x = q.simulate(spec, (0.5, 0.6, 1.0), 200, seed=3).values
+    cset = constraint_set(spec)
+    (constraint,) = cset.slsqp_args["constraints"]
+    start, moved, other = np.array([0.1, 0.2, 0.9]), np.array([0.3, 0.1, 1.1]), np.array([0.2, 0.4, 1.0])
+    script = [(1, moved), (-1, moved), (1, moved), (-1, moved), (-1, other), (1, other), (0, other)]
+    calls = []
+
+    def core(state, fx, g, C, d, xk, mult, xl, xu, buffer, indices):
+        calls.append((state["tol"], state["acc"], fx, g.copy(), C.copy(), d.copy(), xk.copy()))
+        mode, point = script[len(calls) - 1]
+        C[:], d[:] = np.nan, np.nan
+        xk[:] = point
+        state["mode"], state["iter"] = mode, len(calls)
+
+    recursions = []
+    build = qmselect.likelihood._recursion
+
+    def counted(spec, v, x):
+        recursions.append(v.copy())
+        return build(spec, v, x)
+
+    monkeypatch.setattr(qmselect.fitting, "_SLSQP", core)
+    monkeypatch.setattr(qmselect.likelihood, "_recursion", counted)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = qmselect.fitting.minimize(qmselect.likelihood._Objective(spec, x), start, cset)
+    # the start, the moved point's value and the other point's gradient and value
+    assert [r.tolist() for r in recursions] == [start.tolist(), moved.tolist(), other.tolist(),
+                                                other.tolist()]
+    assert (res.nfev, res.njev, res.nit, res.status) == (3, 3, len(script), 0)
+    assert np.array_equal(res.x, other) and res.fun == q.gamma_bar(spec, other, x)
+    at = [start] + [point for _, point in script]
+    asked = [0] + [mode for mode, _ in script]
+    for i, (tol, acc, fx, g, C, d, xk) in enumerate(calls):
+        assert tol == 10.0 * acc
+        assert np.array_equal(xk, at[i])
+        # the value and gradient handed back are those at the point asked
+        last_valued = max(j for j in range(i + 1) if asked[j] in (0, 1))
+        last_graded = max(j for j in range(i + 1) if asked[j] in (0, -1))
+        assert fx == q.gamma_bar(spec, at[last_valued], x)
+        assert np.array_equal(g, q.gradient(spec, at[last_graded], x))
+        if asked[i] in (0, 1):
+            assert np.array_equal(d, constraint["fun"](xk)), i
+        if asked[i] in (0, -1):
+            assert np.array_equal(C, constraint["jac"](xk)), i
+
+
 BUILDERS = ("_arma_residuals", "_arch_filter")
 
 

@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import cho_factor, cho_solve
 
 import qmselect as q
+import qmselect.information
 from qmselect.information import _logdet_spd, _screen_neg_f, _trace_pen_from
 
 
@@ -161,3 +162,70 @@ def test_g_hat_is_the_mean_outer_product_of_the_score_rows(dgp3_series_2000, dgp
     info = q.info_matrices(dgp3_fit_2000, x)
     scores = q.derivatives(dgp3_fit_2000.spec, dgp3_fit_2000.theta.values, x).scores
     assert np.array_equal(info.g_hat, scores.T @ scores / (4.0 * x.size))
+
+
+# ---------------------------------------------------------------------------
+# the direct LAPACK calls are the scipy wrappers' calls
+
+
+def _info_by_wrappers(fit_result, x):
+    """info_matrices' four outputs computed with cho_factor and cho_solve."""
+    n = x.size
+    deriv = q.derivatives(fit_result.spec, fit_result.theta.values, x)
+    f_hat = -0.5 * deriv.hessian
+    chol = cho_factor(-f_hat, lower=True)
+    g_hat = deriv.scores.T @ deriv.scores / (4.0 * n)
+    logdet = float(2.0 * np.sum(np.log(np.diag(chol[0]))))
+    return f_hat, g_hat, logdet, float((2.0 / n) * np.trace(cho_solve(chol, g_hat)))
+
+
+@pytest.mark.parametrize(
+    "spec,theta",
+    [
+        (q.arma(2, 1), (0.6, -0.3, 0.4, 1.0)),
+        (q.garch(1, 1), (1.0, 0.35, 0.4)),
+        (q.aparch(1.5, 1, 1), (0.3, 0.1, 0.3, 0.6)),
+        (q.ararch(2), (0.5, 0.4, 0.2, 0.3)),
+    ],
+    ids=str,
+)
+def test_info_matrices_are_the_bytes_of_cho_factor_and_cho_solve(spec, theta):
+    x = q.simulate(spec, theta, 800, seed=61).values
+    res = q.fit(spec, x)
+    assert res.converged
+    info = q.info_matrices(res, x)
+    f_hat, g_hat, logdet, trace = _info_by_wrappers(res, x)
+    assert info.f_hat.tobytes() == f_hat.tobytes()
+    assert info.g_hat.tobytes() == g_hat.tobytes()
+    assert np.float64(info.logdet_negF).tobytes() == np.float64(logdet).tobytes()
+    assert np.float64(info.trace_pen).tobytes() == np.float64(trace).tobytes()
+
+
+def _raised(call, *args):
+    with pytest.raises(Exception) as info:
+        call(*args)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "not positive definite"])
+def test_a_bad_matrix_at_the_factorization_raises_what_cho_factor_raises(monkeypatch, bad):
+    # the rank screen is bypassed, so the matrix reaches the factorization
+    # as it would if the screen passed it
+    neg_f = {"nan": np.array([[2.0, np.nan], [np.nan, 1.0]]),
+             "inf": np.array([[2.0, 0.0], [0.0, np.inf]]),
+             "not positive definite": np.array([[1.0, 2.0], [2.0, 1.0]])}[bad]
+    want = _raised(cho_factor, neg_f, True)
+    assert want[0] in (ValueError, np.linalg.LinAlgError)
+    spec, x = q.garch(0, 2), np.ones(100)
+    res = q.FitResult(spec=spec, theta=q.ParamVector(spec, [1.0, 0.1, 0.1]), gamma_bar_min=1.0,
+                      loglik=-50.0, converged=True, n_used=100, grad_norm=0.0, iterations=1)
+    monkeypatch.setattr(qmselect.information, "_screen_neg_f", lambda neg_f: None)
+    monkeypatch.setattr(qmselect.information, "derivatives",
+                        lambda spec, theta, x: q.DerivEval(2.0 * neg_f, np.ones((100, 2))))
+    assert _raised(q.info_matrices, res, x) == want
+
+
+def test_a_non_finite_g_hat_at_the_solve_raises_what_cho_solve_raises():
+    chol = cho_factor(np.eye(2), lower=True)
+    g_hat = np.array([[1.0, np.inf], [np.inf, 1.0]])
+    assert _raised(_trace_pen_from, chol, g_hat, 10) == _raised(cho_solve, chol, g_hat)

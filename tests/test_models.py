@@ -997,3 +997,42 @@ def test_every_series_taking_function_accepts_a_trajectory(garch_sample, name):
     traj, fit = garch_sample
     call, v = _SERIES_CALLS[name], fit.theta.values
     assert pickle.dumps(call(traj, fit, v)) == pickle.dumps(call(traj.values, fit, v))
+
+
+def _arch_filter_by_lag_copies(v, layout, inputs, n):
+    """The ARCH filter as each lagged input was once added: a zero-padded
+    lagged copy of the whole input, and a polynomial converted from a list."""
+    u = np.full(n, v[layout.omega.start])
+    a = v[layout.a]
+    for i, w in enumerate(inputs):
+        u += a[i] * _lag(w, i + 1)
+    poly = np.concatenate(([1.0], -v[layout.b]))
+    return models._ar_filter(poly, u), poly
+
+
+@pytest.mark.parametrize(
+    "spec,theta",
+    [
+        (q.garch(2, 2), (0.2, 0.1, 0.05, 0.3, 0.2)),
+        (q.aparch(1.5, 2, 1), (0.2, 0.05, 0.1, -0.4, 0.5, 0.6)),
+        (q.ararch(3), (0.5, 0.4, 0.2, 0.1, 0.1)),
+    ],
+    ids=str,
+)
+def test_the_in_slice_arch_filter_is_the_lag_copy_filter_to_the_byte(monkeypatch, spec, theta):
+    # the pre-sample terms of a lag copy only ever added exact zeros, on the
+    # real recursion and on every complex step of the Hessian
+    x = q.simulate(spec, theta, 400, seed=17).values
+    v = np.asarray(theta, dtype=float)
+    points = [v]
+    for k in range(v.size):
+        vc = v.astype(complex)
+        vc[k] += 1j * q.likelihood.CS_STEP
+        points.append(vc)
+    got = [models._recursion(spec, p, x) for p in points]
+    monkeypatch.setattr(models, "_arch_filter", _arch_filter_by_lag_copies)
+    want = [models._recursion(spec, p, x) for p in points]
+    for g, w in zip(got, want):
+        for field in ("level", "h", "poly"):
+            a, b = np.asarray(getattr(g, field)), np.asarray(getattr(w, field))
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
