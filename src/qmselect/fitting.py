@@ -31,7 +31,10 @@ is feasible and keeps the inner contrast, so along same-family nesting and
 garch inside the power-2 aparch the fitted contrast never rises.  Every
 point is certified in one place (``_certified``): contrast, projected
 gradient norm and the ``converged`` flag, the one comparison with
-``GRAD_TOL``.  The projected gradient is the step to the
+``GRAD_TOL``.  A descent's end point is certified from the contrast and
+gradient its ``_Objective`` holds there, so certifying costs no recursion
+of its own; only a one-parameter model, which no descent fits, calls
+``contrast`` and ``gradient`` for it.  The projected gradient is the step to the
 Euclidean projection of ``theta - gradient``, so it is zero exactly at a
 first-order (KKT) point of the constraint set, edges and kinks of the
 budgets included.
@@ -191,8 +194,12 @@ def _descend(objective: _Objective, cset: ConstraintSet, v, fv) -> FitResult:
     :func:`_certified` builds at the end point, with SLSQP's iterations summed
     over the passes.  When no pass lowers the contrast, the end point is ``v``
     itself, and it is certified there: a warm start can already be a KKT
-    point.  The floating-point error state is entered once here for all the
-    passes; :func:`minimize` filters the one warning of its fallback."""
+    point.  The certificate reads the objective: after an improving pass the
+    value it has just returned at the end point and the gradient from the
+    recursion it holds there, and at the start its value and gradient, with
+    one recursion if the objective has moved on.  The floating-point error
+    state is entered once here for all the passes; :func:`minimize` filters
+    the one warning of its fallback."""
     spec, x = objective.spec, objective.x
     iterations, end = 0, None
     # the objective's callbacks run in this error state, entered once here:
@@ -207,27 +214,28 @@ def _descend(objective: _Objective, cset: ConstraintSet, v, fv) -> FitResult:
             fw = objective.value(w)
             if not fw < fv:
                 break
-            v, fv = w, fw
-            end = _certified(spec, cset, v, x)
+            v, fv = w, fw  # the objective holds v: it has just valued it
+            end = _certified(spec, cset, v, x, fv, objective.held_grad(v))
             if end.converged:
                 break
         if end is None:  # no pass lowered the contrast: the descent ends at its start
-            end = _certified(spec, cset, v, x)
+            fv = objective.value(v)  # v is now the held point
+            end = _certified(spec, cset, v, x, fv, objective.held_grad(v))
     end.iterations = iterations
     return end
 
 
-def _certified(spec, cset, v, x) -> FitResult:
-    """The fit at ``v``: contrast, projected gradient and convergence flag,
-    with no SLSQP iterations.  This is the one place where a point is
-    certified."""
-    ev = contrast(spec, v, x)
-    gn = projected_grad_norm(cset, v, gradient(spec, v, x))
+def _certified(spec, cset, v, x, value, grad) -> FitResult:
+    """The fit at ``v`` from its contrast ``value`` and its gradient
+    ``grad``, both taken by the caller: projected gradient norm, convergence
+    flag and quasi-log-likelihood, with no SLSQP iterations.  This is the one
+    place where a point is certified; it evaluates nothing."""
+    gn = projected_grad_norm(cset, v, grad)
     return FitResult(
         spec=spec,
         theta=ParamVector(spec, v),
-        gamma_bar_min=ev.gamma_bar,
-        loglik=-0.5 * x.size * ev.gamma_bar,
+        gamma_bar_min=value,
+        loglik=-0.5 * x.size * value,
         converged=gn <= GRAD_TOL,
         n_used=x.size,
         grad_norm=gn,
@@ -271,7 +279,8 @@ def fit(spec: ModelSpec, x, warm=None) -> FitResult:
         raise TooShortSeries(f"{spec.name}: n = {n} < {10 * spec.dim}")
     base = _start_point(spec, cset, x)
     if spec.dim == 1:
-        return _certified(spec, cset, base, x)
+        return _certified(spec, cset, base, x, contrast(spec, base, x).gamma_bar,
+                          gradient(spec, base, x))
     starts = [base]
     if warm is not None and not np.array_equal(warm, base):
         starts.insert(0, warm)

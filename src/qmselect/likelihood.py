@@ -30,7 +30,9 @@ contrast and gradient that SLSQP's passes in a fit share: it keeps the
 recursion and value of the last point it valued, and the gradient at that
 point is read from the kept recursion, so a step builds one recursion where
 :func:`gamma_bar` then :func:`gradient` would build two.  Its values are
-exactly theirs.  ``fitting.minimize`` tests each point SLSQP asks for once
+exactly theirs, so ``fitting._certified`` certifies each descent's end point
+from the value and gradient the objective holds there, with no second
+evaluation.  ``fitting.minimize`` tests each point SLSQP asks for once
 and tells the objective whether the point is new, so the objective tests no
 point again.  A point costs SLSQP one recursion and one reduction for the
 value, read from the recursion's fields (constant moments stay scalars,
@@ -230,10 +232,12 @@ def _lagged_dot(r: np.ndarray, u: np.ndarray, k: int) -> float:
 
 
 class _Objective:
-    """gamma_bar and its gradient for the minimizers, one recursion per point.
+    """gamma_bar and its gradient for the minimizers and the certificate of a
+    descent's end point, one recursion per point.
 
-    SLSQP asks for the gradient at the point it has just valued, and a
-    restarted pass starts at the point the objective already holds.
+    SLSQP asks for the gradient at the point it has just valued, a
+    restarted pass starts at the point the objective already holds, and
+    ``fitting._descend`` certifies the end point it has just valued.
     :meth:`evaluate` values a new point: it keeps the recursion it built and
     the value, together with a copy of the point, the held point.
     :meth:`held_grad` reads the gradient at that point from the kept
@@ -241,7 +245,8 @@ class _Objective:
     test no point: ``fitting.minimize`` tests each point the core asks for
     once, and calls the one that applies.  :meth:`value` and :meth:`grad` test
     the point against the held one themselves, for
-    ``scipy.optimize.minimize`` and for the start of each pass.
+    ``scipy.optimize.minimize``, for the start of each pass and for the
+    point ``fitting._descend`` certifies.
     All return exactly what :func:`gamma_bar` and :func:`gradient` return; the
     value is read from the recursion's fields, the variance clamped at
     ``H_FLOOR`` as ``models._moments_from`` clamps it.  So a new point costs

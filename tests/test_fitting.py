@@ -436,18 +436,84 @@ def test_a_start_never_beats_its_own_descent(monkeypatch):
 
 
 def test_an_uncertified_end_point_is_followed_by_the_zero_init_descent(monkeypatch):
-    # the certificate has one site: with a gradient that no point can
-    # certify, the warm descent's fit is not converged, so the zero-init
-    # start is descended too, and the fit reports converged False
+    # the certificate has one site: with a tolerance that no projected
+    # gradient norm can meet, the warm descent's fit is not converged, so the
+    # zero-init start is descended too, and the fit reports converged False
     spec, theta = RECURSION_CASES[1]
     x = q.simulate(spec, theta, 600, seed=31).values
     base = _start_point(spec, constraint_set(spec), x)
     x0s = _record_descents(monkeypatch)
-    monkeypatch.setattr(qmselect.fitting, "gradient", lambda spec, v, x: np.full(spec.dim, np.nan))
+    monkeypatch.setattr(qmselect.fitting, "GRAD_TOL", -1.0)
     res = q.fit(spec, x, theta)
     assert np.array_equal(x0s[0], theta)
     assert any(np.array_equal(x0, base) for x0 in x0s)
     assert not res.converged
+
+
+#: (fitted spec, data-generating spec, its parameters): each recursion case
+#: on its own data, and two fits with more lags than their data
+CERTIFICATE_CASES = [(spec, spec, theta) for spec, theta in RECURSION_CASES] + [
+    (q.arma(2, 2), *DGP2),
+    (q.garch(2, 1), *DGP3),
+]
+
+
+@pytest.mark.parametrize("spec,dgp,theta", CERTIFICATE_CASES, ids=[str(s) for s, _, _ in CERTIFICATE_CASES])
+def test_the_certificate_is_a_fresh_evaluation_to_the_bit(spec, dgp, theta):
+    # the certificate reads the contrast and gradient the fit's objective
+    # already holds; they must be exactly what the public functions return at
+    # the fitted point, after a descent and after a warm start at the
+    # optimum, where the descent ends at its start
+    x = q.simulate(dgp, theta, 600, seed=31).values
+    cset = constraint_set(spec)
+    descended = q.fit(spec, x)
+    at_start = q.fit(spec, x, descended.theta.values)
+    # a pass that lowered the contrast would have moved the point
+    assert np.array_equal(at_start.theta.values, descended.theta.values)
+    for res in (descended, at_start):
+        v = res.theta.values
+        assert res.gamma_bar_min == q.gamma_bar(spec, v, x)
+        assert res.loglik == -0.5 * x.size * res.gamma_bar_min
+        assert res.grad_norm == projected_grad_norm(cset, v, q.gradient(spec, v, x))
+
+
+def _count_calls(monkeypatch, module, names):
+    """Replace each of ``names`` in ``module`` by a wrapper counting its calls."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(module, name)
+
+        def counted(*args, name=name, real=real, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("spec,theta", RECURSION_CASES, ids=[str(s) for s, _ in RECURSION_CASES])
+def test_a_fit_values_each_start_once_and_certifies_from_its_objective(monkeypatch, spec, theta, warm):
+    # fitting.contrast, .gamma_bar and .gradient are the names the traced
+    # benchmark wraps (the contract tests/test_bench_contract.py pins), so
+    # their counts are what it reports: a multi-parameter fit values each
+    # start it descends once, and everything else, its certificates
+    # included, comes from the fit's objective
+    if warm:  # no end point certifies, so both starts are descended
+        monkeypatch.setattr(qmselect.fitting, "GRAD_TOL", 0.0)
+    x = q.simulate(spec, theta, 600, seed=31).values
+    descents = _count_calls(monkeypatch, qmselect.fitting, ["_descend"])
+    counts = _count_calls(monkeypatch, qmselect.fitting, ["contrast", "gamma_bar", "gradient"])
+    q.fit(spec, x, theta if warm else None)
+    assert descents["_descend"] == (2 if warm else 1)
+    assert counts == {"contrast": 0, "gamma_bar": descents["_descend"], "gradient": 0}
+
+
+def test_a_one_parameter_fit_is_certified_by_one_contrast_and_one_gradient(monkeypatch):
+    counts = _count_calls(monkeypatch, qmselect.fitting, ["contrast", "gamma_bar", "gradient"])
+    x = np.random.default_rng(4).standard_normal(300)
+    assert q.fit(q.wn(), x).converged
+    assert counts == {"contrast": 1, "gamma_bar": 0, "gradient": 1}
 
 
 @pytest.mark.parametrize("spec,theta", RECURSION_CASES[:3], ids=[str(s) for s, _ in RECURSION_CASES[:3]])
