@@ -12,7 +12,9 @@ not once per fit (``models.constraint_set``, ``ConstraintSet.slsqp_args``,
 drives SLSQP's C core directly, without ``scipy.optimize.minimize``'s
 per-call wrapper, tests each point the core asks for once, and writes the
 budget values in place; elsewhere it calls ``minimize``.  The tests pin
-both to the same iterates.  A fit stops after
+both to the same iterates.  The core is loaded without ``scipy.optimize``
+(``models._pinned_core``), which is imported only where ``minimize`` runs,
+and a pass returns :class:`SlsqpResult`, not ``OptimizeResult``.  A fit stops after
 the first descent whose end point is certified (projected gradient at most
 ``GRAD_TOL``).  Within a descent, while SLSQP's end point is not certified
 and the contrast still falls, SLSQP is restarted from there, up to
@@ -44,11 +46,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy
-from scipy import optimize
-from scipy.optimize import OptimizeResult
 
 from .errors import OptimizerDiverged, QmselectError, TooShortSeries
 from .likelihood import _Objective, contrast, gamma_bar, gradient
@@ -118,7 +119,19 @@ def projected_grad_norm(cset: ConstraintSet, v: np.ndarray, g: np.ndarray) -> fl
 _SLSQP = _pinned_core(scipy.__version__, "scipy.optimize._slsqplib", "slsqp")
 
 
-def minimize(objective: _Objective, v: np.ndarray, cset: ConstraintSet) -> OptimizeResult:
+class SlsqpResult(NamedTuple):
+    """The fields of ``scipy.optimize.OptimizeResult`` that an SLSQP pass
+    reports here, under the same names."""
+
+    x: np.ndarray
+    fun: float
+    nit: int
+    nfev: int
+    njev: int
+    status: int
+
+
+def minimize(objective: _Objective, v: np.ndarray, cset: ConstraintSet) -> SlsqpResult:
     """One SLSQP pass from ``v`` over ``cset``: what
     ``scipy.optimize.minimize(objective.value, v, jac=objective.grad,
     method="SLSQP", **cset.slsqp_args, options={"maxiter": MAX_ITER, "ftol":
@@ -138,15 +151,18 @@ def minimize(objective: _Objective, v: np.ndarray, cset: ConstraintSet) -> Optim
     one evaluated.  Each point the core asks for is tested against that last
     point once, here; the objective then values the new point, or reads the
     gradient from the recursion it holds or builds one, without a test of its
-    own.  Without a pinned core ``minimize`` itself runs; its warning that it
-    clipped a point just outside the box is ignored, since the contrast is
-    clamped there.
+    own.  Without a pinned core ``minimize`` itself runs, imported here; its
+    warning that it clipped a point just outside the box is ignored, since
+    the contrast is clamped there.
     """
     if _SLSQP is None:
+        from scipy import optimize
+
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", message=".*outside bounds.*")
-            return optimize.minimize(objective.value, v, jac=objective.grad, method="SLSQP",
-                                     **cset.slsqp_args, options={"maxiter": MAX_ITER, "ftol": FTOL})
+            res = optimize.minimize(objective.value, v, jac=objective.grad, method="SLSQP",
+                                    **cset.slsqp_args, options={"maxiter": MAX_ITER, "ftol": FTOL})
+        return SlsqpResult(res.x, res.fun, res.nit, res.nfev, res.njev, res.status)
     core = cset._slsqp_core
     x = np.clip(v, cset.lower, cset.upper)
     n, m = x.size, core.m
@@ -184,7 +200,7 @@ def minimize(objective: _Objective, v: np.ndarray, cset: ConstraintSet) -> Optim
                 njev, graded = njev + 1, True
             if m:
                 C[:] = core.jac
-    return OptimizeResult(x=x, fun=fx, nit=state["iter"], nfev=nfev, njev=njev, status=mode)
+    return SlsqpResult(x, fx, state["iter"], nfev, njev, mode)
 
 
 def _descend(objective: _Objective, cset: ConstraintSet, v, fv) -> FitResult:

@@ -12,7 +12,11 @@ Conventions (all per observation, on the contrast scale):
   factorization (the matrix is screened for numerical rank first), which
   LAPACK's ``potrf`` computes and ``potrs`` solves with; they are called
   directly, as ``scipy.linalg.cho_factor`` and ``cho_solve`` call them, and
-  raise what those raise;
+  raise what those raise.  On the scipy versions in
+  ``models._CORE_PINNED_ON`` they are the double-precision pair
+  ``scipy.linalg._flapack.dpotrf``/``dpotrs``, loaded without
+  ``scipy.linalg`` (``models._pinned_core``); elsewhere
+  ``scipy.linalg.get_lapack_funcs`` picks them, imported where it is called;
 * ``trace_pen`` is -(2/n) * Tr(f_hat^-1 g_hat), a non-negative penalty rate
   whose n-multiple matches the closed forms in :func:`closed_form_trace`
   for well-specified models.
@@ -31,11 +35,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+import scipy
 
 from .errors import SingularF
 from .likelihood import derivatives
-from .models import Family, ModelSpec
+from .models import Family, ModelSpec, _pinned_core
 
 #: relative eigenvalue floor below which -f_hat is declared singular
 RANK_RTOL = 1e-10
@@ -49,6 +53,24 @@ class InfoMatrices:
     trace_pen: float
 
 
+#: LAPACK's double-precision Cholesky factorization and solve, what
+#: ``get_lapack_funcs`` returns for float64 matrices, the only ones the
+#: package factors; None off the pinned scipy versions
+_DPOTRF = _pinned_core(scipy.__version__, "scipy.linalg._flapack", "dpotrf")
+_DPOTRS = _pinned_core(scipy.__version__, "scipy.linalg._flapack", "dpotrs")
+
+
+def _lapack(name: str, pinned, *arrays: np.ndarray):
+    """LAPACK's ``name`` for the float64 ``arrays``, as ``get_lapack_funcs``
+    picks it: the ``pinned`` double-precision routine where there is one,
+    else ``get_lapack_funcs`` itself, imported here."""
+    if pinned is not None:
+        return pinned
+    from scipy.linalg import get_lapack_funcs
+
+    return get_lapack_funcs((name,), arrays)[0]
+
+
 def _check_finite(a: np.ndarray) -> None:
     """The finiteness check of ``cho_factor`` and ``cho_solve``, with their message."""
     if not np.isfinite(a).all():
@@ -60,7 +82,7 @@ def _cho_factor_lower(a: np.ndarray) -> tuple[np.ndarray, bool]:
     the same arguments, with the same bytes returned and the same errors
     raised, without the wrapper's per-call cost."""
     _check_finite(a)
-    (potrf,) = get_lapack_funcs(("potrf",), (a,))
+    potrf = _lapack("potrf", _DPOTRF, a)
     c, info = potrf(a, lower=True, overwrite_a=False, clean=False)
     if info > 0:
         raise np.linalg.LinAlgError(f"{info}-th leading minor of the array is not positive definite")
@@ -87,7 +109,7 @@ def _trace_pen_from(chol, g_hat: np.ndarray, n: int) -> float:
     solve is LAPACK's ``potrs`` on the arguments ``cho_solve`` gives it."""
     c, lower = chol
     _check_finite(g_hat)
-    (potrs,) = get_lapack_funcs(("potrs",), (c, g_hat))
+    potrs = _lapack("potrs", _DPOTRS, c, g_hat)
     solved, info = potrs(c, g_hat, lower=lower, overwrite_b=False)
     if info != 0:
         raise ValueError(f"illegal value in {-info}th argument of internal potrs")

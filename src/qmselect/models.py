@@ -29,9 +29,14 @@ calls scipy's C filter ``scipy.signal._sigtools._linear_filter`` directly, as
 ``lfilter`` itself does, without ``lfilter``'s per-call wrapper.  That private
 core is used only on the scipy versions in ``_CORE_PINNED_ON``, on which the
 tests pin it bit-equal to ``lfilter``; on any other version, or when it does
-not import, the helper calls ``lfilter``.  A one-coefficient denominator is
-handled there too, as one ``np.convolve``, which is what ``lfilter`` computes
-in that case (the arma(p,0) residuals and the arma(0,q) paths).  Only the
+not import, the helper calls ``lfilter``.  :func:`_pinned_core` loads each
+private core the package calls, this one, SLSQP's and LAPACK's Cholesky pair,
+from its extension file without importing its public package, so importing
+the package imports none of ``scipy.signal``, ``scipy.optimize`` and
+``scipy.linalg``; those are imported only where a fallback runs.  A
+one-coefficient denominator is handled in the helper too, as one
+``np.convolve``, which is what ``lfilter`` computes in that case (the
+arma(p,0) residuals and the arma(0,q) paths).  Only the
 all-pole filter with denominator 1 is skipped before the helper
 (:func:`_ar_filter`): it is the identity.
 Each family's recursion is one pass over the sample that returns one named
@@ -59,15 +64,17 @@ import functools
 import importlib
 import itertools
 import math
+import os
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
 from typing import NamedTuple
 
 import numpy as np
 import scipy
-from scipy.optimize import Bounds
-from scipy.signal import lfilter
 
 from .errors import NonStationaryParams, NumericOverflow, UnsupportedFamily
 
@@ -417,7 +424,8 @@ class ConstraintSet:
         ``scipy.optimize.minimize`` call, built once per set, which
         ``fitting.minimize`` passes to that call where it falls back to it.
 
-        The box is one :class:`scipy.optimize.Bounds`.  The budgets are one
+        The box is one :class:`scipy.optimize.Bounds`, imported here, on the
+        fallback's path only.  The budgets are one
         linear inequality ``b - A v >= 0`` with a constant Jacobian, or no
         constraint without budgets.  ``A`` holds each group's rows in group
         order, a row of ones for a non-negative group and the 2^k sign rows
@@ -431,6 +439,8 @@ class ConstraintSet:
         signed group of more than ``MAX_SIGNED_GROUP`` members raises
         :class:`UnsupportedFamily` before any row is built.
         """
+        from scipy.optimize import Bounds
+
         parts = self._budget_rows
         bounds = Bounds(self.lower, self.upper)
         if not parts:
@@ -728,11 +738,13 @@ class CondMoments:
     h_hat: np.ndarray
 
 
-#: the scipy versions on which the tests pin both private cores the package
-#: calls directly: the C filter ``_sigtools._linear_filter`` bit-equal to
-#: ``lfilter`` (tests/test_models.py), and SLSQP's C core ``_slsqplib.slsqp``,
+#: the scipy versions on which the tests pin the three private cores the
+#: package calls directly: the C filter ``_sigtools._linear_filter`` bit-equal
+#: to ``lfilter`` (tests/test_models.py), SLSQP's C core ``_slsqplib.slsqp``,
 #: driven by ``fitting.minimize``, to the same iterates and counts as
-#: ``scipy.optimize.minimize`` (tests/test_fitting.py)
+#: ``scipy.optimize.minimize`` (tests/test_fitting.py), and LAPACK's
+#: ``_flapack.dpotrf``/``dpotrs`` to the bytes of ``cho_factor`` and
+#: ``cho_solve`` (tests/test_information.py)
 _CORE_PINNED_ON = frozenset({"1.17.1"})
 
 
@@ -740,10 +752,24 @@ def _pinned_core(version: str, module: str = "scipy.signal._sigtools", name: str
     """scipy's private core ``module.name`` if ``version`` is in
     ``_CORE_PINNED_ON`` and the core imports; None otherwise.  The default is
     the C filter, what ``lfilter`` calls for a denominator of more than one
-    coefficient."""
+    coefficient.
+
+    A module not yet imported is loaded from its extension file, found under
+    ``scipy.__path__``, without running its package's ``__init__``, and is
+    registered in ``sys.modules`` under its own name, so a later import of
+    the package reuses it (without binding it as the package's attribute).
+    A module already in ``sys.modules`` is used as it is; a None entry there
+    means it does not import."""
     if version not in _CORE_PINNED_ON:
         return None
     try:
+        if module not in sys.modules:
+            path = [os.path.join(root, *module.split(".")[1:-1]) for root in scipy.__path__]
+            spec = PathFinder.find_spec(module, path)
+            if spec is not None:
+                loaded = module_from_spec(spec)
+                spec.loader.exec_module(loaded)
+                sys.modules[module] = loaded
         return getattr(importlib.import_module(module), name)
     except (ImportError, AttributeError):
         return None
@@ -772,6 +798,15 @@ def _lfilter(b: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
     if _LINEAR_FILTER is None:
         return lfilter(b, a, x, axis=-1)
     return _LINEAR_FILTER(b, a, x, -1)
+
+
+def lfilter(b, a, x, axis=-1):
+    """:func:`scipy.signal.lfilter`, imported where it is called: the filter
+    :func:`_lfilter` falls back to without a pinned core, so that
+    ``scipy.signal`` is imported only where the fallback runs."""
+    from scipy.signal import lfilter
+
+    return lfilter(b, a, x, axis=axis)
 
 
 def _ar_filter(poly: np.ndarray, u: np.ndarray) -> np.ndarray:

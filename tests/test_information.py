@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 from scipy.linalg import cho_factor, cho_solve
 
@@ -179,21 +180,32 @@ def _info_by_wrappers(fit_result, x):
     return f_hat, g_hat, logdet, float((2.0 / n) * np.trace(cho_solve(chol, g_hat)))
 
 
+INFO_BYTES_CASES = [
+    (q.arma(2, 1), (0.6, -0.3, 0.4, 1.0)),
+    (q.garch(1, 1), (1.0, 0.35, 0.4)),
+    (q.aparch(1.5, 1, 1), (0.3, 0.1, 0.3, 0.6)),
+    (q.ararch(2), (0.5, 0.4, 0.2, 0.3)),
+]
+
+
 @pytest.mark.parametrize(
-    "spec,theta",
-    [
-        (q.arma(2, 1), (0.6, -0.3, 0.4, 1.0)),
-        (q.garch(1, 1), (1.0, 0.35, 0.4)),
-        (q.aparch(1.5, 1, 1), (0.3, 0.1, 0.3, 0.6)),
-        (q.ararch(2), (0.5, 0.4, 0.2, 0.3)),
-    ],
-    ids=str,
+    "spec,theta,pinned",
+    [pytest.param(spec, theta, True, id=f"{spec}-{theta}") for spec, theta in INFO_BYTES_CASES]
+    + [pytest.param(q.garch(1, 1), (1.0, 0.35, 0.4), False, id="garch(1,1)-(1.0, 0.35, 0.4)-get_lapack_funcs")],
 )
-def test_info_matrices_are_the_bytes_of_cho_factor_and_cho_solve(spec, theta):
+def test_info_matrices_are_the_bytes_of_cho_factor_and_cho_solve(monkeypatch, spec, theta, pinned):
+    calls = []
+    if not pinned:
+        # without the pinned LAPACK pair, get_lapack_funcs picks each routine
+        real = scipy.linalg.get_lapack_funcs
+        monkeypatch.setattr(qmselect.information, "_DPOTRF", None)
+        monkeypatch.setattr(qmselect.information, "_DPOTRS", None)
+        monkeypatch.setattr(scipy.linalg, "get_lapack_funcs", lambda *args: calls.append(args) or real(*args))
     x = q.simulate(spec, theta, 800, seed=61).values
     res = q.fit(spec, x)
     assert res.converged
     info = q.info_matrices(res, x)
+    assert len(calls) == (0 if pinned else 2)
     f_hat, g_hat, logdet, trace = _info_by_wrappers(res, x)
     assert info.f_hat.tobytes() == f_hat.tobytes()
     assert info.g_hat.tobytes() == g_hat.tobytes()
