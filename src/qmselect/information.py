@@ -8,18 +8,14 @@ Conventions (all per observation, on the contrast scale):
   gradients divided by 4; the rows are complex steps of the conditional
   moments, taken in the same pass of :func:`.likelihood.derivatives` as the
   Hessian;
-* ``logdet_negF`` is log det(-f_hat), computed through a Cholesky
-  factorization (the matrix is screened for numerical rank first), which
-  LAPACK's ``potrf`` computes and ``potrs`` solves with; they are called
-  directly, as ``scipy.linalg.cho_factor`` and ``cho_solve`` call them, and
-  raise what those raise.  On the scipy versions in
-  ``models._CORE_PINNED_ON`` they are the double-precision pair
-  ``scipy.linalg._flapack.dpotrf``/``dpotrs``, loaded without
-  ``scipy.linalg`` (``models._pinned_core``); elsewhere
-  ``scipy.linalg.get_lapack_funcs`` picks them, imported where it is called;
-* ``trace_pen`` is -(2/n) * Tr(f_hat^-1 g_hat), a non-negative penalty rate
-  whose n-multiple matches the closed forms in :func:`closed_form_trace`
-  for well-specified models.
+* ``logdet_negF`` is log det(-f_hat), the sum of the logs of the
+  eigenvalues of -f_hat.  One symmetric eigendecomposition,
+  -f_hat = U diag(lam) U^T (``np.linalg.eigh``), serves the numerical rank
+  screen, the log determinant and the trace penalty;
+* ``trace_pen`` is -(2/n) * Tr(f_hat^-1 g_hat) = (2/n) * sum_k
+  u_k^T g_hat u_k / lam_k, a non-negative penalty rate whose n-multiple
+  matches the closed forms in :func:`closed_form_trace` for well-specified
+  models.
 
 Boundary policy: a converged fit on a box bound or a budget face gets its
 matrices like any other.  ``f_hat`` is then the Hessian of the smooth
@@ -35,11 +31,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy
 
 from .errors import SingularF
 from .likelihood import derivatives
-from .models import Family, ModelSpec, _pinned_core
+from .models import Family, ModelSpec
 
 #: relative eigenvalue floor below which -f_hat is declared singular
 RANK_RTOL = 1e-10
@@ -53,67 +48,12 @@ class InfoMatrices:
     trace_pen: float
 
 
-#: LAPACK's double-precision Cholesky factorization and solve, what
-#: ``get_lapack_funcs`` returns for float64 matrices, the only ones the
-#: package factors; None off the pinned scipy versions
-_DPOTRF = _pinned_core(scipy.__version__, "scipy.linalg._flapack", "dpotrf")
-_DPOTRS = _pinned_core(scipy.__version__, "scipy.linalg._flapack", "dpotrs")
-
-
-def _lapack(name: str, pinned, *arrays: np.ndarray):
-    """LAPACK's ``name`` for the float64 ``arrays``, as ``get_lapack_funcs``
-    picks it: the ``pinned`` double-precision routine where there is one,
-    else ``get_lapack_funcs`` itself, imported here."""
-    if pinned is not None:
-        return pinned
-    from scipy.linalg import get_lapack_funcs
-
-    return get_lapack_funcs((name,), arrays)[0]
-
-
 def _check_finite(a: np.ndarray) -> None:
-    """The finiteness check of ``cho_factor`` and ``cho_solve``, with their message."""
+    """A non-finite matrix is a programming error, not a singular model: the
+    rank screen would pass NaN eigenvalues, since every comparison with NaN
+    is false."""
     if not np.isfinite(a).all():
         raise ValueError("array must not contain infs or NaNs")
-
-
-def _cho_factor_lower(a: np.ndarray) -> tuple[np.ndarray, bool]:
-    """``scipy.linalg.cho_factor(a, lower=True)``: the same LAPACK call on
-    the same arguments, with the same bytes returned and the same errors
-    raised, without the wrapper's per-call cost."""
-    _check_finite(a)
-    potrf = _lapack("potrf", _DPOTRF, a)
-    c, info = potrf(a, lower=True, overwrite_a=False, clean=False)
-    if info > 0:
-        raise np.linalg.LinAlgError(f"{info}-th leading minor of the array is not positive definite")
-    if info < 0:
-        raise ValueError(f'LAPACK reported an illegal value in {-info}-th argument on entry to "POTRF".')
-    return c, True
-
-
-def _logdet_spd(chol) -> float:
-    """log det of a symmetric positive definite matrix from its ``cho_factor``."""
-    return float(2.0 * np.sum(np.log(np.diag(chol[0]))))
-
-
-def _screen_neg_f(neg_f: np.ndarray) -> None:
-    eigs = np.linalg.eigvalsh(neg_f)
-    if eigs[-1] <= 0 or eigs[0] < RANK_RTOL * eigs[-1]:
-        raise SingularF(
-            f"curvature matrix numerically singular (eig range {eigs[0]:.3e}..{eigs[-1]:.3e})"
-        )
-
-
-def _trace_pen_from(chol, g_hat: np.ndarray, n: int) -> float:
-    """-(2/n) Tr(f_hat^-1 g_hat) from the ``cho_factor`` of -f_hat; the
-    solve is LAPACK's ``potrs`` on the arguments ``cho_solve`` gives it."""
-    c, lower = chol
-    _check_finite(g_hat)
-    potrs = _lapack("potrs", _DPOTRS, c, g_hat)
-    solved, info = potrs(c, g_hat, lower=lower, overwrite_b=False)
-    if info != 0:
-        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
-    return float((2.0 / n) * np.trace(solved))
 
 
 def info_matrices(fit_result, x) -> InfoMatrices:
@@ -124,6 +64,9 @@ def info_matrices(fit_result, x) -> InfoMatrices:
 
     Raises
     ------
+    ValueError
+        when the fit did not converge, or -f_hat or g_hat is not finite: a
+        programming error, never an excluded model.
     SingularF
         when -f_hat fails the numerical rank screen; callers treat the model
         as unusable for determinant-based criteria.
@@ -135,14 +78,17 @@ def info_matrices(fit_result, x) -> InfoMatrices:
     deriv = derivatives(fit_result.spec, fit_result.theta.values, x)
     f_hat = -0.5 * deriv.hessian
     neg_f = -f_hat
-    _screen_neg_f(neg_f)
-    chol = _cho_factor_lower(neg_f)
+    _check_finite(neg_f)
+    lam, u = np.linalg.eigh(neg_f)
+    if lam[-1] <= 0 or lam[0] < RANK_RTOL * lam[-1]:
+        raise SingularF(f"curvature matrix numerically singular (eig range {lam[0]:.3e}..{lam[-1]:.3e})")
     g_hat = deriv.scores.T @ deriv.scores / (4.0 * n)
+    _check_finite(g_hat)
     return InfoMatrices(
         f_hat=f_hat,
         g_hat=g_hat,
-        logdet_negF=_logdet_spd(chol),
-        trace_pen=_trace_pen_from(chol, g_hat, n),
+        logdet_negF=float(np.sum(np.log(lam))),
+        trace_pen=float((2.0 / n) * np.sum(np.sum(u * (g_hat @ u), axis=0) / lam)),
     )
 
 

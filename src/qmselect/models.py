@@ -30,10 +30,10 @@ calls scipy's C filter ``scipy.signal._sigtools._linear_filter`` directly, as
 core is used only on the scipy versions in ``_CORE_PINNED_ON``, on which the
 tests pin it bit-equal to ``lfilter``; on any other version, or when it does
 not import, the helper calls ``lfilter``.  :func:`_pinned_core` loads each
-private core the package calls, this one, SLSQP's and LAPACK's Cholesky pair,
-from its extension file without importing its public package, so importing
-the package imports none of ``scipy.signal``, ``scipy.optimize`` and
-``scipy.linalg``; those are imported only where a fallback runs.  A
+private core the package calls, this one and SLSQP's, from its extension
+file without importing its public package, so importing the package imports
+none of ``scipy.signal``, ``scipy.optimize`` and ``scipy.linalg``; those
+are imported only where a fallback runs.  A
 one-coefficient denominator is handled in the helper too, as one
 ``np.convolve``, which is what ``lfilter`` computes in that case (the
 arma(p,0) residuals and the arma(0,q) paths).  Only the
@@ -738,13 +738,11 @@ class CondMoments:
     h_hat: np.ndarray
 
 
-#: the scipy versions on which the tests pin the three private cores the
+#: the scipy versions on which the tests pin the two private cores the
 #: package calls directly: the C filter ``_sigtools._linear_filter`` bit-equal
-#: to ``lfilter`` (tests/test_models.py), SLSQP's C core ``_slsqplib.slsqp``,
-#: driven by ``fitting.minimize``, to the same iterates and counts as
-#: ``scipy.optimize.minimize`` (tests/test_fitting.py), and LAPACK's
-#: ``_flapack.dpotrf``/``dpotrs`` to the bytes of ``cho_factor`` and
-#: ``cho_solve`` (tests/test_information.py)
+#: to ``lfilter`` (tests/test_models.py), and SLSQP's C core
+#: ``_slsqplib.slsqp``, driven by ``fitting.minimize``, to the same iterates
+#: and counts as ``scipy.optimize.minimize`` (tests/test_fitting.py)
 _CORE_PINNED_ON = frozenset({"1.17.1"})
 
 
@@ -789,24 +787,18 @@ def _lfilter(b: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:
     coefficient, the core is called directly with the arguments ``lfilter``
     would pass it (``b`` and ``a`` are arrays already); ``lfilter``'s
     per-call wrapper costs more than the filter on short samples.  Without a
-    pinned core (see :func:`_pinned_core`), ``lfilter`` itself runs.  A
+    pinned core (see :func:`_pinned_core`), ``lfilter`` itself runs,
+    imported here so that ``scipy.signal`` is imported only then.  A
     one-coefficient denominator, always ``[1.0]`` here, on a 1-D ``x`` is
     ``np.convolve(b, x)`` cut to the sample, which is what ``lfilter``
     computes in that case, one row at a time."""
     if a.size == 1:
         return np.convolve(b, x)[: x.size]
     if _LINEAR_FILTER is None:
+        from scipy.signal import lfilter
+
         return lfilter(b, a, x, axis=-1)
     return _LINEAR_FILTER(b, a, x, -1)
-
-
-def lfilter(b, a, x, axis=-1):
-    """:func:`scipy.signal.lfilter`, imported where it is called: the filter
-    :func:`_lfilter` falls back to without a pinned core, so that
-    ``scipy.signal`` is imported only where the fallback runs."""
-    from scipy.signal import lfilter
-
-    return lfilter(b, a, x, axis=axis)
 
 
 def _ar_filter(poly: np.ndarray, u: np.ndarray) -> np.ndarray:

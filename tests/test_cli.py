@@ -275,7 +275,7 @@ def test_select_excludes_an_order_above_the_budget_cap(tmp_path, capsys):
 #: pin holds in both tier-1 runs.
 SELECT_PINS = {
     "kcprime": (
-        "40fe13f0f7f76c12fbf44f4dfa0e6677093e5183eab66cd24fc8cd071fe3fa61",
+        "8384b2fb80ed210d2e89b1bd3d185398267426b213446bc468591178f5303358",
         "criterion kcprime: chose ararch(1)\n"
         "  value = 617.247298  (n_gamma_bar = 607.083974, penalty = 13.794941, "
         "logdet_term = -3.631617)\n",

@@ -15,7 +15,7 @@ from scipy.optimize import Bounds
 from scipy.signal import lfilter
 
 import qmselect as q
-from qmselect import fitting, information, models
+from qmselect import fitting, models
 from qmselect.models import H_FLOOR, _lag
 
 
@@ -842,7 +842,7 @@ def test_filter_guard_falls_back_to_lfilter(monkeypatch):
         return lfilter(*args, **kwargs)
 
     monkeypatch.setattr(models, "_LINEAR_FILTER", None)
-    monkeypatch.setattr(models, "lfilter", counted)
+    monkeypatch.setattr("scipy.signal.lfilter", counted)
     (a, x), *_ = _filter_inputs(FILTER_DENOMINATORS[1])
     assert np.array_equal(models._lfilter(models._ONE, a, x), lfilter([1.0], a, x))
     assert len(calls) == 1
@@ -889,31 +889,11 @@ def test_slsqp_guard_falls_back_to_minimize(monkeypatch):
     assert pickle.dumps(fallback) == pickle.dumps(on_core)
 
 
-#: LAPACK's Cholesky pair, called by information (pinned in tests/test_information.py)
-LAPACK_CORE = "scipy.linalg._flapack"
-
-
-def test_lapack_uses_the_core_only_on_a_pinned_scipy():
-    assert information._DPOTRF is models._pinned_core(scipy.__version__, LAPACK_CORE, "dpotrf")
-    assert information._DPOTRS is models._pinned_core(scipy.__version__, LAPACK_CORE, "dpotrs")
-    if scipy.__version__ in models._CORE_PINNED_ON:
-        from scipy.linalg._flapack import dpotrf, dpotrs
-
-        assert information._DPOTRF is dpotrf and information._DPOTRS is dpotrs
-
-
-def test_lapack_guard_falls_back_to_get_lapack_funcs(monkeypatch):
-    version = next(iter(models._CORE_PINNED_ON))
-    assert models._pinned_core("0.0.0", LAPACK_CORE, "dpotrf") is None
-    monkeypatch.setitem(sys.modules, LAPACK_CORE, None)  # the core does not import
-    assert models._pinned_core(version, LAPACK_CORE, "dpotrf") is None
-
-
 # ---------------------------------------------------------------------------
 # the cores are loaded without their public packages
 
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
-#: the public scipy packages behind the three cores, and what importing
+#: the public scipy packages behind the two cores, and what importing
 #: them imports in turn
 PUBLIC_SCIPY = ("scipy.signal", "scipy.optimize", "scipy.linalg", "scipy.stats", "scipy.sparse",
                 "scipy.special")
@@ -935,8 +915,8 @@ PUBLIC_CHILD = """
 import json, sys
 
 def package():
-    global fitting, information, models
-    from qmselect import fitting, information, models
+    global fitting, models
+    from qmselect import fitting, models
 
 def public():
     global np, scipy
@@ -946,8 +926,6 @@ def public():
 for step in sys.argv[1:]:
     {"package": package, "public": public}[step]()
 
-from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg._flapack import dpotrf, dpotrs
 from scipy.optimize import minimize
 from scipy.optimize._slsqplib import slsqp
 from scipy.signal import lfilter
@@ -956,14 +934,9 @@ from scipy.signal._sigtools import _linear_filter
 # each extension module is initialized once: the package's handles are the
 # public packages' own
 assert models._LINEAR_FILTER is _linear_filter and fitting._SLSQP is slsqp
-assert information._DPOTRF is dpotrf and information._DPOTRS is dpotrs
 x = np.random.default_rng(3).standard_normal(300)
 b, a = np.array([1.0, 0.3]), np.array([1.0, -0.5, 0.2])
 assert lfilter(b, a, x).tobytes() == models._lfilter(b, a, x).tobytes()
-m = np.array([[4.0, 1.0], [1.0, 3.0]])
-chol = cho_factor(m, lower=True)
-assert chol[0].tobytes() == information._cho_factor_lower(m)[0].tobytes()
-assert np.allclose(cho_solve(chol, m), np.eye(2))
 res = minimize(lambda v: float((v - 1.0) @ (v - 1.0)), np.zeros(2), method="SLSQP",
                bounds=[(0.0, 0.5), (None, None)])
 assert res.success and np.allclose(res.x, [0.5, 1.0])
@@ -986,10 +959,11 @@ def _pinned_or_skip():
 
 def test_the_package_imports_no_public_scipy_package():
     # a removal, not a deferral: the cli, both drivers at one and two
-    # workers, every family and the criteria that factor -f_hat run without
-    # importing any of them
+    # workers, every family and the criteria that decompose -f_hat run
+    # without importing any of them, nor LAPACK's scipy wrappers, which the
+    # package no longer calls
     _pinned_or_skip()
-    assert _run_child(DRIVERS_CHILD.format(packages=PUBLIC_SCIPY)) == ""
+    assert _run_child(DRIVERS_CHILD.format(packages=PUBLIC_SCIPY + ("scipy.linalg._flapack",))) == ""
 
 
 @pytest.mark.parametrize("order", [("package", "public"), ("public", "package")], ids="-then-".join)
@@ -998,10 +972,12 @@ def test_public_scipy_runs_next_to_the_package(order):
     # once, whichever is imported first.  A package imported after qmselect
     # does not bind the module qmselect loaded as its attribute
     # (``scipy.signal._sigtools``); ``from scipy.signal._sigtools import
-    # ...``, the only form scipy itself uses, still finds it
+    # ...``, the only form scipy itself uses, still finds it.  The package
+    # does not load ``scipy.linalg._flapack``, so ``scipy.linalg`` binds it
+    # in both orders
     _pinned_or_skip()
     bound = order[0] == "public"
-    assert json.loads(_run_child(PUBLIC_CHILD, *order)) == [bound] * 3
+    assert json.loads(_run_child(PUBLIC_CHILD, *order)) == [bound, bound, True]
 
 
 # ---------------------------------------------------------------------------
