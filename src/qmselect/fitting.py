@@ -320,9 +320,10 @@ def _warm_start(spec: ModelSpec, fits) -> np.ndarray | None:
     """The optimum of the best finite fit in ``fits`` that is nested in
     ``spec`` and whose parameter names are all among ``spec``'s, with the
     names it lacks set to zero; None when there is no such fit."""
-    names = spec.param_names()
+    names = spec._names
+    covered = set(names).issuperset
     inner = [f for f in fits if np.isfinite(f.gamma_bar_min) and is_nested(f.spec, spec)
-             and set(f.spec.param_names()) <= set(names)]
+             and covered(f.spec._names)]
     if not inner:
         return None
     named = min(inner, key=lambda f: f.gamma_bar_min).theta.named()

@@ -15,8 +15,14 @@ One hand-derived derivative serves every family, the gradient of gamma_bar
 depends on the parameters, so its share of the gradient is zero there.  The
 Hessian and the per-observation scores are complex steps, of that gradient
 and of the conditional moments, taken in one pass (:func:`derivatives`): the
-recursions run unchanged on complex parameters.  They serve the information
-matrices.  Finite differences remain only in the tests, as oracles.
+recursions run unchanged on complex parameters, but for aparch's fractional
+powers, which ``models._power`` takes in real arithmetic on a complex-step
+argument, ``re ** d + i d re ** (d - 1) im``.  The terms that drops are of
+relative size (im / re) ** 2, about 1e-40, so it is the step's exact value;
+it lands within about 1.2 eps of a 200-bit mpmath power, where numpy's
+complex power lands up to 4.5 eps away at about 15 times the cost.  They
+serve the information matrices.  Finite differences remain only in the
+tests, as oracles.
 
 Each family's recursion is one pass over the sample (``models._recursion``)
 that returns one named record; the conditional moments and the gradient are
@@ -55,6 +61,7 @@ from .models import (
     _as_values,
     _lag,
     _moments_from,
+    _power,
     _recursion,
     cond_moments,
     H_FLOOR,
@@ -154,10 +161,8 @@ def _level_ratio(d: float, resid2: np.ndarray, s_lin: np.ndarray, h_lin: np.ndar
 
 def _aparch_gamma_slope(d: float, x: np.ndarray, gamma: float) -> np.ndarray:
     """The derivative in gamma of the unlagged ARCH term (|x_t| - gamma x_t)^delta."""
-    base = np.abs(x) - gamma * x
     # at x_t = 0 the power term is 0 for every gamma: its slope is 0, not inf * 0
-    slope = np.power(base, d - 1.0, out=np.zeros(x.size, dtype=base.dtype), where=x != 0.0)
-    return -d * x * slope
+    return -d * x * _power(np.abs(x) - gamma * x, d - 1.0, where=x != 0.0)
 
 
 def gradient(spec: ModelSpec, theta, x) -> np.ndarray:
@@ -299,6 +304,10 @@ def derivatives(spec: ModelSpec, theta, x) -> DerivEval:
     every family: ``(-2 r_t / h_t) Im f_t + ((h_t - r_t^2) / h_t^2) Im h_t``,
     over ``CS_STEP``, with ``r = x - f`` and the weights from the real moments.
     A moment the ``H_FLOOR`` clamp holds fixed has no imaginary part.
+    aparch's fractional powers of a complex-step argument are taken in real
+    arithmetic (``models._power``): that is the step's exact value to
+    working precision, within about 1.2 eps of a 200-bit mpmath power, and
+    no complex power is called.
 
     Every evaluation has the real part ``theta`` itself, so both are defined
     wherever the gradient is, on a box bound or a budget face included: they

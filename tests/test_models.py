@@ -115,6 +115,15 @@ def test_param_names_match_dims():
         assert len(spec.param_names()) == spec.dim
 
 
+def test_param_names_are_built_once_and_returned_as_a_new_list():
+    spec = q.aparch(1.5, 2, 1)
+    names = spec.param_names()
+    names.append("extra")
+    assert spec.param_names() == ["omega", "a1", "a2", "gamma1", "gamma2", "b1"]
+    assert spec.param_names() is not spec.param_names()
+    assert spec._names is spec._names
+
+
 # the parameter order and feasible set that --theta, [dgp] theta and fit(...).theta mean
 PINNED_LAYOUTS = [
     (q.wn(), ["sigma"], [1e-3], [1e3], []),
@@ -736,6 +745,53 @@ def test_aparch_power_two_reduces_to_garch():
     a = q.cond_moments(q.aparch(2.0, 1, 1), [0.8, 0.2, 0.0, 0.5], x)
     assert_allclose(a.h_hat, g.h_hat, rtol=1e-12)
     assert_allclose(a.f_hat, 0.0)
+
+
+def _complex_step_bases():
+    # real parts over aparch's bases, imaginary parts of the complex step's size
+    rng = np.random.default_rng(37)
+    re = rng.uniform(1e-3, 5.0, 200)
+    im = rng.choice([-1.0, 1.0], 200) * rng.uniform(0.1, 10.0, 200) * 1e-20
+    return re + 1j * im
+
+
+@pytest.mark.parametrize("d", [1.5, 4 / 3, 2.5, 0.7])
+def test_power_of_a_complex_step_is_within_two_eps_of_mpmath(d):
+    import mpmath
+
+    base = _complex_step_bases()
+    got = models._power(base, d)
+    eps = np.finfo(float).eps
+    with mpmath.workprec(200):
+        for b, g in zip(base, got):
+            want = mpmath.power(mpmath.mpc(b.real, b.imag), mpmath.mpf(d))
+            for part, ref in ((g.real, want.real), (g.imag, want.imag)):
+                assert abs(mpmath.mpf(part) - ref) <= 2 * eps * abs(ref)
+
+
+@pytest.mark.parametrize("d", [1.0, 2.0])
+def test_an_integer_power_of_a_complex_step_is_numpys_to_the_bit(d):
+    base = _complex_step_bases()
+    assert models._power(base, d).tobytes() == (base**d).tobytes()
+
+
+@pytest.mark.parametrize("d", [1.5, 4 / 3, 2.5, 0.7, 1.0, 2.0, -0.5])
+def test_a_real_power_is_numpys_to_the_bit(d):
+    re = _complex_step_bases().real
+    assert models._power(re, d).tobytes() == (re**d).tobytes()
+    keep = re > 1.0
+    masked = models._power(re, d, where=keep)
+    assert masked.tobytes() == np.where(keep, re**d, 0.0).tobytes()
+
+
+def test_a_zero_base_gives_zero_and_no_warning():
+    # at a zero base with no step, d < 1 would take 0 ** (d - 1) = inf times im = 0
+    base = np.array([0j, 2.0 + 1e-20j])
+    with np.errstate(all="raise"):
+        got = models._power(base, 0.7)
+        slope = models._power(base, 0.7 - 1.0, where=base.real != 0.0)
+    assert got[0] == 0 and slope[0] == 0
+    assert np.isfinite(got).all() and np.isfinite(slope).all()
 
 
 def test_ar1_truncation_exact_after_first_step():
