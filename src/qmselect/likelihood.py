@@ -26,7 +26,11 @@ tests, as oracles.
 
 Each family's recursion is one pass over the sample (``models._recursion``)
 that returns one named record; the conditional moments and the gradient are
-read from its fields (``models._moments_from``, :func:`_gradient_from`).  Every
+read from its fields (``models._moments_from``, :func:`_gradient_from`).  What
+they read of the sample that no parameter moves, x^2, |x|, the mask x != 0
+and x_{t-1}, is one record per sample (``models._Sample``) that builds each
+on first read: ``_Objective`` holds one per fit, :func:`derivatives` one for
+all its complex steps, and each public function one per call.  Every
 family has one score weight d gamma_t / d level_t, arma's linear in its
 residuals and the three ARCH families' :func:`_level_ratio` of their one
 variance filter (garch and ararch are its delta = 2 case), so all four share
@@ -57,9 +61,9 @@ import numpy as np
 from .models import (
     Family,
     ModelSpec,
+    _Sample,
     _ar_filter,
     _as_values,
-    _lag,
     _moments_from,
     _power,
     _recursion,
@@ -99,17 +103,22 @@ def contrast(spec: ModelSpec, theta, x) -> ContrastEval:
     # optimizer probes at explosive parameters can overflow; an infinite
     # contrast is the correct "move away" signal there
     with np.errstate(over="ignore", invalid="ignore"):
-        per_t, gamma_bar = _contrast_from(x, cm.f_hat, cm.h_hat)
+        per_t, gamma_bar = _contrast_from(_Sample(x), cm.f_hat, cm.h_hat)
     return ContrastEval(gamma_bar, per_t)
 
 
-def _contrast_from(x: np.ndarray, f_hat, h_hat) -> tuple[np.ndarray, float]:
+def _contrast_from(sample: _Sample, f_hat, h_hat) -> tuple[np.ndarray, float]:
     """Per-observation contrast and its mean (``inf`` if not finite) from the
     conditional mean and variance, either of which may be a scalar; callers
-    hold the floating-point error state.  The mean is ``sum / n``, what
+    hold the floating-point error state.  Where the mean is the scalar 0.0
+    (garch and aparch, see ``models._moments_from``) the squared residual is
+    the sample's kept x^2, the bits of (x - 0.0) ** 2.  Any other squared
+    residual stays an unnamed temporary, which numpy reuses in place on a
+    long series (the 100,000-step oracle).  The mean is ``sum / n``, what
     ``np.mean`` computes, without its Python wrapper."""
-    per_t = (x - f_hat) ** 2 / h_hat + np.log(h_hat)
-    gamma_bar = float(per_t.sum() / x.size)
+    zero_mean = np.ndim(f_hat) == 0 and f_hat == 0.0
+    per_t = (sample.x2 if zero_mean else (sample.x - f_hat) ** 2) / h_hat + np.log(h_hat)
+    gamma_bar = float(per_t.sum() / per_t.size)
     if not math.isfinite(gamma_bar):
         gamma_bar = float("inf")
     return per_t, gamma_bar
@@ -139,30 +148,36 @@ def mu4_hat(xi) -> float:
 # gradients
 
 
-def _level_ratio(d: float, resid2: np.ndarray, s_lin: np.ndarray, h_lin: np.ndarray) -> np.ndarray:
+def _level_ratio(d: float, resid2: np.ndarray, s_lin: np.ndarray, h_lin: np.ndarray,
+                 h: np.ndarray) -> np.ndarray:
     """d gamma_t / d s_t for an ARCH family's filtered level s_t, the variance
     h_t = s_t ** (2 / delta): ``(2 / delta) (h_t - resid_t^2) / (h_t s_t)``
     with s and h clamped at ``H_FLOOR``, and 0 where either is below the floor
-    (the clamp holds h_t fixed there).  garch and ararch are the delta = 2
-    case with h = s, where this is ``(h_t - resid_t^2) / h_t^2``.
+    (the clamp holds h_t fixed there); ``h`` is ``h_lin`` clamped, which the
+    caller holds.  garch and ararch are the delta = 2 case with h = s, where
+    this is ``(h_t - resid_t^2) / h_t^2``: their level is their variance, the
+    same array, so it is clamped and tested once.
 
     Under the complex-step Hessian the levels are complex.  NumPy orders
     complex numbers by real part first, so the clamps and their tests act on
     the real part, and a clamped entry's imaginary part is 0: the derivative
     dies on the floor there too."""
-    s, h = np.maximum(s_lin, H_FLOOR), np.maximum(h_lin, H_FLOOR)
+    if s_lin is h_lin:
+        s, clamped = h, h_lin < H_FLOOR
+    else:
+        s, clamped = np.maximum(s_lin, H_FLOOR), (s_lin < H_FLOOR) | (h_lin < H_FLOOR)
     # (h_t - resid_t^2) / h_t^2 * dh_t/ds_t, with dh_t/ds_t = (2 / delta) * h_t / s_t
     ratio = (2.0 / d) * (h - resid2) / (h * s)
-    clamped = (s_lin < H_FLOOR) | (h_lin < H_FLOOR)
     if clamped.any():
         ratio = np.where(clamped, 0.0, ratio)  # derivative dies on the floor
     return ratio
 
 
-def _aparch_gamma_slope(d: float, x: np.ndarray, gamma: float) -> np.ndarray:
+def _aparch_gamma_slope(d: float, sample: _Sample, gamma: float) -> np.ndarray:
     """The derivative in gamma of the unlagged ARCH term (|x_t| - gamma x_t)^delta."""
+    x = sample.x
     # at x_t = 0 the power term is 0 for every gamma: its slope is 0, not inf * 0
-    return -d * x * _power(np.abs(x) - gamma * x, d - 1.0, where=x != 0.0)
+    return -d * x * _power(sample.absx - gamma * x, d - 1.0, where=sample.nonzero)
 
 
 def gradient(spec: ModelSpec, theta, x) -> np.ndarray:
@@ -170,14 +185,19 @@ def gradient(spec: ModelSpec, theta, x) -> np.ndarray:
     computed without them (see :func:`_gradient_from`)."""
     v = _as_values(spec, theta)
     x = np.asarray(x, dtype=float)
+    sample = _Sample(x)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _gradient_from(spec, v, x, _recursion(spec, v, x))
+        return _gradient_from(spec, v, x, _recursion(spec, v, x, sample), sample)
 
 
-def _gradient_from(spec: ModelSpec, v: np.ndarray, x: np.ndarray, rec) -> np.ndarray:
+def _gradient_from(spec: ModelSpec, v: np.ndarray, x: np.ndarray, rec, sample: _Sample | None = None,
+                   h: np.ndarray | None = None) -> np.ndarray:
     """Mean score from the recursion ``models._recursion`` built at ``v``: the
     one hand-derived derivative of every family, which also runs on complex
     ``v``, for the Hessian.  Callers hold the floating-point error state.
+    ``sample`` holds x's parameter-free transforms (``models._Sample``),
+    built here when not given, and ``h`` the ARCH variance clamped at
+    ``H_FLOOR`` where the caller holds it already.
 
     Every score is ``w_t (L u_k)_t`` with ``L`` the family's filter, so its
     mean is ``<r, u_k> / n`` with ``r = L^T w`` the filter run backwards over
@@ -187,16 +207,23 @@ def _gradient_from(spec: ModelSpec, v: np.ndarray, x: np.ndarray, rec) -> np.nda
     sign -1 as eps falls when its coefficients rise, or :func:`_level_ratio`;
     the a entries read ``rec.inputs`` and the b entries ``rec.level``.  Only
     sigma or omega, aparch's gamma and ararch's phi (whose filter is the
-    identity) are per family.
+    identity) are per family.  garch's and aparch's residual is x itself,
+    whose square is the sample's kept x^2.
     """
     fam, lay, n = spec.family, spec.layout, x.size
+    if sample is None:
+        sample = _Sample(x)
     z = rec.resid  # x itself for garch and aparch
     if fam is Family.ARMA:
         sigma = v[lay.sigma.start]
         w, sign, block_a, block_b = (2.0 / sigma**2) * z, -1.0, lay.ar, lay.ma
     else:
-        w, sign, block_a, block_b = _level_ratio(spec.delta, z**2, rec.level, rec.h), 1.0, lay.a, lay.b
+        if h is None:
+            h = np.maximum(rec.h, H_FLOOR)
+        sign, block_a, block_b = 1.0, lay.a, lay.b
+        w = _level_ratio(spec.delta, z**2 if fam is Family.ARARCH else sample.x2, rec.level, rec.h, h)
     r = _adjoint(rec.poly, w)
+    del w  # freed before the per-entry passes, where a complex step peaks
     g = np.empty(spec.dim, dtype=r.dtype)
     g_a, g_b = g[block_a], g[block_b]  # views: writes land in g
     for i, u in enumerate(rec.inputs):
@@ -211,13 +238,13 @@ def _gradient_from(spec: ModelSpec, v: np.ndarray, x: np.ndarray, rec) -> np.nda
     if fam is Family.APARCH:
         gamma, g_gamma = v[lay.gamma], g[lay.gamma]  # g_gamma is a view of g
         for i in range(spec.p):
-            dpower = _aparch_gamma_slope(spec.delta, x, gamma[i])
+            dpower = _aparch_gamma_slope(spec.delta, sample, gamma[i])
             g_gamma[i] = a[i] * _lagged_dot(r, dpower, i + 1) / n
     elif fam is Family.ARARCH:
         # phi moves the mean and, through every lagged z, the variance
-        zx1 = z * _lag(x, 1)
+        zx1 = z * sample.lag1
         phi = lay.phi.start
-        g[phi] = -2.0 * _lagged_dot(z / np.maximum(rec.level, H_FLOOR), x, 1) / n
+        g[phi] = -2.0 * _lagged_dot(z / h, x, 1) / n  # ararch's level is its variance
         for i in range(spec.p):
             g[phi] -= 2.0 * a[i] * _lagged_dot(r, zx1, i + 1) / n
     return g
@@ -256,7 +283,8 @@ class _Objective:
     value is read from the recursion's fields, the variance clamped at
     ``H_FLOOR`` as ``models._moments_from`` clamps it.  So a new point costs
     one recursion and one reduction for its value, and one backward pass for
-    its gradient.
+    its gradient.  The sample's parameter-free transforms (``models._Sample``)
+    are built once per objective, so once per fit, not once per point.
 
     Callers hold the floating-point error state, ``np.errstate(over="ignore",
     invalid="ignore")`` as the public functions do; ``fitting._descend``
@@ -265,8 +293,10 @@ class _Objective:
 
     def __init__(self, spec: ModelSpec, x: np.ndarray):
         self.spec, self.x = spec, x
+        self.sample = _Sample(x)
         self._point = None
         self._rec = None
+        self._h = None
         self._value = None
 
     def _holds(self, v: np.ndarray) -> bool:
@@ -274,18 +304,22 @@ class _Objective:
 
     def evaluate(self, v: np.ndarray) -> float:
         """gamma_bar at ``v``, which becomes the held point."""
-        rec = _recursion(self.spec, v, self.x)
-        self._point, self._rec = v.copy(), rec
-        self._value = _contrast_from(self.x, rec.f, np.maximum(rec.h, H_FLOOR))[1]
+        # drop the held point's arrays first, so the two recursions never coexist
+        self._point = self._rec = self._h = None
+        rec = _recursion(self.spec, v, self.x, self.sample)
+        self._point, self._rec, self._h = v.copy(), rec, np.maximum(rec.h, H_FLOOR)
+        self._value = _contrast_from(self.sample, rec.f, self._h)[1]
         return self._value
 
     def held_grad(self, v: np.ndarray) -> np.ndarray:
-        """The gradient at ``v``, a point equal to the held one, from its recursion."""
-        return _gradient_from(self.spec, v, self.x, self._rec)
+        """The gradient at ``v``, a point equal to the held one, from its
+        recursion and the clamped variance its value was read with."""
+        return _gradient_from(self.spec, v, self.x, self._rec, self.sample, self._h)
 
     def grad_at(self, v: np.ndarray) -> np.ndarray:
         """The gradient at ``v`` from a recursion of its own; the held point stays."""
-        return _gradient_from(self.spec, v, self.x, _recursion(self.spec, v, self.x))
+        rec = _recursion(self.spec, v, self.x, self.sample)
+        return _gradient_from(self.spec, v, self.x, rec, self.sample)
 
     def value(self, v: np.ndarray) -> float:
         return self._value if self._holds(v) else self.evaluate(v)
@@ -307,7 +341,9 @@ def derivatives(spec: ModelSpec, theta, x) -> DerivEval:
     aparch's fractional powers of a complex-step argument are taken in real
     arithmetic (``models._power``): that is the step's exact value to
     working precision, within about 1.2 eps of a 200-bit mpmath power, and
-    no complex power is called.
+    no complex power is called.  An aparch input power whose gamma_i the
+    step leaves real is the real point's, taken from its recursion, and the
+    sample's parameter-free transforms are built once for all the steps.
 
     Every evaluation has the real part ``theta`` itself, so both are defined
     wherever the gradient is, on a box bound or a budget face included: they
@@ -317,10 +353,12 @@ def derivatives(spec: ModelSpec, theta, x) -> DerivEval:
     """
     v = _as_values(spec, theta)
     x = np.asarray(x, dtype=float)
+    sample = _Sample(x)
     hess = np.empty((v.size, v.size))
     scores = np.empty((v.size, x.size))
     with np.errstate(over="ignore", invalid="ignore"):
-        cm = _moments_from(_recursion(spec, v, x))
+        rec = _recursion(spec, v, x, sample)
+        cm, real_inputs = _moments_from(rec), rec.inputs
         resid = x - cm.f_hat
         w_f = (-2.0 / CS_STEP) * resid / cm.h_hat
         w_h = (cm.h_hat - resid**2) / (CS_STEP * cm.h_hat**2)
@@ -328,8 +366,8 @@ def derivatives(spec: ModelSpec, theta, x) -> DerivEval:
         for k in range(v.size):
             vc = v_complex.copy()
             vc[k] += 1j * CS_STEP
-            rec = _recursion(spec, vc, x)
-            hess[:, k] = _gradient_from(spec, vc, x, rec).imag / CS_STEP
+            rec = _recursion(spec, vc, x, sample, real_inputs)
             cmc = _moments_from(rec)
+            hess[:, k] = _gradient_from(spec, vc, x, rec, sample, cmc.h_hat).imag / CS_STEP
             scores[k] = w_f * np.imag(cmc.f_hat) + w_h * np.imag(cmc.h_hat)
     return DerivEval(0.5 * (hess + hess.T), scores.T)

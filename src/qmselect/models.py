@@ -41,7 +41,13 @@ all-pole filter with denominator 1 is skipped before the helper
 (:func:`_ar_filter`): it is the identity.
 Each family's recursion is one pass over the sample that returns one named
 record (:func:`_recursion`); the conditional moments and the mean gradient
-of :mod:`.likelihood` are read from its fields.
+of :mod:`.likelihood` are read from its fields.  What a recursion reads of
+the sample that does not depend on the parameters, x^2 (garch's input), |x|
+and the mask x != 0 (aparch's) and x_{t-1} (ararch's), is one record per
+sample (:class:`_Sample`) that builds each of these on first read and keeps
+it, so a caller that builds recursions at many points of one sample, a fit
+or the complex steps of :func:`.likelihood.derivatives`, builds each once.
+arma reads only x itself.
 
 Simulation starts from the same zero pre-sample and takes the causal form's
 two steps for every family (:func:`_path_from_noise`): the scale path z = M xi
@@ -834,6 +840,39 @@ class _Recursion:
     inputs: list[np.ndarray]
 
 
+#: the parameter-free transforms of a sample that the recursions and the
+#: mean gradient read, by the name :class:`_Sample` keeps each under
+_TRANSFORMS = {
+    "x2": lambda x: x**2,
+    "absx": np.abs,
+    "nonzero": lambda x: x != 0.0,
+    "lag1": lambda x: _lag(x, 1),
+}
+
+
+class _Sample:
+    """A sample ``x`` and its parameter-free transforms, each built from
+    ``_TRANSFORMS`` on its first read and kept, read-only: ``x2`` is x^2,
+    ``absx`` |x|, ``nonzero`` the mask x != 0 and ``lag1`` x_{t-1} (the
+    truncated pre-sample is 0).  One serves every point of a fit
+    (``likelihood._Objective``) and every complex step of one
+    ``likelihood.derivatives`` call; a transform no recursion reads, as all
+    of them for arma, is never built."""
+
+    def __init__(self, x: np.ndarray):
+        self.x = x
+
+    def __getattr__(self, name: str):
+        # called only for a name not yet set: build the transform, keep it
+        try:
+            build = _TRANSFORMS[name]
+        except KeyError:
+            raise AttributeError(name) from None
+        value = self.__dict__[name] = build(self.x)
+        value.flags.writeable = False
+        return value
+
+
 def _arma_residuals(spec: ModelSpec, v: np.ndarray, x: np.ndarray) -> _Recursion:
     """Truncated ARMA residuals eps, filtered by the MA polynomial."""
     lay = spec.layout
@@ -890,7 +929,8 @@ def _power(base: np.ndarray, d: float, where=True) -> np.ndarray:
     return power
 
 
-def _recursion(spec: ModelSpec, v: np.ndarray, x: np.ndarray) -> _Recursion:
+def _recursion(spec: ModelSpec, v: np.ndarray, x: np.ndarray, sample: _Sample | None = None,
+               real_inputs: list[np.ndarray] | None = None) -> _Recursion:
     """The family's truncated recursion at ``v``.
 
     An ARCH family feeds :func:`_arch_filter`: garch the square x_t^2, shared
@@ -900,21 +940,32 @@ def _recursion(spec: ModelSpec, v: np.ndarray, x: np.ndarray) -> _Recursion:
     fractional power taken once per point by :func:`_power`.  Under the
     complex-step Hessian ``v`` is complex; NumPy orders complex numbers by
     real part first, so ``np.maximum`` clamps on the real part and a clamped
-    entry's imaginary part is 0."""
+    entry's imaginary part is 0.
+
+    x^2, |x| and x_{t-1} are read from ``sample``, the record of x's
+    parameter-free transforms (:class:`_Sample`), built here when not given.
+    ``real_inputs`` are the inputs of the recursion at the real part of a
+    complex-step ``v``: an aparch input whose gamma_i is not stepped has no
+    imaginary part, and its real part is the bits of the input there, so it
+    is taken from ``real_inputs``."""
     fam, lay = spec.family, spec.layout
     if fam is Family.ARMA:
         return _arma_residuals(spec, v, x)
+    if sample is None:
+        sample = _Sample(x)
     if fam is Family.APARCH:
         gamma = v[lay.gamma]
-        inputs = [_power(np.abs(x) - gamma[i] * x, spec.delta) for i in range(spec.p)]
+        inputs = [real_inputs[i] if real_inputs is not None and gamma[i].imag == 0.0
+                  else _power(sample.absx - gamma[i] * x, spec.delta) for i in range(spec.p)]
         s, poly = _arch_filter(v, lay, inputs, x.size)
         h = _power(np.maximum(s, H_FLOOR), 2.0 / spec.delta)  # the floor guards the fractional power
         return _Recursion(0.0, h, x, poly, s, inputs)
     f, resid = 0.0, x
     if fam is Family.ARARCH:
-        f = v[lay.phi.start] * _lag(x, 1)
+        f = v[lay.phi.start] * sample.lag1
         resid = x - f
-    inputs = [resid**2] * spec.p if spec.p else []
+    # every lag shares the one square, garch's the sample's own x^2
+    inputs = [sample.x2 if resid is x else resid**2] * spec.p if spec.p else []
     h, poly = _arch_filter(v, lay, inputs, x.size)
     return _Recursion(f, h, resid, poly, h, inputs)
 

@@ -233,9 +233,9 @@ def test_minimize_answers_each_core_request_once_per_point(monkeypatch):
     recursions = []
     build = qmselect.likelihood._recursion
 
-    def counted(spec, v, x):
+    def counted(spec, v, x, *rest):
         recursions.append(v.copy())
-        return build(spec, v, x)
+        return build(spec, v, x, *rest)
 
     monkeypatch.setattr(qmselect.fitting, "_SLSQP", core)
     monkeypatch.setattr(qmselect.likelihood, "_recursion", counted)
@@ -524,10 +524,10 @@ def test_fit_never_builds_the_score_rows(monkeypatch, spec, theta):
     x = q.simulate(spec, theta, 600, seed=32).values
     recursion = qmselect.likelihood._recursion
 
-    def real_only(spec, v, x):
+    def real_only(spec, v, x, *rest):
         if np.iscomplexobj(v):
             raise AssertionError("complex point evaluated during a fit")
-        return recursion(spec, v, x)
+        return recursion(spec, v, x, *rest)
 
     monkeypatch.setattr(qmselect.likelihood, "_recursion", real_only)
     assert q.fit(spec, x).converged

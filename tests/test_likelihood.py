@@ -1,13 +1,17 @@
+import collections
 import dataclasses
 import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.signal import lfilter
 
 import qmselect as q
+import qmselect.fitting
 import qmselect.likelihood
 import qmselect.models
 from qmselect.likelihood import _Objective
@@ -227,6 +231,125 @@ def test_objective_value_at_the_kept_point_builds_nothing(monkeypatch, spec):
     assert len(builds) == 1
 
 
+# (spec, point, the transforms its recursions and gradient read)
+TRANSFORM_CASES = [
+    (q.arma(1, 1), (0.5, 0.6, 1.0), set()),
+    (q.garch(1, 1), (1.0, 0.35, 0.4), {"x2"}),
+    (q.aparch(1.5, 1, 1), (0.3, 0.1, 0.3, 0.6), {"x2", "absx", "nonzero"}),
+    (q.ararch(2), (0.5, 0.4, 0.2, 0.3), {"lag1"}),
+]
+
+
+@pytest.mark.parametrize("spec,theta,names", TRANSFORM_CASES, ids=[str(c[0]) for c in TRANSFORM_CASES])
+def test_a_fit_and_a_derivatives_call_build_each_transform_once(monkeypatch, spec, theta, names):
+    # x^2, |x|, the mask x != 0 and x_{t-1} do not move with theta: the fit's
+    # objective builds each once for all its points, derivatives once for all
+    # its complex steps, and each public contrast or gradient call the fit
+    # makes at most once; arma reads none of them
+    x = q.simulate(spec, theta, 600, seed=33).values
+    objective_builds, public_builds = collections.Counter(), []
+    scope = [objective_builds]
+    for name, build in list(qmselect.models._TRANSFORMS.items()):
+
+        def counted(series, name=name, build=build):
+            scope[-1][name] += 1
+            return build(series)
+
+        monkeypatch.setitem(qmselect.models._TRANSFORMS, name, counted)
+    for public in ("contrast", "gamma_bar", "gradient"):
+
+        def scoped(*args, fn=getattr(qmselect.fitting, public)):
+            public_builds.append(collections.Counter())
+            scope.append(public_builds[-1])
+            try:
+                return fn(*args)
+            finally:
+                scope.pop()
+
+        monkeypatch.setattr(qmselect.fitting, public, scoped)
+    res = q.fit(spec, x)
+    assert res.iterations > 0
+    assert objective_builds == dict.fromkeys(names, 1)
+    assert public_builds and all(set(c) <= names and max(c.values(), default=1) == 1 for c in public_builds)
+    objective_builds.clear()
+    q.derivatives(spec, res.theta, x)
+    assert objective_builds == dict.fromkeys(names, 1)
+
+
+def _feasible_point(spec, unit):
+    """A point of the constraint set from values in [0, 1): the scale entry
+    in [0.05, 5), every other entry across its box, then projected onto the
+    budgets."""
+    cset, lay = q.constraint_set(spec), spec.layout
+    scale = lay.sigma if spec.family is q.Family.ARMA else lay.omega
+    v = cset.lower + np.asarray(unit[: spec.dim]) * (cset.upper - cset.lower)
+    v[scale] = 0.05 + 4.95 * unit[scale.start]
+    return cset.project(v)
+
+
+PROPERTY_SPECS = [q.arma(1, 1), q.garch(1, 1), q.aparch(0.7, 2, 1), q.ararch(2)]
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(spec=st.sampled_from(PROPERTY_SPECS),
+       unit=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=6, max_size=6))
+def test_objective_equals_the_public_functions_at_random_feasible_points(spec, unit):
+    # the objective reads the fit's one record of the sample's transforms,
+    # the public functions build their own: the bits must not differ, on a
+    # series with exact zeros for aparch's mask
+    x = _edge_series(zeros=True)
+    v = _feasible_point(spec, unit)
+    assert q.constraint_set(spec).contains(v)
+    obj = _Objective(spec, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        value, held, fresh = obj.evaluate(v), obj.held_grad(v), _Objective(spec, x).grad_at(v)
+    assert value == q.gamma_bar(spec, v, x)
+    assert np.array_equal(held, q.gradient(spec, v, x), equal_nan=True)
+    assert np.array_equal(fresh, held, equal_nan=True)
+
+
+@pytest.mark.parametrize("complex_step", [False, True])
+def test_level_ratio_of_the_variance_is_the_same_bits_as_of_its_copy(complex_step):
+    # garch and ararch pass their variance as their level: one array, clamped
+    # and tested once, must give the bytes of two equal arrays, on the floor too
+    rng = np.random.default_rng(17)
+    h_lin = rng.uniform(0.1, 2.0, 200)
+    h_lin[::7] = 1e-9
+    h_lin[3] = 0.0
+    resid2 = rng.standard_normal(200) ** 2
+    if complex_step:
+        h_lin = h_lin + 1j * qmselect.likelihood.CS_STEP * rng.standard_normal(200)
+    assert (h_lin < qmselect.models.H_FLOOR).sum() > 20
+    h = np.maximum(h_lin, qmselect.models.H_FLOOR)
+    same = qmselect.likelihood._level_ratio(2.0, resid2, h_lin, h_lin, h)
+    copied = qmselect.likelihood._level_ratio(2.0, resid2, h_lin, h_lin.copy(), h)
+    assert same.tobytes() == copied.tobytes()
+    assert (same[::7] == 0.0).all()
+
+
+@pytest.mark.parametrize("zeros", [False, True])
+@pytest.mark.parametrize("spec,theta", [(q.aparch(1.5, 1, 1), [0.3, 0.1, 0.3, 0.6]),
+                                        (q.aparch(0.7, 2, 1), [0.3, 0.1, 0.05, 0.3, -0.2, 0.5])], ids=str)
+def test_complex_steps_reuse_the_real_input_powers_to_the_bit(spec, theta, zeros):
+    # a step that leaves gamma_i real takes the real point's input power: the
+    # recursion is the one built without it, field by field
+    x = _edge_series(zeros)
+    v = np.array(theta)
+    sample = qmselect.models._Sample(x)
+    real = qmselect.models._recursion(spec, v, x, sample)
+    for k in range(spec.dim):
+        vc = v.astype(complex)
+        vc[k] += 1j * qmselect.likelihood.CS_STEP
+        reused = qmselect.models._recursion(spec, vc, x, sample, real.inputs)
+        fresh = qmselect.models._recursion(spec, vc, x)
+        gamma = spec.layout.gamma.start
+        for i in range(spec.p):
+            assert (reused.inputs[i] is real.inputs[i]) == (k != gamma + i)
+            assert np.asarray(reused.inputs[i], dtype=complex).tobytes() == fresh.inputs[i].tobytes()
+        for field in ("h", "level", "poly"):
+            assert getattr(reused, field).tobytes() == getattr(fresh, field).tobytes(), (k, field)
+
+
 def fd_rows(spec, theta, x, h=1e-6):
     """Central differences of the per-observation contrast, one column per
     parameter."""
@@ -330,8 +453,8 @@ def test_skipped_identity_filters_equal_lfilter(monkeypatch, spec, theta):
 
     recursion = qmselect.models._recursion
 
-    def lfilter_recursion(spec, v, x):
-        rec = recursion(spec, v, x)
+    def lfilter_recursion(spec, v, x, *rest):
+        rec = recursion(spec, v, x, *rest)
         if spec.family is q.Family.ARMA:  # the residuals skip _ar_filter
             eps = lfilter(np.r_[1.0, -v[: spec.p]], [1.0], x)
             rec = dataclasses.replace(rec, f=x - eps, resid=eps, level=eps)
