@@ -4,27 +4,32 @@ A fit has one or two starts: a warm start if given, then the canonical
 start (dynamic coefficients zero, the scale parameter set from the sample
 second moment); nothing is random.  SLSQP descends from them in that order
 over the box and the coefficient budgets, all budgets handed over as one
-linear inequality with a constant Jacobian.  The constraint set, these
-SLSQP arguments and the C core's read-only inputs are built once per spec,
-not once per fit (``models.constraint_set``, ``ConstraintSet.slsqp_args``,
-``ConstraintSet._slsqp_core``).  Each SLSQP pass is one call of
-:func:`minimize`: on the scipy versions in ``models._CORE_PINNED_ON`` it
-drives SLSQP's C core directly, without ``scipy.optimize.minimize``'s
-per-call wrapper, tests each point the core asks for once, and writes the
-budget values in place; elsewhere it calls ``minimize``.  The tests pin
-both to the same iterates.  The core is loaded without ``scipy.optimize``
+linear inequality with a constant Jacobian.  This module alone says how
+SLSQP sees a spec's constraint set: one read-only record per spec
+(:func:`_problem`), built once from ``models.constraint_set``, holds the
+box, the budget rows and the C core's workspace size.  Each SLSQP pass is
+one call of :func:`minimize`: on the scipy versions in
+``models._CORE_PINNED_ON`` it drives SLSQP's C core directly, without
+``scipy.optimize.minimize``'s per-call wrapper, and writes the budget
+values in place; elsewhere it calls ``minimize``, with the bounds and the
+one constraint built from the same record.  The tests pin both to the same
+iterates.  The core is loaded without ``scipy.optimize``
 (``models._pinned_core``), which is imported only where ``minimize`` runs,
-and a pass returns :class:`SlsqpResult`, not ``OptimizeResult``.  A fit stops after
-the first descent whose end point is certified (projected gradient at most
-``GRAD_TOL``).  Within a descent, while SLSQP's end point is not certified
-and the contrast still falls, SLSQP is restarted from there, up to
-``MAX_PASSES`` passes.  All passes minimize one ``likelihood._Objective`` per
-fit, and ``_descend`` holds the floating-point error state for all of a
-start's passes.  Each descent returns the fit certified at its end point,
-and its restarts, the stop after a certified descent and the pick all read
-that fit's ``converged`` flag.  A descent moves only on a strict decrease of
-the contrast, so it never ends above its start, and the fit picks among the
-descents' fits only: gamma_bar(theta_hat) <= gamma_bar(start) is structural.
+and a pass returns :class:`SlsqpResult`, not ``OptimizeResult``.
+
+A fit stops after the first descent whose end point is certified
+(projected gradient at most ``GRAD_TOL``).  Within a descent, while SLSQP's
+end point is not certified and the contrast still falls, SLSQP is
+restarted from there, up to ``MAX_PASSES`` passes.  All passes minimize one
+``likelihood._Objective`` per fit, which holds one point and what it has
+computed there and counts SLSQP's evaluations, so a restarted pass starts
+from the value and gradient it holds; ``_descend`` holds the floating-point
+error state for all of a start's passes.  Each descent returns the fit
+certified at its end point, and its restarts, the stop after a certified
+descent and the pick all read that fit's ``converged`` flag.  A descent
+moves only on a strict decrease of the contrast, so it never ends above its
+start, and the fit picks among the descents' fits only:
+gamma_bar(theta_hat) <= gamma_bar(start) is structural.
 
 :func:`fit_family` fits nested models first, in order of (dim, family
 declaration order, name), and warm-starts each model at the best nested
@@ -44,6 +49,8 @@ budgets included.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -51,7 +58,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy
 
-from .errors import OptimizerDiverged, QmselectError, TooShortSeries
+from .errors import OptimizerDiverged, QmselectError, TooShortSeries, UnsupportedFamily
 from .likelihood import _Objective, contrast, gamma_bar, gradient
 from .models import ConstraintSet, Family, ModelSpec, ParamVector
 from .models import _as_values, _pinned_core, constraint_set, is_nested
@@ -64,6 +71,8 @@ FTOL = 1e-12
 GRAD_TOL = 1e-6
 #: SLSQP passes per start: restarts from an uncertified end point
 MAX_PASSES = 4
+#: largest signed budget SLSQP is given: its 2^k sign rows (65,536 at 16)
+MAX_SIGNED_GROUP = 16
 #: failures that exclude a model; any other exception is a programming error
 _FAILURES = (QmselectError, np.linalg.LinAlgError, FloatingPointError)
 
@@ -119,6 +128,55 @@ def projected_grad_norm(cset: ConstraintSet, v: np.ndarray, g: np.ndarray) -> fl
 _SLSQP = _pinned_core(scipy.__version__, "scipy.optimize._slsqplib", "slsqp")
 
 
+class _SlsqpCore(NamedTuple):
+    """How SLSQP sees one spec's constraint set (:func:`_problem`), all of it
+    read-only: the box, the set's own arrays; each budget group's rows of
+    the constraint vector, its block of ``A`` and its bound; the number of
+    constraint rows ``m``; the core's workspace size; and the constraint
+    Jacobian ``-A`` in Fortran order, one row of zeros when there is no
+    budget."""
+
+    xl: np.ndarray
+    xu: np.ndarray
+    budgets: tuple[tuple[slice, np.ndarray, float], ...]
+    m: int
+    size: int
+    jac: np.ndarray
+
+
+@functools.cache
+def _problem(spec: ModelSpec) -> _SlsqpCore:
+    """SLSQP's problem for ``spec``, built once per spec.
+
+    The budgets are one linear inequality ``b - A v >= 0`` with a constant
+    Jacobian.  ``A`` holds each group's rows in group order, a row of ones
+    for a non-negative group and the 2^k sign rows of a signed group, whose
+    maximum is sum |v_i|; ``b`` holds the group's bound on each of its rows.
+    SLSQP stacks separate constraints the same way.  The value is taken
+    group by group: a matrix-vector product may sum a row in another order
+    once the matrix has more rows.  A signed group of more than
+    ``MAX_SIGNED_GROUP`` members raises :class:`UnsupportedFamily` before
+    any row is built."""
+    cset = constraint_set(spec)
+    for idx, signed, _ in cset._members:
+        if signed and idx.size > MAX_SIGNED_GROUP:
+            raise UnsupportedFamily(f"a signed budget of {idx.size} coefficients takes 2^{idx.size} "
+                                    f"SLSQP rows; at most {MAX_SIGNED_GROUP} are supported")
+    n, budgets, m = spec.dim, [], 0
+    for idx, signed, bound in cset._members:
+        signs = list(itertools.product((1.0, -1.0), repeat=idx.size)) if signed else [(1.0,) * idx.size]
+        a = np.zeros((len(signs), n))
+        a[:, idx] = signs
+        a.flags.writeable = False
+        budgets.append((slice(m, m + a.shape[0]), a, bound))
+        m += a.shape[0]
+    jac = np.array(-np.vstack([a for _, a, _ in budgets]) if m else np.zeros((1, n)), order="F")
+    jac.flags.writeable = False
+    # scipy's workspace for m inequalities, topped up when there are none
+    size = n * (n + 1) // 2 + 3 * m * n + 9 * m + 8 * n * n + 35 * n + 28 + (0 if m else 2 * n * (n + 1))
+    return _SlsqpCore(cset.lower, cset.upper, tuple(budgets), m, size, jac)
+
+
 class SlsqpResult(NamedTuple):
     """The fields of ``scipy.optimize.OptimizeResult`` that an SLSQP pass
     reports here, under the same names."""
@@ -131,40 +189,43 @@ class SlsqpResult(NamedTuple):
     status: int
 
 
-def minimize(objective: _Objective, v: np.ndarray, cset: ConstraintSet) -> SlsqpResult:
-    """One SLSQP pass from ``v`` over ``cset``: what
-    ``scipy.optimize.minimize(objective.value, v, jac=objective.grad,
-    method="SLSQP", **cset.slsqp_args, options={"maxiter": MAX_ITER, "ftol":
-    FTOL})`` returns, with the same iterates and the same ``x``, ``fun``,
-    ``nit``, ``nfev``, ``njev`` and ``status``.
+def minimize(objective: _Objective, v: np.ndarray) -> SlsqpResult:
+    """One SLSQP pass from ``v`` over the constraint set of
+    ``objective.spec``: what ``scipy.optimize.minimize(objective.value, v,
+    jac=objective.grad, method="SLSQP", bounds=..., constraints=...,
+    options={"maxiter": MAX_ITER, "ftol": FTOL})`` returns, with the same
+    iterates and the same ``x``, ``fun``, ``nit``, ``nfev``, ``njev`` and
+    ``status``; the box and the one budget constraint are read from
+    :func:`_problem`.
 
     With a pinned core (``_SLSQP``, see ``models._pinned_core``) the core is
     driven directly, on the inputs ``minimize`` builds for it and without
-    ``minimize``'s per-callback wrappers.  Its read-only inputs are the set's,
-    built once (``ConstraintSet._slsqp_core``); only the point, the
-    constraint vector and matrix, the multipliers and the workspace are new
-    each pass.  The start is clipped to the box, mode 1 is answered with the
-    value and the budget values, written group by group into the constraint
-    vector, and mode -1 with the gradient and the budget Jacobian.  The
-    counts are ``minimize``'s: the start's value and gradient count one each,
-    and either is evaluated again only at a point that differs from the last
-    one evaluated.  Each point the core asks for is tested against that last
-    point once, here; the objective then values the new point, or reads the
-    gradient from the recursion it holds or builds one, without a test of its
-    own.  Without a pinned core ``minimize`` itself runs, imported here; its
+    ``minimize``'s per-callback wrappers.  Its read-only inputs are the
+    spec's record, built once; only the point, the constraint vector and
+    matrix, the multipliers and the workspace are new each pass.  The start
+    is clipped to the box, mode 1 is answered with the value and the budget
+    values, written group by group into the constraint vector, and mode -1
+    with the gradient and the budget Jacobian.  The objective decides what
+    a request costs and counts it, as ``minimize``'s ``ScalarFunction``
+    does; the start's value and gradient count one each, as they do there,
+    even where a restarted pass starts at the point the objective holds.
+    Without a pinned core ``minimize`` itself runs, imported here; its
     warning that it clipped a point just outside the box is ignored, since
     the contrast is clamped there.
     """
+    core = _problem(objective.spec)
     if _SLSQP is None:
         from scipy import optimize
 
+        fun = lambda v: np.concatenate([b - a @ v for _, a, b in core.budgets])
+        budget = [{"type": "ineq", "fun": fun, "jac": lambda v: core.jac}] if core.m else []
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", message=".*outside bounds.*")
             res = optimize.minimize(objective.value, v, jac=objective.grad, method="SLSQP",
-                                    **cset.slsqp_args, options={"maxiter": MAX_ITER, "ftol": FTOL})
+                                    bounds=optimize.Bounds(core.xl, core.xu), constraints=budget,
+                                    options={"maxiter": MAX_ITER, "ftol": FTOL})
         return SlsqpResult(res.x, res.fun, res.nit, res.nfev, res.njev, res.status)
-    core = cset._slsqp_core
-    x = np.clip(v, cset.lower, cset.upper)
+    x = np.clip(v, core.xl, core.xu)
     n, m = x.size, core.m
     d, C = np.zeros(max(m, 1)), np.array(core.jac, order="F")
     for rows, a, bound in core.budgets:
@@ -176,31 +237,23 @@ def minimize(objective: _Objective, v: np.ndarray, cset: ConstraintSet) -> Slsqp
     buffer = np.zeros(core.size)
     indices = np.zeros(m + 2 * n + 2, dtype=np.int32)
     mult = np.zeros(m + 2 * n + 2)
-    # a restarted pass starts at the point the objective holds
-    fx = objective.value(x)
-    g = objective.held_grad(x)
-    nfev = njev = 1
-    at, valued, graded = x.copy(), True, True  # the last point evaluated, and what is known there
+    fx, g = objective.value(x), objective.grad(x)
+    # the start counts one value and one gradient, as in scipy, also where they are held
+    nfev, njev = objective.nfev - 1, objective.njev - 1
     while True:
         _SLSQP(state, fx, g, C, d, x, mult, core.xl, core.xu, buffer, indices)
         mode = state["mode"]
-        if abs(mode) != 1:
-            break
-        if not (x == at).all():
-            at, valued, graded = x.copy(), False, False
         if mode == 1:
-            if not valued:
-                fx, nfev, valued = objective.evaluate(x), nfev + 1, True
+            fx = objective.value(x)
             for rows, a, bound in core.budgets:
                 np.subtract(bound, a @ x, out=d[rows])
-        else:
-            if not graded:
-                # the objective holds this point exactly when it was valued here
-                g = objective.held_grad(x) if valued else objective.grad_at(x)
-                njev, graded = njev + 1, True
+        elif mode == -1:
+            g = objective.grad(x)
             if m:
                 C[:] = core.jac
-    return SlsqpResult(x, fx, state["iter"], nfev, njev, mode)
+        else:
+            break
+    return SlsqpResult(x, fx, state["iter"], objective.nfev - nfev, objective.njev - njev, mode)
 
 
 def _descend(objective: _Objective, cset: ConstraintSet, v, fv) -> FitResult:
@@ -210,19 +263,20 @@ def _descend(objective: _Objective, cset: ConstraintSet, v, fv) -> FitResult:
     :func:`_certified` builds at the end point, with SLSQP's iterations summed
     over the passes.  When no pass lowers the contrast, the end point is ``v``
     itself, and it is certified there: a warm start can already be a KKT
-    point.  The certificate reads the objective: after an improving pass the
-    value it has just returned at the end point and the gradient from the
-    recursion it holds there, and at the start its value and gradient, with
-    one recursion if the objective has moved on.  The floating-point error
-    state is entered once here for all the passes; :func:`minimize` filters
-    the one warning of its fallback."""
+    point.  The certificate reads the objective's value and gradient at the
+    end point: after an improving pass the value it has just returned and
+    the gradient from the recursion it holds there, which the next pass
+    starts from, and at the start both, with one recursion if the objective
+    has moved on.  The floating-point error state is entered once here for
+    all the passes; :func:`minimize` filters the one warning of its
+    fallback."""
     spec, x = objective.spec, objective.x
     iterations, end = 0, None
     # the objective's callbacks run in this error state, entered once here:
     # probes at explosive parameters overflow to an infinite contrast
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(MAX_PASSES):
-            res = minimize(objective, v, cset)
+            res = minimize(objective, v)
             iterations += int(res.nit)
             if not np.all(np.isfinite(res.x)) or not np.isfinite(res.fun):
                 break
@@ -230,13 +284,12 @@ def _descend(objective: _Objective, cset: ConstraintSet, v, fv) -> FitResult:
             fw = objective.value(w)
             if not fw < fv:
                 break
-            v, fv = w, fw  # the objective holds v: it has just valued it
-            end = _certified(spec, cset, v, x, fv, objective.held_grad(v))
+            v, fv = w, fw
+            end = _certified(spec, cset, v, x, fv, objective.grad(v))
             if end.converged:
                 break
         if end is None:  # no pass lowered the contrast: the descent ends at its start
-            fv = objective.value(v)  # v is now the held point
-            end = _certified(spec, cset, v, x, fv, objective.held_grad(v))
+            end = _certified(spec, cset, v, x, objective.value(v), objective.grad(v))
     end.iterations = iterations
     return end
 

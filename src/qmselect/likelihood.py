@@ -35,18 +35,21 @@ family has one score weight d gamma_t / d level_t, arma's linear in its
 residuals and the three ARCH families' :func:`_level_ratio` of their one
 variance filter (garch and ararch are its delta = 2 case), so all four share
 one adjoint pass and the a and b entries; sigma or omega is per family, and
-aparch adds its gamma entries and ararch its phi entry.  ``_Objective`` is the
-contrast and gradient that SLSQP's passes in a fit share: it keeps the
-recursion and value of the last point it valued, and the gradient at that
-point is read from the kept recursion, so a step builds one recursion where
-:func:`gamma_bar` then :func:`gradient` would build two.  Its values are
-exactly theirs, so ``fitting._certified`` certifies each descent's end point
-from the value and gradient the objective holds there, with no second
-evaluation.  ``fitting.minimize`` tests each point SLSQP asks for once
-and tells the objective whether the point is new, so the objective tests no
-point again.  A point costs SLSQP one recursion and one reduction for the
-value, read from the recursion's fields (constant moments stay scalars,
-see ``models._moments_from``), and one backward pass for the gradient.  The
+aparch adds its gamma entries and ararch its phi entry.  The squared mean
+residual is read where the recursion holds it (:func:`_resid2`): garch's
+and aparch's x^2 from the sample, ararch's z^2 from its ARCH input.
+
+``_Objective`` is the contrast and gradient that SLSQP's passes in a fit
+share, with the contract of scipy's ``ScalarFunction``: it holds one point
+and the recursion built there, and reads the value and the gradient from
+that recursion on the first request of each, counting it.  So a point
+builds one recursion where :func:`gamma_bar` then :func:`gradient` would
+build two, in either order.  Its values are exactly theirs, so
+``fitting._certified`` certifies each descent's end point from the value
+and gradient the objective holds there, with no second evaluation.  A point
+costs SLSQP one recursion and one reduction for the value, read from the
+recursion's fields (constant moments stay scalars, see
+``models._moments_from``), and one backward pass for the gradient.  The
 public functions enter ``np.errstate`` themselves; the objective's callbacks
 run in the error state that ``fitting._descend`` enters once per descent.
 """
@@ -103,25 +106,33 @@ def contrast(spec: ModelSpec, theta, x) -> ContrastEval:
     # optimizer probes at explosive parameters can overflow; an infinite
     # contrast is the correct "move away" signal there
     with np.errstate(over="ignore", invalid="ignore"):
-        per_t, gamma_bar = _contrast_from(_Sample(x), cm.f_hat, cm.h_hat)
+        per_t, gamma_bar = _contrast_from(x, cm.f_hat, cm.h_hat)
     return ContrastEval(gamma_bar, per_t)
 
 
-def _contrast_from(sample: _Sample, f_hat, h_hat) -> tuple[np.ndarray, float]:
+def _contrast_from(x: np.ndarray, f_hat, h_hat, resid2=None) -> tuple[np.ndarray, float]:
     """Per-observation contrast and its mean (``inf`` if not finite) from the
     conditional mean and variance, either of which may be a scalar; callers
-    hold the floating-point error state.  Where the mean is the scalar 0.0
-    (garch and aparch, see ``models._moments_from``) the squared residual is
-    the sample's kept x^2, the bits of (x - 0.0) ** 2.  Any other squared
-    residual stays an unnamed temporary, which numpy reuses in place on a
-    long series (the 100,000-step oracle).  The mean is ``sum / n``, what
+    hold the floating-point error state.  ``resid2`` is the squared residual
+    (x - f_hat)^2 where the caller holds it (:func:`_resid2`); otherwise it
+    is squared here as an unnamed temporary, which numpy reuses in place on
+    a long series (the 100,000-step oracle).  The mean is ``sum / n``, what
     ``np.mean`` computes, without its Python wrapper."""
-    zero_mean = np.ndim(f_hat) == 0 and f_hat == 0.0
-    per_t = (sample.x2 if zero_mean else (sample.x - f_hat) ** 2) / h_hat + np.log(h_hat)
+    per_t = ((x - f_hat) ** 2 if resid2 is None else resid2) / h_hat + np.log(h_hat)
     gamma_bar = float(per_t.sum() / per_t.size)
     if not math.isfinite(gamma_bar):
         gamma_bar = float("inf")
     return per_t, gamma_bar
+
+
+def _resid2(spec: ModelSpec, rec, sample: _Sample) -> np.ndarray | None:
+    """The squared mean residual that an ARCH family's recursion ``rec``
+    already holds: the sample's x^2 for garch and aparch, whose mean is 0,
+    and for ararch(p >= 1) its ARCH input z^2, squared once in the
+    recursion; None for arma and ararch(0), which hold none."""
+    if spec.family is Family.ARARCH:
+        return rec.inputs[0] if rec.inputs else None
+    return None if spec.family is Family.ARMA else sample.x2
 
 
 def gamma_bar(spec: ModelSpec, theta, x) -> float:
@@ -207,8 +218,8 @@ def _gradient_from(spec: ModelSpec, v: np.ndarray, x: np.ndarray, rec, sample: _
     sign -1 as eps falls when its coefficients rise, or :func:`_level_ratio`;
     the a entries read ``rec.inputs`` and the b entries ``rec.level``.  Only
     sigma or omega, aparch's gamma and ararch's phi (whose filter is the
-    identity) are per family.  garch's and aparch's residual is x itself,
-    whose square is the sample's kept x^2.
+    identity) are per family.  The ARCH weight reads the squared residual
+    the recursion holds (:func:`_resid2`), squared here only for ararch(0).
     """
     fam, lay, n = spec.family, spec.layout, x.size
     if sample is None:
@@ -221,7 +232,8 @@ def _gradient_from(spec: ModelSpec, v: np.ndarray, x: np.ndarray, rec, sample: _
         if h is None:
             h = np.maximum(rec.h, H_FLOOR)
         sign, block_a, block_b = 1.0, lay.a, lay.b
-        w = _level_ratio(spec.delta, z**2 if fam is Family.ARARCH else sample.x2, rec.level, rec.h, h)
+        resid2 = _resid2(spec, rec, sample)
+        w = _level_ratio(spec.delta, z**2 if resid2 is None else resid2, rec.level, rec.h, h)
     r = _adjoint(rec.poly, w)
     del w  # freed before the per-entry passes, where a complex step peaks
     g = np.empty(spec.dim, dtype=r.dtype)
@@ -265,26 +277,24 @@ def _lagged_dot(r: np.ndarray, u: np.ndarray, k: int) -> float:
 
 class _Objective:
     """gamma_bar and its gradient for the minimizers and the certificate of a
-    descent's end point, one recursion per point.
+    descent's end point, one recursion per point: the contract of scipy's
+    ``ScalarFunction``, which ``scipy.optimize.minimize`` wraps around its
+    callbacks.
 
-    SLSQP asks for the gradient at the point it has just valued, a
-    restarted pass starts at the point the objective already holds, and
-    ``fitting._descend`` certifies the end point it has just valued.
-    :meth:`evaluate` values a new point: it keeps the recursion it built and
-    the value, together with a copy of the point, the held point.
-    :meth:`held_grad` reads the gradient at that point from the kept
-    recursion, and :meth:`grad_at` builds a recursion of its own.  These three
-    test no point: ``fitting.minimize`` tests each point the core asks for
-    once, and calls the one that applies.  :meth:`value` and :meth:`grad` test
-    the point against the held one themselves, for
-    ``scipy.optimize.minimize``, for the start of each pass and for the
-    point ``fitting._descend`` certifies.
-    All return exactly what :func:`gamma_bar` and :func:`gradient` return; the
-    value is read from the recursion's fields, the variance clamped at
-    ``H_FLOOR`` as ``models._moments_from`` clamps it.  So a new point costs
-    one recursion and one reduction for its value, and one backward pass for
-    its gradient.  The sample's parameter-free transforms (``models._Sample``)
-    are built once per objective, so once per fit, not once per point.
+    The objective holds one point, a copy, and the recursion built there,
+    with the variance clamped at ``H_FLOOR`` as ``models._moments_from``
+    clamps it.  :meth:`value` and :meth:`grad` first make their point the
+    held one, building its recursion, unless it equals the held point; then
+    each reads its result from the recursion on its first request at that
+    point, counts it in ``nfev`` or ``njev``, and keeps it.  So SLSQP's
+    gradient at the point it has just valued, a restarted pass's start and
+    the certificate of the end point ``fitting._descend`` has just valued
+    cost no new recursion, and a gradient already read is not read again.
+    Both return exactly what :func:`gamma_bar` and :func:`gradient` return.
+    A new point costs one recursion and one reduction for its value, and
+    one backward pass for its gradient.  The sample's parameter-free
+    transforms (``models._Sample``) are built once per objective, so once
+    per fit, not once per point.
 
     Callers hold the floating-point error state, ``np.errstate(over="ignore",
     invalid="ignore")`` as the public functions do; ``fitting._descend``
@@ -294,38 +304,32 @@ class _Objective:
     def __init__(self, spec: ModelSpec, x: np.ndarray):
         self.spec, self.x = spec, x
         self.sample = _Sample(x)
-        self._point = None
-        self._rec = None
-        self._h = None
-        self._value = None
+        self.nfev = self.njev = 0
+        self._point = self._rec = self._h = self._value = self._grad = None
 
-    def _holds(self, v: np.ndarray) -> bool:
-        return self._point is not None and bool((v == self._point).all())
-
-    def evaluate(self, v: np.ndarray) -> float:
-        """gamma_bar at ``v``, which becomes the held point."""
+    def _move(self, v: np.ndarray) -> None:
+        """Make ``v`` the held point, with a recursion of its own, unless it is held already."""
+        if self._point is not None and (v == self._point).all():
+            return
         # drop the held point's arrays first, so the two recursions never coexist
-        self._point = self._rec = self._h = None
+        self._point = self._rec = self._h = self._value = self._grad = None
         rec = _recursion(self.spec, v, self.x, self.sample)
         self._point, self._rec, self._h = v.copy(), rec, np.maximum(rec.h, H_FLOOR)
-        self._value = _contrast_from(self.sample, rec.f, self._h)[1]
-        return self._value
-
-    def held_grad(self, v: np.ndarray) -> np.ndarray:
-        """The gradient at ``v``, a point equal to the held one, from its
-        recursion and the clamped variance its value was read with."""
-        return _gradient_from(self.spec, v, self.x, self._rec, self.sample, self._h)
-
-    def grad_at(self, v: np.ndarray) -> np.ndarray:
-        """The gradient at ``v`` from a recursion of its own; the held point stays."""
-        rec = _recursion(self.spec, v, self.x, self.sample)
-        return _gradient_from(self.spec, v, self.x, rec, self.sample)
 
     def value(self, v: np.ndarray) -> float:
-        return self._value if self._holds(v) else self.evaluate(v)
+        self._move(v)
+        if self._value is None:
+            rec = self._rec
+            self._value = _contrast_from(self.x, rec.f, self._h, _resid2(self.spec, rec, self.sample))[1]
+            self.nfev += 1
+        return self._value
 
     def grad(self, v: np.ndarray) -> np.ndarray:
-        return self.held_grad(v) if self._holds(v) else self.grad_at(v)
+        self._move(v)
+        if self._grad is None:
+            self._grad = _gradient_from(self.spec, self._point, self.x, self._rec, self.sample, self._h)
+            self.njev += 1
+        return self._grad
 
 
 def derivatives(spec: ModelSpec, theta, x) -> DerivEval:

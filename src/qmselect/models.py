@@ -30,10 +30,11 @@ calls scipy's C filter ``scipy.signal._sigtools._linear_filter`` directly, as
 core is used only on the scipy versions in ``_CORE_PINNED_ON``, on which the
 tests pin it bit-equal to ``lfilter``; on any other version, or when it does
 not import, the helper calls ``lfilter``.  :func:`_pinned_core` loads each
-private core the package calls, this one and SLSQP's, from its extension
-file without importing its public package, so importing the package imports
-none of ``scipy.signal``, ``scipy.optimize`` and ``scipy.linalg``; those
-are imported only where a fallback runs.  A
+private core the package calls, this one and the optimizer's of
+:mod:`.fitting`, from its extension file without importing its public
+package, so importing the package imports none of ``scipy.signal``,
+``scipy.optimize`` and ``scipy.linalg``; those are imported only where a
+fallback runs.  A
 one-coefficient denominator is handled in the helper too, as one
 ``np.convolve``, which is what ``lfilter`` computes in that case (the
 arma(p,0) residuals and the arma(0,q) paths).  Only the
@@ -82,7 +83,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy
 
-from .errors import NonStationaryParams, NumericOverflow, UnsupportedFamily
+from .errors import NonStationaryParams, NumericOverflow
 
 #: stationarity margin: sums of dynamic coefficients stay below 1 - COEF_MARGIN
 COEF_MARGIN = 0.02
@@ -96,8 +97,6 @@ H_FLOOR = 1e-8
 FEASIBILITY_TOL = 1e-9
 #: simulation overflow guard
 OVERFLOW_LIMIT = 1e10
-#: largest signed budget SLSQP is given: its 2^k sign rows (65,536 at 16)
-MAX_SIGNED_GROUP = 16
 DEFAULT_BURN_IN = 1000
 
 
@@ -323,34 +322,16 @@ class GroupBound:
     bound: float
 
 
-class _SlsqpCore(NamedTuple):
-    """The read-only inputs of SLSQP's C core for one :class:`ConstraintSet`
-    (``ConstraintSet._slsqp_core``): the box with nan for an infinite bound,
-    each budget group's rows of the constraint vector, its block of ``A`` and
-    its bound, the number of constraint rows ``m``, the workspace size, and
-    the constraint Jacobian ``-A`` in Fortran order (one row of zeros when
-    there is no budget)."""
-
-    xl: np.ndarray
-    xu: np.ndarray
-    budgets: tuple[tuple[slice, np.ndarray, float], ...]
-    m: int
-    size: int
-    jac: np.ndarray
-
-
 @dataclass(frozen=True)
 class ConstraintSet:
     """Box bounds plus group absolute-sum bounds.
 
     ``lower`` and ``upper`` are read-only copies of the arrays given, so one
     set can serve every caller (:func:`constraint_set` builds one per spec).
-    What the fits read on every call is built once per set, on first use:
-    each group's index array and sign, which :meth:`contains` and
-    :meth:`project` read, and SLSQP's arguments (:attr:`slsqp_args`) and the
-    read-only inputs of its C core (``_slsqp_core``), both from one set of
-    budget rows.  An unpickled set is rebuilt read-only (pickle restores an
-    array writable).
+    Each group's index array and sign, which :meth:`contains` and
+    :meth:`project` read on every call, are built once per set, on first
+    use.  An unpickled set is rebuilt read-only (pickle restores an array
+    writable).
     """
 
     lower: np.ndarray
@@ -409,79 +390,6 @@ class ConstraintSet:
                 a = np.maximum(a - excess[rho] / (rho + 1), 0.0)
             v[idx] = np.copysign(a, y[idx]) if signed else a
         return v
-
-    @functools.cached_property
-    def _budget_rows(self) -> tuple[tuple[float, np.ndarray], ...]:
-        """Each group's bound and its rows of the budget matrix ``A`` (see
-        :attr:`slsqp_args`), read-only, in group order.  A signed group of
-        more than ``MAX_SIGNED_GROUP`` members raises
-        :class:`UnsupportedFamily` before any row is built."""
-        for idx, signed, _ in self._members:
-            if signed and idx.size > MAX_SIGNED_GROUP:
-                raise UnsupportedFamily(f"a signed budget of {idx.size} coefficients takes 2^{idx.size} "
-                                        f"SLSQP rows; at most {MAX_SIGNED_GROUP} are supported")
-        parts = []
-        for idx, signed, bound in self._members:
-            signs = list(itertools.product((1.0, -1.0), repeat=idx.size)) if signed else [(1.0,) * idx.size]
-            a = np.zeros((len(signs), self.dim))
-            a[:, idx] = signs
-            a.flags.writeable = False
-            parts.append((bound, a))
-        return tuple(parts)
-
-    @functools.cached_property
-    def slsqp_args(self) -> dict:
-        """The ``bounds`` and ``constraints`` arguments of SLSQP's
-        ``scipy.optimize.minimize`` call, built once per set, which
-        ``fitting.minimize`` passes to that call where it falls back to it.
-
-        The box is one :class:`scipy.optimize.Bounds`, imported here, on the
-        fallback's path only.  The budgets are one
-        linear inequality ``b - A v >= 0`` with a constant Jacobian, or no
-        constraint without budgets.  ``A`` holds each group's rows in group
-        order, a row of ones for a non-negative group and the 2^k sign rows
-        of a signed group, whose maximum is sum |v_i|; ``b`` holds the
-        group's bound on each of its rows.  SLSQP stacks separate constraints
-        the same way, so it gets the same matrix and vector from one callback
-        per evaluation.  The value is taken group by group: a matrix-vector
-        product may sum a row in another order once the matrix has more rows.
-        ``A`` and the Jacobian are read-only, as the set's own arrays are, so
-        no caller can change a later fit of the same spec through them.  A
-        signed group of more than ``MAX_SIGNED_GROUP`` members raises
-        :class:`UnsupportedFamily` before any row is built.
-        """
-        from scipy.optimize import Bounds
-
-        parts = self._budget_rows
-        bounds = Bounds(self.lower, self.upper)
-        if not parts:
-            return {"bounds": bounds, "constraints": []}
-        jac = -np.vstack([a for _, a in parts])
-        jac.flags.writeable = False
-        fun = lambda v: np.concatenate([b - a @ v for b, a in parts])
-        return {"bounds": bounds,
-                "constraints": [{"type": "ineq", "fun": fun, "jac": lambda v: jac}]}
-
-    @functools.cached_property
-    def _slsqp_core(self) -> _SlsqpCore:
-        """The read-only inputs of SLSQP's C core for this set, built once
-        from the rows :attr:`slsqp_args` is built from; ``fitting.minimize``
-        reads them on each pass where it drives the core."""
-        parts, n = self._budget_rows, self.dim
-        m = sum(a.shape[0] for _, a in parts)
-        budgets, start = [], 0
-        for bound, a in parts:
-            budgets.append((slice(start, start + a.shape[0]), a, bound))
-            start += a.shape[0]
-        jac = np.array(-np.vstack([a for _, a in parts]) if parts else np.zeros((1, n)), order="F")
-        jac.flags.writeable = False
-        # the core marks an infinite bound by nan
-        xl = np.where(np.isfinite(self.lower), self.lower, np.nan)
-        xu = np.where(np.isfinite(self.upper), self.upper, np.nan)
-        xl.flags.writeable = xu.flags.writeable = False
-        # scipy's workspace for m inequalities, topped up when there are none
-        size = n * (n + 1) // 2 + 3 * m * n + 9 * m + 8 * n * n + 35 * n + 28 + (0 if m else 2 * n * (n + 1))
-        return _SlsqpCore(xl, xu, tuple(budgets), m, size, jac)
 
 
 @functools.cache

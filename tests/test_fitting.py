@@ -1,11 +1,9 @@
 import os
 import subprocess
 import sys
-import warnings
 
 import numpy as np
 import pytest
-import scipy.optimize
 from numpy.testing import assert_allclose
 
 import qmselect as q
@@ -166,47 +164,75 @@ def _slsqp_pin_starts(spec, cset, x):
     return {"zero-init": base, "budget face": face, "kkt": kkt}
 
 
-def _assert_pass_is_scipys(monkeypatch, spec, cset, x, v):
-    """fitting.minimize from ``v`` on the core gives what scipy.optimize.minimize
-    gives, bit for bit, counts and exit mode included, each on a fresh objective."""
-    monkeypatch.setattr(qmselect.fitting, "_SLSQP", _slsqp_core_or_skip())
-    with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
-        warnings.filterwarnings("ignore", message=".*outside bounds.*")
-        objective = qmselect.likelihood._Objective(spec, x)
-        want = scipy.optimize.minimize(objective.value, v, jac=objective.grad, method="SLSQP",
-                                       **cset.slsqp_args,
-                                       options={"maxiter": qmselect.fitting.MAX_ITER, "ftol": 1e-12})
-        got = qmselect.fitting.minimize(qmselect.likelihood._Objective(spec, x), v, cset)
+def _assert_pass_is_scipys(monkeypatch, spec, x, v):
+    """fitting.minimize from ``v`` on the core gives what its fallback,
+    scipy.optimize.minimize on the bounds and constraint built from the same
+    record, gives, bit for bit, counts and exit mode included, each on a
+    fresh objective."""
+    core = _slsqp_core_or_skip()
+    with np.errstate(over="ignore", invalid="ignore"):
+        monkeypatch.setattr(qmselect.fitting, "_SLSQP", None)
+        want = qmselect.fitting.minimize(qmselect.likelihood._Objective(spec, x), v)
+        monkeypatch.setattr(qmselect.fitting, "_SLSQP", core)
+        got = qmselect.fitting.minimize(qmselect.likelihood._Objective(spec, x), v)
     assert got.x.dtype == want.x.dtype and got.x.tobytes() == want.x.tobytes()
     assert (got.fun, got.nit, got.nfev, got.njev, got.status) == \
         (want.fun, want.nit, want.nfev, want.njev, want.status)
+
+
+def _pin_series(spec, seed):
+    dgp, theta = DGP2 if spec.family is q.Family.ARMA else DGP3
+    return q.simulate(dgp, theta, 500, seed=seed).values
 
 
 @pytest.mark.parametrize("spec", SLSQP_PIN_SPECS, ids=str)
 def test_slsqp_core_pass_is_bit_equal_to_minimize(monkeypatch, spec):
     # the pin behind models._CORE_PINNED_ON for SLSQP: the core, driven by
     # fitting.minimize, takes the iterates scipy.optimize.minimize takes
-    dgp, theta = DGP2 if spec.family is q.Family.ARMA else DGP3
-    x = q.simulate(dgp, theta, 500, seed=41).values
+    x = _pin_series(spec, 41)
     cset = constraint_set(spec)
     starts = _slsqp_pin_starts(spec, cset, x)
     assert not cset.contains(starts["budget face"] * 1.01)  # on the face, not inside
     for name, v in starts.items():
         v0 = v.copy()
-        _assert_pass_is_scipys(monkeypatch, spec, cset, x, v)
+        _assert_pass_is_scipys(monkeypatch, spec, x, v)
         assert np.array_equal(v, v0), name  # the start is not written to
 
 
 def test_slsqp_core_pass_without_budgets_is_bit_equal_to_minimize(monkeypatch):
-    # no group, so no constraint row (m = 0) and scipy's workspace top-up;
-    # an infinite upper bound goes to the core as nan
-    spec, theta = DGP3
-    x = q.simulate(spec, theta, 500, seed=42).values
-    box = constraint_set(spec)
-    cset = q.ConstraintSet(box.lower, np.where(box.upper < 1.0, box.upper, np.inf))
-    assert not cset.groups and cset.slsqp_args["constraints"] == []
-    for v in (_start_point(spec, cset, x), np.array([1.0, 0.9, 0.9])):
-        _assert_pass_is_scipys(monkeypatch, spec, cset, x, v)
+    # ararch(0), the one spec with no budget: no constraint row (m = 0),
+    # a row of zeros for the Jacobian and scipy's workspace top-up
+    spec = q.ararch(0)
+    x = q.simulate(q.ararch(1), (0.5, 0.4, 0.3), 500, seed=42).values
+    problem = qmselect.fitting._problem(spec)
+    assert not constraint_set(spec).groups and (problem.m, problem.budgets) == (0, ())
+    assert np.array_equal(problem.jac, np.zeros((1, 2)))
+    for v in (_start_point(spec, constraint_set(spec), x), np.array([0.9, 0.9])):
+        _assert_pass_is_scipys(monkeypatch, spec, x, v)
+
+
+@pytest.mark.parametrize("spec", SLSQP_PIN_SPECS, ids=str)
+def test_slsqp_core_never_writes_the_gradient_or_the_box(monkeypatch, spec):
+    # the core is handed the objective's kept gradient, which the next
+    # request and the certificate read again, and the spec's read-only box,
+    # which every fit of the spec shares: a write to either would move
+    # later iterates, so the bytes must not change across any core call
+    core = _slsqp_core_or_skip()
+    calls = []
+
+    def spy(state, fx, g, C, d, xk, mult, xl, xu, buffer, indices):
+        before = [a.tobytes() for a in (g, xl, xu)]
+        core(state, fx, g, C, d, xk, mult, xl, xu, buffer, indices)
+        calls.append(before == [a.tobytes() for a in (g, xl, xu)])
+
+    monkeypatch.setattr(qmselect.fitting, "_SLSQP", spy)
+    x = _pin_series(spec, 41)
+    problem = qmselect.fitting._problem(spec)
+    assert not problem.xl.flags.writeable and not problem.xu.flags.writeable
+    for v in _slsqp_pin_starts(spec, constraint_set(spec), x).values():
+        with np.errstate(over="ignore", invalid="ignore"):
+            qmselect.fitting.minimize(qmselect.likelihood._Objective(spec, x), v)
+    assert calls and all(calls), calls.count(False)
 
 
 def test_minimize_answers_each_core_request_once_per_point(monkeypatch):
@@ -217,8 +243,7 @@ def test_minimize_answers_each_core_request_once_per_point(monkeypatch):
     # every mode-1 request and hand back an intact Jacobian on every mode -1
     spec = q.arma(1, 1)
     x = q.simulate(spec, (0.5, 0.6, 1.0), 200, seed=3).values
-    cset = constraint_set(spec)
-    (constraint,) = cset.slsqp_args["constraints"]
+    problem = qmselect.fitting._problem(spec)
     start, moved, other = np.array([0.1, 0.2, 0.9]), np.array([0.3, 0.1, 1.1]), np.array([0.2, 0.4, 1.0])
     script = [(1, moved), (-1, moved), (1, moved), (-1, moved), (-1, other), (1, other), (0, other)]
     calls = []
@@ -240,10 +265,10 @@ def test_minimize_answers_each_core_request_once_per_point(monkeypatch):
     monkeypatch.setattr(qmselect.fitting, "_SLSQP", core)
     monkeypatch.setattr(qmselect.likelihood, "_recursion", counted)
     with np.errstate(over="ignore", invalid="ignore"):
-        res = qmselect.fitting.minimize(qmselect.likelihood._Objective(spec, x), start, cset)
-    # the start, the moved point's value and the other point's gradient and value
-    assert [r.tolist() for r in recursions] == [start.tolist(), moved.tolist(), other.tolist(),
-                                                other.tolist()]
+        res = qmselect.fitting.minimize(qmselect.likelihood._Objective(spec, x), start)
+    # the start, the moved point's value and the other point's gradient, whose
+    # recursion its value then reads
+    assert [r.tolist() for r in recursions] == [start.tolist(), moved.tolist(), other.tolist()]
     assert (res.nfev, res.njev, res.nit, res.status) == (3, 3, len(script), 0)
     assert np.array_equal(res.x, other) and res.fun == q.gamma_bar(spec, other, x)
     at = [start] + [point for _, point in script]
@@ -257,9 +282,9 @@ def test_minimize_answers_each_core_request_once_per_point(monkeypatch):
         assert fx == q.gamma_bar(spec, at[last_valued], x)
         assert np.array_equal(g, q.gradient(spec, at[last_graded], x))
         if asked[i] in (0, 1):
-            assert np.array_equal(d, constraint["fun"](xk)), i
+            assert np.array_equal(d, np.concatenate([b - a @ xk for _, a, b in problem.budgets])), i
         if asked[i] in (0, -1):
-            assert np.array_equal(C, constraint["jac"](xk)), i
+            assert np.array_equal(C, problem.jac), i
 
 
 BUILDERS = ("_arma_residuals", "_arch_filter")

@@ -231,6 +231,32 @@ def test_objective_value_at_the_kept_point_builds_nothing(monkeypatch, spec):
     assert len(builds) == 1
 
 
+def test_objective_computes_and_counts_each_value_and_gradient_once_per_point(monkeypatch):
+    # scipy's ScalarFunction contract: one held point and its recursion, the
+    # value and the gradient each computed and counted on its first request
+    spec = q.garch(1, 1)
+    x = q.simulate(spec, (1.0, 0.35, 0.4), 300, seed=79).values
+    a, b = np.array([1.0, 0.3, 0.4]), np.array([0.9, 0.2, 0.5])
+    builds = []
+    build = qmselect.likelihood._recursion
+
+    def counted(spec, v, *rest):
+        builds.append(v.tolist())
+        return build(spec, v, *rest)
+
+    monkeypatch.setattr(qmselect.likelihood, "_recursion", counted)
+    obj = _Objective(spec, x)
+    counts = []
+    for ask, v in [("value", a), ("grad", a), ("value", a.copy()), ("grad", a), ("grad", b),
+                   ("value", b), ("value", a), ("grad", b)]:
+        getattr(obj, ask)(v)
+        counts.append((obj.nfev, obj.njev))
+    assert builds == [a.tolist(), b.tolist(), a.tolist(), b.tolist()]
+    assert counts == [(1, 0), (1, 1), (1, 1), (1, 1), (1, 2), (2, 2), (3, 2), (3, 3)]
+    # the kept gradient is handed out again, not recomputed
+    assert obj.grad(b) is obj.grad(b.copy())
+
+
 # (spec, point, the transforms its recursions and gradient read)
 TRANSFORM_CASES = [
     (q.arma(1, 1), (0.5, 0.6, 1.0), set()),
@@ -290,6 +316,30 @@ def _feasible_point(spec, unit):
 PROPERTY_SPECS = [q.arma(1, 1), q.garch(1, 1), q.aparch(0.7, 2, 1), q.ararch(2)]
 
 
+@pytest.mark.parametrize("spec,theta", [c[:2] for c in TRANSFORM_CASES] + [(q.ararch(0), (0.5, 0.4))],
+                         ids=[str(c[0]) for c in TRANSFORM_CASES] + ["ararch(0)"])
+def test_the_squared_residual_is_read_where_the_recursion_holds_it(spec, theta):
+    # ararch(p >= 1) squares its AR(1) residual once per point, as its ARCH
+    # input; garch and aparch read the sample's x^2; arma and ararch(0) hold
+    # no square, so the contrast squares its residual as an unnamed temporary
+    x = q.simulate(q.ararch(1), (0.5, 0.4, 0.3), 300, seed=80).values
+    v = np.asarray(theta, dtype=float)
+    sample = qmselect.models._Sample(x)
+    rec = qmselect.models._recursion(spec, v, x, sample)
+    resid2 = qmselect.likelihood._resid2(spec, rec, sample)
+    if spec.family is q.Family.ARARCH and spec.p:
+        assert resid2 is rec.inputs[0]
+        assert resid2.tobytes() == ((x - rec.f) ** 2).tobytes() == (rec.resid**2).tobytes()
+    elif spec.family in (q.Family.GARCH, q.Family.APARCH):
+        assert resid2 is sample.x2
+    else:
+        assert resid2 is None
+    with np.errstate(over="ignore", invalid="ignore"):
+        obj = _Objective(spec, x)
+        assert obj.value(v) == q.gamma_bar(spec, v, x)
+        assert obj.grad(v).tobytes() == q.gradient(spec, v, x).tobytes()
+
+
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
 @given(spec=st.sampled_from(PROPERTY_SPECS),
        unit=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=6, max_size=6))
@@ -300,12 +350,14 @@ def test_objective_equals_the_public_functions_at_random_feasible_points(spec, u
     x = _edge_series(zeros=True)
     v = _feasible_point(spec, unit)
     assert q.constraint_set(spec).contains(v)
-    obj = _Objective(spec, x)
+    obj, fresh = _Objective(spec, x), _Objective(spec, x)
     with np.errstate(over="ignore", invalid="ignore"):
-        value, held, fresh = obj.evaluate(v), obj.held_grad(v), _Objective(spec, x).grad_at(v)
-    assert value == q.gamma_bar(spec, v, x)
+        value, held = obj.value(v), obj.grad(v)
+        # the other order: the gradient builds the recursion the value reads
+        fresh_grad, fresh_value = fresh.grad(v), fresh.value(v)
+    assert value == fresh_value == q.gamma_bar(spec, v, x)
     assert np.array_equal(held, q.gradient(spec, v, x), equal_nan=True)
-    assert np.array_equal(fresh, held, equal_nan=True)
+    assert np.array_equal(fresh_grad, held, equal_nan=True)
 
 
 @pytest.mark.parametrize("complex_step", [False, True])

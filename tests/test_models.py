@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 import scipy
 from numpy.testing import assert_allclose
-from scipy.optimize import Bounds
 from scipy.signal import lfilter
 
 import qmselect as q
@@ -314,56 +313,67 @@ def test_project_is_the_euclidean_projection(spec, monkeypatch):
                 assert (u - pu) @ (w - pu) <= 1e-12, (u, pu, w)
 
 
+def _sign_blocks(cs):
+    """Each group's rows of the budget matrix: a row of ones for a
+    non-negative group, the 2^k sign rows of a signed one."""
+    blocks = []
+    for g in cs.groups:
+        signed = cs.lower[g.indices[0]] < 0.0
+        signs = list(itertools.product((1.0, -1.0), repeat=len(g.indices))) if signed else [1.0]
+        block = np.zeros((len(signs), cs.dim))
+        block[:, list(g.indices)] = signs
+        blocks.append(block)
+    return blocks
+
+
 def test_budget_jacobian_is_constant_and_charges_zero_coefficients():
-    cs = q.constraint_set(q.garch(1, 1))
-    (con,) = cs.slsqp_args["constraints"]
+    problem = fitting._problem(q.garch(1, 1))
     v = np.array([1.0, 0.0, 0.5])
-    assert_allclose(np.atleast_2d(con["jac"](v)), [[0.0, -1.0, -1.0]])
-    assert np.min(con["fun"](v)) == pytest.approx(0.48)
-    # all budgets are one inequality: each group's rows in group order, and
-    # a signed budget's sign rows have sum |v_i| as their maximum
+    assert_allclose(problem.jac, [[0.0, -1.0, -1.0]])
+    ((rows, a, bound),) = problem.budgets
+    assert rows == slice(0, 1) and (bound - a @ v)[0] == pytest.approx(0.48)
+    # all budgets are one inequality with a constant, read-only Jacobian in
+    # Fortran order: each group's rows in group order, and a signed budget's
+    # sign rows have sum |v_i| as their maximum
     for spec, scale in ((q.arma(3, 1), 0.5), (q.arma(1, 6), 1e4)):
-        cs = q.constraint_set(spec)
-        (con,) = cs.slsqp_args["constraints"]
-        jac = con["jac"](np.zeros(cs.dim))
-        blocks = []
-        for g in cs.groups:
-            block = np.zeros((2 ** len(g.indices), cs.dim))
-            block[:, list(g.indices)] = list(itertools.product((1.0, -1.0), repeat=len(g.indices)))
-            blocks.append(block)
-        assert np.array_equal(jac, -np.vstack(blocks))
+        cs, problem = q.constraint_set(spec), fitting._problem(spec)
+        blocks = _sign_blocks(cs)
+        assert np.array_equal(problem.jac, -np.vstack(blocks))
+        assert problem.jac.flags.f_contiguous and not problem.jac.flags.writeable
+        ends = np.cumsum([b.shape[0] for b in blocks]).tolist()
+        assert [(r.start, r.stop) for r, _, _ in problem.budgets] == list(zip([0] + ends[:-1], ends))
+        assert problem.m == ends[-1]
+        assert all(np.array_equal(a, block) and bound == g.bound
+                   for g, block, (_, a, bound) in zip(cs.groups, blocks, problem.budgets))
         rng = np.random.default_rng(4)
         for _ in range(20):
             v = rng.uniform(-scale, scale, cs.dim)
-            values = con["fun"](v)
-            # each row exactly as its group alone would give it
-            assert np.array_equal(values, np.concatenate([g.bound - b @ v for g, b in zip(cs.groups, blocks)]))
-            for g, part in zip(cs.groups, np.split(values, np.cumsum([b.shape[0] for b in blocks])[:-1])):
-                assert np.min(part) == pytest.approx(g.bound - np.sum(np.abs(v[list(g.indices)])), abs=1e-15 * max(1.0, scale))
-            assert np.array_equal(con["jac"](v), jac)
+            for g, (_, a, bound) in zip(cs.groups, problem.budgets):
+                l1 = np.sum(np.abs(v[list(g.indices)]))
+                assert np.min(bound - a @ v) == pytest.approx(g.bound - l1, abs=1e-15 * max(1.0, scale))
 
 
 def test_one_budget_is_one_product_and_every_set_gives_slsqp_its_box():
     # a single group's value is its bound minus its rows' product
-    cs = q.constraint_set(q.arma(2, 0))
-    (con,) = cs.slsqp_args["constraints"]
+    ((_, a, bound),) = fitting._problem(q.arma(2, 0)).budgets
     rows = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [-1.0, -1.0, 0.0]])
     v = np.array([0.3, -0.45, 1.2])
-    assert np.array_equal(con["fun"](v), 0.98 - rows @ v)
-    for spec in (q.wn(), q.arma(2, 1), q.garch(1, 1), q.aparch(1.5, 1, 1), q.ararch(2)):
-        cs = q.constraint_set(spec)
-        bounds = cs.slsqp_args["bounds"]
-        assert isinstance(bounds, Bounds)
-        assert np.array_equal(bounds.lb, cs.lower) and np.array_equal(bounds.ub, cs.upper)
-        assert len(cs.slsqp_args["constraints"]) == (len(cs.groups) > 0)
+    assert np.array_equal(bound - a @ v, 0.98 - rows @ v)
+    for spec in (q.wn(), q.arma(2, 1), q.garch(1, 1), q.aparch(1.5, 1, 1), q.ararch(2), q.ararch(0)):
+        cs, problem = q.constraint_set(spec), fitting._problem(spec)
+        # the set's own read-only box, every bound finite
+        assert problem.xl is cs.lower and problem.xu is cs.upper
+        assert np.all(np.isfinite(cs.lower)) and np.all(np.isfinite(cs.upper))
+        assert len(problem.budgets) == len(cs.groups)
+        assert problem.jac.shape == (max(problem.m, 1), cs.dim)
 
 
 def test_constraint_set_is_built_once_per_spec_and_cannot_be_written():
     cs = q.constraint_set(q.arma(2, 1))
     assert q.constraint_set(q.parse_spec("arma(2,1)")) is cs
-    assert cs.slsqp_args is cs.slsqp_args
-    (con,) = cs.slsqp_args["constraints"]
-    for bound in (cs.lower, cs.upper, con["jac"](np.zeros(cs.dim))):
+    problem = fitting._problem(q.arma(2, 1))
+    assert fitting._problem(q.parse_spec("arma(2,1)")) is problem
+    for bound in (cs.lower, cs.upper, problem.jac, *(a for _, a, _ in problem.budgets)):
         with pytest.raises(ValueError, match="read-only"):
             bound[0] = 0.0
     # a set built by hand keeps copies of the arrays it was given
@@ -374,20 +384,26 @@ def test_constraint_set_is_built_once_per_spec_and_cannot_be_written():
 
 
 @pytest.mark.parametrize("spec", [q.arma(17, 0), q.arma(0, 17), q.arma(17, 17)], ids=str)
-def test_a_signed_budget_above_the_cap_is_refused_before_its_rows_are_built(spec):
-    # 2^17 sign rows would be built three times over; an order of 24 would
-    # need about 3.4 GB for the matrix alone
+def test_a_signed_budget_above_the_cap_is_refused_before_its_rows_are_built(monkeypatch, spec):
+    # 2^17 sign rows would be built; an order of 24 would need about 3.4 GB
+    # for the matrix alone
+    def no_rows(*args, **kwargs):
+        raise AssertionError("a sign row was built")
+
     cs = q.constraint_set(spec)
+    monkeypatch.setattr(itertools, "product", no_rows)
     with pytest.raises(q.UnsupportedFamily, match=r"signed budget of 17 coefficients takes 2\^17 SLSQP rows"):
-        cs.slsqp_args
+        fitting._problem(spec)
+    monkeypatch.undo()
     assert cs.contains(cs.project(np.zeros(cs.dim)))  # the set itself still works
 
 
 def test_a_signed_budget_at_the_cap_is_built():
-    # on a copy of the cached set, so its 2^16 rows are not kept
-    at_cap = q.constraint_set(q.arma(16, 0))
-    (con,) = q.ConstraintSet(at_cap.lower, at_cap.upper, at_cap.groups).slsqp_args["constraints"]
-    assert con["jac"](None).shape == (2**16, 17)
+    # through the uncached function, so its 2^16 rows are not kept
+    cached = fitting._problem.cache_info().currsize
+    problem = fitting._problem.__wrapped__(q.arma(16, 0))
+    assert problem.jac.shape == (2**16, 17) and problem.m == 2**16
+    assert fitting._problem.cache_info().currsize == cached
 
 
 @pytest.mark.parametrize("spec", [q.wn(), q.arma(2, 1), q.garch(1, 1), q.aparch(1.5, 1, 1)], ids=str)
