@@ -7,15 +7,25 @@ over the box and the coefficient budgets, all budgets handed over as one
 linear inequality with a constant Jacobian.  This module alone says how
 SLSQP sees a spec's constraint set: one read-only record per spec
 (:func:`_problem`), built once from ``models.constraint_set``, holds the
-box, the budget rows and the C core's workspace size.  Each SLSQP pass is
+box, the budget rows (one copy, every block a view of it), the products a
+value request takes and the C core's workspace size.  Each SLSQP pass is
 one call of :func:`minimize`: on the scipy versions in
 ``models._CORE_PINNED_ON`` it drives SLSQP's C core directly, without
 ``scipy.optimize.minimize``'s per-call wrapper, and writes the budget
-values in place; elsewhere it calls ``minimize``, with the bounds and the
+values in place, one product per request where every group has at most
+two members; elsewhere it calls ``minimize``, with the bounds and the
 one constraint built from the same record.  The tests pin both to the same
 iterates.  The core is loaded without ``scipy.optimize``
 (``models._pinned_core``), which is imported only where ``minimize`` runs,
 and a pass returns :class:`SlsqpResult`, not ``OptimizeResult``.
+
+What a fit does besides SLSQP's arithmetic and the objective's is kept
+to what the record and numpy's ufuncs do directly: a pass slices its
+views of the constraint vector once, the canonical start is the box clip
+(its budgeted entries are 0), and the feasibility test, the projection
+and the certificate's norm call the ufuncs that ``np.any``, ``np.clip``,
+``np.sum`` and ``np.max`` call, without their wrappers.  The tests hold
+each of these to the bits of a plain reference expression.
 
 A fit stops after the first descent whose end point is certified
 (projected gradient at most ``GRAD_TOL``).  Within a descent, while SLSQP's
@@ -50,7 +60,7 @@ budgets included.
 from __future__ import annotations
 
 import functools
-import itertools
+import math
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -101,26 +111,28 @@ def _series(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError(f"the series must be 1-D, got an array of shape {x.shape}")
-    bad = np.flatnonzero(~np.isfinite(x))
-    if bad.size:
-        raise ValueError(f"the series is not finite at index {bad[0]}: {x[bad[0]]}")
+    if not np.isfinite(x).all():
+        bad = np.flatnonzero(~np.isfinite(x))[0]
+        raise ValueError(f"the series is not finite at index {bad}: {x[bad]}")
     return x
 
 
 def _start_point(spec: ModelSpec, cset: ConstraintSet, x: np.ndarray) -> np.ndarray:
     """Zero dynamic coefficients; the family's one scale block, sigma or omega
-    (a variance, or aparch's sigma ** delta), from the uncentered second moment."""
-    m2 = float(np.mean(x**2))
+    (a variance, or aparch's sigma ** delta), from the uncentered second moment
+    (``sum / n``, what ``np.mean`` computes).  Every budgeted entry is 0,
+    inside its budget, so the projection onto ``cset`` is the box clip."""
+    m2 = float(np.add.reduce(x**2) / x.size)
     v = np.zeros(spec.dim)
     v[spec.layout.sigma] = np.sqrt(m2)
     v[spec.layout.omega] = m2 ** (spec.delta / 2.0)
-    return cset.project(v)
+    return v.clip(cset.lower, cset.upper)
 
 
 def projected_grad_norm(cset: ConstraintSet, v: np.ndarray, g: np.ndarray) -> float:
     """Sup-norm of the projected-gradient step ``v - project(v - g)``; zero
     exactly when ``v`` is a first-order (KKT) point on the feasible set."""
-    return float(np.max(np.abs(v - cset.project(v - g))))
+    return float(np.maximum.reduce(np.abs(v - cset.project(v - g))))
 
 
 #: SLSQP's reverse-communication C core, what ``scipy.optimize.minimize``
@@ -130,18 +142,29 @@ _SLSQP = _pinned_core(scipy.__version__, "scipy.optimize._slsqplib", "slsqp")
 
 class _SlsqpCore(NamedTuple):
     """How SLSQP sees one spec's constraint set (:func:`_problem`), all of it
-    read-only: the box, the set's own arrays; each budget group's rows of
-    the constraint vector, its block of ``A`` and its bound; the number of
-    constraint rows ``m``; the core's workspace size; and the constraint
-    Jacobian ``-A`` in Fortran order, one row of zeros when there is no
-    budget."""
+    read-only: the box, the set's own arrays; the budget matrix ``A``
+    (``rows``), its one copy; each budget group's rows of the constraint
+    vector, its block of ``A`` and its bound; the products a value request
+    takes (``products``, see :func:`_problem`); the number of constraint
+    rows ``m``; and the core's workspace size."""
 
     xl: np.ndarray
     xu: np.ndarray
+    rows: np.ndarray
     budgets: tuple[tuple[slice, np.ndarray, float], ...]
+    products: tuple[tuple[slice, np.ndarray, np.ndarray], ...]
     m: int
     size: int
-    jac: np.ndarray
+
+    @property
+    def jac(self) -> np.ndarray:
+        """The constraint Jacobian ``-A`` in Fortran order, one row of zeros
+        when there is no budget; built from ``rows`` on each read, read-only."""
+        jac = np.zeros((max(self.m, 1), self.xl.size), order="F")
+        if self.m:
+            np.negative(self.rows, out=jac)
+        jac.flags.writeable = False
+        return jac
 
 
 @functools.cache
@@ -152,29 +175,58 @@ def _problem(spec: ModelSpec) -> _SlsqpCore:
     Jacobian.  ``A`` holds each group's rows in group order, a row of ones
     for a non-negative group and the 2^k sign rows of a signed group, whose
     maximum is sum |v_i|; ``b`` holds the group's bound on each of its rows.
-    SLSQP stacks separate constraints the same way.  The value is taken
-    group by group: a matrix-vector product may sum a row in another order
-    once the matrix has more rows.  A signed group of more than
-    ``MAX_SIGNED_GROUP`` members raises :class:`UnsupportedFamily` before
-    any row is built."""
-    cset = constraint_set(spec)
-    for idx, signed, _ in cset._members:
+    SLSQP stacks separate constraints the same way.  ``A`` is kept once:
+    every block is a view of it, and so is ``b``, which a product subtracts
+    from (the same bits as its groups' scalar bounds).
+
+    The value is the product ``A v`` taken block by block, as
+    ``b - a @ v`` per group: a matrix-vector product may sum a row in
+    another order once the matrix has more rows.  A row with at most two
+    entries is summed to the same bits in any order (the zeros it also sums
+    add exact zeros, and a 0 * inf is a nan in every order), so each run of
+    consecutive groups of at most two members is one product, ``products``'s
+    one block, and every larger group is a block of its own.  A signed
+    group of more than ``MAX_SIGNED_GROUP`` members raises
+    :class:`UnsupportedFamily` before any row is built."""
+    cset, n = constraint_set(spec), spec.dim
+    groups = [(np.arange(n)[idx], signed, bound) for idx, signed, bound in cset._members]
+    for idx, signed, _ in groups:
         if signed and idx.size > MAX_SIGNED_GROUP:
             raise UnsupportedFamily(f"a signed budget of {idx.size} coefficients takes 2^{idx.size} "
                                     f"SLSQP rows; at most {MAX_SIGNED_GROUP} are supported")
-    n, budgets, m = spec.dim, [], 0
-    for idx, signed, bound in cset._members:
-        signs = list(itertools.product((1.0, -1.0), repeat=idx.size)) if signed else [(1.0,) * idx.size]
-        a = np.zeros((len(signs), n))
-        a[:, idx] = signs
-        a.flags.writeable = False
-        budgets.append((slice(m, m + a.shape[0]), a, bound))
-        m += a.shape[0]
-    jac = np.array(-np.vstack([a for _, a, _ in budgets]) if m else np.zeros((1, n)), order="F")
-    jac.flags.writeable = False
+    heights = [2**idx.size if signed else 1 for idx, signed, _ in groups]
+    m = sum(heights)
+    rows = np.zeros((m, n))
+    blocks, runs, bounds, top = [], [], np.empty(m), 0
+    for (idx, signed, bound), height in zip(groups, heights):
+        block = slice(top, top + height)
+        if signed:  # itertools.product's order of the signs (1, -1): the last varies fastest
+            for k, i in enumerate(idx.tolist()):
+                rows[block, i] = 1.0 - 2.0 * ((np.arange(height) >> (idx.size - 1 - k)) & 1)
+        else:
+            rows[block, idx] = 1.0
+        bounds[block] = bound
+        blocks.append((block, bound))
+        short = idx.size <= 2
+        if short and runs and runs[-1][2]:  # joins the run of short groups before it
+            runs[-1][1] = block.stop
+        else:
+            runs.append([block.start, block.stop, short])
+        top = block.stop
+    # frozen before any view is taken: a view of a read-only array is read-only
+    rows.flags.writeable = bounds.flags.writeable = False
+    budgets = tuple((block, rows[block], bound) for block, bound in blocks)
+    products = tuple((slice(i, j), rows[i:j], bounds[i:j]) for i, j, _ in runs)
     # scipy's workspace for m inequalities, topped up when there are none
     size = n * (n + 1) // 2 + 3 * m * n + 9 * m + 8 * n * n + 35 * n + 28 + (0 if m else 2 * n * (n + 1))
-    return _SlsqpCore(cset.lower, cset.upper, tuple(budgets), m, size, jac)
+    return _SlsqpCore(cset.lower, cset.upper, rows, budgets, products, m, size)
+
+
+#: the state SLSQP's core starts a pass from, as ``_minimize_slsqp`` builds
+#: it, but for the sizes ``m`` and ``n``
+_STATE = {"acc": FTOL, "alpha": 0.0, "f0": 0.0, "gs": 0.0, "h1": 0.0, "h2": 0.0, "h3": 0.0,
+          "h4": 0.0, "t": 0.0, "t0": 0.0, "tol": 10.0 * FTOL, "exact": 0, "inconsistent": 0,
+          "reset": 0, "iter": 0, "itermax": MAX_ITER, "line": 0, "meq": 0, "mode": 0}
 
 
 class SlsqpResult(NamedTuple):
@@ -204,11 +256,13 @@ def minimize(objective: _Objective, v: np.ndarray) -> SlsqpResult:
     spec's record, built once; only the point, the constraint vector and
     matrix, the multipliers and the workspace are new each pass.  The start
     is clipped to the box, mode 1 is answered with the value and the budget
-    values, written group by group into the constraint vector, and mode -1
-    with the gradient and the budget Jacobian.  The objective decides what
-    a request costs and counts it, as ``minimize``'s ``ScalarFunction``
-    does; the start's value and gradient count one each, as they do there,
-    even where a restarted pass starts at the point the objective holds.
+    values, written into the constraint vector one product per block of the
+    record's ``products``, through views sliced once per pass, and mode -1
+    with the gradient and the budget Jacobian, rewritten from the record's
+    rows.  The objective decides what a request costs and counts it, as
+    ``minimize``'s ``ScalarFunction`` does; the start's value and gradient
+    count one each, as they do there, even where a restarted pass starts at
+    the point the objective holds.
     Without a pinned core ``minimize`` itself runs, imported here; its
     warning that it clipped a point just outside the box is ignored, since
     the contrast is clamped there.
@@ -225,32 +279,34 @@ def minimize(objective: _Objective, v: np.ndarray) -> SlsqpResult:
                                     bounds=optimize.Bounds(core.xl, core.xu), constraints=budget,
                                     options={"maxiter": MAX_ITER, "ftol": FTOL})
         return SlsqpResult(res.x, res.fun, res.nit, res.nfev, res.njev, res.status)
-    x = np.clip(v, core.xl, core.xu)
-    n, m = x.size, core.m
-    d, C = np.zeros(max(m, 1)), np.array(core.jac, order="F")
-    for rows, a, bound in core.budgets:
-        np.subtract(bound, a @ x, out=d[rows])
-    state = {"acc": FTOL, "alpha": 0.0, "f0": 0.0, "gs": 0.0, "h1": 0.0, "h2": 0.0, "h3": 0.0,
-             "h4": 0.0, "t": 0.0, "t0": 0.0, "tol": 10.0 * FTOL, "exact": 0, "inconsistent": 0,
-             "reset": 0, "iter": 0, "itermax": MAX_ITER, "line": 0, "m": m, "meq": 0, "mode": 0,
-             "n": n}
+    x = v.clip(core.xl, core.xu)
+    n, m, xl, xu, rows = x.size, core.m, core.xl, core.xu, core.rows
+    d, C = np.zeros(max(m, 1)), np.zeros((max(m, 1), n), order="F")
+    if m:
+        np.negative(rows, C)
+    # each product's rows of d, sliced once per pass
+    products = [(d[block], a, b) for block, a, b in core.products]
+    for view, a, b in products:
+        np.subtract(b, a.dot(x), view)
+    state = {**_STATE, "m": m, "n": n}
     buffer = np.zeros(core.size)
     indices = np.zeros(m + 2 * n + 2, dtype=np.int32)
     mult = np.zeros(m + 2 * n + 2)
-    fx, g = objective.value(x), objective.grad(x)
+    value, grad, core_step = objective.value, objective.grad, _SLSQP
+    fx, g = value(x), grad(x)
     # the start counts one value and one gradient, as in scipy, also where they are held
     nfev, njev = objective.nfev - 1, objective.njev - 1
     while True:
-        _SLSQP(state, fx, g, C, d, x, mult, core.xl, core.xu, buffer, indices)
+        core_step(state, fx, g, C, d, x, mult, xl, xu, buffer, indices)
         mode = state["mode"]
         if mode == 1:
-            fx = objective.value(x)
-            for rows, a, bound in core.budgets:
-                np.subtract(bound, a @ x, out=d[rows])
+            fx = value(x)
+            for view, a, b in products:
+                np.subtract(b, a.dot(x), view)
         elif mode == -1:
-            g = objective.grad(x)
+            g = grad(x)
             if m:
-                C[:] = core.jac
+                np.negative(rows, C)
         else:
             break
     return SlsqpResult(x, fx, state["iter"], objective.nfev - nfev, objective.njev - njev, mode)
@@ -278,7 +334,7 @@ def _descend(objective: _Objective, cset: ConstraintSet, v, fv) -> FitResult:
         for _ in range(MAX_PASSES):
             res = minimize(objective, v)
             iterations += int(res.nit)
-            if not np.all(np.isfinite(res.x)) or not np.isfinite(res.fun):
+            if not (np.isfinite(res.x).all() and math.isfinite(res.fun)):
                 break
             w = cset.project(res.x)
             fw = objective.value(w)
@@ -351,7 +407,7 @@ def fit(spec: ModelSpec, x, warm=None) -> FitResult:
         return _certified(spec, cset, base, x, contrast(spec, base, x).gamma_bar,
                           gradient(spec, base, x))
     starts = [base]
-    if warm is not None and not np.array_equal(warm, base):
+    if warm is not None and (warm != base).any():
         starts.insert(0, warm)
 
     objective = _Objective(spec, x)
@@ -361,7 +417,7 @@ def fit(spec: ModelSpec, x, warm=None) -> FitResult:
         if descents[-1].converged:
             break
 
-    finite = [d for d in descents if np.isfinite(d.gamma_bar_min)]
+    finite = [d for d in descents if math.isfinite(d.gamma_bar_min)]
     if not finite:
         raise OptimizerDiverged(f"{spec.name}: no start produced a finite contrast")
     fbest = min(d.gamma_bar_min for d in finite)
@@ -375,8 +431,8 @@ def _warm_start(spec: ModelSpec, fits) -> np.ndarray | None:
     names it lacks set to zero; None when there is no such fit."""
     names = spec._names
     covered = set(names).issuperset
-    inner = [f for f in fits if np.isfinite(f.gamma_bar_min) and is_nested(f.spec, spec)
-             and covered(f.spec._names)]
+    inner = [f for f in fits if math.isfinite(f.gamma_bar_min) and covered(f.spec._names)
+             and is_nested(f.spec, spec)]
     if not inner:
         return None
     named = min(inner, key=lambda f: f.gamma_bar_min).theta.named()

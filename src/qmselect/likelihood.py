@@ -39,6 +39,13 @@ aparch adds its gamma entries and ararch its phi entry.  The squared mean
 residual is read where the recursion holds it (:func:`_resid2`): garch's
 and aparch's x^2 from the sample, ararch's z^2 from its ARCH input.
 
+Every public function refuses a series that is not 1-D, or is empty, with
+a ValueError (``models._as_series``); it reads the shape only, so the
+100,000-step oracle pays nothing for it.  :func:`gamma_bar` reads the
+moments as ``_Objective`` does, a constant one a scalar, so it fills no
+array of n copies; :func:`contrast`, which returns the terms, reads them
+from :func:`cond_moments`.
+
 ``_Objective`` is the contrast and gradient that SLSQP's passes in a fit
 share, with the contract of scipy's ``ScalarFunction``: it holds one point
 and the recursion built there, and reads the value and the gradient from
@@ -66,7 +73,9 @@ from .models import (
     ModelSpec,
     _Sample,
     _ar_filter,
+    _as_series,
     _as_values,
+    _moments,
     _moments_from,
     _power,
     _recursion,
@@ -101,7 +110,7 @@ class DerivEval:
 
 def contrast(spec: ModelSpec, theta, x) -> ContrastEval:
     """Evaluate the contrast: its per-observation terms and their mean."""
-    x = np.asarray(x, dtype=float)
+    x = _as_series(x)
     cm = cond_moments(spec, theta, x)
     # optimizer probes at explosive parameters can overflow; an infinite
     # contrast is the correct "move away" signal there
@@ -117,9 +126,9 @@ def _contrast_from(x: np.ndarray, f_hat, h_hat, resid2=None) -> tuple[np.ndarray
     (x - f_hat)^2 where the caller holds it (:func:`_resid2`); otherwise it
     is squared here as an unnamed temporary, which numpy reuses in place on
     a long series (the 100,000-step oracle).  The mean is ``sum / n``, what
-    ``np.mean`` computes, without its Python wrapper."""
+    ``np.mean`` computes, by the ufunc reduction it calls."""
     per_t = ((x - f_hat) ** 2 if resid2 is None else resid2) / h_hat + np.log(h_hat)
-    gamma_bar = float(per_t.sum() / per_t.size)
+    gamma_bar = float(np.add.reduce(per_t) / per_t.size)
     if not math.isfinite(gamma_bar):
         gamma_bar = float("inf")
     return per_t, gamma_bar
@@ -136,12 +145,19 @@ def _resid2(spec: ModelSpec, rec, sample: _Sample) -> np.ndarray | None:
 
 
 def gamma_bar(spec: ModelSpec, theta, x) -> float:
-    return contrast(spec, theta, x).gamma_bar
+    """The mean of :func:`contrast`'s terms, to the bit, without keeping
+    them: the moments are read as ``_Objective`` reads them, a constant one
+    a scalar (``models._moments``), so no array of n copies is filled."""
+    v = _as_values(spec, theta)
+    x = _as_series(x)
+    cm = _moments(spec, v, x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _contrast_from(x, cm.f_hat, cm.h_hat)[1]
 
 
 def residuals(spec: ModelSpec, theta, x) -> np.ndarray:
     """Standardized residuals (x_t - f_hat_t) / sqrt(h_hat_t)."""
-    x = np.asarray(x, dtype=float)
+    x = _as_series(x)
     cm = cond_moments(spec, theta, x)
     return (x - cm.f_hat) / np.sqrt(cm.h_hat)
 
@@ -195,7 +211,7 @@ def gradient(spec: ModelSpec, theta, x) -> np.ndarray:
     """Gradient of gamma_bar: the mean of the per-observation gradients,
     computed without them (see :func:`_gradient_from`)."""
     v = _as_values(spec, theta)
-    x = np.asarray(x, dtype=float)
+    x = _as_series(x)
     sample = _Sample(x)
     with np.errstate(over="ignore", invalid="ignore"):
         return _gradient_from(spec, v, x, _recursion(spec, v, x, sample), sample)
@@ -305,16 +321,20 @@ class _Objective:
         self.spec, self.x = spec, x
         self.sample = _Sample(x)
         self.nfev = self.njev = 0
-        self._point = self._rec = self._h = self._value = self._grad = None
+        self._key = self._point = self._rec = self._h = self._value = self._grad = None
 
     def _move(self, v: np.ndarray) -> None:
-        """Make ``v`` the held point, with a recursion of its own, unless it is held already."""
-        if self._point is not None and (v == self._point).all():
+        """Make ``v`` the held point, with a recursion of its own, unless it is
+        held already: its entries equal the held point's, compared as Python
+        floats, which compare as numpy's ``==`` does (0.0 equals -0.0, a nan
+        equals nothing)."""
+        key = v.tolist()
+        if key == self._key:
             return
         # drop the held point's arrays first, so the two recursions never coexist
-        self._point = self._rec = self._h = self._value = self._grad = None
+        self._key = self._point = self._rec = self._h = self._value = self._grad = None
         rec = _recursion(self.spec, v, self.x, self.sample)
-        self._point, self._rec, self._h = v.copy(), rec, np.maximum(rec.h, H_FLOOR)
+        self._key, self._point, self._rec, self._h = key, v.copy(), rec, np.maximum(rec.h, H_FLOOR)
 
     def value(self, v: np.ndarray) -> float:
         self._move(v)
@@ -356,7 +376,7 @@ def derivatives(spec: ModelSpec, theta, x) -> DerivEval:
     to tune.
     """
     v = _as_values(spec, theta)
-    x = np.asarray(x, dtype=float)
+    x = _as_series(x)
     sample = _Sample(x)
     hess = np.empty((v.size, v.size))
     scores = np.empty((v.size, x.size))

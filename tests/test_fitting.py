@@ -1,9 +1,12 @@
+import itertools
 import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import qmselect as q
@@ -14,7 +17,7 @@ from qmselect.fitting import _start_point, _warm_start, projected_grad_norm
 from qmselect.models import constraint_set, is_nested
 from qmselect.montecarlo import derive_seed
 
-from conftest import DGP1, DGP2, DGP3
+from conftest import DGP1, DGP2, DGP3, SHIPPED_SPECS, draw_edge_vector
 
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
@@ -393,6 +396,35 @@ def test_a_warm_start_at_the_optimum_certifies_without_moving(monkeypatch, spec,
     res = q.fit(spec, x, optimum)
     assert len(x0s) == 1 and np.array_equal(x0s[0], optimum)
     assert res.converged and np.array_equal(res.theta.values, optimum)
+
+
+@pytest.mark.parametrize("spec,theta", RECURSION_CASES, ids=[str(s) for s, _ in RECURSION_CASES])
+def test_a_warm_refit_at_a_certified_optimum_is_one_descent_of_one_pass(monkeypatch, spec, theta):
+    # the bootstrap's path: each resample is refitted warm from the fit it
+    # perturbs; at a certified optimum that is one descent of one SLSQP pass,
+    # and the refit is the fit, to the bit
+    x = q.simulate(spec, theta, 600, seed=32).values
+    first = q.fit(spec, x)
+    assert first.converged
+    descents, passes = [], []
+    real_descend, real_minimize = qmselect.fitting._descend, qmselect.fitting.minimize
+
+    def descend(objective, cset, v, fv):
+        descents.append(v.copy())
+        return real_descend(objective, cset, v, fv)
+
+    def minimize(objective, v):
+        passes.append(v.copy())
+        return real_minimize(objective, v)
+
+    monkeypatch.setattr(qmselect.fitting, "_descend", descend)
+    monkeypatch.setattr(qmselect.fitting, "minimize", minimize)
+    refit = q.fit(spec, x, first.theta)
+    assert len(descents) == len(passes) == 1
+    assert descents[0].tobytes() == passes[0].tobytes() == first.theta.values.tobytes()
+    assert refit.theta.values.tobytes() == first.theta.values.tobytes()
+    assert (refit.gamma_bar_min, refit.grad_norm, refit.converged) == \
+        (first.gamma_bar_min, first.grad_norm, True)
 
 
 @pytest.mark.parametrize("spec,theta", RECURSION_CASES, ids=[str(s) for s, _ in RECURSION_CASES])
@@ -782,3 +814,123 @@ def test_start_point_matches_second_moment():
     v = _start_point(q.garch(1, 1), constraint_set(q.garch(1, 1)), x)
     assert v[0] == pytest.approx(9.0)
     assert_allclose(v[1:], 0.0)
+
+
+def _start_point_reference(spec, cset, x):
+    """``_start_point`` as it was written before its projection became the
+    box clip: the reference of the oracle below."""
+    m2 = float(np.mean(x**2))
+    v = np.zeros(spec.dim)
+    v[spec.layout.sigma] = np.sqrt(m2)
+    v[spec.layout.omega] = m2 ** (spec.delta / 2.0)
+    return cset.project(v)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(spec=st.sampled_from(SHIPPED_SPECS),
+       x=st.lists(st.one_of(st.floats(-1e3, 1e3), st.floats(-1e-4, 1e-4), st.just(-0.0)),
+                  min_size=1, max_size=40),
+       scale=st.sampled_from([1e-200, 1e-3, 1.0, 1e3, 1e200]))
+def test_the_start_point_is_the_clip_to_the_bit(spec, x, scale):
+    # every budgeted entry of the start is 0, so its projection is its clip:
+    # the same bits as the projection, the scale entry on its bounds too
+    # (a tiny or huge series' second moment is clipped)
+    cset = constraint_set(spec)
+    series = np.asarray(x) * scale
+    with np.errstate(over="ignore", under="ignore"):
+        want = _start_point_reference(spec, cset, series)
+        got = _start_point(spec, cset, series)
+    assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_the_projected_gradient_norm_keeps_the_bits_of_its_reference(data):
+    # the certificate's norm, np.max's reduction called directly, on every
+    # shipped spec's set, at points and gradients with nan, +-inf and -0.0
+    spec = data.draw(st.sampled_from(SHIPPED_SPECS))
+    cset = constraint_set(spec)
+    v, g = draw_edge_vector(data, cset), draw_edge_vector(data, cset)
+    with np.errstate(all="ignore"):
+        try:
+            want = float(np.max(np.abs(v - cset.project(v - g))))
+        except IndexError:  # an infinite entry in a budget: both raise
+            with pytest.raises(IndexError):
+                projected_grad_norm(cset, v, g)
+            return
+        got = projected_grad_norm(cset, v, g)
+    assert np.array([got]).tobytes() == np.array([want]).tobytes()
+
+
+def _budget_reference(spec):
+    """The budget blocks and bounds, and the Jacobian ``-A``, as they were
+    built before the record kept its rows once: each group's sign rows a
+    matrix of its own, from ``itertools.product``, stacked for the Jacobian."""
+    cs, blocks = constraint_set(spec), []
+    for g in cs.groups:
+        idx, signed = list(g.indices), cs.lower[g.indices[0]] < 0.0
+        signs = list(itertools.product((1.0, -1.0), repeat=len(idx))) if signed else [(1.0,) * len(idx)]
+        a = np.zeros((len(signs), spec.dim))
+        a[:, idx] = signs
+        blocks.append((a, g.bound))
+    jac = np.array(-np.vstack([a for a, _ in blocks]) if blocks else np.zeros((1, spec.dim)), order="F")
+    return blocks, jac
+
+
+def _scripted_pass(spec, points):
+    """The constraint vectors and matrices minimize hands a scripted core
+    that asks for a value at each of ``points``, scrambling what it is
+    handed, then for a gradient at the last: (point, d, C) per core call,
+    with the request each call answered (0 for the start)."""
+    script = [(1, p) for p in points] + [(-1, points[-1]), (0, points[-1])]
+    seen = []
+
+    def core(state, fx, g, C, d, xk, mult, xl, xu, buffer, indices):
+        asked = script[len(seen) - 1][0] if seen else 0
+        seen.append((asked, xk.copy(), d.copy(), C.copy(order="F")))
+        mode, point = script[len(seen) - 1]
+        C[:], d[:] = np.nan, np.nan
+        xk[:] = point
+        state["mode"] = mode
+
+    x = np.random.default_rng(5).standard_normal(60)
+    start = constraint_set(spec).project(np.full(spec.dim, 0.1))
+    with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+        mp.setattr(qmselect.fitting, "_SLSQP", core)
+        qmselect.fitting.minimize(qmselect.likelihood._Objective(spec, x), start)
+    return seen
+
+
+def _assert_budget_values_are_the_references(spec, seen):
+    blocks, jac = _budget_reference(spec)
+    with np.errstate(all="ignore"):
+        for i, (asked, xk, d, C) in enumerate(seen):
+            if asked in (0, 1):  # the start, or a value request just answered
+                want = np.concatenate([b - a @ xk for a, b in blocks]) if blocks else np.zeros(1)
+                assert d.tobytes() == want.tobytes(), (spec, i)
+            if asked in (0, -1):
+                assert C.tobytes("F") == jac.tobytes("F"), (spec, i)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_minimize_hands_the_core_the_budget_values_of_their_reference(data):
+    # a scripted core asks for values at points with nan, +-inf, -0.0 and
+    # box edges; each constraint vector minimize then hands it, one product
+    # per run of groups of at most two members, has the bits of the group by
+    # group reference, and each Jacobian handed back after a gradient
+    # request those of -A
+    spec = data.draw(st.sampled_from([s for s in SHIPPED_SPECS if s.dim > 1]))
+    points = [draw_edge_vector(data, constraint_set(spec)) for _ in range(3)]
+    _assert_budget_values_are_the_references(spec, _scripted_pass(spec, points))
+
+
+def test_every_shipped_spec_gets_the_budget_values_of_their_reference():
+    # a group of three or more members is a product of its own: stacked
+    # after a short group, arma(1,6)'s 64 sign rows sum in another order on
+    # some points, so every shipped spec is run here, each at 30 points
+    rng = np.random.default_rng(17)
+    for spec in SHIPPED_SPECS:
+        if spec.dim > 1:
+            points = list(rng.standard_normal((30, spec.dim)) * rng.choice([1e-3, 1.0, 1e3], (30, spec.dim)))
+            _assert_budget_values_are_the_references(spec, _scripted_pass(spec, points))

@@ -10,12 +10,16 @@ import sys
 import numpy as np
 import pytest
 import scipy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.signal import lfilter
 
 import qmselect as q
 from qmselect import fitting, models
 from qmselect.models import H_FLOOR, _lag
+
+from conftest import SHIPPED_SPECS, draw_edge_vector
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +396,7 @@ def test_a_signed_budget_above_the_cap_is_refused_before_its_rows_are_built(monk
 
     cs = q.constraint_set(spec)
     monkeypatch.setattr(itertools, "product", no_rows)
+    monkeypatch.setattr(np, "zeros", no_rows)  # the budget matrix is allocated with it
     with pytest.raises(q.UnsupportedFamily, match=r"signed budget of 17 coefficients takes 2\^17 SLSQP rows"):
         fitting._problem(spec)
     monkeypatch.undo()
@@ -417,6 +422,67 @@ def test_project_returns_a_new_array_the_caller_may_write(spec):
         projected[:] = 123.0
         assert np.array_equal(point, before)
         assert np.array_equal(cs.project(point), expected)
+
+
+def _members_reference(cs):
+    """Each group's indices as an array, whether it is signed, and its bound,
+    as ``ConstraintSet._members`` held them before a run became a slice."""
+    return [(np.array(g.indices), bool(cs.lower[g.indices[0]] < 0.0), g.bound) for g in cs.groups]
+
+
+def _contains_reference(cs, values):
+    """``ConstraintSet.contains`` as it was written before its box test
+    became one pass: the reference of the oracle below."""
+    v = np.asarray(values, dtype=float)
+    if v.shape != cs.lower.shape or not np.all(np.isfinite(v)):
+        return False
+    tol = models.FEASIBILITY_TOL
+    if np.any(v < cs.lower - tol) or np.any(v > cs.upper + tol):
+        return False
+    return all(np.sum(np.abs(v[idx])) <= bound + tol for idx, _, bound in _members_reference(cs))
+
+
+def _project_reference(cs, values):
+    """``ConstraintSet.project`` as it was written before a group inside its
+    budget kept its entries: the reference of the oracle below."""
+    y = np.asarray(values, dtype=float)
+    v = np.clip(y, cs.lower, cs.upper)
+    for idx, signed, bound in _members_reference(cs):
+        a = np.abs(y[idx]) if signed else np.maximum(y[idx], 0.0)
+        if a.sum() > bound:
+            u = np.sort(a)[::-1]
+            excess = np.cumsum(u) - bound
+            rho = np.nonzero(u * np.arange(1, u.size + 1) > excess)[0][-1]
+            a = np.maximum(a - excess[rho] / (rho + 1), 0.0)
+        v[idx] = np.copysign(a, y[idx]) if signed else a
+    return v
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` gives, bytes for an array, or the class of what it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            got = fn(*args)
+    except Exception as exc:  # the reference raises too, with the same class
+        return type(exc)
+    return got.tobytes() if isinstance(got, np.ndarray) else got
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_contains_and_project_keep_the_bits_of_their_reference(data):
+    # on every shipped spec's set and on vectors with nan, +-inf, -0.0 and
+    # entries on or one tolerance beside a box edge, the rewritten tests and
+    # projection give what the reference gives, to the bit; a point on a
+    # budget face, and one just outside it, are tested too
+    spec = data.draw(st.sampled_from(SHIPPED_SPECS))
+    cs = q.constraint_set(spec)
+    v = draw_edge_vector(data, cs)
+    with np.errstate(all="ignore"):
+        face = _project_reference(cs, np.nan_to_num(v, nan=0.5, posinf=3.0, neginf=-3.0) * 3.0)
+    for w in (v, face, face * (1.0 + 1e-9), face + models.FEASIBILITY_TOL):
+        assert cs.contains(w) is _contains_reference(cs, w)
+        assert _outcome(cs.project, w) == _outcome(_project_reference, cs, w)
 
 
 @pytest.mark.parametrize("sigma", [0.5, 1.0, 1.3, 2.0])
