@@ -253,14 +253,16 @@ def minimize(objective: _Objective, v: np.ndarray) -> SlsqpResult:
     With a pinned core (``_SLSQP``, see ``models._pinned_core``) the core is
     driven directly, on the inputs ``minimize`` builds for it and without
     ``minimize``'s per-callback wrappers.  Its read-only inputs are the
-    spec's record, built once; only the point, the constraint vector and
-    matrix, the multipliers and the workspace are new each pass.  The start
-    is clipped to the box, mode 1 is answered with the value and the budget
-    values, written into the constraint vector one product per block of the
-    record's ``products``, through views sliced once per pass, and mode -1
-    with the gradient and the budget Jacobian, rewritten from the record's
-    rows.  The objective decides what a request costs and counts it, as
-    ``minimize``'s ``ScalarFunction`` does; the start's value and gradient
+    spec's record, built once, and the constraint matrix, the record's
+    ``jac``, built once per pass: the core only reads it (the tests hold it
+    to that), so no request rewrites it, as scipy's driver does.  The point,
+    the constraint vector, the multipliers and the workspace are new each
+    pass.  The start is clipped to the box, mode 1 is answered with the
+    value and the budget values, written into the constraint vector one
+    product per block of the record's ``products``, through views sliced
+    once per pass, and mode -1 with the gradient.  The objective decides
+    what a request costs and counts it, as ``minimize``'s
+    ``ScalarFunction`` does; the start's value and gradient
     count one each, as they do there, even where a restarted pass starts at
     the point the objective holds.
     Without a pinned core ``minimize`` itself runs, imported here; its
@@ -280,10 +282,8 @@ def minimize(objective: _Objective, v: np.ndarray) -> SlsqpResult:
                                     options={"maxiter": MAX_ITER, "ftol": FTOL})
         return SlsqpResult(res.x, res.fun, res.nit, res.nfev, res.njev, res.status)
     x = v.clip(core.xl, core.xu)
-    n, m, xl, xu, rows = x.size, core.m, core.xl, core.xu, core.rows
-    d, C = np.zeros(max(m, 1)), np.zeros((max(m, 1), n), order="F")
-    if m:
-        np.negative(rows, C)
+    n, m, xl, xu = x.size, core.m, core.xl, core.xu
+    d, C = np.zeros(max(m, 1)), core.jac
     # each product's rows of d, sliced once per pass
     products = [(d[block], a, b) for block, a, b in core.products]
     for view, a, b in products:
@@ -305,8 +305,6 @@ def minimize(objective: _Objective, v: np.ndarray) -> SlsqpResult:
                 np.subtract(b, a.dot(x), view)
         elif mode == -1:
             g = grad(x)
-            if m:
-                np.negative(rows, C)
         else:
             break
     return SlsqpResult(x, fx, state["iter"], objective.nfev - nfev, objective.njev - njev, mode)

@@ -65,8 +65,9 @@ def info_matrices(fit_result, x) -> InfoMatrices:
     Raises
     ------
     ValueError
-        when the fit did not converge, or -f_hat or g_hat is not finite: a
-        programming error, never an excluded model.
+        when the fit did not converge, ``x`` is not as long as the series
+        it was fitted on, or -f_hat or g_hat is not finite: a programming
+        error, never an excluded model.
     SingularF
         when -f_hat fails the numerical rank screen; callers treat the model
         as unusable for determinant-based criteria.
@@ -75,6 +76,9 @@ def info_matrices(fit_result, x) -> InfoMatrices:
         raise ValueError(f"{fit_result.spec.name}: info matrices need a converged fit")
     x = np.asarray(x, dtype=float)
     n = x.size
+    if n != fit_result.n_used:
+        raise ValueError(f"{fit_result.spec.name} was fitted on {fit_result.n_used} observations, "
+                         f"the series has {n}")
     deriv = derivatives(fit_result.spec, fit_result.theta.values, x)
     f_hat = -0.5 * deriv.hessian
     neg_f = -f_hat

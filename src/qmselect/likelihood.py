@@ -25,12 +25,14 @@ serve the information matrices.  Finite differences remain only in the
 tests, as oracles.
 
 Each family's recursion is one pass over the sample (``models._recursion``)
-that returns one named record; the conditional moments and the gradient are
-read from its fields (``models._moments_from``, :func:`_gradient_from`).  What
-they read of the sample that no parameter moves, x^2, |x|, the mask x != 0
-and x_{t-1}, is one record per sample (``models._Sample``) that builds each
-on first read: ``_Objective`` holds one per fit, :func:`derivatives` one for
-all its complex steps, and each public function one per call.  Every
+that returns one record per point, ``models._Recursion``: its spec, its
+parameters, its sample, its variance clamped at ``H_FLOOR`` and its
+filter's outputs.  The gradient (:func:`_gradient_from`) and the squared
+residual (:func:`_resid2`) read that record alone.  What it reads of the
+sample that no parameter moves, x^2, |x|, the mask x != 0 and x_{t-1}, is
+one record per sample (``models._Sample``) that builds each on first read:
+``_Objective`` holds one per fit, :func:`derivatives` one for all its
+complex steps, and each public function one per call.  Every
 family has one score weight d gamma_t / d level_t, arma's linear in its
 residuals and the three ARCH families' :func:`_level_ratio` of their one
 variance filter (garch and ararch are its delta = 2 case), so all four share
@@ -55,8 +57,8 @@ build two, in either order.  Its values are exactly theirs, so
 ``fitting._certified`` certifies each descent's end point from the value
 and gradient the objective holds there, with no second evaluation.  A point
 costs SLSQP one recursion and one reduction for the value, read from the
-recursion's fields (constant moments stay scalars, see
-``models._moments_from``), and one backward pass for the gradient.  The
+recursion's fields (constant moments stay scalars), and one backward pass
+for the gradient.  The
 public functions enter ``np.errstate`` themselves; the objective's callbacks
 run in the error state that ``fitting._descend`` enters once per descent.
 """
@@ -76,7 +78,6 @@ from .models import (
     _as_series,
     _as_values,
     _moments,
-    _moments_from,
     _power,
     _recursion,
     cond_moments,
@@ -134,14 +135,15 @@ def _contrast_from(x: np.ndarray, f_hat, h_hat, resid2=None) -> tuple[np.ndarray
     return per_t, gamma_bar
 
 
-def _resid2(spec: ModelSpec, rec, sample: _Sample) -> np.ndarray | None:
+def _resid2(rec) -> np.ndarray | None:
     """The squared mean residual that an ARCH family's recursion ``rec``
     already holds: the sample's x^2 for garch and aparch, whose mean is 0,
     and for ararch(p >= 1) its ARCH input z^2, squared once in the
     recursion; None for arma and ararch(0), which hold none."""
-    if spec.family is Family.ARARCH:
+    fam = rec.spec.family
+    if fam is Family.ARARCH:
         return rec.inputs[0] if rec.inputs else None
-    return None if spec.family is Family.ARMA else sample.x2
+    return None if fam is Family.ARMA else rec.sample.x2
 
 
 def gamma_bar(spec: ModelSpec, theta, x) -> float:
@@ -164,7 +166,7 @@ def residuals(spec: ModelSpec, theta, x) -> np.ndarray:
 
 def mu4_hat(xi) -> float:
     """Scale-free fourth-moment ratio mean(xi^4) / mean(xi^2)^2 (>= 1)."""
-    xi = np.asarray(xi, dtype=float)
+    xi = _as_series(xi)
     m2 = float(np.mean(xi**2))
     if not m2 > 0:
         raise ValueError("fourth-moment ratio undefined for an all-zero series")
@@ -212,19 +214,15 @@ def gradient(spec: ModelSpec, theta, x) -> np.ndarray:
     computed without them (see :func:`_gradient_from`)."""
     v = _as_values(spec, theta)
     x = _as_series(x)
-    sample = _Sample(x)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _gradient_from(spec, v, x, _recursion(spec, v, x, sample), sample)
+        return _gradient_from(_recursion(spec, v, _Sample(x)))
 
 
-def _gradient_from(spec: ModelSpec, v: np.ndarray, x: np.ndarray, rec, sample: _Sample | None = None,
-                   h: np.ndarray | None = None) -> np.ndarray:
-    """Mean score from the recursion ``models._recursion`` built at ``v``: the
-    one hand-derived derivative of every family, which also runs on complex
-    ``v``, for the Hessian.  Callers hold the floating-point error state.
-    ``sample`` holds x's parameter-free transforms (``models._Sample``),
-    built here when not given, and ``h`` the ARCH variance clamped at
-    ``H_FLOOR`` where the caller holds it already.
+def _gradient_from(rec) -> np.ndarray:
+    """Mean score at the point of the recursion ``rec`` (``models._Recursion``),
+    read from the record alone: the one hand-derived derivative of every
+    family, which also runs on a complex point, for the Hessian.  Callers
+    hold the floating-point error state.
 
     Every score is ``w_t (L u_k)_t`` with ``L`` the family's filter, so its
     mean is ``<r, u_k> / n`` with ``r = L^T w`` the filter run backwards over
@@ -237,19 +235,17 @@ def _gradient_from(spec: ModelSpec, v: np.ndarray, x: np.ndarray, rec, sample: _
     identity) are per family.  The ARCH weight reads the squared residual
     the recursion holds (:func:`_resid2`), squared here only for ararch(0).
     """
-    fam, lay, n = spec.family, spec.layout, x.size
-    if sample is None:
-        sample = _Sample(x)
+    spec, v, sample = rec.spec, rec.v, rec.sample
+    fam, lay, x = spec.family, spec.layout, sample.x
+    n = x.size
     z = rec.resid  # x itself for garch and aparch
     if fam is Family.ARMA:
         sigma = v[lay.sigma.start]
         w, sign, block_a, block_b = (2.0 / sigma**2) * z, -1.0, lay.ar, lay.ma
     else:
-        if h is None:
-            h = np.maximum(rec.h, H_FLOOR)
         sign, block_a, block_b = 1.0, lay.a, lay.b
-        resid2 = _resid2(spec, rec, sample)
-        w = _level_ratio(spec.delta, z**2 if resid2 is None else resid2, rec.level, rec.h, h)
+        resid2 = _resid2(rec)
+        w = _level_ratio(spec.delta, z**2 if resid2 is None else resid2, rec.level, rec.h, rec.h_hat)
     r = _adjoint(rec.poly, w)
     del w  # freed before the per-entry passes, where a complex step peaks
     g = np.empty(spec.dim, dtype=r.dtype)
@@ -272,7 +268,7 @@ def _gradient_from(spec: ModelSpec, v: np.ndarray, x: np.ndarray, rec, sample: _
         # phi moves the mean and, through every lagged z, the variance
         zx1 = z * sample.lag1
         phi = lay.phi.start
-        g[phi] = -2.0 * _lagged_dot(z / h, x, 1) / n  # ararch's level is its variance
+        g[phi] = -2.0 * _lagged_dot(z / rec.h_hat, x, 1) / n  # ararch's level is its variance
         for i in range(spec.p):
             g[phi] -= 2.0 * a[i] * _lagged_dot(r, zx1, i + 1) / n
     return g
@@ -297,9 +293,9 @@ class _Objective:
     ``ScalarFunction``, which ``scipy.optimize.minimize`` wraps around its
     callbacks.
 
-    The objective holds one point, a copy, and the recursion built there,
-    with the variance clamped at ``H_FLOOR`` as ``models._moments_from``
-    clamps it.  :meth:`value` and :meth:`grad` first make their point the
+    The objective holds one point as the recursion built there, on a copy
+    of the point (SLSQP writes its own in place).  :meth:`value` and
+    :meth:`grad` first make their point the
     held one, building its recursion, unless it equals the held point; then
     each reads its result from the recursion on its first request at that
     point, counts it in ``nfev`` or ``njev``, and keeps it.  So SLSQP's
@@ -321,7 +317,7 @@ class _Objective:
         self.spec, self.x = spec, x
         self.sample = _Sample(x)
         self.nfev = self.njev = 0
-        self._key = self._point = self._rec = self._h = self._value = self._grad = None
+        self._key = self._rec = self._value = self._grad = None
 
     def _move(self, v: np.ndarray) -> None:
         """Make ``v`` the held point, with a recursion of its own, unless it is
@@ -332,22 +328,21 @@ class _Objective:
         if key == self._key:
             return
         # drop the held point's arrays first, so the two recursions never coexist
-        self._key = self._point = self._rec = self._h = self._value = self._grad = None
-        rec = _recursion(self.spec, v, self.x, self.sample)
-        self._key, self._point, self._rec, self._h = key, v.copy(), rec, np.maximum(rec.h, H_FLOOR)
+        self._key = self._rec = self._value = self._grad = None
+        self._key, self._rec = key, _recursion(self.spec, v.copy(), self.sample)
 
     def value(self, v: np.ndarray) -> float:
         self._move(v)
         if self._value is None:
             rec = self._rec
-            self._value = _contrast_from(self.x, rec.f, self._h, _resid2(self.spec, rec, self.sample))[1]
+            self._value = _contrast_from(self.x, rec.f, rec.h_hat, _resid2(rec))[1]
             self.nfev += 1
         return self._value
 
     def grad(self, v: np.ndarray) -> np.ndarray:
         self._move(v)
         if self._grad is None:
-            self._grad = _gradient_from(self.spec, self._point, self.x, self._rec, self.sample, self._h)
+            self._grad = _gradient_from(self._rec)
             self.njev += 1
         return self._grad
 
@@ -381,17 +376,15 @@ def derivatives(spec: ModelSpec, theta, x) -> DerivEval:
     hess = np.empty((v.size, v.size))
     scores = np.empty((v.size, x.size))
     with np.errstate(over="ignore", invalid="ignore"):
-        rec = _recursion(spec, v, x, sample)
-        cm, real_inputs = _moments_from(rec), rec.inputs
-        resid = x - cm.f_hat
-        w_f = (-2.0 / CS_STEP) * resid / cm.h_hat
-        w_h = (cm.h_hat - resid**2) / (CS_STEP * cm.h_hat**2)
+        rec = _recursion(spec, v, sample)
+        real_inputs, resid = rec.inputs, x - rec.f
+        w_f = (-2.0 / CS_STEP) * resid / rec.h_hat
+        w_h = (rec.h_hat - resid**2) / (CS_STEP * rec.h_hat**2)
         v_complex = v.astype(complex)
         for k in range(v.size):
             vc = v_complex.copy()
             vc[k] += 1j * CS_STEP
-            rec = _recursion(spec, vc, x, sample, real_inputs)
-            cmc = _moments_from(rec)
-            hess[:, k] = _gradient_from(spec, vc, x, rec, sample, cmc.h_hat).imag / CS_STEP
-            scores[k] = w_f * np.imag(cmc.f_hat) + w_h * np.imag(cmc.h_hat)
+            rec = _recursion(spec, vc, sample, real_inputs)
+            hess[:, k] = _gradient_from(rec).imag / CS_STEP
+            scores[k] = w_f * np.imag(rec.f) + w_h * np.imag(rec.h_hat)
     return DerivEval(0.5 * (hess + hess.T), scores.T)

@@ -40,9 +40,10 @@ one-coefficient denominator is handled in the helper too, as one
 arma(p,0) residuals and the arma(0,q) paths).  Only the
 all-pole filter with denominator 1 is skipped before the helper
 (:func:`_ar_filter`): it is the identity.
-Each family's recursion is one pass over the sample that returns one named
-record (:func:`_recursion`); the conditional moments and the mean gradient
-of :mod:`.likelihood` are read from its fields.  What a recursion reads of
+Each family's recursion is one pass over the sample (:func:`_recursion`)
+that returns the whole state of one point (:class:`_Recursion`); the
+conditional moments and the mean gradient of :mod:`.likelihood` read that
+record alone.  What a recursion reads of
 the sample that does not depend on the parameters, x^2 (garch's input), |x|
 and the mask x != 0 (aparch's) and x_{t-1} (ararch's), is one record per
 sample (:class:`_Sample`) that builds each of these on first read and keeps
@@ -74,7 +75,7 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from importlib.machinery import PathFinder
 from importlib.util import module_from_spec
@@ -687,7 +688,7 @@ class CondMoments:
     """Fitted conditional mean and variance series, truncated convention.
 
     :func:`cond_moments` returns arrays; inside the package a constant moment
-    may be held as a scalar (see :func:`_moments_from`)."""
+    may be held as a scalar (see :class:`_Recursion`)."""
 
     f_hat: np.ndarray
     h_hat: np.ndarray
@@ -765,23 +766,35 @@ def _ar_filter(poly: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 @dataclass(slots=True)
 class _Recursion:
-    """A family's truncated recursion at one point: the one pass over the
-    sample that the conditional moments and the mean gradient are read from.
+    """A family's truncated recursion at one point, the whole state of that
+    point: its ``spec``, its parameters ``v``, its ``sample`` (:class:`_Sample`;
+    x is ``sample.x``) and the one pass over it that the conditional moments
+    and the mean gradient are read from.
 
     ``level`` is the output of the family's filter and ``poly`` that filter's
     AR polynomial: the arma residuals and the MA polynomial, or an ARCH
     family's unclamped variance (aparch: power sigma ** delta) and
     ``[1, -b]``.  ``inputs`` holds the unlagged input of each a-block
     coefficient (x for arma's AR), ``resid`` the mean residual x - f (x itself
-    for garch and aparch).  ``f`` and ``h`` are the conditional mean and the variance before
-    its floor; a constant one is a scalar (see :func:`_moments_from`)."""
+    for garch and aparch).  ``f`` and ``h`` are the conditional mean and the
+    variance before its floor, ``h_hat`` the variance clamped at ``H_FLOOR``,
+    built with the record.  A constant moment is a scalar, arma's variance
+    and garch's and aparch's mean 0.0: the contrast broadcasts it, so nothing
+    fills n copies; :func:`cond_moments` returns full arrays."""
 
+    spec: ModelSpec
+    v: np.ndarray
+    sample: _Sample
     f: np.ndarray | float
     h: np.ndarray | float
     resid: np.ndarray
     poly: np.ndarray
     level: np.ndarray
     inputs: list[np.ndarray]
+    h_hat: np.ndarray | float = field(init=False)
+
+    def __post_init__(self):
+        self.h_hat = np.maximum(self.h, H_FLOOR)
 
 
 #: the parameter-free transforms of a sample that the recursions and the
@@ -817,14 +830,14 @@ class _Sample:
         return value
 
 
-def _arma_residuals(spec: ModelSpec, v: np.ndarray, x: np.ndarray) -> _Recursion:
+def _arma_residuals(spec: ModelSpec, v: np.ndarray, sample: _Sample) -> _Recursion:
     """Truncated ARMA residuals eps, filtered by the MA polynomial."""
-    lay = spec.layout
+    lay, x = spec.layout, sample.x
     # both polynomials in one array, [1, -a..., 1, b...]
     polys = np.concatenate((_ONE, -v[lay.ar], _ONE, v[lay.ma]))
     ar, ma = polys[: spec.p + 1], polys[spec.p + 1 :]
     eps = _lfilter(ar, ma, x)
-    return _Recursion(x - eps, v[lay.sigma.start] ** 2, eps, ma, eps, [x] * spec.p)
+    return _Recursion(spec, v, sample, x - eps, v[lay.sigma.start] ** 2, eps, ma, eps, [x] * spec.p)
 
 
 def _arch_filter(v: np.ndarray, layout: _Layout, inputs, n: int):
@@ -874,9 +887,9 @@ def _power(base: np.ndarray, d: float, where=True) -> np.ndarray:
     return power
 
 
-def _recursion(spec: ModelSpec, v: np.ndarray, x: np.ndarray, sample: _Sample | None = None,
+def _recursion(spec: ModelSpec, v: np.ndarray, sample: _Sample,
                real_inputs: list[np.ndarray] | None = None) -> _Recursion:
-    """The family's truncated recursion at ``v``.
+    """The family's truncated recursion at ``v`` on ``sample.x``.
 
     An ARCH family feeds :func:`_arch_filter`: garch the square x_t^2, shared
     by every lag; ararch the square of its AR(1) residual
@@ -888,23 +901,21 @@ def _recursion(spec: ModelSpec, v: np.ndarray, x: np.ndarray, sample: _Sample | 
     entry's imaginary part is 0.
 
     x^2, |x| and x_{t-1} are read from ``sample``, the record of x's
-    parameter-free transforms (:class:`_Sample`), built here when not given.
+    parameter-free transforms (:class:`_Sample`).
     ``real_inputs`` are the inputs of the recursion at the real part of a
     complex-step ``v``: an aparch input whose gamma_i is not stepped has no
     imaginary part, and its real part is the bits of the input there, so it
     is taken from ``real_inputs``."""
-    fam, lay = spec.family, spec.layout
+    fam, lay, x = spec.family, spec.layout, sample.x
     if fam is Family.ARMA:
-        return _arma_residuals(spec, v, x)
-    if sample is None:
-        sample = _Sample(x)
+        return _arma_residuals(spec, v, sample)
     if fam is Family.APARCH:
         gamma = v[lay.gamma]
         inputs = [real_inputs[i] if real_inputs is not None and gamma[i].imag == 0.0
                   else _power(sample.absx - gamma[i] * x, spec.delta) for i in range(spec.p)]
         s, poly = _arch_filter(v, lay, inputs, x.size)
         h = _power(np.maximum(s, H_FLOOR), 2.0 / spec.delta)  # the floor guards the fractional power
-        return _Recursion(0.0, h, x, poly, s, inputs)
+        return _Recursion(spec, v, sample, 0.0, h, x, poly, s, inputs)
     f, resid = 0.0, x
     if fam is Family.ARARCH:
         f = v[lay.phi.start] * sample.lag1
@@ -912,26 +923,18 @@ def _recursion(spec: ModelSpec, v: np.ndarray, x: np.ndarray, sample: _Sample | 
     # every lag shares the one square, garch's the sample's own x^2
     inputs = [sample.x2 if resid is x else resid**2] * spec.p if spec.p else []
     h, poly = _arch_filter(v, lay, inputs, x.size)
-    return _Recursion(f, h, resid, poly, h, inputs)
-
-
-def _moments_from(rec: _Recursion) -> CondMoments:
-    """Conditional moments from a recursion: its mean, and its variance with
-    the ``H_FLOOR`` clamp.
-
-    A constant moment stays a scalar: ``h`` for arma (white noise included),
-    and ``f = 0.0`` for garch and aparch.  The contrast broadcasts it, so
-    nothing fills n copies; :func:`cond_moments` returns full arrays."""
-    return CondMoments(rec.f, np.maximum(rec.h, H_FLOOR))
+    return _Recursion(spec, v, sample, f, h, resid, poly, h, inputs)
 
 
 def _moments(spec: ModelSpec, v: np.ndarray, x: np.ndarray) -> CondMoments:
     """The conditional moments at ``v``, a constant one a scalar
-    (:func:`_moments_from`).  The recursion is dropped on return, so its
-    arrays (garch's x^2, the unclamped level) are freed before a caller
-    allocates its own: the 100,000-step oracle holds no more than two at
-    once."""
-    return _moments_from(_recursion(spec, v, x))
+    (:class:`_Recursion`).  The recursion and its sample are dropped on
+    return, so their arrays (garch's x^2, the unclamped level) are freed
+    before a caller allocates its own: on the 100,000-step oracle
+    ``likelihood.gamma_bar`` holds at most three arrays of n floats at once
+    for garch(1,1) (tests/test_likelihood.py pins each family's count)."""
+    rec = _recursion(spec, v, _Sample(x))
+    return CondMoments(rec.f, rec.h_hat)
 
 
 def cond_moments(spec: ModelSpec, theta, x) -> CondMoments:

@@ -240,10 +240,11 @@ def test_slsqp_core_never_writes_the_gradient_or_the_box(monkeypatch, spec):
 
 def test_minimize_answers_each_core_request_once_per_point(monkeypatch):
     # a scripted core asks for values (mode 1) and gradients (mode -1) at a
-    # fixed sequence of points, scrambling the constraint vector and matrix
-    # after each call as a core may; minimize must evaluate a point only when
-    # it moves, count only those evaluations, rewrite the budget values on
-    # every mode-1 request and hand back an intact Jacobian on every mode -1
+    # fixed sequence of points, scrambling the constraint vector after each
+    # call as a core may; minimize must evaluate a point only when it moves,
+    # count only those evaluations, rewrite the budget values on every
+    # mode-1 request and hand over the Jacobian -A on every mode -1 (the
+    # real core never writes it: test_slsqp_core_never_writes_the_jacobian)
     spec = q.arma(1, 1)
     x = q.simulate(spec, (0.5, 0.6, 1.0), 200, seed=3).values
     problem = qmselect.fitting._problem(spec)
@@ -254,16 +255,16 @@ def test_minimize_answers_each_core_request_once_per_point(monkeypatch):
     def core(state, fx, g, C, d, xk, mult, xl, xu, buffer, indices):
         calls.append((state["tol"], state["acc"], fx, g.copy(), C.copy(), d.copy(), xk.copy()))
         mode, point = script[len(calls) - 1]
-        C[:], d[:] = np.nan, np.nan
+        d[:] = np.nan
         xk[:] = point
         state["mode"], state["iter"] = mode, len(calls)
 
     recursions = []
     build = qmselect.likelihood._recursion
 
-    def counted(spec, v, x, *rest):
+    def counted(spec, v, sample, *rest):
         recursions.append(v.copy())
-        return build(spec, v, x, *rest)
+        return build(spec, v, sample, *rest)
 
     monkeypatch.setattr(qmselect.fitting, "_SLSQP", core)
     monkeypatch.setattr(qmselect.likelihood, "_recursion", counted)
@@ -581,10 +582,10 @@ def test_fit_never_builds_the_score_rows(monkeypatch, spec, theta):
     x = q.simulate(spec, theta, 600, seed=32).values
     recursion = qmselect.likelihood._recursion
 
-    def real_only(spec, v, x, *rest):
+    def real_only(spec, v, sample, *rest):
         if np.iscomplexobj(v):
             raise AssertionError("complex point evaluated during a fit")
-        return recursion(spec, v, x, *rest)
+        return recursion(spec, v, sample, *rest)
 
     monkeypatch.setattr(qmselect.likelihood, "_recursion", real_only)
     assert q.fit(spec, x).converged
@@ -877,10 +878,35 @@ def _budget_reference(spec):
     return blocks, jac
 
 
+def test_slsqp_core_never_writes_the_jacobian(monkeypatch):
+    # minimize builds the constraint matrix -A once per pass and hands the
+    # core that one array at every request, never rewriting it: a core that
+    # wrote it would move later iterates, so its bytes must not change
+    # across any core call of whole fits, on the 2^6 sign rows of a signed
+    # budget, aparch's a-and-b budget, whose entries are not contiguous, and
+    # ararch(0)'s row of zeros, which has no budget
+    core = _slsqp_core_or_skip()
+    writes, shapes = [], set()
+
+    def spy(state, fx, g, C, d, xk, mult, xl, xu, buffer, indices):
+        before = C.tobytes()
+        core(state, fx, g, C, d, xk, mult, xl, xu, buffer, indices)
+        writes.append(C.tobytes() != before)
+        shapes.add(C.shape)
+
+    monkeypatch.setattr(qmselect.fitting, "_SLSQP", spy)
+    family = q.expand_family("arma(0..2,0..2) + arma(6,0) + arma(1,6) + garch(1,1) + aparch(1.5;2,1) + ararch(0..2)")
+    for spec, theta in [DGP2, DGP3]:
+        fits = q.fit_family(family, q.simulate(spec, theta, 400, seed=43).values)
+        assert all(f.error is None for f in fits)
+    assert writes and not any(writes), sum(writes)
+    assert {(64, 7), (66, 8), (1, 6), (1, 2)} <= shapes
+
+
 def _scripted_pass(spec, points):
     """The constraint vectors and matrices minimize hands a scripted core
-    that asks for a value at each of ``points``, scrambling what it is
-    handed, then for a gradient at the last: (point, d, C) per core call,
+    that asks for a value at each of ``points``, scrambling the constraint
+    vector, then for a gradient at the last: (point, d, C) per core call,
     with the request each call answered (0 for the start)."""
     script = [(1, p) for p in points] + [(-1, points[-1]), (0, points[-1])]
     seen = []
@@ -889,7 +915,7 @@ def _scripted_pass(spec, points):
         asked = script[len(seen) - 1][0] if seen else 0
         seen.append((asked, xk.copy(), d.copy(), C.copy(order="F")))
         mode, point = script[len(seen) - 1]
-        C[:], d[:] = np.nan, np.nan
+        d[:] = np.nan
         xk[:] = point
         state["mode"] = mode
 

@@ -134,6 +134,16 @@ def test_info_requires_converged_fit():
         q.info_matrices(bad, np.zeros(100))
 
 
+def test_info_refuses_a_series_of_another_length():
+    # select_from_fits' check: a fit on 300 values returned matrices for the
+    # first 200 of them without complaint
+    x = q.simulate(q.arma(1, 0), [0.5, 1.0], 300, seed=33).values
+    res = q.fit(q.arma(1, 0), x)
+    with pytest.raises(ValueError, match=r"arma\(1,0\) was fitted on 300 observations, the series has 200"):
+        q.info_matrices(res, x[:200])
+    q.info_matrices(res, x)
+
+
 def test_wn_trace_estimate_near_two():
     x = q.simulate(q.wn(), [1.0], 20_000, seed=31).values
     res = q.fit(q.wn(), x)

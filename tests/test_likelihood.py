@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -257,6 +258,20 @@ def test_objective_computes_and_counts_each_value_and_gradient_once_per_point(mo
     assert obj.grad(b) is obj.grad(b.copy())
 
 
+def test_the_objective_holds_a_copy_of_its_point():
+    # SLSQP writes its point in place: the held recursion keeps the point it
+    # was built at, so the gradient asked there after such a write is still
+    # the gradient at that point, not at the written one
+    spec = q.arma(1, 1)
+    x = q.simulate(spec, (0.5, 0.6, 1.0), 300, seed=79).values
+    a = np.array([0.5, 0.6, 1.0])
+    obj, v = _Objective(spec, x), a.copy()
+    obj.value(v)
+    v[:] = [0.3, 0.1, 1.1]  # the gradient reads arma's sigma from the point
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert obj.grad(a).tobytes() == q.gradient(spec, a, x).tobytes()
+
+
 # (spec, point, the transforms its recursions and gradient read)
 TRANSFORM_CASES = [
     (q.arma(1, 1), (0.5, 0.6, 1.0), set()),
@@ -325,8 +340,8 @@ def test_the_squared_residual_is_read_where_the_recursion_holds_it(spec, theta):
     x = q.simulate(q.ararch(1), (0.5, 0.4, 0.3), 300, seed=80).values
     v = np.asarray(theta, dtype=float)
     sample = qmselect.models._Sample(x)
-    rec = qmselect.models._recursion(spec, v, x, sample)
-    resid2 = qmselect.likelihood._resid2(spec, rec, sample)
+    rec = qmselect.models._recursion(spec, v, sample)
+    resid2 = qmselect.likelihood._resid2(rec)
     if spec.family is q.Family.ARARCH and spec.p:
         assert resid2 is rec.inputs[0]
         assert resid2.tobytes() == ((x - rec.f) ** 2).tobytes() == (rec.resid**2).tobytes()
@@ -388,12 +403,12 @@ def test_complex_steps_reuse_the_real_input_powers_to_the_bit(spec, theta, zeros
     x = _edge_series(zeros)
     v = np.array(theta)
     sample = qmselect.models._Sample(x)
-    real = qmselect.models._recursion(spec, v, x, sample)
+    real = qmselect.models._recursion(spec, v, sample)
     for k in range(spec.dim):
         vc = v.astype(complex)
         vc[k] += 1j * qmselect.likelihood.CS_STEP
-        reused = qmselect.models._recursion(spec, vc, x, sample, real.inputs)
-        fresh = qmselect.models._recursion(spec, vc, x)
+        reused = qmselect.models._recursion(spec, vc, sample, real.inputs)
+        fresh = qmselect.models._recursion(spec, vc, qmselect.models._Sample(x))
         gamma = spec.layout.gamma.start
         for i in range(spec.p):
             assert (reused.inputs[i] is real.inputs[i]) == (k != gamma + i)
@@ -472,12 +487,12 @@ def test_ararch_is_garch_p0_on_its_ar1_residual(p, step):
         v = v.astype(complex)
         v[step] += 1j * qmselect.likelihood.CS_STEP
     z = x - v[0] * np.r_[0.0, x[:-1]]
-    rec = qmselect.models._recursion(q.ararch(p), v, x)
-    arch = qmselect.models._recursion(q.garch(p, 0), v[1:], z)
+    rec = qmselect.models._recursion(q.ararch(p), v, qmselect.models._Sample(x))
+    arch = qmselect.models._recursion(q.garch(p, 0), v[1:], qmselect.models._Sample(z))
     assert np.array_equal(rec.resid, z)
     assert np.array_equal(rec.h, arch.h)
-    g = qmselect.likelihood._gradient_from(q.ararch(p), v, x, rec)
-    g_arch = qmselect.likelihood._gradient_from(q.garch(p, 0), v[1:], z, arch)
+    g = qmselect.likelihood._gradient_from(rec)
+    g_arch = qmselect.likelihood._gradient_from(arch)
     assert np.array_equal(g[1:], g_arch)
 
 
@@ -495,7 +510,8 @@ def test_skipped_identity_filters_equal_lfilter(monkeypatch, spec, theta):
     # that filter, and must get exactly what scipy's lfilter gives
     v = np.array(theta)
     x = q.simulate(spec, v, 400, seed=5).values
-    got_rec = qmselect.models._recursion(spec, v, x)
+    sample = qmselect.models._Sample(x)
+    got_rec = qmselect.models._recursion(spec, v, sample)
     got_scores = q.derivatives(spec, v, x).scores
     got_grad = q.gradient(spec, v, x)
     assert got_rec.poly.tolist() == [1.0]
@@ -505,17 +521,17 @@ def test_skipped_identity_filters_equal_lfilter(monkeypatch, spec, theta):
 
     recursion = qmselect.models._recursion
 
-    def lfilter_recursion(spec, v, x, *rest):
-        rec = recursion(spec, v, x, *rest)
+    def lfilter_recursion(spec, v, sample, *rest):
+        rec = recursion(spec, v, sample, *rest)
         if spec.family is q.Family.ARMA:  # the residuals skip _ar_filter
-            eps = lfilter(np.r_[1.0, -v[: spec.p]], [1.0], x)
-            rec = dataclasses.replace(rec, f=x - eps, resid=eps, level=eps)
+            eps = lfilter(np.r_[1.0, -v[: spec.p]], [1.0], sample.x)
+            rec = dataclasses.replace(rec, f=sample.x - eps, resid=eps, level=eps)
         return rec
 
     monkeypatch.setattr(qmselect.models, "_ar_filter", ar_filter)
     monkeypatch.setattr(qmselect.likelihood, "_ar_filter", ar_filter)
     monkeypatch.setattr(qmselect.likelihood, "_recursion", lfilter_recursion)
-    assert np.array_equal(got_rec.level, lfilter_recursion(spec, v, x).level)
+    assert np.array_equal(got_rec.level, lfilter_recursion(spec, v, sample).level)
     # the scores and the gradient, on the real and the complex recursions
     assert np.array_equal(got_scores, q.derivatives(spec, v, x).scores)
     assert np.array_equal(got_grad, q.gradient(spec, v, x))
@@ -556,10 +572,10 @@ def test_grad_per_t_rows_average_to_gradient():
     with_zeros = x.copy()
     with_zeros[::11] = 0.0
     floor = np.array([1e-9, 1e-9, 0.5])
-    h_lin = qmselect.models._recursion(q.garch(1, 1), floor, x).level
+    h_lin = qmselect.models._recursion(q.garch(1, 1), floor, qmselect.models._Sample(x)).level
     assert (h_lin < qmselect.models.H_FLOOR).any()
     arch_floor = np.array([0.3, 1e-9, 1e-9])
-    h_lin = qmselect.models._recursion(q.ararch(1), arch_floor, x).level
+    h_lin = qmselect.models._recursion(q.ararch(1), arch_floor, qmselect.models._Sample(x)).level
     assert (h_lin < qmselect.models.H_FLOOR).any() and (h_lin > qmselect.models.H_FLOOR).any()
     for spec, theta, series in [
         (q.wn(), [1.3], x),
@@ -685,8 +701,8 @@ def test_hessian_is_the_complex_step_of_the_mean_gradient(spec, theta):
         for k in range(v.size):
             vc = v.astype(complex)
             vc[k] += 1j * qmselect.likelihood.CS_STEP
-            rec = qmselect.models._recursion(spec, vc, x)
-            cols.append(qmselect.likelihood._gradient_from(spec, vc, x, rec).imag)
+            rec = qmselect.models._recursion(spec, vc, qmselect.models._Sample(x))
+            cols.append(qmselect.likelihood._gradient_from(rec).imag)
     hess = np.column_stack(cols) / qmselect.likelihood.CS_STEP
     assert np.array_equal(q.derivatives(spec, v, x).hessian, 0.5 * (hess + hess.T))
 
@@ -741,10 +757,37 @@ def test_derivatives_are_pinned_to_the_bit():
             assert q.constraint_set(spec).contains(v)
             xk = x if k < 3 else 1e-5 * x
             if spec.family is q.Family.APARCH and k == 3:
-                assert (qmselect.models._recursion(spec, v, xk).h < qmselect.models.H_FLOOR).any()
+                assert (qmselect.models._recursion(spec, v, qmselect.models._Sample(xk)).h
+                        < qmselect.models.H_FLOOR).any()
             d = q.derivatives(spec, v, xk)
             digest.update(q.gradient(spec, v, xk).tobytes() + d.hessian.tobytes() + d.scores.tobytes())
     assert digest.hexdigest() == (DERIVATIVES_SHA256_LIBM if _numpy_power_is_libms() else DERIVATIVES_SHA256)
+
+
+#: (spec, point, the float64 arrays of n that gamma_bar may hold at once)
+ORACLE_PEAKS = [
+    (q.garch(1, 1), [0.5, 0.1, 0.8], 3),
+    (q.arma(1, 1), [0.5, 0.3, 1.0], 2),
+    (q.aparch(1.5, 1, 1), [0.3, 0.1, 0.2, 0.7], 5),
+    (q.ararch(2), [0.3, 0.5, 0.2, 0.1], 6),
+]
+
+
+@pytest.mark.parametrize("spec,theta,arrays", ORACLE_PEAKS, ids=[str(c[0]) for c in ORACLE_PEAKS])
+def test_the_oracle_contrast_holds_no_more_arrays_than_pinned(spec, theta, arrays):
+    # the efficiency experiment values gamma_bar on a 100,000-step series per
+    # fit: its peak, counted in arrays of n floats plus 64 kB for the rest,
+    # must not grow, as an array of n copies of a constant moment would
+    n = 100_000
+    x = np.random.default_rng(61).standard_normal(n)
+    q.gamma_bar(spec, theta, x)  # what is built once per process, outside the count
+    tracemalloc.start()
+    try:
+        q.gamma_bar(spec, theta, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= arrays * 8 * n + 64 * 1024, peak / (8 * n)
 
 
 PUBLIC_SERIES_FUNCTIONS = ("cond_moments", "contrast", "gamma_bar", "gradient", "derivatives", "residuals")
@@ -816,3 +859,12 @@ def test_mu4_scale_invariant():
 def test_mu4_rejects_zero_series():
     with pytest.raises(ValueError):
         q.mu4_hat(np.zeros(10))
+
+
+def test_mu4_refuses_a_series_that_is_not_1d_or_is_empty():
+    # a 3x3 array of ones read 1.0, and an empty series warned of numpy's
+    # empty mean before an all-zero error
+    with pytest.raises(ValueError, match=r"the series must be 1-D, got an array of shape \(3, 3\)"):
+        q.mu4_hat(np.ones((3, 3)))
+    with pytest.raises(ValueError, match="the series is empty"):
+        q.mu4_hat([])

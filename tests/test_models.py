@@ -1261,9 +1261,10 @@ def test_the_in_slice_arch_filter_is_the_lag_copy_filter_to_the_byte(monkeypatch
         vc = v.astype(complex)
         vc[k] += 1j * q.likelihood.CS_STEP
         points.append(vc)
-    got = [models._recursion(spec, p, x) for p in points]
+    sample = models._Sample(x)
+    got = [models._recursion(spec, p, sample) for p in points]
     monkeypatch.setattr(models, "_arch_filter", _arch_filter_by_lag_copies)
-    want = [models._recursion(spec, p, x) for p in points]
+    want = [models._recursion(spec, p, sample) for p in points]
     for g, w in zip(got, want):
         for field in ("level", "h", "poly"):
             a, b = np.asarray(getattr(g, field)), np.asarray(getattr(w, field))
