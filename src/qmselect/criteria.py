@@ -40,7 +40,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import MissingInfo, UnsupportedFamily
-from .fitting import _FAILURES, FitResult, _reason, _series, fit_family
+from .fitting import _FAILURES, FitResult, _fitted_series, _reason, fit_family
 from .information import InfoMatrices, closed_form_trace, info_matrices
 from .likelihood import mu4_hat, residuals
 from .models import ModelSpec, _write_csv, is_nested
@@ -238,11 +238,7 @@ def select_from_fits(
         checks it), or its length is not a fit's ``n_used``: the fits were
         made on another series.
     """
-    x = _series(x)
-    for f in fits:
-        if f.n_used != x.size:
-            raise ValueError(f"{f.spec.name} was fitted on {f.n_used} observations, "
-                             f"the series has {x.size}")
+    x = _fitted_series(x, fits)
     if isinstance(kind.penalty, _Rate):
         _check_custom_monotone(kind.penalty.pen, [f.spec for f in fits])
     if info_cache is None:

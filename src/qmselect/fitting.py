@@ -7,15 +7,14 @@ over the box and the coefficient budgets, all budgets handed over as one
 linear inequality with a constant Jacobian.  This module alone says how
 SLSQP sees a spec's constraint set: one read-only record per spec
 (:func:`_problem`), built once from ``models.constraint_set``, holds the
-box, the budget rows (one copy, every block a view of it), the products a
-value request takes and the C core's workspace size.  Each SLSQP pass is
-one call of :func:`minimize`: on the scipy versions in
-``models._CORE_PINNED_ON`` it drives SLSQP's C core directly, without
-``scipy.optimize.minimize``'s per-call wrapper, and writes the budget
-values in place, one product per request where every group has at most
-two members; elsewhere it calls ``minimize``, with the bounds and the
-one constraint built from the same record.  The tests pin both to the same
-iterates.  The core is loaded without ``scipy.optimize``
+box, the budget rows (one copy, every block a view of it), the one list of
+products a value request takes and the C core's workspace size.  Each
+SLSQP pass is one call of :func:`minimize`, which builds the constraint
+Jacobian once: on the scipy versions in ``models._CORE_PINNED_ON`` it
+drives SLSQP's C core directly, without ``scipy.optimize.minimize``'s
+per-call wrapper, writing the budget values in place; elsewhere it calls
+``minimize`` on the same bounds, products and Jacobian.  The tests pin
+both to the same iterates.  The core is loaded without ``scipy.optimize``
 (``models._pinned_core``), which is imported only where ``minimize`` runs,
 and a pass returns :class:`SlsqpResult`, not ``OptimizeResult``.
 
@@ -60,6 +59,7 @@ budgets included.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -107,13 +107,28 @@ class FitResult:
 
 def _series(x) -> np.ndarray:
     """``x`` as a float array, checked to be a 1-D series of finite values;
-    a ValueError otherwise, a bad input rather than a failed model."""
+    a ValueError otherwise, a bad input rather than a failed model.  It is
+    not ``models._as_series``: :func:`fit` reports an empty series as a
+    :class:`TooShortSeries` model failure, and the likelihood functions
+    accept non-finite values, which give an infinite contrast."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError(f"the series must be 1-D, got an array of shape {x.shape}")
     if not np.isfinite(x).all():
         bad = np.flatnonzero(~np.isfinite(x))[0]
         raise ValueError(f"the series is not finite at index {bad}: {x[bad]}")
+    return x
+
+
+def _fitted_series(x, fits) -> np.ndarray:
+    """``x`` checked by :func:`_series`, then to be as long as the series each
+    of ``fits`` was fitted on (its ``n_used``): the one series check of
+    ``select_from_fits`` and ``info_matrices``."""
+    x = _series(x)
+    for f in fits:
+        if f.n_used != x.size:
+            raise ValueError(f"{f.spec.name} was fitted on {f.n_used} observations, "
+                             f"the series has {x.size}")
     return x
 
 
@@ -143,15 +158,14 @@ _SLSQP = _pinned_core(scipy.__version__, "scipy.optimize._slsqplib", "slsqp")
 class _SlsqpCore(NamedTuple):
     """How SLSQP sees one spec's constraint set (:func:`_problem`), all of it
     read-only: the box, the set's own arrays; the budget matrix ``A``
-    (``rows``), its one copy; each budget group's rows of the constraint
-    vector, its block of ``A`` and its bound; the products a value request
-    takes (``products``, see :func:`_problem`); the number of constraint
-    rows ``m``; and the core's workspace size."""
+    (``rows``), its one copy; the products a value request takes
+    (``products``: rows of the constraint vector, their block of ``A`` and
+    their bounds, see :func:`_problem`); the number of constraint rows
+    ``m``; and the core's workspace size."""
 
     xl: np.ndarray
     xu: np.ndarray
     rows: np.ndarray
-    budgets: tuple[tuple[slice, np.ndarray, float], ...]
     products: tuple[tuple[slice, np.ndarray, np.ndarray], ...]
     m: int
     size: int
@@ -179,47 +193,38 @@ def _problem(spec: ModelSpec) -> _SlsqpCore:
     every block is a view of it, and so is ``b``, which a product subtracts
     from (the same bits as its groups' scalar bounds).
 
-    The value is the product ``A v`` taken block by block, as
-    ``b - a @ v`` per group: a matrix-vector product may sum a row in
-    another order once the matrix has more rows.  A row with at most two
-    entries is summed to the same bits in any order (the zeros it also sums
-    add exact zeros, and a 0 * inf is a nan in every order), so each run of
-    consecutive groups of at most two members is one product, ``products``'s
-    one block, and every larger group is a block of its own.  A signed
-    group of more than ``MAX_SIGNED_GROUP`` members raises
-    :class:`UnsupportedFamily` before any row is built."""
+    The value is ``b - A v``, one product per block of ``products``, the
+    one list both routes of :func:`minimize` read.  A matrix-vector product
+    may sum a row in another order once the matrix has more rows, but a row
+    with at most two entries sums to the same bits in any order (its zeros
+    add exact zeros, and a 0 * inf is a nan in every order).  So there is
+    one product over all rows when every group has at most two members,
+    else one per group.  A signed group of more than ``MAX_SIGNED_GROUP``
+    members raises :class:`UnsupportedFamily` before any row is built."""
     cset, n = constraint_set(spec), spec.dim
     groups = [(np.arange(n)[idx], signed, bound) for idx, signed, bound in cset._members]
     for idx, signed, _ in groups:
         if signed and idx.size > MAX_SIGNED_GROUP:
             raise UnsupportedFamily(f"a signed budget of {idx.size} coefficients takes 2^{idx.size} "
                                     f"SLSQP rows; at most {MAX_SIGNED_GROUP} are supported")
-    heights = [2**idx.size if signed else 1 for idx, signed, _ in groups]
-    m = sum(heights)
-    rows = np.zeros((m, n))
-    blocks, runs, bounds, top = [], [], np.empty(m), 0
-    for (idx, signed, bound), height in zip(groups, heights):
-        block = slice(top, top + height)
+    tops = [0, *itertools.accumulate(2**idx.size if signed else 1 for idx, signed, _ in groups)]
+    m = tops[-1]
+    rows, bounds = np.zeros((m, n)), np.empty(m)
+    for (idx, signed, bound), top, stop in zip(groups, tops, tops[1:]):
         if signed:  # itertools.product's order of the signs (1, -1): the last varies fastest
             for k, i in enumerate(idx.tolist()):
-                rows[block, i] = 1.0 - 2.0 * ((np.arange(height) >> (idx.size - 1 - k)) & 1)
+                rows[top:stop, i] = 1.0 - 2.0 * ((np.arange(stop - top) >> (idx.size - 1 - k)) & 1)
         else:
-            rows[block, idx] = 1.0
-        bounds[block] = bound
-        blocks.append((block, bound))
-        short = idx.size <= 2
-        if short and runs and runs[-1][2]:  # joins the run of short groups before it
-            runs[-1][1] = block.stop
-        else:
-            runs.append([block.start, block.stop, short])
-        top = block.stop
+            rows[top:stop, idx] = 1.0
+        bounds[top:stop] = bound
     # frozen before any view is taken: a view of a read-only array is read-only
     rows.flags.writeable = bounds.flags.writeable = False
-    budgets = tuple((block, rows[block], bound) for block, bound in blocks)
-    products = tuple((slice(i, j), rows[i:j], bounds[i:j]) for i, j, _ in runs)
+    if all(idx.size <= 2 for idx, _, _ in groups):
+        tops = [0, m] if m else []
+    products = tuple((slice(i, j), rows[i:j], bounds[i:j]) for i, j in zip(tops, tops[1:]))
     # scipy's workspace for m inequalities, topped up when there are none
     size = n * (n + 1) // 2 + 3 * m * n + 9 * m + 8 * n * n + 35 * n + 28 + (0 if m else 2 * n * (n + 1))
-    return _SlsqpCore(cset.lower, cset.upper, rows, budgets, products, m, size)
+    return _SlsqpCore(cset.lower, cset.upper, rows, products, m, size)
 
 
 #: the state SLSQP's core starts a pass from, as ``_minimize_slsqp`` builds
@@ -247,43 +252,40 @@ def minimize(objective: _Objective, v: np.ndarray) -> SlsqpResult:
     jac=objective.grad, method="SLSQP", bounds=..., constraints=...,
     options={"maxiter": MAX_ITER, "ftol": FTOL})`` returns, with the same
     iterates and the same ``x``, ``fun``, ``nit``, ``nfev``, ``njev`` and
-    ``status``; the box and the one budget constraint are read from
-    :func:`_problem`.
+    ``status``.
 
-    With a pinned core (``_SLSQP``, see ``models._pinned_core``) the core is
-    driven directly, on the inputs ``minimize`` builds for it and without
-    ``minimize``'s per-callback wrappers.  Its read-only inputs are the
-    spec's record, built once, and the constraint matrix, the record's
-    ``jac``, built once per pass: the core only reads it (the tests hold it
-    to that), so no request rewrites it, as scipy's driver does.  The point,
-    the constraint vector, the multipliers and the workspace are new each
-    pass.  The start is clipped to the box, mode 1 is answered with the
-    value and the budget values, written into the constraint vector one
-    product per block of the record's ``products``, through views sliced
-    once per pass, and mode -1 with the gradient.  The objective decides
-    what a request costs and counts it, as ``minimize``'s
-    ``ScalarFunction`` does; the start's value and gradient
-    count one each, as they do there, even where a restarted pass starts at
-    the point the objective holds.
-    Without a pinned core ``minimize`` itself runs, imported here; its
-    warning that it clipped a point just outside the box is ignored, since
-    the contrast is clamped there.
+    Both routes read the spec's record (:func:`_problem`), its ``products``
+    for the budget values, and one constraint matrix per pass, its ``jac``,
+    which neither writes: SLSQP's core only reads it (the tests hold it to
+    that), and scipy's driver copies it.  With a pinned core (``_SLSQP``,
+    see ``models._pinned_core``) the core is driven directly, without
+    ``minimize``'s per-callback wrappers, on a point, constraint vector,
+    multipliers and workspace new each pass.  The start is clipped to the
+    box; mode 1 is answered with the value and the budget values, written
+    through views of the constraint vector sliced once per pass, and mode
+    -1 with the gradient.  The objective decides what a request costs and
+    counts it, as ``minimize``'s ``ScalarFunction`` does; the start's value
+    and gradient count one each, as there, even where a restarted pass
+    starts at the point the objective holds.  Without a pinned core
+    ``minimize`` itself runs, imported here; its warning that it clipped a
+    point just outside the box is ignored, since the contrast is clamped
+    there.
     """
     core = _problem(objective.spec)
+    C = core.jac
     if _SLSQP is None:
         from scipy import optimize
 
-        fun = lambda v: np.concatenate([b - a @ v for _, a, b in core.budgets])
-        budget = [{"type": "ineq", "fun": fun, "jac": lambda v: core.jac}] if core.m else []
+        fun = lambda v: np.concatenate([b - a.dot(v) for _, a, b in core.products])
+        budget = [{"type": "ineq", "fun": fun, "jac": lambda v: C}] if core.m else []
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", message=".*outside bounds.*")
             res = optimize.minimize(objective.value, v, jac=objective.grad, method="SLSQP",
                                     bounds=optimize.Bounds(core.xl, core.xu), constraints=budget,
                                     options={"maxiter": MAX_ITER, "ftol": FTOL})
         return SlsqpResult(res.x, res.fun, res.nit, res.nfev, res.njev, res.status)
-    x = v.clip(core.xl, core.xu)
-    n, m, xl, xu = x.size, core.m, core.xl, core.xu
-    d, C = np.zeros(max(m, 1)), core.jac
+    n, m, xl, xu = v.size, core.m, core.xl, core.xu
+    x, d = v.clip(xl, xu), np.zeros(max(m, 1))
     # each product's rows of d, sliced once per pass
     products = [(d[block], a, b) for block, a, b in core.products]
     for view, a, b in products:

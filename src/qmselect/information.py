@@ -33,6 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SingularF
+from .fitting import _fitted_series
 from .likelihood import derivatives
 from .models import Family, ModelSpec
 
@@ -65,20 +66,18 @@ def info_matrices(fit_result, x) -> InfoMatrices:
     Raises
     ------
     ValueError
-        when the fit did not converge, ``x`` is not as long as the series
-        it was fitted on, or -f_hat or g_hat is not finite: a programming
-        error, never an excluded model.
+        when the fit did not converge, ``x`` is not the 1-D finite series
+        it was fitted on (``fitting._fitted_series``, before any derivative),
+        or -f_hat or g_hat is not finite: a programming error, never an
+        excluded model.
     SingularF
         when -f_hat fails the numerical rank screen; callers treat the model
         as unusable for determinant-based criteria.
     """
     if not fit_result.converged:
         raise ValueError(f"{fit_result.spec.name}: info matrices need a converged fit")
-    x = np.asarray(x, dtype=float)
+    x = _fitted_series(x, [fit_result])
     n = x.size
-    if n != fit_result.n_used:
-        raise ValueError(f"{fit_result.spec.name} was fitted on {fit_result.n_used} observations, "
-                         f"the series has {n}")
     deriv = derivatives(fit_result.spec, fit_result.theta.values, x)
     f_hat = -0.5 * deriv.hessian
     neg_f = -f_hat

@@ -532,7 +532,9 @@ class Trajectory:
 def _as_series(x) -> np.ndarray:
     """``x`` as a float array, refused with a ValueError unless it is a 1-D
     series of at least one value.  Only the shape is read, never a value, so
-    the check costs the same on the 100,000-step oracle path as on a fit."""
+    the check costs the same on the 100,000-step oracle path as on a fit.
+    It is not ``fitting._series``: a non-finite value gives an infinite
+    contrast, and ``fit`` reports an empty series as ``TooShortSeries``."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise ValueError(f"the series must be 1-D, got an array of shape {x.shape}")

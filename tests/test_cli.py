@@ -1,7 +1,9 @@
 import csv
 import hashlib
 import json
+import math
 import os
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -707,3 +709,16 @@ def test_mc_efficiency_end_to_end(tmp_path, capsys, monkeypatch):
         meta = json.load(fh)
     (table,) = tables
     assert meta["failed"] == {"200": {c: table.failed[(200, c)] for c in ("aic", "bic")}}
+
+
+def test_readme_library_example_runs_as_written(capsys):
+    # the README's python block, executed as a user would paste it: a renamed
+    # field or a changed default fails here, not in a user's hands
+    with open(os.path.join(REPO_DIR, "README.md")) as fh:
+        (example,) = re.findall(r"```python\n(.*?)```", fh.read(), re.S)
+    exec(compile(example, "README.md", "exec"), {})
+    pick, *rows = capsys.readouterr().out.splitlines()
+    name, value = pick.split()
+    assert name == "garch(1,1)" and math.isfinite(float(value))
+    family = q.expand_family("wn + garch(0..2,0..2)")
+    assert [row.split()[0] for row in rows] == [spec.name for spec in family]

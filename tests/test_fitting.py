@@ -153,6 +153,9 @@ def _slsqp_core_or_skip():
 
 SLSQP_PIN_SPECS = [q.arma(1, 1), q.arma(2, 2), q.arma(3, 1), q.garch(1, 1), q.garch(0, 2),
                    q.aparch(1.5, 1, 1), q.ararch(2)]
+#: the large budgets: 64 and 66 sign rows, two long groups of one product
+#: each, and a budget indexed by an array, not a slice
+SLSQP_LARGE_PIN_SPECS = [q.arma(6, 0), q.arma(1, 6), q.arma(6, 6), q.aparch(1.5, 2, 1)]
 
 
 def _slsqp_pin_starts(spec, cset, x):
@@ -188,7 +191,7 @@ def _pin_series(spec, seed):
     return q.simulate(dgp, theta, 500, seed=seed).values
 
 
-@pytest.mark.parametrize("spec", SLSQP_PIN_SPECS, ids=str)
+@pytest.mark.parametrize("spec", SLSQP_PIN_SPECS + SLSQP_LARGE_PIN_SPECS, ids=str)
 def test_slsqp_core_pass_is_bit_equal_to_minimize(monkeypatch, spec):
     # the pin behind models._CORE_PINNED_ON for SLSQP: the core, driven by
     # fitting.minimize, takes the iterates scipy.optimize.minimize takes
@@ -208,7 +211,8 @@ def test_slsqp_core_pass_without_budgets_is_bit_equal_to_minimize(monkeypatch):
     spec = q.ararch(0)
     x = q.simulate(q.ararch(1), (0.5, 0.4, 0.3), 500, seed=42).values
     problem = qmselect.fitting._problem(spec)
-    assert not constraint_set(spec).groups and (problem.m, problem.budgets) == (0, ())
+    assert not constraint_set(spec).groups
+    assert (problem.m, problem.rows.shape, problem.products) == (0, (0, 2), ())
     assert np.array_equal(problem.jac, np.zeros((1, 2)))
     for v in (_start_point(spec, constraint_set(spec), x), np.array([0.9, 0.9])):
         _assert_pass_is_scipys(monkeypatch, spec, x, v)
@@ -248,6 +252,7 @@ def test_minimize_answers_each_core_request_once_per_point(monkeypatch):
     spec = q.arma(1, 1)
     x = q.simulate(spec, (0.5, 0.6, 1.0), 200, seed=3).values
     problem = qmselect.fitting._problem(spec)
+    blocks, _ = _budget_reference(spec)
     start, moved, other = np.array([0.1, 0.2, 0.9]), np.array([0.3, 0.1, 1.1]), np.array([0.2, 0.4, 1.0])
     script = [(1, moved), (-1, moved), (1, moved), (-1, moved), (-1, other), (1, other), (0, other)]
     calls = []
@@ -286,7 +291,7 @@ def test_minimize_answers_each_core_request_once_per_point(monkeypatch):
         assert fx == q.gamma_bar(spec, at[last_valued], x)
         assert np.array_equal(g, q.gradient(spec, at[last_graded], x))
         if asked[i] in (0, 1):
-            assert np.array_equal(d, np.concatenate([b - a @ xk for _, a, b in problem.budgets])), i
+            assert np.array_equal(d, np.concatenate([b - a @ xk for a, b in blocks])), i
         if asked[i] in (0, -1):
             assert np.array_equal(C, problem.jac), i
 
@@ -878,6 +883,54 @@ def _budget_reference(spec):
     return blocks, jac
 
 
+def _run_products(cs):
+    """The record's product slices by the rule it was built by before it
+    kept one list of products: each run of consecutive groups of at most two
+    members one product, every larger group one of its own."""
+    runs, top = [], 0
+    for g in cs.groups:
+        signed = cs.lower[g.indices[0]] < 0.0
+        stop, short = top + (2 ** len(g.indices) if signed else 1), len(g.indices) <= 2
+        if short and runs and runs[-1][2]:
+            runs[-1][1] = stop
+        else:
+            runs.append([top, stop, short])
+        top = stop
+    return [slice(i, j) for i, j, _ in runs]
+
+
+def test_every_spec_takes_the_products_of_the_run_rule():
+    # one product over all rows when every group is short, else one per
+    # group: on at most two groups, what merging runs of short groups gave
+    for spec in SHIPPED_SPECS + q.expand_family("arma(0..7,0..7) + aparch(1.5;0..2,0..2) + ararch(0..3)"):
+        problem = qmselect.fitting._problem(spec)
+        assert [block for block, _, _ in problem.products] == _run_products(constraint_set(spec)), spec
+
+
+@pytest.mark.parametrize("pinned", [False, True], ids=["fallback", "core"])
+def test_minimize_builds_the_jacobian_once_per_pass(monkeypatch, pinned):
+    # both routes hand SLSQP one constraint matrix per pass; the fallback
+    # rebuilt it at every iteration
+    if pinned:
+        _slsqp_core_or_skip()
+    else:
+        monkeypatch.setattr(qmselect.fitting, "_SLSQP", None)
+    built = []
+    jac = qmselect.fitting._SlsqpCore.jac
+
+    def counted(problem):
+        built.append(problem.m)
+        return jac.fget(problem)
+
+    monkeypatch.setattr(qmselect.fitting._SlsqpCore, "jac", property(counted))
+    spec = q.arma(2, 2)
+    x = _pin_series(spec, 41)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = qmselect.fitting.minimize(qmselect.likelihood._Objective(spec, x),
+                                        _start_point(spec, constraint_set(spec), x))
+    assert res.nit > 10 and built == [8]
+
+
 def test_slsqp_core_never_writes_the_jacobian(monkeypatch):
     # minimize builds the constraint matrix -A once per pass and hands the
     # core that one array at every request, never rewriting it: a core that
@@ -943,9 +996,9 @@ def _assert_budget_values_are_the_references(spec, seen):
 def test_minimize_hands_the_core_the_budget_values_of_their_reference(data):
     # a scripted core asks for values at points with nan, +-inf, -0.0 and
     # box edges; each constraint vector minimize then hands it, one product
-    # per run of groups of at most two members, has the bits of the group by
-    # group reference, and each Jacobian handed back after a gradient
-    # request those of -A
+    # over all rows when every group has at most two members, else one per
+    # group, has the bits of the group by group reference, and each
+    # Jacobian handed back after a gradient request those of -A
     spec = data.draw(st.sampled_from([s for s in SHIPPED_SPECS if s.dim > 1]))
     points = [draw_edge_vector(data, constraint_set(spec)) for _ in range(3)]
     _assert_budget_values_are_the_references(spec, _scripted_pass(spec, points))

@@ -144,6 +144,27 @@ def test_info_refuses_a_series_of_another_length():
     q.info_matrices(res, x)
 
 
+@pytest.mark.parametrize("bad", ["2-D", "nan"])
+def test_info_checks_its_series_as_select_from_fits_does(monkeypatch, bad):
+    # a (200, 2) array for a fit on 200 values was reported as a series of
+    # 400, and a nan failed only after the complex-step pass; both are now
+    # refused with fit's messages before any derivative is taken
+    x = q.simulate(q.arma(1, 0), [0.5, 1.0], 200, seed=33).values
+    res = q.fit(q.arma(1, 0), x)
+    if bad == "2-D":
+        y, message = np.column_stack([x, x]), r"the series must be 1-D, got an array of shape \(200, 2\)"
+    else:
+        y, message = x.copy(), "the series is not finite at index 50: nan"
+        y[50] = np.nan
+
+    def no_derivatives(*args):
+        raise AssertionError("derivatives was called")
+
+    monkeypatch.setattr(qmselect.information, "derivatives", no_derivatives)
+    with pytest.raises(ValueError, match=message):
+        q.info_matrices(res, y)
+
+
 def test_wn_trace_estimate_near_two():
     x = q.simulate(q.wn(), [1.0], 20_000, seed=31).values
     res = q.fit(q.wn(), x)

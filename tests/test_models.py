@@ -330,45 +330,56 @@ def _sign_blocks(cs):
     return blocks
 
 
+def _group_rows(cs):
+    """Each group's slice of the budget rows, in group order."""
+    ends = np.cumsum([0] + [b.shape[0] for b in _sign_blocks(cs)]).tolist()
+    return [slice(i, j) for i, j in zip(ends, ends[1:])]
+
+
 def test_budget_jacobian_is_constant_and_charges_zero_coefficients():
     problem = fitting._problem(q.garch(1, 1))
     v = np.array([1.0, 0.0, 0.5])
     assert_allclose(problem.jac, [[0.0, -1.0, -1.0]])
-    ((rows, a, bound),) = problem.budgets
-    assert rows == slice(0, 1) and (bound - a @ v)[0] == pytest.approx(0.48)
+    (g,) = q.constraint_set(q.garch(1, 1)).groups
+    assert problem.rows.shape == (1, 3) and (g.bound - problem.rows @ v)[0] == pytest.approx(0.48)
     # all budgets are one inequality with a constant, read-only Jacobian in
-    # Fortran order: each group's rows in group order, and a signed budget's
-    # sign rows have sum |v_i| as their maximum
+    # Fortran order: each group's rows in group order, its bound on each of
+    # them, and a signed budget's sign rows have sum |v_i| as their maximum
     for spec, scale in ((q.arma(3, 1), 0.5), (q.arma(1, 6), 1e4)):
         cs, problem = q.constraint_set(spec), fitting._problem(spec)
-        blocks = _sign_blocks(cs)
+        blocks, slices = _sign_blocks(cs), _group_rows(cs)
         assert np.array_equal(problem.jac, -np.vstack(blocks))
         assert problem.jac.flags.f_contiguous and not problem.jac.flags.writeable
-        ends = np.cumsum([b.shape[0] for b in blocks]).tolist()
-        assert [(r.start, r.stop) for r, _, _ in problem.budgets] == list(zip([0] + ends[:-1], ends))
-        assert problem.m == ends[-1]
-        assert all(np.array_equal(a, block) and bound == g.bound
-                   for g, block, (_, a, bound) in zip(cs.groups, blocks, problem.budgets))
+        assert problem.m == slices[-1].stop and problem.rows.shape == (problem.m, cs.dim)
+        # a group of three or more members is a product of its own
+        assert [block for block, _, _ in problem.products] == slices
+        bounds = np.concatenate([b for _, _, b in problem.products])
+        assert all(np.array_equal(problem.rows[rows], block) and np.all(bounds[rows] == g.bound)
+                   for g, block, rows in zip(cs.groups, blocks, slices))
         rng = np.random.default_rng(4)
         for _ in range(20):
             v = rng.uniform(-scale, scale, cs.dim)
-            for g, (_, a, bound) in zip(cs.groups, problem.budgets):
+            for g, rows in zip(cs.groups, slices):
                 l1 = np.sum(np.abs(v[list(g.indices)]))
-                assert np.min(bound - a @ v) == pytest.approx(g.bound - l1, abs=1e-15 * max(1.0, scale))
+                assert np.min(bounds[rows] - problem.rows[rows] @ v) == \
+                    pytest.approx(g.bound - l1, abs=1e-15 * max(1.0, scale))
 
 
 def test_one_budget_is_one_product_and_every_set_gives_slsqp_its_box():
     # a single group's value is its bound minus its rows' product
-    ((_, a, bound),) = fitting._problem(q.arma(2, 0)).budgets
+    problem = fitting._problem(q.arma(2, 0))
+    ((block, a, bound),) = problem.products
     rows = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [-1.0, -1.0, 0.0]])
     v = np.array([0.3, -0.45, 1.2])
+    assert block == slice(0, 4) and np.array_equal(problem.rows, rows)
     assert np.array_equal(bound - a @ v, 0.98 - rows @ v)
     for spec in (q.wn(), q.arma(2, 1), q.garch(1, 1), q.aparch(1.5, 1, 1), q.ararch(2), q.ararch(0)):
         cs, problem = q.constraint_set(spec), fitting._problem(spec)
         # the set's own read-only box, every bound finite
         assert problem.xl is cs.lower and problem.xu is cs.upper
         assert np.all(np.isfinite(cs.lower)) and np.all(np.isfinite(cs.upper))
-        assert len(problem.budgets) == len(cs.groups)
+        assert problem.m == sum(b.shape[0] for b in _sign_blocks(cs))
+        assert np.array_equal(problem.rows, np.vstack(_sign_blocks(cs) or [np.zeros((0, cs.dim))]))
         assert problem.jac.shape == (max(problem.m, 1), cs.dim)
 
 
@@ -377,9 +388,11 @@ def test_constraint_set_is_built_once_per_spec_and_cannot_be_written():
     assert q.constraint_set(q.parse_spec("arma(2,1)")) is cs
     problem = fitting._problem(q.arma(2, 1))
     assert fitting._problem(q.parse_spec("arma(2,1)")) is problem
-    for bound in (cs.lower, cs.upper, problem.jac, *(a for _, a, _ in problem.budgets)):
+    arrays = [cs.lower, cs.upper, problem.rows, problem.jac]
+    arrays += [array for _, a, b in problem.products for array in (a, b)]
+    for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
-            bound[0] = 0.0
+            array[0] = 0.0
     # a set built by hand keeps copies of the arrays it was given
     lower, upper = np.zeros(2), np.ones(2)
     hand = q.ConstraintSet(lower, upper)
