@@ -12,9 +12,10 @@ seed 7::
 It reads ``perfbench/out/<workload>-seed<seed>-trace1.json``, prints one
 line per run, and exits 1 if any pinned figure moved.  A change that moves
 one iterate of one fit moves the table hash or SLSQP's counts; one that adds
-an evaluation moves a call count; one that moves an exclusion or flips a
-certificate moves the SingularF count or ``converged_frac``.  A change that
-moves them on purpose updates the pins here.
+an evaluation moves a call count (contrast, gradient, info_matrices or
+cond_moments); one that moves an exclusion or flips a certificate moves the
+SingularF count or ``converged_frac``.  A change that moves them on purpose
+updates the pins here.
 """
 
 import json

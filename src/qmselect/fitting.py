@@ -185,10 +185,12 @@ class _SlsqpCore(NamedTuple):
 def _problem(spec: ModelSpec) -> _SlsqpCore:
     """SLSQP's problem for ``spec``, built once per spec.
 
-    The budgets are one linear inequality ``b - A v >= 0`` with a constant
-    Jacobian.  ``A`` holds each group's rows in group order, a row of ones
-    for a non-negative group and the 2^k sign rows of a signed group, whose
-    maximum is sum |v_i|; ``b`` holds the group's bound on each of its rows.
+    The budgets, the set's ``(index, signed, bound)`` triples (see
+    :class:`~qmselect.models.ConstraintSet`), are one linear inequality
+    ``b - A v >= 0`` with a constant Jacobian.  ``A`` holds each group's
+    rows in group order, a row of ones for a non-negative group and the 2^k
+    sign rows of a signed group, whose maximum is sum |v_i|; ``b`` holds the
+    group's bound on each of its rows.
     SLSQP stacks separate constraints the same way.  ``A`` is kept once:
     every block is a view of it, and so is ``b``, which a product subtracts
     from (the same bits as its groups' scalar bounds).
@@ -202,7 +204,7 @@ def _problem(spec: ModelSpec) -> _SlsqpCore:
     else one per group.  A signed group of more than ``MAX_SIGNED_GROUP``
     members raises :class:`UnsupportedFamily` before any row is built."""
     cset, n = constraint_set(spec), spec.dim
-    groups = [(np.arange(n)[idx], signed, bound) for idx, signed, bound in cset._members]
+    groups = [(np.arange(n)[idx], signed, bound) for idx, signed, bound in cset.groups]
     for idx, signed, _ in groups:
         if signed and idx.size > MAX_SIGNED_GROUP:
             raise UnsupportedFamily(f"a signed budget of {idx.size} coefficients takes 2^{idx.size} "

@@ -72,6 +72,7 @@ import functools
 import importlib
 import itertools
 import math
+import operator
 import os
 import re
 import sys
@@ -158,6 +159,8 @@ class ModelSpec:
     delta: float = 2.0
 
     def __post_init__(self):
+        for order in ("p", "q"):  # True is 1, an np.int64 an int, a float a TypeError
+            object.__setattr__(self, order, operator.index(getattr(self, order)))
         if self.p < 0 or self.q < 0:
             raise ValueError("model orders must be non-negative")
         if self.family is Family.APARCH and not 0 < self.delta < math.inf:
@@ -315,35 +318,35 @@ def expand_family(expr: str) -> list[ModelSpec]:
 # constraint sets
 
 
-@dataclass(frozen=True)
-class GroupBound:
-    """Constraint sum_{i in indices} |theta_i| <= bound."""
-
-    indices: tuple[int, ...]
-    bound: float
+def _read_only(values, dtype=float) -> np.ndarray:
+    """A read-only copy of ``values``."""
+    array = np.array(values, dtype=dtype)
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """Box bounds plus group absolute-sum bounds.
+    """Box bounds plus coefficient budgets.
 
     ``lower`` and ``upper`` are read-only copies of the arrays given, so one
     set can serve every caller (:func:`constraint_set` builds one per spec).
-    Each group's indices (a slice where they run in steps of one) and sign,
-    which :meth:`contains` and :meth:`project` read on every call, are
-    built once per set, on first use.  An unpickled set is rebuilt
+    Each budget in ``groups`` is a triple ``(index, signed, bound)``: sum
+    |theta_i| <= ``bound`` over ``theta[index]``, a slice where the
+    coordinates run up in steps of one, else a read-only integer array,
+    whose boxes reach below 0 when ``signed``.  An unpickled set is rebuilt
     read-only (pickle restores an array writable).
     """
 
     lower: np.ndarray
     upper: np.ndarray
-    groups: tuple[GroupBound, ...] = ()
+    groups: tuple[tuple[slice | np.ndarray, bool, float], ...] = ()
 
     def __post_init__(self):
-        for name in ("lower", "upper"):
-            bound = np.array(getattr(self, name), dtype=float)
-            bound.flags.writeable = False
-            object.__setattr__(self, name, bound)
+        object.__setattr__(self, "lower", _read_only(self.lower))
+        object.__setattr__(self, "upper", _read_only(self.upper))
+        object.__setattr__(self, "groups", tuple((i if isinstance(i, slice) else _read_only(i, int), s, b)
+                                                 for i, s, b in self.groups))
 
     def __reduce__(self):
         return ConstraintSet, (self.lower, self.upper, self.groups)
@@ -364,22 +367,7 @@ class ConstraintSet:
         if ((v < self.lower - tol) | (v > self.upper + tol)).any():
             return False
         a = np.abs(v)
-        return all(np.add.reduce(a[idx]) <= bound + tol for idx, _, bound in self._members)
-
-    @functools.cached_property
-    def _members(self) -> tuple[tuple[slice | np.ndarray, bool, float], ...]:
-        """Each group's indices, whether it is signed (its box reaches below
-        0, so the budget is on |theta_i|), and its bound.  The indices are a
-        slice where they run up in steps of one, as every group of
-        ``constraint_set`` but aparch's a-and-b budget does, else an array:
-        a slice reads and writes the same entries, in the same order, at a
-        third of the cost."""
-        def index(ix):
-            run = range(ix[0], ix[-1] + 1)
-            return slice(run.start, run.stop) if tuple(run) == tuple(ix) else np.array(ix)
-
-        return tuple((index(g.indices), bool(self.lower[g.indices[0]] < 0.0), g.bound)
-                     for g in self.groups)
+        return all(np.add.reduce(a[idx]) <= bound + tol for idx, _, bound in self.groups)
 
     def project(self, values) -> np.ndarray:
         """The Euclidean projection onto the set, as a new array.
@@ -400,7 +388,7 @@ class ConstraintSet:
         """
         y = np.asarray(values, dtype=float)
         v = y.clip(self.lower, self.upper)
-        for idx, signed, bound in self._members:
+        for idx, signed, bound in self.groups:
             yi = y[idx]
             a = np.abs(yi) if signed else np.maximum(yi, 0.0)
             if np.add.reduce(a) > bound:
@@ -422,7 +410,8 @@ def constraint_set(spec: ModelSpec) -> ConstraintSet:
     """Feasible parameter region for a model spec, one rule per block of its
     :attr:`ModelSpec.layout`: boxes [-c, c] (ar, ma, phi, gamma) or [0, c] (a,
     b) with the margin c = 1 - ``COEF_MARGIN``, fixed positive boxes for sigma
-    and omega, and budgets sum |theta_i| <= c on ar, on ma and on a and b.
+    and omega, and budgets sum |theta_i| <= c on ar, on ma and on a and b,
+    each built once as its triple, its sign read from the box built here.
 
     Built once per spec: equal specs get the same set, whose arrays are
     read-only.
@@ -435,8 +424,9 @@ def constraint_set(spec: ModelSpec) -> ConstraintSet:
     for role, block in zip(_Layout._fields, lay):
         lower[block], upper[block] = boxes.get(role, (-c, c))
     index = range(spec.dim)
-    budgets = (index[lay.ar], index[lay.ma], [*index[lay.a], *index[lay.b]])
-    return ConstraintSet(lower, upper, tuple(GroupBound(tuple(i), c) for i in budgets if i))
+    budgets = ([*index[lay.ar]], [*index[lay.ma]], [*index[lay.a], *index[lay.b]])
+    run = lambda i: slice(i[0], i[-1] + 1) if i == [*range(i[0], i[-1] + 1)] else i
+    return ConstraintSet(lower, upper, tuple((run(i), bool(lower[i[0]] < 0.0), c) for i in budgets if i))
 
 
 @dataclass(frozen=True)
@@ -448,9 +438,7 @@ class ParamVector:
     values: np.ndarray
 
     def __post_init__(self):
-        v = _as_values(self.spec, self.values).copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _read_only(_as_values(self.spec, self.values)))
 
     def __reduce__(self):
         return ParamVector, (self.spec, self.values)
@@ -734,8 +722,7 @@ def _pinned_core(version: str, module: str = "scipy.signal._sigtools", name: str
 _LINEAR_FILTER = _pinned_core(scipy.__version__)
 #: the numerator of an all-pole filter, as ``lfilter`` converts ``[1.0]``,
 #: and the leading coefficient of every filter polynomial
-_ONE = np.ones(1)
-_ONE.flags.writeable = False
+_ONE = _read_only([1.0])
 
 
 def _lfilter(b: np.ndarray, a: np.ndarray, x: np.ndarray) -> np.ndarray:

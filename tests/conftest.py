@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,24 @@ def dgp3_fit_2000(dgp3_series_2000):
 SHIPPED_SPECS = q.expand_family(
     "wn + arma(0..6,0..6) + garch(0..6,0..6) + aparch(1.5;1,0..1) + aparch(2;1,1) + ararch(1..2)"
 )
+
+
+def budgets(cs):
+    """Each budget of ``cs`` as its coordinates (a list), whether it is
+    signed, read from the box and not from the set's triple, and its bound."""
+    out = []
+    for idx, _, bound in cs.groups:
+        coords = np.arange(cs.dim)[idx].tolist()
+        out.append((coords, bool(cs.lower[coords[0]] < 0.0), bound))
+    return out
+
+
+def sign_rows(coords, signed):
+    """A budget's rows of the budget matrix over its coordinates: the 2^k
+    sign rows of a signed budget in ``itertools.product`` order, the last
+    varying fastest, else one row of ones."""
+    return list(itertools.product((1.0, -1.0), repeat=len(coords))) if signed else [(1.0,) * len(coords)]
+
 
 #: entries no feasible point has, drawn next to ordinary ones
 SPECIAL_VALUES = (float("nan"), float("inf"), -float("inf"), -0.0, 0.0)

@@ -1,4 +1,3 @@
-import itertools
 import os
 import subprocess
 import sys
@@ -17,7 +16,7 @@ from qmselect.fitting import _start_point, _warm_start, projected_grad_norm
 from qmselect.models import constraint_set, is_nested
 from qmselect.montecarlo import derive_seed
 
-from conftest import DGP1, DGP2, DGP3, SHIPPED_SPECS, draw_edge_vector
+from conftest import DGP1, DGP2, DGP3, SHIPPED_SPECS, budgets, draw_edge_vector, sign_rows
 
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
@@ -872,13 +871,12 @@ def _budget_reference(spec):
     """The budget blocks and bounds, and the Jacobian ``-A``, as they were
     built before the record kept its rows once: each group's sign rows a
     matrix of its own, from ``itertools.product``, stacked for the Jacobian."""
-    cs, blocks = constraint_set(spec), []
-    for g in cs.groups:
-        idx, signed = list(g.indices), cs.lower[g.indices[0]] < 0.0
-        signs = list(itertools.product((1.0, -1.0), repeat=len(idx))) if signed else [(1.0,) * len(idx)]
+    blocks = []
+    for coords, signed, bound in budgets(constraint_set(spec)):
+        signs = sign_rows(coords, signed)
         a = np.zeros((len(signs), spec.dim))
-        a[:, idx] = signs
-        blocks.append((a, g.bound))
+        a[:, coords] = signs
+        blocks.append((a, bound))
     jac = np.array(-np.vstack([a for a, _ in blocks]) if blocks else np.zeros((1, spec.dim)), order="F")
     return blocks, jac
 
@@ -888,9 +886,8 @@ def _run_products(cs):
     kept one list of products: each run of consecutive groups of at most two
     members one product, every larger group one of its own."""
     runs, top = [], 0
-    for g in cs.groups:
-        signed = cs.lower[g.indices[0]] < 0.0
-        stop, short = top + (2 ** len(g.indices) if signed else 1), len(g.indices) <= 2
+    for coords, signed, _ in budgets(cs):
+        stop, short = top + len(sign_rows(coords, signed)), len(coords) <= 2
         if short and runs and runs[-1][2]:
             runs[-1][1] = stop
         else:

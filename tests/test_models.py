@@ -19,7 +19,7 @@ import qmselect as q
 from qmselect import fitting, models
 from qmselect.models import H_FLOOR, _lag
 
-from conftest import SHIPPED_SPECS, draw_edge_vector
+from conftest import SHIPPED_SPECS, budgets, draw_edge_vector, sign_rows
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +70,27 @@ def test_white_noise_is_arma00():
     assert q.ModelSpec(q.Family.ARARCH, 1, delta=0.5) == q.ararch(1)
     assert q.aparch(1.5, 1, 0).delta == 1.5
     assert q.parse_spec("wn").name == q.arma(0, 0).name == "wn"
+
+
+#: each constructor, from two orders (ararch takes only the first)
+CONSTRUCTORS = {"arma": q.arma, "garch": q.garch, "aparch": lambda p, r: q.aparch(1.5, p, r),
+                "ararch": lambda p, r: q.ararch(p)}
+
+
+@pytest.mark.parametrize("make", CONSTRUCTORS.values(), ids=CONSTRUCTORS.keys())
+def test_orders_are_ints(make):
+    # a bool order is its int, and the name it gives parses back
+    spec = make(True, True)
+    assert spec == make(1, 1) and type(spec.p) is int and type(spec.q) is int
+    assert q.parse_spec(spec.name) == spec
+    # numpy integer orders give an equal spec, with the same name and hash
+    wide, plain = make(np.int64(2), np.int64(1)), make(2, 1)
+    assert wide == plain and wide.name == plain.name and hash(wide) == hash(plain)
+    # a float order is refused when the spec is built
+    with pytest.raises(TypeError):
+        make(1.0, 1)
+    with pytest.raises(TypeError):
+        q.ModelSpec(spec.family, 1, 1.0)
 
 
 @pytest.mark.parametrize(
@@ -149,8 +170,8 @@ def test_parameter_layout_is_pinned(spec, names, lower, upper, groups):
     assert spec.param_names() == names
     np.testing.assert_array_equal(cset.lower, lower)
     np.testing.assert_array_equal(cset.upper, upper)
-    assert [g.indices for g in cset.groups] == groups
-    assert all(g.bound == 0.98 for g in cset.groups)
+    assert [tuple(coords) for coords, _, _ in budgets(cset)] == groups
+    assert all(bound == 0.98 for _, _, bound in cset.groups)
 
 
 @pytest.mark.parametrize(
@@ -279,19 +300,18 @@ PROJECTION_SPECS = [q.wn(), q.arma(2, 3), q.garch(2, 1), q.aparch(1.5, 2, 1), q.
 def _budget_vertices(cs, w):
     """``w`` with one budget's coordinates moved to each vertex of the budget,
     and with every coordinate outside the budgets at its lower or upper bound."""
-    free = np.setdiff1d(np.arange(cs.dim), [i for g in cs.groups for i in g.indices])
+    free = np.setdiff1d(np.arange(cs.dim), [i for coords, _, _ in budgets(cs) for i in coords])
     out = []
     for bound in (cs.lower, cs.upper):
         v = w.copy()
         v[free] = bound[free]
         out.append(v)
-    for g in cs.groups:
-        idx = list(g.indices)
-        for i in idx:
-            for sign in (1.0, -1.0) if cs.lower[i] < 0 else (1.0,):
+    for coords, signed, bound in budgets(cs):
+        for i in coords:
+            for sign in (1.0, -1.0) if signed else (1.0,):
                 v = w.copy()
-                v[idx] = 0.0
-                v[i] = sign * g.bound
+                v[coords] = 0.0
+                v[i] = sign * bound
                 out.append(v)
     return out
 
@@ -321,11 +341,10 @@ def _sign_blocks(cs):
     """Each group's rows of the budget matrix: a row of ones for a
     non-negative group, the 2^k sign rows of a signed one."""
     blocks = []
-    for g in cs.groups:
-        signed = cs.lower[g.indices[0]] < 0.0
-        signs = list(itertools.product((1.0, -1.0), repeat=len(g.indices))) if signed else [1.0]
+    for coords, signed, _ in budgets(cs):
+        signs = sign_rows(coords, signed)
         block = np.zeros((len(signs), cs.dim))
-        block[:, list(g.indices)] = signs
+        block[:, coords] = signs
         blocks.append(block)
     return blocks
 
@@ -340,8 +359,8 @@ def test_budget_jacobian_is_constant_and_charges_zero_coefficients():
     problem = fitting._problem(q.garch(1, 1))
     v = np.array([1.0, 0.0, 0.5])
     assert_allclose(problem.jac, [[0.0, -1.0, -1.0]])
-    (g,) = q.constraint_set(q.garch(1, 1)).groups
-    assert problem.rows.shape == (1, 3) and (g.bound - problem.rows @ v)[0] == pytest.approx(0.48)
+    ((_, _, bound),) = q.constraint_set(q.garch(1, 1)).groups
+    assert problem.rows.shape == (1, 3) and (bound - problem.rows @ v)[0] == pytest.approx(0.48)
     # all budgets are one inequality with a constant, read-only Jacobian in
     # Fortran order: each group's rows in group order, its bound on each of
     # them, and a signed budget's sign rows have sum |v_i| as their maximum
@@ -354,15 +373,15 @@ def test_budget_jacobian_is_constant_and_charges_zero_coefficients():
         # a group of three or more members is a product of its own
         assert [block for block, _, _ in problem.products] == slices
         bounds = np.concatenate([b for _, _, b in problem.products])
-        assert all(np.array_equal(problem.rows[rows], block) and np.all(bounds[rows] == g.bound)
-                   for g, block, rows in zip(cs.groups, blocks, slices))
+        assert all(np.array_equal(problem.rows[rows], block) and np.all(bounds[rows] == bound)
+                   for (_, _, bound), block, rows in zip(budgets(cs), blocks, slices))
         rng = np.random.default_rng(4)
         for _ in range(20):
             v = rng.uniform(-scale, scale, cs.dim)
-            for g, rows in zip(cs.groups, slices):
-                l1 = np.sum(np.abs(v[list(g.indices)]))
+            for (coords, _, bound), rows in zip(budgets(cs), slices):
+                l1 = np.sum(np.abs(v[coords]))
                 assert np.min(bounds[rows] - problem.rows[rows] @ v) == \
-                    pytest.approx(g.bound - l1, abs=1e-15 * max(1.0, scale))
+                    pytest.approx(bound - l1, abs=1e-15 * max(1.0, scale))
 
 
 def test_one_budget_is_one_product_and_every_set_gives_slsqp_its_box():
@@ -437,12 +456,6 @@ def test_project_returns_a_new_array_the_caller_may_write(spec):
         assert np.array_equal(cs.project(point), expected)
 
 
-def _members_reference(cs):
-    """Each group's indices as an array, whether it is signed, and its bound,
-    as ``ConstraintSet._members`` held them before a run became a slice."""
-    return [(np.array(g.indices), bool(cs.lower[g.indices[0]] < 0.0), g.bound) for g in cs.groups]
-
-
 def _contains_reference(cs, values):
     """``ConstraintSet.contains`` as it was written before its box test
     became one pass: the reference of the oracle below."""
@@ -452,7 +465,7 @@ def _contains_reference(cs, values):
     tol = models.FEASIBILITY_TOL
     if np.any(v < cs.lower - tol) or np.any(v > cs.upper + tol):
         return False
-    return all(np.sum(np.abs(v[idx])) <= bound + tol for idx, _, bound in _members_reference(cs))
+    return all(np.sum(np.abs(v[idx])) <= bound + tol for idx, _, bound in budgets(cs))
 
 
 def _project_reference(cs, values):
@@ -460,7 +473,7 @@ def _project_reference(cs, values):
     budget kept its entries: the reference of the oracle below."""
     y = np.asarray(values, dtype=float)
     v = np.clip(y, cs.lower, cs.upper)
-    for idx, signed, bound in _members_reference(cs):
+    for idx, signed, bound in budgets(cs):
         a = np.abs(y[idx]) if signed else np.maximum(y[idx], 0.0)
         if a.sum() > bound:
             u = np.sort(a)[::-1]
@@ -537,13 +550,34 @@ def test_every_budget_implies_its_coordinates_box():
     for spec in specs:
         cs = q.constraint_set(spec)
         seen = set()
-        for g in cs.groups:
-            idx = list(g.indices)
-            assert idx and not seen & set(idx), spec
-            seen |= set(idx)
-            lower = cs.lower[idx]
-            assert np.all(lower == 0.0) or np.all(lower <= -g.bound), spec
-            assert np.all(cs.upper[idx] >= g.bound), spec
+        # the set holds each budget's sign, so it must be its box's
+        for (_, signed, _), (coords, box_signed, bound) in zip(cs.groups, budgets(cs)):
+            assert coords and not seen & set(coords), spec
+            seen |= set(coords)
+            assert signed is box_signed, spec
+            lower = cs.lower[coords]
+            assert np.all(lower == 0.0) or np.all(lower <= -bound), spec
+            assert np.all(cs.upper[coords] >= bound), spec
+
+
+def test_every_budget_is_one_triple_over_its_layout_blocks():
+    # each budget is held once, as (index, signed, bound): the index selects
+    # its layout blocks' coordinates in order, a slice unless it skips some
+    # (aparch's a and b around its gammas), the sign is its box's, and the
+    # bound the margin's
+    family = "arma(0..7,0..7) + garch(0..3,0..3) + aparch(1.5;0..3,0..3) + aparch(2;0..3,0..3) + ararch(0..3)"
+    for spec in dict.fromkeys(SHIPPED_SPECS + q.expand_family(family)):
+        cs, lay, coords = q.constraint_set(spec), spec.layout, np.arange(spec.dim)
+        want = [coords[lay.ar], coords[lay.ma], np.concatenate([coords[lay.a], coords[lay.b]])]
+        assert [coords[idx].tolist() for idx, _, _ in cs.groups] == [w.tolist() for w in want if w.size], spec
+        skips = spec.family is q.Family.APARCH and spec.p >= 1 and spec.q >= 1
+        for idx, signed, bound in cs.groups:
+            if skips:
+                assert isinstance(idx, np.ndarray) and not idx.flags.writeable, spec
+            else:
+                assert isinstance(idx, slice) and idx.step is None, spec
+            assert (cs.lower[idx] < 0.0).tolist() == [signed] * len(coords[idx]), spec
+            assert bound == 1.0 - models.COEF_MARGIN, spec
 
 
 def test_param_vector_validation():
@@ -578,6 +612,12 @@ def test_a_constraint_set_stays_read_only_through_pickle(protocol):
         assert not bound.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             bound[0] = 9.0
+    # a budget's index array is rebuilt read-only too
+    cs = q.constraint_set(q.aparch(1.5, 2, 1))
+    ((idx, signed, bound),) = pickle.loads(pickle.dumps(cs, protocol=protocol)).groups
+    assert idx.tolist() == [1, 2, 5] and (signed, bound) == cs.groups[0][1:]
+    with pytest.raises(ValueError, match="read-only"):
+        idx[0] = 0
 
 
 # ---------------------------------------------------------------------------
